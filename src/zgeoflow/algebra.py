@@ -119,16 +119,8 @@ def casimir_abstract(z: float):
     return casimir
 
 
-def casimir_m(m: int, n: int, z: float) -> PhaseFunction:
-    """The m-site Casimir embedded in N-dimensional phase space.
-
-    Built by composing the abstract Casimir with the m-site realization
-    acting on the first m coordinate pairs; coordinates m+1..n are ignored.
-    """
-    if m < 2:
-        raise ValueError("Casimir tower starts at m = 2 (the 1-site Casimir vanishes)")
-    if m > n:
-        raise ValueError(f"cannot embed {m}-site Casimir in {n}-dimensional space")
+def _embedded_casimir(m: int, n: int, z: float, label: str) -> PhaseFunction:
+    """The abstract Casimir of the m-site realization on the first m pairs."""
     inner = realize_generators(m, z)
     cas = casimir_abstract(z)
 
@@ -140,23 +132,25 @@ def casimir_m(m: int, n: int, z: float) -> PhaseFunction:
             inner.j_three.raw(qm, pm),
         )
 
-    return PhaseFunction(n, fn, f"C({m})")
+    return PhaseFunction(n, fn, label)
+
+
+def casimir_m(m: int, n: int, z: float) -> PhaseFunction:
+    """The m-site Casimir embedded in N-dimensional phase space.
+
+    Built by composing the abstract Casimir with the m-site realization
+    acting on the first m coordinate pairs; coordinates m+1..n are ignored.
+    """
+    if m < 2:
+        raise ValueError("Casimir tower starts at m = 2 (the 1-site Casimir vanishes)")
+    if m > n:
+        raise ValueError(f"cannot embed {m}-site Casimir in {n}-dimensional space")
+    return _embedded_casimir(m, n, z, f"C({m})")
 
 
 def casimir_one(z: float, n: int = 1) -> PhaseFunction:
     """The 1-site Casimir, identically zero; exposed as a consistency check."""
-    inner = realize_generators(1, z)
-    cas = casimir_abstract(z)
-
-    def fn(q, p):
-        q1, p1 = q[:1], p[:1]
-        return cas(
-            inner.j_minus.raw(q1, p1),
-            inner.j_plus.raw(q1, p1),
-            inner.j_three.raw(q1, p1),
-        )
-
-    return PhaseFunction(n, fn, "C(1)")
+    return _embedded_casimir(1, n, z, "C(1)")
 
 
 def hamiltonian_integrable(n: int, z: float) -> PhaseFunction:

@@ -32,23 +32,12 @@ class PhaseGradient:
 
 def gradient(f: PhaseFunction, x: PhasePoint) -> PhaseGradient:
     """Machine-precision gradient of ``f`` at ``x`` via dual numbers."""
-    n = x.dim
-    if f.arity != n:
+    if f.arity != x.dim:
         raise ValueError("arity mismatch between function and point")
-    q = list(x.q)
-    p = list(x.p)
-    cplx = np.iscomplexobj(x.q) or np.iscomplexobj(x.p)
-    dq = np.zeros(n, dtype=complex if cplx else float)
-    dp = np.zeros_like(dq)
-    for i in range(n):
-        tag = dual.fresh_tag()
-        qs = list(q)
-        qs[i] = dual.Dual(tag, q[i], 1.0)
-        dq[i] = dual.dual_part(f.raw(qs, p), tag)
-        tag = dual.fresh_tag()
-        ps = list(p)
-        ps[i] = dual.Dual(tag, p[i], 1.0)
-        dp[i] = dual.dual_part(f.raw(q, ps), tag)
+    dq, dp = gradient_lists(f, list(x.q), list(x.p))
+    dtype = complex if np.iscomplexobj(x.q) or np.iscomplexobj(x.p) else float
+    dq = np.array(dq, dtype=dtype)
+    dp = np.array(dp, dtype=dtype)
     if not (np.all(np.isfinite(dq)) and np.all(np.isfinite(dp))):
         raise EvaluationDomainError(f"gradient of {f.label} not finite at {x}")
     return PhaseGradient(dq, dp)
@@ -56,19 +45,10 @@ def gradient(f: PhaseFunction, x: PhasePoint) -> PhaseGradient:
 
 def gradient_lists(f: PhaseFunction, q: list, p: list):
     """Gradient on raw coordinate lists; hot-loop variant of :func:`gradient`."""
-    n = len(q)
-    dq = [0.0] * n
-    dp = [0.0] * n
-    for i in range(n):
-        tag = dual.fresh_tag()
-        qs = list(q)
-        qs[i] = dual.Dual(tag, q[i], 1.0)
-        dq[i] = dual.dual_part(f.fn(qs, p), tag)
-        tag = dual.fresh_tag()
-        ps = list(p)
-        ps[i] = dual.Dual(tag, p[i], 1.0)
-        dp[i] = dual.dual_part(f.fn(q, ps), tag)
-    return dq, dp
+    return (
+        dual.gradient(lambda qs: f.fn(qs, p), q),
+        dual.gradient(lambda ps: f.fn(q, ps), p),
+    )
 
 
 def gradient_fd(f: PhaseFunction, x: PhasePoint) -> PhaseGradient:
@@ -123,25 +103,11 @@ def bracket_function(f: PhaseFunction, g: PhaseFunction) -> PhaseFunction:
     n = f.arity
 
     def fn(q, p):
+        fq, fp = gradient_lists(f, q, p)
+        gq, gp = gradient_lists(g, q, p)
         out = 0.0
         for i in range(n):
-            tq = dual.fresh_tag()
-            qs = list(q)
-            qs[i] = dual.Dual(tq, q[i], 1.0)
-            df_dqi = dual.dual_part(f.raw(qs, p), tq)
-            tq = dual.fresh_tag()
-            qs = list(q)
-            qs[i] = dual.Dual(tq, q[i], 1.0)
-            dg_dqi = dual.dual_part(g.raw(qs, p), tq)
-            tp = dual.fresh_tag()
-            ps = list(p)
-            ps[i] = dual.Dual(tp, p[i], 1.0)
-            df_dpi = dual.dual_part(f.raw(q, ps), tp)
-            tp = dual.fresh_tag()
-            ps = list(p)
-            ps[i] = dual.Dual(tp, p[i], 1.0)
-            dg_dpi = dual.dual_part(g.raw(q, ps), tp)
-            out = out + df_dqi * dg_dpi - df_dpi * dg_dqi
+            out = out + fq[i] * gp[i] - fp[i] * gq[i]
         return out
 
     return PhaseFunction(n, fn, f"{{{f.label},{g.label}}}")

@@ -282,16 +282,9 @@ def chart_relation_residuals(q, x, z: float, kappa2: float) -> np.ndarray:
 def position_jacobian(x, z: float, kappa2: float) -> np.ndarray:
     """Exact Jacobian d(cartesian)/d(polar) of :func:`polar_to_cart` at x."""
     x = [complex(v) if isinstance(v, complex) else float(v) for v in np.asarray(x)]
-    cols = []
-    cplx = False
-    for j in range(3):
-        tag = dual.fresh_tag()
-        seeded = list(x)
-        seeded[j] = dual.Dual(tag, x[j], 1.0)
-        img = _polar_to_cart_generic(seeded, float(z), float(kappa2))
-        col = [dual.dual_part(v, tag) for v in img]
-        cplx = cplx or any(isinstance(c, complex) for c in col)
-        cols.append(col)
+    z, kappa2 = float(z), float(kappa2)
+    cols = dual.gradient(lambda xs: _polar_to_cart_generic(xs, z, kappa2), x)
+    cplx = any(isinstance(c, complex) for col in cols for c in col)
     jac = np.array(cols, dtype=complex if cplx else float).T
     if not np.all(np.isfinite(jac)):
         raise OutOfChartError("singular Jacobian (chart boundary)")
@@ -394,13 +387,10 @@ def polar_chart_functions(z: float, kappa2: float):
     def make_momentum(a):
         def fn(q, p):
             x = _cart_to_polar_generic(list(q), z, kappa2)
-            tag = dual.fresh_tag()
-            seeded = list(x)
-            seeded[a] = dual.Dual(tag, x[a], 1.0)
-            img = _polar_to_cart_generic(seeded, z, kappa2)
+            col = dual.partial(lambda xs: _polar_to_cart_generic(xs, z, kappa2), x, a)
             total = 0.0
             for i in range(3):
-                total = total + dual.dual_part(img[i], tag) * p[i]
+                total = total + col[i] * p[i]
             return total
 
         return fn
@@ -486,6 +476,23 @@ def _guard(value, what):
     return value
 
 
+def _polar_casimirs(kappa2: float) -> dict:
+    """C(2) = p_phi^2 and C(3) = p_theta^2 + p_phi^2 / ks(kappa2, theta)^2,
+    shared by both polar systems."""
+
+    def c_two(q, p):
+        return p[2] * p[2]
+
+    def c_three(q, p):
+        ks_t = _guard(kappa_sin(kappa2, q[1]), "sin(l2 theta)/l2")
+        return p[1] * p[1] + p[2] * p[2] / (ks_t * ks_t)
+
+    return {
+        "C(2)": PhaseFunction(3, c_two, "C(2)p"),
+        "C(3)": PhaseFunction(3, c_three, "C(3)p"),
+    }
+
+
 def integrable_polar_system(z: float, kappa2: float) -> PolarSystem:
     """Geodesic flow of the variable-curvature family over (rho, theta, phi).
 
@@ -505,19 +512,9 @@ def integrable_polar_system(z: float, kappa2: float) -> PolarSystem:
         angular = p[1] * p[1] + p[2] * p[2] / (ks_t * ks_t)
         return 0.5 * kc_r * (p[0] * p[0] + angular / (kappa2 * ks_r * ks_r))
 
-    def c_two(q, p):
-        return p[2] * p[2]
-
-    def c_three(q, p):
-        ks_t = _guard(kappa_sin(kappa2, q[1]), "sin(l2 theta)/l2")
-        return p[1] * p[1] + p[2] * p[2] / (ks_t * ks_t)
-
     return PolarSystem(
         hamiltonian=PhaseFunction(3, ham, "H_polar_int"),
-        constants={
-            "C(2)": PhaseFunction(3, c_two, "C(2)p"),
-            "C(3)": PhaseFunction(3, c_three, "C(3)p"),
-        },
+        constants=_polar_casimirs(kappa2),
         chart="rho",
         z=z,
         kappa2=kappa2,
@@ -540,13 +537,6 @@ def superintegrable_polar_system(z: float, kappa2: float) -> PolarSystem:
         ks_t = _guard(kappa_sin(kappa2, theta), "sin(l2 theta)/l2")
         angular = p[1] * p[1] + p[2] * p[2] / (ks_t * ks_t)
         return 0.5 * (p[0] * p[0] + angular / (kappa2 * ks_r * ks_r))
-
-    def c_two(q, p):
-        return p[2] * p[2]
-
-    def c_three(q, p):
-        ks_t = _guard(kappa_sin(kappa2, q[1]), "sin(l2 theta)/l2")
-        return p[1] * p[1] + p[2] * p[2] / (ks_t * ks_t)
 
     def i_two(q, p):
         r, theta, phi = q
@@ -577,8 +567,7 @@ def superintegrable_polar_system(z: float, kappa2: float) -> PolarSystem:
     return PolarSystem(
         hamiltonian=PhaseFunction(3, ham, "H_polar_sup"),
         constants={
-            "C(2)": PhaseFunction(3, c_two, "C(2)p"),
-            "C(3)": PhaseFunction(3, c_three, "C(3)p"),
+            **_polar_casimirs(kappa2),
             "I(2)": PhaseFunction(3, i_two, "I(2)p"),
             "I(3)": PhaseFunction(3, i_three, "I(3)p"),
         },

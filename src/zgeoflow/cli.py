@@ -264,7 +264,6 @@ SIMULATE_DEFAULTS = dict(
     keep_every=1,
     output="trajectory.csv",
     metadata=None,
-    seed=0,
 )
 
 
@@ -604,7 +603,6 @@ def build_parser() -> _Parser:
     ps.add_argument("--method", choices=METHODS)
     ps.add_argument("--keep-every", dest="keep_every", type=int)
     ps.add_argument("--metadata", help="also write a JSON metadata file here")
-    ps.add_argument("--seed", type=int)
 
     pc = sub.add_parser("curvature", help="curvature values on a grid")
     add_common(pc)

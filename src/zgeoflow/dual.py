@@ -1,4 +1,4 @@
-"""Forward-mode dual numbers with support for nested differentiation.
+"""Forward-mode dual numbers and the package's one differentiation core.
 
 Every quantity in this package that ever gets differentiated (generators,
 Hamiltonians, metric components, chart maps) is written against the generic
@@ -7,6 +7,13 @@ complex numbers and ``Dual`` values.  Nested derivatives (Hessians, curvature
 tensors, brackets of brackets) work because each differentiation pass carries
 a fresh tag: mixing duals from different passes treats the older one as a
 constant, which is exactly the perturbation-confusion-safe rule.
+
+The helpers :func:`partial`, :func:`gradient`, :func:`second_partial`,
+:func:`hessian` and the one-variable :func:`derivative` are the only code in
+the package that creates tags, seeds inputs and extracts derivative parts;
+every other module differentiates through them.  Each call of ``f`` is one
+pass: first partials take one first-order pass per slot, second partials one
+nested pass per pair.
 """
 
 from __future__ import annotations
@@ -116,25 +123,11 @@ def primal(x):
     return x
 
 
-def value_part(x, tag):
-    """Value component of ``x`` with respect to ``tag``.
-
-    Extraction is order-independent: if a newer tag is outermost, the
-    requested component is taken inside each of its parts.
-    """
-    if isinstance(x, Dual):
-        if x.tag == tag:
-            return x.re
-        if x.tag > tag:
-            return Dual(x.tag, value_part(x.re, tag), value_part(x.du, tag))
-    return x
-
-
 def dual_part(x, tag):
     """Derivative component of ``x`` with respect to ``tag`` (0 if absent).
 
-    Like :func:`value_part`, distributes over any newer tags wrapping the
-    requested one, so nested extractions commute.
+    Distributes over any newer tags wrapping the requested one, so nested
+    extractions commute.
     """
     if isinstance(x, Dual):
         if x.tag == tag:
@@ -145,11 +138,50 @@ def dual_part(x, tag):
 
 
 def partial(f, args, i):
-    """Exact partial derivative of ``f(list_of_scalars)`` in slot ``i``."""
+    """Exact partial derivative of ``f(list_of_scalars)`` in slot ``i``.
+
+    A list-valued ``f`` gives the list of its components' partials.
+    """
     tag = fresh_tag()
     seeded = list(args)
     seeded[i] = Dual(tag, args[i], 1.0)
-    return dual_part(f(seeded), tag)
+    val = f(seeded)
+    if isinstance(val, list):
+        return [dual_part(v, tag) for v in val]
+    return dual_part(val, tag)
+
+
+def gradient(f, args):
+    """All first partials of ``f``, one first-order pass per slot."""
+    return [partial(f, args, i) for i in range(len(args))]
+
+
+def second_partial(f, args, i, j):
+    """Exact d^2 f / d args_i d args_j from one nested pass.
+
+    The fresher tag seeds slot ``j`` and is extracted first; for i = j it
+    wraps the slot-``i`` seed.  The result keeps any dual layers the inputs
+    carry, so it can be differentiated again.
+    """
+    ti = fresh_tag()
+    tj = fresh_tag()
+    seeded = list(args)
+    seeded[i] = Dual(ti, args[i], 1.0)
+    seeded[j] = Dual(tj, seeded[j], 1.0)
+    return dual_part(dual_part(f(seeded), tj), ti)
+
+
+def hessian(f, args):
+    """Float parts of all second partials of ``f`` as a symmetric list of rows.
+
+    One :func:`second_partial` pass per pair i <= j.
+    """
+    n = len(args)
+    out = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            out[i][j] = out[j][i] = float(primal(second_partial(f, args, i, j)))
+    return out
 
 
 def derivative(f, x):

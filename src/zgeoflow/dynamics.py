@@ -175,7 +175,8 @@ def integrate(
         try:
             y = step(h, y, dt, t)
         except IntegrationError as err:
-            raise IntegrationError(str(err), err.time, partial=build(True)) from err
+            err.partial = build(True)
+            raise
         except (EvaluationDomainError, OverflowError, ZeroDivisionError) as err:
             raise IntegrationError(str(err) or type(err).__name__, t, partial=build(True)) from err
         if not np.all(np.isfinite(y)):

@@ -65,24 +65,6 @@ class DiagonalMetric:
         return DiagonalMetric(self.dim, comps, f"{factor}*{self.label}")
 
 
-def _momentum_hessian(h: PhaseFunction, q, p) -> np.ndarray:
-    """Exact Hessian of h in the momenta at the given point."""
-    n = h.arity
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            ti = dual.fresh_tag()
-            tj = dual.fresh_tag()
-            ps = list(p)
-            ps[i] = dual.Dual(ti, ps[i], 1.0)
-            ps[j] = dual.Dual(tj, ps[j], 1.0)  # wraps the ti seed when j == i
-            val = h.raw(list(q), ps)
-            out[i, j] = out[j, i] = float(
-                dual.primal(dual.dual_part(dual.dual_part(val, tj), ti))
-            )
-    return out
-
-
 def metric_from_hamiltonian(
     h: PhaseFunction,
     n: int,
@@ -98,7 +80,7 @@ def metric_from_hamiltonian(
     if h.arity != n:
         raise ValueError("Hamiltonian arity does not match requested dimension")
     for x in check_points:
-        hess = _momentum_hessian(h, x.q, x.p)
+        hess = np.array(dual.hessian(lambda ps: h.raw(list(x.q), ps), x.p))
         off = np.max(np.abs(hess - np.diag(np.diag(hess))))
         if off >= tolerance:
             raise NonKineticHamiltonianError(
@@ -112,13 +94,9 @@ def metric_from_hamiltonian(
 
     def make_component(i):
         def g_ii(q):
-            ti = dual.fresh_tag()
-            tj = dual.fresh_tag()
-            p = [0.0] * n
-            p[i] = dual.Dual(tj, dual.Dual(ti, 0.0, 1.0), 1.0)
-            val = h.raw(list(q), p)
-            a_i = dual.dual_part(dual.dual_part(val, tj), ti)
-            return 1.0 / a_i
+            return 1.0 / dual.second_partial(
+                lambda p: h.raw(list(q), p), [0.0] * n, i, i
+            )
 
         return g_ii
 
@@ -137,8 +115,8 @@ def _component_derivatives(g: DiagonalMetric, q):
     """g values, first partials d1[i][k] = d_i g_kk and second partials
     d2[i][j][k] = d_i d_j g_kk, all exact.
 
-    The fresher (outer) tag is always extracted first; for i = j the inner
-    seed is wrapped by the outer one directly.
+    First partials come from first-order passes, second partials from
+    :func:`zgeoflow.dual.hessian`.
     """
     n = g.dim
     q = [float(v) for v in q]
@@ -146,24 +124,14 @@ def _component_derivatives(g: DiagonalMetric, q):
     d1 = np.zeros((n, n))
     d2 = np.zeros((n, n, n))
     for k, comp in enumerate(g.components):
-        for i in range(n):
-            d1[i, k] = float(dual.primal(dual.partial(comp, q, i)))
-            for j in range(i, n):
-                ti = dual.fresh_tag()
-                tj = dual.fresh_tag()
-                qs = list(q)
-                qs[i] = dual.Dual(ti, q[i], 1.0)
-                qs[j] = dual.Dual(tj, qs[j], 1.0)
-                val = comp(qs)
-                dd = dual.primal(dual.dual_part(dual.dual_part(val, tj), ti))
-                d2[i, j, k] = d2[j, i, k] = float(dd)
+        d1[:, k] = [float(dual.primal(v)) for v in dual.gradient(comp, q)]
+        d2[:, :, k] = dual.hessian(comp, q)
     return gval, d1, d2
 
 
-def christoffel(g: DiagonalMetric, q) -> np.ndarray:
-    """Levi-Civita connection coefficients Gamma^k_{ij} for a diagonal metric."""
-    n = g.dim
-    gval, d1, _ = _component_derivatives(g, q)
+def _connection(gval, d1) -> np.ndarray:
+    """Gamma^k_{ij} from metric values and first partials d1[i][k] = d_i g_kk."""
+    n = len(gval)
     gamma = np.zeros((n, n, n))
     for k in range(n):
         inv2 = 0.5 / gval[k]
@@ -180,24 +148,18 @@ def christoffel(g: DiagonalMetric, q) -> np.ndarray:
     return gamma
 
 
+def christoffel(g: DiagonalMetric, q) -> np.ndarray:
+    """Levi-Civita connection coefficients Gamma^k_{ij} for a diagonal metric."""
+    gval, d1, _ = _component_derivatives(g, q)
+    return _connection(gval, d1)
+
+
 def riemann(g: DiagonalMetric, q) -> np.ndarray:
     """Riemann tensor R^l_{kij} = d_i G^l_{jk} - d_j G^l_{ik} + G G - G G."""
     n = g.dim
     gval, d1, d2 = _component_derivatives(g, q)
-    gamma = np.zeros((n, n, n))
+    gamma = _connection(gval, d1)
     dgamma = np.zeros((n, n, n, n))  # dgamma[i, l, j, k] = d_i Gamma^l_{jk}
-    for l in range(n):
-        inv2 = 0.5 / gval[l]
-        for j in range(n):
-            for k in range(n):
-                term = 0.0
-                if l == k:
-                    term += d1[j, l]
-                if l == j:
-                    term += d1[k, l]
-                if j == k:
-                    term -= d1[l, j]
-                gamma[l, j, k] = inv2 * term
     for i in range(n):
         for l in range(n):
             for j in range(n):
@@ -232,44 +194,12 @@ def riemann_covariant(g: DiagonalMetric, q) -> np.ndarray:
     return gval[:, None, None, None] * riemann(g, q)
 
 
-def sectional_curvature(g: DiagonalMetric, q, i: int, j: int) -> float:
-    """Sectional curvature of the coordinate 2-plane (i, j).
-
-    K_ij = R_{ijij} / (g_ii g_jj); the unit 2-sphere gives +1.
-    """
-    if i == j:
-        raise ValueError("sectional curvature needs two distinct directions")
-    gval = g.values(q)
-    riem = riemann(g, q)
-    r_ijij = gval[i] * riem[i, j, i, j]
-    return float(r_ijij / (gval[i] * gval[j]))
-
-
-def sectional_curvatures(g: DiagonalMetric, q) -> dict:
-    """All coordinate-plane sectional curvatures {(i, j): K_ij} with i < j."""
-    gval = g.values(q)
-    riem = riemann(g, q)
-    out = {}
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            out[(i, j)] = float(riem[i, j, i, j] / gval[j])
-    return out
-
-
-def scalar_curvature(g: DiagonalMetric, q) -> float:
-    """Ricci scalar K = g^{ab} R_ab; equals 2 * sum K_ij for 3D diagonal g."""
-    gval = g.values(q)
-    riem = riemann(g, q)
-    n = g.dim
-    out = 0.0
-    for k in range(n):
-        ricci_kk = sum(riem[l, k, l, k] for l in range(n))
-        out += ricci_kk / gval[k]
-    return float(out)
-
-
 def curvature_summary(g: DiagonalMetric, q):
-    """All sectional curvatures and the scalar, from one Riemann evaluation."""
+    """All sectional curvatures and the scalar, from one Riemann evaluation.
+
+    K_ij = R_{ijij} / (g_ii g_jj) for i < j (the unit 2-sphere gives +1) and
+    the Ricci scalar K = g^{ab} R_ab, which is 2 * sum K_ij for 3D diagonal g.
+    """
     gval = g.values(q)
     riem = riemann(g, q)
     n = g.dim
@@ -282,6 +212,23 @@ def curvature_summary(g: DiagonalMetric, q):
         ricci_kk = sum(riem[l, k, l, k] for l in range(n))
         scal += ricci_kk / gval[k]
     return sect, float(scal)
+
+
+def sectional_curvature(g: DiagonalMetric, q, i: int, j: int) -> float:
+    """Sectional curvature of the coordinate 2-plane (i, j)."""
+    if i == j:
+        raise ValueError("sectional curvature needs two distinct directions")
+    return curvature_summary(g, q)[0][(min(i, j), max(i, j))]
+
+
+def sectional_curvatures(g: DiagonalMetric, q) -> dict:
+    """All coordinate-plane sectional curvatures {(i, j): K_ij} with i < j."""
+    return curvature_summary(g, q)[0]
+
+
+def scalar_curvature(g: DiagonalMetric, q) -> float:
+    """Ricci scalar K = g^{ab} R_ab; equals 2 * sum K_ij for 3D diagonal g."""
+    return curvature_summary(g, q)[1]
 
 
 def gaussian_curvature_2d(g: DiagonalMetric, q) -> float:

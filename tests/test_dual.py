@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zgeoflow import dual
+from zgeoflow.algebra import hamiltonian_superintegrable, realize_generators
+from zgeoflow.brackets import gradient, gradient_fd, gradient_lists, sample_points
 from zgeoflow.dual import Dual, derivative, partial, primal, second_derivative
+from zgeoflow.phase import PhasePoint
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -187,3 +190,106 @@ def test_chain_rule_property(x0):
     f = lambda x: dual.sinh(dual.cos(x))
     expected = -math.sin(x0) * math.cosh(math.cos(x0))
     assert derivative(f, x0) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the differentiation core: gradient, list-valued partial, second partials
+# ---------------------------------------------------------------------------
+
+
+def _xy(args):
+    # f(x, y) = x^2 y^3 + sin(x y)
+    x, y = args
+    return x * x * y * y * y + dual.sin(x * y)
+
+
+X0, Y0 = 0.8, -0.55
+
+
+def test_gradient_closed_form():
+    # f(x, y, z) = x^2 y + exp(z) sin(x)
+    def f(args):
+        x, y, z = args
+        return x * x * y + dual.exp(z) * dual.sin(x)
+
+    x0, y0, z0 = 0.7, -1.2, 0.3
+    expected = [
+        2 * x0 * y0 + math.exp(z0) * math.cos(x0),
+        x0 * x0,
+        math.exp(z0) * math.sin(x0),
+    ]
+    got = dual.gradient(f, [x0, y0, z0])
+    assert got == pytest.approx(expected, rel=1e-14)
+
+
+def test_gradient_matches_finite_differences():
+    h = hamiltonian_superintegrable(3, 0.4)
+    x = PhasePoint([0.3, -0.2, 0.5], [0.7, 0.1, -0.4])
+    got = dual.gradient(lambda qp: h.raw(qp[:3], qp[3:]), [*x.q, *x.p])
+    assert got == pytest.approx(list(gradient_fd(h, x).flat()), rel=1e-7, abs=1e-9)
+
+
+def test_list_valued_partial():
+    def f(args):
+        x, y = args
+        return [x * y, dual.sin(x), y * y * y]
+
+    assert partial(f, [X0, Y0], 0) == pytest.approx([Y0, math.cos(X0), 0.0], rel=1e-15)
+    assert partial(f, [X0, Y0], 1) == pytest.approx([X0, 0.0, 3 * Y0 * Y0], rel=1e-15)
+    # gradient of a list-valued f is the list of Jacobian columns
+    cols = dual.gradient(f, [X0, Y0])
+    assert cols == [partial(f, [X0, Y0], 0), partial(f, [X0, Y0], 1)]
+
+
+def test_second_partial_mixed_and_diagonal():
+    mixed = 6 * X0 * Y0**2 + math.cos(X0 * Y0) - X0 * Y0 * math.sin(X0 * Y0)
+    assert dual.second_partial(_xy, [X0, Y0], 0, 1) == pytest.approx(mixed, rel=1e-14)
+    assert dual.second_partial(_xy, [X0, Y0], 1, 0) == pytest.approx(mixed, rel=1e-14)
+    fxx = 2 * Y0**3 - Y0**2 * math.sin(X0 * Y0)
+    got = dual.second_partial(_xy, [X0, Y0], 0, 0)
+    assert got == pytest.approx(fxx, rel=1e-14)
+    assert got == pytest.approx(second_derivative(lambda x: _xy([x, Y0]), X0), rel=1e-14)
+
+
+def test_second_partial_on_dual_args_differentiates_again():
+    # d/dx of d2f/dy2 = 12 x y - 2 x sin(xy) - x^2 y cos(xy)
+    expected = (
+        12 * X0 * Y0
+        - 2 * X0 * math.sin(X0 * Y0)
+        - X0 * X0 * Y0 * math.cos(X0 * Y0)
+    )
+    got = derivative(lambda x: dual.second_partial(_xy, [x, Y0], 1, 1), X0)
+    assert got == pytest.approx(expected, rel=1e-13)
+    ref = derivative(lambda x: second_derivative(lambda y: _xy([x, y]), Y0), X0)
+    assert got == pytest.approx(ref, rel=1e-14)
+    # the dual layer of the argument survives in the result
+    t = dual.fresh_tag()
+    assert isinstance(dual.second_partial(_xy, [Dual(t, X0, 1.0), Y0], 1, 1), Dual)
+
+
+def test_hessian_symmetric_floats():
+    def f(args):
+        x, y, z = args
+        return dual.exp(x * y) * dual.sin(z) + x * z * z
+
+    args = [0.4, -0.3, 0.8]
+    hess = dual.hessian(f, args)
+    assert hess == [list(row) for row in zip(*hess)]
+    assert all(type(v) is float for row in hess for v in row)
+    for i in range(3):
+        for j in range(i, 3):
+            assert hess[i][j] == float(primal(dual.second_partial(f, args, i, j)))
+    x, y, z = args
+    assert hess[0][1] == pytest.approx(
+        (1 + x * y) * math.exp(x * y) * math.sin(z), rel=1e-14
+    )
+    assert hess[2][2] == pytest.approx(-math.exp(x * y) * math.sin(z) + 2 * x, rel=1e-14)
+
+
+def test_bracket_gradients_agree_bit_for_bit():
+    funcs = [realize_generators(3, 0.3).j_plus, hamiltonian_superintegrable(3, -0.2)]
+    for f in funcs:
+        for x in sample_points(3, 4, seed=7):
+            g = gradient(f, x)
+            dq, dp = gradient_lists(f, list(x.q), list(x.p))
+            assert list(g.dq) == dq and list(g.dp) == dp

@@ -188,6 +188,17 @@ def test_fixed_point_divergence_reported():
         dynamics.integrate(h, wild, 10.0, 5.0)
 
 
+def test_integration_error_message_has_one_time_stamp():
+    # the step's failure is re-raised with the partial trajectory attached,
+    # without stamping the time a second time
+    x0 = PhasePoint([0.3, 0.2, 0.1], [3.0, 2.0, 1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(dynamics.IntegrationError) as err:
+            dynamics.integrate(hamiltonian_integrable(3, 0.5), x0, 1.2, 0.2)
+    assert str(err.value).count("at t =") == 1
+    assert err.value.partial.truncated
+
+
 def test_trajectory_table_layout():
     h = hamiltonian_integrable(2, 0.0)
     x0 = PhasePoint([0.1, 0.2], [0.3, 0.4])

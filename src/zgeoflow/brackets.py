@@ -69,13 +69,28 @@ def gradient_fd(f: PhaseFunction, x: PhasePoint) -> PhaseGradient:
     return PhaseGradient(out[:n], out[n:])
 
 
+def bracket_matrix(funcs, x: PhasePoint):
+    """All brackets {f_a, f_b} among ``funcs`` at ``x``, from one gradient each.
+
+    With the gradients as rows of Dq, Dp: vals = Dq Dp^T - Dp Dq^T (exactly
+    antisymmetric) and the roundoff scales |Dq| |Dp|^T + |Dp| |Dq|^T.
+    """
+    if len({f.arity for f in funcs}) > 1:
+        raise ValueError("arity mismatch between bracket arguments")
+    grads = [gradient(f, x) for f in funcs]
+    dq, dp = np.array([g.dq for g in grads]), np.array([g.dp for g in grads])
+    cross, size = dq @ dp.T, np.abs(dq) @ np.abs(dp).T
+    return cross - cross.T, size + size.T
+
+
+def _scaled_residual(vals, scales, target=0.0):
+    """|vals - target| / max(1, |target|, scales), elementwise."""
+    return np.abs(vals - target) / np.maximum(np.maximum(1.0, np.abs(target)), scales)
+
+
 def poisson_bracket(f: PhaseFunction, g: PhaseFunction, x: PhasePoint):
     """Canonical bracket {f, g} = sum_i df/dq_i dg/dp_i - df/dp_i dg/dq_i."""
-    if f.arity != g.arity:
-        raise ValueError("arity mismatch between bracket arguments")
-    gf = gradient(f, x)
-    gg = gradient(g, x)
-    val = np.dot(gf.dq, gg.dp) - np.dot(gf.dp, gg.dq)
+    val = bracket_matrix((f, g), x)[0][0, 1]
     return val if np.iscomplexobj(val) else float(val)
 
 
@@ -87,13 +102,8 @@ def bracket_residual(f: PhaseFunction, g: PhaseFunction, x: PhasePoint, target=0
     algebraically give residuals near machine epsilon in this measure
     regardless of how large the generator values grow on the sampling domain.
     """
-    gf = gradient(f, x)
-    gg = gradient(g, x)
-    val = np.dot(gf.dq, gg.dp) - np.dot(gf.dp, gg.dq)
-    scale = float(
-        np.sum(np.abs(gf.dq * gg.dp)) + np.sum(np.abs(gf.dp * gg.dq))
-    )
-    return abs(val - target) / max(1.0, abs(target), scale)
+    vals, scales = bracket_matrix((f, g), x)
+    return float(_scaled_residual(vals[0, 1], scales[0, 1], target))
 
 
 def bracket_function(f: PhaseFunction, g: PhaseFunction) -> PhaseFunction:
@@ -179,15 +189,18 @@ def check_algebra(n: int, z: float, samples: int = 200, seed: int = 0) -> Algebr
         raise ValueError("need at least one sample")
     gen = realize_generators(n, z)
     jm, jp, j3 = gen.as_tuple()
-    r1 = r2 = r3 = 0.0
+    pairs = ([2, 2, 0], [1, 0, 1])  # {J3, J+}, {J3, J-}, {J-, J+} in (J-, J+, J3)
+    worst = np.zeros(3)
     for x in sample_points(n, samples, seed):
-        jm_v = float(jm(x))
-        jp_v = float(jp(x))
-        j3_v = float(j3(x))
-        r1 = max(r1, bracket_residual(j3, jp, x, 2.0 * jp_v * np.cosh(z * jm_v)))
-        r2 = max(r2, bracket_residual(j3, jm, x, -2.0 * jm_v * sinhc(z * jm_v)))
-        r3 = max(r3, bracket_residual(jm, jp, x, 4.0 * j3_v))
-    return AlgebraReport(n, float(z), samples, seed, float(r1), float(r2), float(r3))
+        jm_v, jp_v, j3_v = (float(f(x)) for f in (jm, jp, j3))
+        target = np.array(
+            [2.0 * jp_v * np.cosh(z * jm_v), -2.0 * jm_v * sinhc(z * jm_v), 4.0 * j3_v]
+        )
+        vals, scales = bracket_matrix((jm, jp, j3), x)
+        res = _scaled_residual(vals[pairs], scales[pairs], target)
+        worst = np.maximum(worst, res)
+    r1, r2, r3 = (float(r) for r in worst)
+    return AlgebraReport(n, float(z), samples, seed, r1, r2, r3)
 
 
 @dataclass(frozen=True)
@@ -231,15 +244,9 @@ def check_involution(
     if len(arities) != 1:
         raise ValueError("all functions must share the same arity")
     n = arities.pop()
-    k = len(funcs)
-    res = np.zeros((k, k))
+    res = np.zeros((len(funcs), len(funcs)))
     for x in sample_points(n, samples, seed):
-        for i in range(k):
-            for j in range(i + 1, k):
-                b = bracket_residual(funcs[i], funcs[j], x)
-                if b > res[i, j]:
-                    res[i, j] = b
-                    res[j, i] = b
+        res = np.maximum(res, _scaled_residual(*bracket_matrix(funcs, x)))
     return InvolutionReport(
         tuple(f.label for f in funcs), res, samples, seed, threshold
     )

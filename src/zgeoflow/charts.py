@@ -152,28 +152,26 @@ def _cart_to_polar_generic(q, z: float, kappa2: float):
     else:
         e1 = dual.exp(2.0 * z * w[0])
         e2 = dual.exp(2.0 * z * w[1])
-        e3 = dual.exp(2.0 * z * w[2])
-        s = e1 * e2 * e3
-        sp = _real(s)
-        if z > 0 and sp < 1.0:
+        a = dual.expm1(2.0 * z * qq)  # sinh^2(l1 rho) = e^{2z q^2} - 1
+        ap = _real(a)
+        if z > 0 and ap < 0.0:
             raise OutOfChartError("e^{2z q^2} < 1 on the z > 0 branch", relation=1)
-        if z < 0 and not (0.0 < sp <= 1.0):
+        if z < 0 and not (-1.0 < ap <= 0.0):
             raise OutOfChartError("e^{2z q^2} outside (0, 1] on the z < 0 branch", relation=1)
-        a = s - 1.0  # sinh^2(l1 rho)
         if z > 0:
-            rho = dual.acosh(dual.sqrt(s)) / np.sqrt(z)
+            rho = dual.asinh(dual.sqrt(a)) / np.sqrt(z)
         else:
-            rho = dual.acos(dual.sqrt(s)) / np.sqrt(-z)
-        c2 = e1 * e2 * (e3 - 1.0) / a
+            rho = dual.asin(dual.sqrt(-a)) / np.sqrt(-z)
+        c2 = e1 * e2 * dual.expm1(2.0 * z * w[2]) / a
         if _real(c2) < -1e-12:
             raise OutOfChartError("cos^2(l2 theta) < 0", relation=2)
-        ks2 = (e1 * e2 - 1.0) / (a * kappa2)
+        ks2 = dual.expm1(2.0 * z * (w[0] + w[1])) / (a * kappa2)
         if _real(ks2) < -1e-12:
             raise OutOfChartError(
                 "sin^2(l2 theta)/kappa2 < 0 (wrong relativistic octant)", relation=3
             )
-        num = e1 - 1.0
-        den = e1 * (e2 - 1.0)
+        num = dual.expm1(2.0 * z * w[0])
+        den = e1 * dual.expm1(2.0 * z * w[1])
         ratio_phi = None if abs(_real(den)) < 1e-300 else num / den
         if ratio_phi is not None and _real(ratio_phi) < -1e-12:
             raise OutOfChartError("tan^2(phi) < 0 (wrong relativistic octant)", relation=4)
@@ -203,20 +201,15 @@ def _polar_to_cart_generic(x, z: float, kappa2: float):
     else:
         a = z * kappa_sin(-z, rho) ** 2          # sinh^2(l1 rho)
         t = kappa2 * kappa_sin(kappa2, theta) ** 2  # sin^2(l2 theta)
-        args = (
-            1.0 + a * t * sin_phi * sin_phi,
-            1.0 + a * t,
-            kappa_cos(-z, rho) ** 2,
-        )
+        # log(cosh^2) = log1p(sinh^2) keeps every relation accurate as z -> 0
+        args = (a * t * sin_phi * sin_phi, a * t, a)
         for idx, arg in enumerate(args):
-            if _real(arg) <= 0.0:
+            if _real(arg) <= -1.0:
                 raise OutOfChartError(
                     "logarithm of non-positive value (outside chart)",
                     relation=(4, 3, 1)[idx],
                 )
-        w1 = dual.log(args[0]) / (2.0 * z)
-        w12 = dual.log(args[1]) / (2.0 * z)
-        ws = dual.log(args[2]) / (2.0 * z)
+        w1, w12, ws = (dual.log1p(arg) / (2.0 * z) for arg in args)
     w = [w1, w12 - w1, ws - w12]
     out = []
     for i, wi in enumerate(w):
@@ -403,19 +396,11 @@ def fundamental_bracket_residuals(
     point: PhasePoint, z: float, kappa2: float
 ) -> np.ndarray:
     """|{u_a, u_b} - canonical| for the six polar chart variables at a point."""
-    from .brackets import poisson_bracket
+    from .brackets import bracket_matrix
 
-    u = polar_chart_functions(z, kappa2)
-    omega = np.zeros((6, 6))
-    for a in range(3):
-        omega[a, a + 3] = 1.0
-        omega[a + 3, a] = -1.0
-    res = np.zeros((6, 6))
-    for a in range(6):
-        for b in range(a + 1, 6):
-            val = poisson_bracket(u[a], u[b], point)
-            res[a, b] = res[b, a] = abs(val - omega[a, b])
-    return res
+    vals, _ = bracket_matrix(polar_chart_functions(z, kappa2), point)
+    omega = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(3))
+    return np.abs(vals - omega)
 
 
 # ---------------------------------------------------------------------------

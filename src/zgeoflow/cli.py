@@ -8,7 +8,9 @@ output files; every output embeds the fully resolved configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -116,7 +118,11 @@ def _csv(header, rows, config):
 
 
 def _resolve(args, parser_defaults):
-    """Merge precedence: explicit flags > config file > built-in defaults."""
+    """Merge precedence: explicit flags > config file > built-in defaults.
+
+    Returns None, after printing the error, when the file cannot be read, z or
+    kappa2 is not a finite number, or kappa2 is zero.
+    """
     cfg = vars(args).copy()
     path = cfg.pop("config", None)
     if path:
@@ -133,6 +139,14 @@ def _resolve(args, parser_defaults):
     for key, val in parser_defaults.items():
         if cfg.get(key) is None:
             cfg[key] = val
+    for key in ("z", "kappa2"):
+        val = cfg.get(key, 0.0)  # verify has no kappa2
+        if not isinstance(val, (int, float)) or not math.isfinite(val):
+            print(f"error: {key} must be a finite number, got {val!r}", file=sys.stderr)
+            return None
+    if cfg.get("kappa2") == 0:
+        print("error: kappa2 must be nonzero", file=sys.stderr)
+        return None
     return cfg
 
 
@@ -509,46 +523,38 @@ def cmd_transform(cfg) -> int:
     if len(cfg["q"]) != 3:
         print("error: the polar chart is three-dimensional", file=sys.stderr)
         return EXIT_CONFIG
+    if cfg["direction"] not in ("to-polar", "to-cartesian"):
+        print("error: direction must be to-polar or to-cartesian", file=sys.stderr)
+        return EXIT_CONFIG
+    to_polar = cfg["direction"] == "to-polar"
+    norm = cfg["normalization"]
     p = cfg["p"] if cfg["p"] is not None else [0.0, 0.0, 0.0]
     results = {}
     try:
-        if cfg["direction"] == "to-polar":
+        if to_polar:
             point = PhasePoint(cfg["q"], p)
-            polar = transform_to_polar(point, z, kappa2, cfg["normalization"])
-            results["polar"] = {
-                "rho": polar.rho,
-                "theta": polar.theta,
-                "phi": polar.phi,
-                "p_rho": polar.p_rho,
-                "p_theta": polar.p_theta,
-                "p_phi": polar.p_phi,
-            }
-            resid = chart_relation_residuals(point.q, polar.position(), z, kappa2)
-            if cfg["with_r"]:
-                results["r"] = rho_to_r(polar.rho, z)
-            if cfg["roundtrip"]:
-                back = transform_to_cartesian(polar, z, kappa2, cfg["normalization"])
-                results["roundtrip_error"] = float(
-                    max(np.max(np.abs(back.q - point.q)), np.max(np.abs(back.p - point.p)))
-                )
-        elif cfg["direction"] == "to-cartesian":
+            polar = transform_to_polar(point, z, kappa2, norm)
+            results["polar"] = dataclasses.asdict(polar)
+        else:
             polar = PolarPoint(*cfg["q"], *p)
-            point = transform_to_cartesian(polar, z, kappa2, cfg["normalization"])
+            point = transform_to_cartesian(polar, z, kappa2, norm)
             results["cartesian"] = {
                 "q": [str(v) for v in point.q] if np.iscomplexobj(point.q) else list(point.q),
                 "p": [str(v) for v in point.p] if np.iscomplexobj(point.p) else list(point.p),
             }
-            resid = chart_relation_residuals(point.q, polar.position(), z, kappa2)
-            if cfg["with_r"]:
-                results["r"] = rho_to_r(polar.rho, z)
-            if cfg["roundtrip"]:
-                back = transform_to_polar(point, z, kappa2, cfg["normalization"])
-                results["roundtrip_error"] = float(
-                    np.max(np.abs(back.position() - polar.position()))
+        resid = chart_relation_residuals(point.q, polar.position(), z, kappa2)
+        if cfg["with_r"]:
+            results["r"] = rho_to_r(polar.rho, z)
+        if cfg["roundtrip"]:
+            if to_polar:
+                back = transform_to_cartesian(polar, z, kappa2, norm)
+                err = max(
+                    np.max(np.abs(back.q - point.q)), np.max(np.abs(back.p - point.p))
                 )
-        else:
-            print("error: direction must be to-polar or to-cartesian", file=sys.stderr)
-            return EXIT_CONFIG
+            else:
+                back = transform_to_polar(point, z, kappa2, norm)
+                err = np.max(np.abs(back.position() - polar.position()))
+            results["roundtrip_error"] = float(err)
         residuals = {"chart_relations": [float(r) for r in resid]}
         if cfg["canonicity"]:
             mat = fundamental_bracket_residuals(point, z, kappa2)

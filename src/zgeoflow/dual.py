@@ -207,10 +207,30 @@ def exp(x):
     return cmath.exp(x) if isinstance(x, complex) else math.exp(x)
 
 
+def expm1(x):
+    """exp(x) - 1 without cancellation near 0, also for complex x
+    (the complex octant of the relativistic chart needs it)."""
+    if isinstance(x, Dual):
+        return Dual(x.tag, expm1(x.re), x.du * exp(x.re))
+    if isinstance(x, complex):
+        a, b = x.real, x.imag
+        return complex(
+            math.expm1(a) * math.cos(b) - 2.0 * math.sin(0.5 * b) ** 2,
+            math.exp(a) * math.sin(b),
+        )
+    return math.expm1(x)
+
+
 def log(x):
     if isinstance(x, Dual):
         return Dual(x.tag, log(x.re), x.du / x.re)
     return cmath.log(x) if isinstance(x, complex) else math.log(x)
+
+
+def log1p(x):
+    if isinstance(x, Dual):
+        return Dual(x.tag, log1p(x.re), x.du / (1.0 + x.re))
+    return cmath.log(1.0 + x) if isinstance(x, complex) else math.log1p(x)
 
 
 def sqrt(x):

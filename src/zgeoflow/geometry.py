@@ -111,22 +111,20 @@ def line_element_from_hamiltonian(
     return metric_from_hamiltonian(h, n, check_points).rescaled(2.0)
 
 
-def _component_derivatives(g: DiagonalMetric, q):
-    """g values, first partials d1[i][k] = d_i g_kk and second partials
-    d2[i][j][k] = d_i d_j g_kk, all exact.
-
-    First partials come from first-order passes, second partials from
-    :func:`zgeoflow.dual.hessian`.
-    """
-    n = g.dim
+def _first_partials(g: DiagonalMetric, q):
+    """g values and exact first partials d1[i][k] = d_i g_kk (first-order passes)."""
     q = [float(v) for v in q]
     gval = g.values(q)
-    d1 = np.zeros((n, n))
-    d2 = np.zeros((n, n, n))
-    for k, comp in enumerate(g.components):
-        d1[:, k] = [float(dual.primal(v)) for v in dual.gradient(comp, q)]
-        d2[:, :, k] = dual.hessian(comp, q)
-    return gval, d1, d2
+    d1 = [[float(dual.primal(v)) for v in dual.gradient(c, q)] for c in g.components]
+    return gval, np.array(d1).T
+
+
+def _component_derivatives(g: DiagonalMetric, q):
+    """:func:`_first_partials` plus the exact second partials
+    d2[i][j][k] = d_i d_j g_kk from :func:`zgeoflow.dual.hessian`."""
+    gval, d1 = _first_partials(g, q)
+    q = [float(v) for v in q]
+    return gval, d1, np.stack([dual.hessian(c, q) for c in g.components], axis=-1)
 
 
 def _connection(gval, d1) -> np.ndarray:
@@ -150,14 +148,12 @@ def _connection(gval, d1) -> np.ndarray:
 
 def christoffel(g: DiagonalMetric, q) -> np.ndarray:
     """Levi-Civita connection coefficients Gamma^k_{ij} for a diagonal metric."""
-    gval, d1, _ = _component_derivatives(g, q)
-    return _connection(gval, d1)
+    return _connection(*_first_partials(g, q))
 
 
-def riemann(g: DiagonalMetric, q) -> np.ndarray:
-    """Riemann tensor R^l_{kij} = d_i G^l_{jk} - d_j G^l_{ik} + G G - G G."""
-    n = g.dim
-    gval, d1, d2 = _component_derivatives(g, q)
+def _riemann(gval, d1, d2) -> np.ndarray:
+    """R^l_{kij} from metric values, first and second partials."""
+    n = len(gval)
     gamma = _connection(gval, d1)
     dgamma = np.zeros((n, n, n, n))  # dgamma[i, l, j, k] = d_i Gamma^l_{jk}
     for i in range(n):
@@ -188,10 +184,15 @@ def riemann(g: DiagonalMetric, q) -> np.ndarray:
     return riem
 
 
+def riemann(g: DiagonalMetric, q) -> np.ndarray:
+    """Riemann tensor R^l_{kij} = d_i G^l_{jk} - d_j G^l_{ik} + G G - G G."""
+    return _riemann(*_component_derivatives(g, q))
+
+
 def riemann_covariant(g: DiagonalMetric, q) -> np.ndarray:
     """Fully lowered Riemann tensor R_{lkij} = g_ll R^l_{kij}."""
-    gval = g.values(q)
-    return gval[:, None, None, None] * riemann(g, q)
+    gval, d1, d2 = _component_derivatives(g, q)
+    return gval[:, None, None, None] * _riemann(gval, d1, d2)
 
 
 def curvature_summary(g: DiagonalMetric, q):
@@ -200,8 +201,8 @@ def curvature_summary(g: DiagonalMetric, q):
     K_ij = R_{ijij} / (g_ii g_jj) for i < j (the unit 2-sphere gives +1) and
     the Ricci scalar K = g^{ab} R_ab, which is 2 * sum K_ij for 3D diagonal g.
     """
-    gval = g.values(q)
-    riem = riemann(g, q)
+    gval, d1, d2 = _component_derivatives(g, q)
+    riem = _riemann(gval, d1, d2)
     n = g.dim
     sect = {}
     for i in range(n):

@@ -14,6 +14,7 @@ from zgeoflow.algebra import (
 )
 from zgeoflow.brackets import (
     bracket_function,
+    bracket_matrix,
     bracket_residual,
     check_algebra,
     check_involution,
@@ -23,7 +24,7 @@ from zgeoflow.brackets import (
     poisson_bracket,
     sample_points,
 )
-from zgeoflow import dual
+from zgeoflow import brackets, charts, dual
 from zgeoflow.phase import PhaseFunction, PhasePoint, coordinate, momentum
 
 
@@ -216,3 +217,71 @@ def test_sample_points_reproducible_and_bounded():
     for x, y in zip(a, b):
         assert np.array_equal(x.q, y.q) and np.array_equal(x.p, y.p)
     assert all(np.max(np.abs(x.flat())) <= 2.0 for x in a)
+
+
+# --------------------------------------------------------------------------
+# the bracket matrix
+# --------------------------------------------------------------------------
+
+
+def _chart_case(kappa2):
+    """The six polar chart functions at a Cartesian point (complex for kappa2 < 0)."""
+    z = 0.4
+    polar = charts.PolarPoint(0.6, 0.5, 0.7, 0.3, -0.8, 0.5)
+    point = charts.transform_to_cartesian(polar, z, kappa2)
+    return charts.polar_chart_functions(z, kappa2), point
+
+
+def _generator_case():
+    z = 0.3
+    funcs = [*realize_generators(3, z).as_tuple(), hamiltonian_integrable(3, z)]
+    return funcs, sample_points(3, 1, seed=8)[0]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_generator_case, lambda: _chart_case(1.0), lambda: _chart_case(-1.0)],
+    ids=["generators", "chart", "complex-chart"],
+)
+def test_bracket_matrix_matches_pair_formula(case):
+    funcs, x = case()
+    vals, scales = bracket_matrix(funcs, x)
+    assert np.array_equal(vals, -vals.T)
+    assert np.all(np.diag(vals) == 0.0)
+    assert np.array_equal(scales, scales.T)
+    for a, fa in enumerate(funcs):
+        for b, fb in enumerate(funcs):
+            ga, gb = gradient(fa, x), gradient(fb, x)
+            val = np.dot(ga.dq, gb.dp) - np.dot(ga.dp, gb.dq)
+            scale = np.sum(np.abs(ga.dq * gb.dp)) + np.sum(np.abs(ga.dp * gb.dq))
+            assert abs(vals[a, b] - val) <= 1e-15 * scale
+            assert abs(scales[a, b] - scale) <= 1e-15 * scale
+    if np.iscomplexobj(x.q):  # the kappa2 < 0 chart differentiates at complex points
+        assert max(np.max(np.abs(gradient(f, x).flat().imag)) for f in funcs) > 0.1
+
+
+def test_bracket_matrix_arity_mismatch():
+    with pytest.raises(ValueError, match="arity mismatch between bracket"):
+        bracket_matrix([coordinate(1, 0), coordinate(2, 0)], PhasePoint([1.0], [1.0]))
+
+
+def test_one_gradient_per_function_and_point(monkeypatch):
+    calls = []
+    counted = brackets.gradient
+
+    def counting(f, x):
+        calls.append(f.label)
+        return counted(f, x)
+
+    monkeypatch.setattr(brackets, "gradient", counting)
+    z = 0.3
+    point = PhasePoint([0.5, 0.4, 0.6], [0.2, -0.1, 0.3])
+    charts.fundamental_bracket_residuals(point, z, 1.0)
+    assert len(calls) == 6
+    calls.clear()
+    tower = [hamiltonian_integrable(3, z), casimir_m(2, 3, z), casimir_m(3, 3, z)]
+    check_involution(tower, samples=4, seed=1)
+    assert len(calls) == 3 * 4
+    calls.clear()
+    check_algebra(3, z, samples=5, seed=1)
+    assert len(calls) == 3 * 5

@@ -132,12 +132,51 @@ def test_round_trip_negative_z():
 def test_flat_chart_is_the_analytic_limit():
     q = np.array([0.5, 0.4, 0.6])
     x0 = charts.cart_to_polar(q, 0.0, 1.0)
-    # tiny nonzero z agrees up to the (ill-conditioned) acosh-near-1 roundoff
-    x_eps = charts.cart_to_polar(q, 1e-7, 1.0)
-    assert np.max(np.abs(x0 - x_eps)) < 1e-6
+    # the curved chart leaves the flat one linearly in z, with no roundoff floor
+    for z in (1e-7, -1e-7, 1e-10, -1e-10, 1e-12, -1e-12):
+        x_z = charts.cart_to_polar(q, z, 1.0)
+        assert np.max(np.abs(x0 - x_z)) <= abs(z), z
     assert x0[0] == pytest.approx(math.sqrt(2.0) * np.linalg.norm(q), rel=1e-14)
     back = charts.polar_to_cart(x0, 0.0, 1.0)
     assert np.max(np.abs(back - q)) < 1e-12
+
+
+small_z = st.builds(
+    lambda sign, e: sign * 10.0**e,
+    st.sampled_from([1.0, -1.0]),
+    st.floats(min_value=-15.0, max_value=0.0),
+)
+chart_q = st.lists(st.floats(min_value=0.05, max_value=0.9), min_size=3, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=chart_q, z=small_z)
+def test_round_trip_for_every_scale_of_z(q, z):
+    x = charts.cart_to_polar(q, z, 1.0)
+    back = charts.polar_to_cart(x, z, 1.0)
+    assert np.max(np.abs(back - np.array(q))) <= 1e-12
+    # the relativistic family, entered from the polar side (complex octant)
+    x = np.array([0.6, 0.5, 0.7])
+    back = charts.cart_to_polar(charts.polar_to_cart(x, z, -1.0), z, -1.0)
+    assert np.max(np.abs(back - x)) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=chart_q, z=small_z)
+def test_rho_matches_high_precision_closed_form(q, z):
+    # cosh^2(l1 rho) = e^{2z q^2}, evaluated at 50 digits; below FLAT_Z_CUTOFF
+    # the flat chart rho = sqrt(2 q^2) is off by O(z)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        zm = mpmath.mpf(z)
+        c = mpmath.exp(zm * mpmath.fsum(mpmath.mpf(v) ** 2 for v in q))
+        if z > 0:
+            ref = mpmath.acosh(c) / mpmath.sqrt(zm)
+        else:
+            ref = mpmath.acos(c) / mpmath.sqrt(-zm)
+        ref = float(ref)
+    rho = charts.cart_to_polar(q, z, 1.0)[0]
+    assert abs(rho - ref) <= (1e-15 + abs(z)) * ref
 
 
 def test_origin_maps_to_zero():

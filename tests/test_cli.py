@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from zgeoflow.cli import main
 
 
@@ -61,6 +63,26 @@ def test_unknown_flag_values_exit_one():
     assert run(["simulate", "--method", "verlet"]) == 1
     assert run(["curvature", "--metric", "bogus"]) == 1
     assert run(["transform", "--direction", "sideways"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transform", "--q", "0.5,0.4,0.6", "--z", "nan"],
+        ["transform", "--q", "0.5,0.4,0.6", "--z", "inf"],
+        ["transform", "--q", "0.5,0.4,0.6", "--kappa2", "0"],
+        ["verify", "--n", "2", "--samples", "2", "--z", "nan"],
+        ["verify", "--n", "2", "--samples", "2", "--z=-inf"],
+        ["curvature", "--n", "2", "--kappa2", "nan"],
+        ["simulate", "--q", "0.1,0.2,0.3", "--p", "0,0,0", "--z", "inf"],
+    ],
+)
+def test_non_finite_or_zero_parameters_exit_one(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(argv + ["--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_simulate_requires_initial_state(capsys):

@@ -87,6 +87,8 @@ def test_inverse_functions():
         (dual.tan, lambda x: 1 / math.cos(x) ** 2, 0.6),
         (dual.tanh, lambda x: 1 / math.cosh(x) ** 2, 0.6),
         (dual.cosh, math.sinh, 0.6),
+        (dual.expm1, math.exp, 0.6),
+        (dual.log1p, lambda x: 1 / (1 + x), 0.6),
     ]:
         assert derivative(fn, x0) == pytest.approx(dfn(x0), rel=1e-13), fn.__name__
 
@@ -96,6 +98,11 @@ def test_complex_support():
 
     z0 = 0.3 + 0.2j
     assert derivative(dual.exp, z0) == pytest.approx(cmath.exp(z0), rel=1e-14)
+    assert derivative(dual.expm1, z0) == pytest.approx(cmath.exp(z0), rel=1e-14)
+    assert derivative(dual.log1p, z0) == pytest.approx(1 / (1 + z0), rel=1e-14)
+    assert dual.log1p(dual.expm1(z0)) == pytest.approx(z0, rel=1e-14)
+    w = 1e-12 - 3e-13j  # exp(w) - 1 would keep only 4 digits
+    assert dual.expm1(w) == pytest.approx(w + w * w / 2, rel=1e-15)
     assert derivative(dual.sqrt, -1.0 + 0j) == pytest.approx(
         0.5 / cmath.sqrt(-1.0 + 0j), rel=1e-14
     )

@@ -176,6 +176,25 @@ def test_christoffel_symmetry_and_fd_oracle():
                 )
 
 
+def test_curvature_passes_per_point(monkeypatch):
+    # christoffel needs only values and first partials; curvature_summary
+    # evaluates the metric once, inside its one Riemann evaluation
+    g = integrable_line_element(3, 0.3)
+    tags = []
+    fresh_tag = dual.fresh_tag
+
+    def counted():
+        tags.append(None)
+        return fresh_tag()
+
+    monkeypatch.setattr(dual, "fresh_tag", counted)
+    for fn, expected in ((geo.christoffel, 33), (geo.riemann, 105),
+                         (geo.curvature_summary, 105)):
+        tags.clear()
+        fn(g, [0.2, -0.4, 0.5])
+        assert len(tags) == expected, fn.__name__
+
+
 def test_riemann_against_fd_christoffel_oracle():
     """Independent route: difference the exact Christoffels numerically and
     rebuild the Riemann tensor; must agree with the analytic assembly."""

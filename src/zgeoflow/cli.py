@@ -1,14 +1,17 @@
 """Command-line interface: verify, simulate, curvature, transform.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical/verification
-failure.  Identical configuration (seed included) produces byte-identical
-output files; every output embeds the fully resolved configuration.
+Exit codes: 0 success, 1 configuration error (bad flags, config file or
+output path), 2 numerical/verification failure (including overflow and
+domain errors from the evaluation).  Identical configuration (seed
+included) produces byte-identical output files; every output embeds the
+fully resolved configuration.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -117,11 +120,37 @@ def _csv(header, rows, config):
     return "\n".join(lines) + "\n"
 
 
+#: config keys by the JSON type they must resolve to; every other key is text
+_NUMBER_KEYS = {"z", "kappa2", "threshold", "t_end", "dt", "grid_min", "grid_max"}
+_INTEGER_KEYS = {"n", "samples", "seed", "keep_every", "grid_points"}
+_VECTOR_KEYS = {"q", "p"}
+_FLAG_KEYS = {"with_r", "roundtrip", "canonicity"}
+
+
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+def _has_type(key, val) -> bool:
+    if val is None:  # optional setting left unset
+        return True
+    if key in _NUMBER_KEYS:
+        return _is_number(val)
+    if key in _INTEGER_KEYS:
+        return isinstance(val, int) and not isinstance(val, bool)
+    if key in _VECTOR_KEYS:
+        return isinstance(val, list) and all(_is_number(v) for v in val)
+    if key in _FLAG_KEYS:
+        return isinstance(val, bool)
+    return isinstance(val, str)
+
+
 def _resolve(args, parser_defaults):
     """Merge precedence: explicit flags > config file > built-in defaults.
 
-    Returns None, after printing the error, when the file cannot be read, z or
-    kappa2 is not a finite number, or kappa2 is zero.
+    Returns None, after printing the error, when the file cannot be read or
+    holds no JSON object, a setting has the wrong type, z or kappa2 is not a
+    finite number, or kappa2 is zero.
     """
     cfg = vars(args).copy()
     path = cfg.pop("config", None)
@@ -132,6 +161,9 @@ def _resolve(args, parser_defaults):
         except (OSError, json.JSONDecodeError) as err:
             print(f"error: cannot read config file: {err}", file=sys.stderr)
             return None
+        if not isinstance(file_cfg, dict):
+            print("error: config file must hold a JSON object", file=sys.stderr)
+            return None
         for key, val in file_cfg.items():
             key = key.replace("-", "_")
             if key in cfg and cfg[key] is None:
@@ -139,9 +171,13 @@ def _resolve(args, parser_defaults):
     for key, val in parser_defaults.items():
         if cfg.get(key) is None:
             cfg[key] = val
+    for key, val in cfg.items():
+        if not _has_type(key, val):
+            print(f"error: {key} has the wrong type: {val!r}", file=sys.stderr)
+            return None
     for key in ("z", "kappa2"):
         val = cfg.get(key, 0.0)  # verify has no kappa2
-        if not isinstance(val, (int, float)) or not math.isfinite(val):
+        if not math.isfinite(val):
             print(f"error: {key} must be a finite number, got {val!r}", file=sys.stderr)
             return None
     if cfg.get("kappa2") == 0:
@@ -379,6 +415,7 @@ def cmd_simulate(cfg) -> int:
         "steps": len(traj) - 1,
         "truncated": truncated,
         "final_time": float(traj.times[-1]),
+        "solver": dataclasses.asdict(traj.solver),
     }
     if message:
         results["message"] = message
@@ -432,27 +469,24 @@ def cmd_curvature(cfg) -> int:
         if chart == "cartesian"
         else PhasePoint([0.71, 0.62, 0.53], [0.2, 0.3, 0.4])
     ]
-    try:
-        if chart == "cartesian":
-            h = (
-                hamiltonian_integrable(n, z)
-                if cfg["metric"] == "integrable"
-                else hamiltonian_superintegrable(n, z)
-            )
-            g = line_element_from_hamiltonian(h, n, check)
-        else:
-            if n != 3:
-                print("error: polar charts are three-dimensional", file=sys.stderr)
-                return EXIT_CONFIG
-            system = (
-                integrable_polar_system(z, cfg["kappa2"])
-                if cfg["metric"] == "integrable"
-                else superintegrable_polar_system(z, cfg["kappa2"])
-            )
-            g = metric_from_hamiltonian(system.hamiltonian, 3, check)
-    except (ValueError, EvaluationDomainError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    # a metric that cannot be built is a numerical failure, reported by main
+    if chart == "cartesian":
+        h = (
+            hamiltonian_integrable(n, z)
+            if cfg["metric"] == "integrable"
+            else hamiltonian_superintegrable(n, z)
+        )
+        g = line_element_from_hamiltonian(h, n, check)
+    else:
+        if n != 3:
+            print("error: polar charts are three-dimensional", file=sys.stderr)
+            return EXIT_CONFIG
+        system = (
+            integrable_polar_system(z, cfg["kappa2"])
+            if cfg["metric"] == "integrable"
+            else superintegrable_polar_system(z, cfg["kappa2"])
+        )
+        g = metric_from_hamiltonian(system.hamiltonian, 3, check)
 
     axes = [np.linspace(lo, hi, cfg["grid_points"]) for _ in range(n)]
     names = ["q1", "q2", "q3"][:n] if chart == "cartesian" else ["rho", "theta", "phi"]
@@ -553,7 +587,10 @@ def cmd_transform(cfg) -> int:
                 )
             else:
                 back = transform_to_polar(point, z, kappa2, norm)
-                err = np.max(np.abs(back.position() - polar.position()))
+                err = max(
+                    np.max(np.abs(back.position() - polar.position())),
+                    np.max(np.abs(back.momentum() - polar.momentum())),
+                )
             results["roundtrip_error"] = float(err)
         residuals = {"chart_relations": [float(r) for r in resid]}
         if cfg["canonicity"]:
@@ -562,9 +599,6 @@ def cmd_transform(cfg) -> int:
     except OutOfChartError as err:
         rel = f" (relation {err.relation})" if err.relation else ""
         print(f"error: out of chart{rel}: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (EvaluationDomainError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     _write(cfg["output"], _json_report(cfg, results, residuals))
     return EXIT_OK
@@ -575,7 +609,9 @@ def cmd_transform(cfg) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process (parsing does not change it)."""
     parser = _Parser(prog="zgeoflow", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -664,6 +700,12 @@ def main(argv=None) -> int:
         return _COMMANDS[command](cfg)
     except BrokenPipeError:
         return EXIT_OK
+    except OSError as err:
+        print(f"error: cannot write output: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (ArithmeticError, ValueError) as err:  # includes EvaluationDomainError
+        print(f"error: {err or type(err).__name__}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

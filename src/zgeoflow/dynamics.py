@@ -46,6 +46,22 @@ def hamilton_rhs(h: PhaseFunction, x: PhasePoint) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class SolverStats:
+    """Work of the step solver over a run; deterministic (no timings).
+
+    ``iterations`` maps a fixed-point iteration count to the number of steps
+    that took it (0 for rk4-check).  ``max_update`` is the largest final
+    fixed-point update (sup norm) over the steps, first reached at step
+    ``max_update_step``.
+    """
+
+    rhs_evals: int = 0
+    iterations: dict = field(default_factory=dict)
+    max_update: float = 0.0
+    max_update_step: int = 0
+
+
+@dataclass(frozen=True)
 class Trajectory:
     """Uniform-step solution of Hamilton's equations."""
 
@@ -55,6 +71,7 @@ class Trajectory:
     method: str
     dt: float
     truncated: bool = False
+    solver: SolverStats = field(default_factory=SolverStats)
 
     def __post_init__(self):
         if len(self.times) != len(self.states):
@@ -89,40 +106,72 @@ def _rhs_flat(h, vec):
     return out
 
 
-def _midpoint_step(h, y, dt, t):
-    u = y + dt * _rhs_flat(h, y)  # explicit Euler predictor
+def _midpoint_step(rhs, y, dt, t, slope=None):
+    """One implicit midpoint step.
+
+    Returns (new state, converged midpoint slope, fixed-point iterations,
+    final update norm).  ``slope`` is the starting guess for the midpoint
+    slope; without one the iteration starts from the explicit Euler
+    predictor f(y).
+    """
+    if slope is None:
+        slope = rhs(y)
+    u = y + dt * slope
     scale = max(1.0, float(np.max(np.abs(y))))
-    for _ in range(FIXED_POINT_MAX_ITER):
-        u_next = y + dt * _rhs_flat(h, 0.5 * (y + u))
-        if np.max(np.abs(u_next - u)) < FIXED_POINT_TOL * scale:
-            return u_next
+    for it in range(1, FIXED_POINT_MAX_ITER + 1):
+        slope = rhs(0.5 * (y + u))
+        u_next = y + dt * slope
+        update = float(np.max(np.abs(u_next - u)))
+        if update < FIXED_POINT_TOL * scale:
+            return u_next, slope, it, update
         u = u_next
     raise IntegrationError("implicit midpoint fixed point did not converge", t)
 
 
-def _gauss4_step(h, y, dt, t):
-    f0 = _rhs_flat(h, y)
-    k = np.array([f0, f0])
+def _gauss4_step(rhs, y, dt, t, slope=None):
+    """One gauss4 step, with the same arguments and returns as `_midpoint_step`.
+
+    ``slope`` is the starting guess for the pair of stage slopes.
+    """
+    k = slope
+    if k is None:
+        f0 = rhs(y)
+        k = np.array([f0, f0])
     scale = max(1.0, float(np.max(np.abs(y))))
-    for _ in range(FIXED_POINT_MAX_ITER):
+    for it in range(1, FIXED_POINT_MAX_ITER + 1):
         k_next = np.array(
             [
-                _rhs_flat(h, y + dt * (_GAUSS_A[0, 0] * k[0] + _GAUSS_A[0, 1] * k[1])),
-                _rhs_flat(h, y + dt * (_GAUSS_A[1, 0] * k[0] + _GAUSS_A[1, 1] * k[1])),
+                rhs(y + dt * (_GAUSS_A[0, 0] * k[0] + _GAUSS_A[0, 1] * k[1])),
+                rhs(y + dt * (_GAUSS_A[1, 0] * k[0] + _GAUSS_A[1, 1] * k[1])),
             ]
         )
-        if np.max(np.abs(k_next - k)) < FIXED_POINT_TOL * scale:
-            return y + dt * 0.5 * (k_next[0] + k_next[1])
+        update = float(np.max(np.abs(k_next - k)))
+        if update < FIXED_POINT_TOL * scale:
+            return y + dt * 0.5 * (k_next[0] + k_next[1]), k_next, it, update
         k = k_next
     raise IntegrationError("gauss4 fixed point did not converge", t)
 
 
-def _rk4_step(h, y, dt, t):
-    k1 = _rhs_flat(h, y)
-    k2 = _rhs_flat(h, y + 0.5 * dt * k1)
-    k3 = _rhs_flat(h, y + 0.5 * dt * k2)
-    k4 = _rhs_flat(h, y + dt * k3)
-    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(rhs, y, dt, t, slope=None):
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * dt * k1)
+    k3 = rhs(y + 0.5 * dt * k2)
+    k4 = rhs(y + dt * k3)
+    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), None, 0, 0.0
+
+
+def _starting_slope(history):
+    """Polynomial extrapolation of the last converged slopes (newest first).
+
+    Quadratic through three equally spaced steps, linear through two,
+    constant through one; None (Euler predictor) before the first step.
+    Hairer, Lubich & Wanner, Geometric Numerical Integration, VIII.6.
+    """
+    if len(history) == 3:
+        return 3.0 * history[0] - 3.0 * history[1] + history[2]
+    if len(history) == 2:
+        return 2.0 * history[0] - history[1]
+    return history[0] if history else None
 
 
 _STEPPERS = {
@@ -159,6 +208,15 @@ def integrate(
     times = [0.0]
     states = [x0]
     y = x0.flat().astype(float)
+    n_rhs = 0
+    iterations = {}
+    max_update, max_update_step = 0.0, 0
+    history = []  # converged slopes of the last three steps, newest first
+
+    def rhs(vec):
+        nonlocal n_rhs
+        n_rhs += 1
+        return _rhs_flat(h, vec)
 
     def build(truncated):
         return Trajectory(
@@ -168,17 +226,23 @@ def integrate(
             method,
             dt,
             truncated=truncated,
+            solver=SolverStats(n_rhs, iterations, max_update, max_update_step),
         )
 
     for k in range(1, n_steps + 1):
         t = k * dt
         try:
-            y = step(h, y, dt, t)
+            y, slope, its, update = step(rhs, y, dt, t, _starting_slope(history))
         except IntegrationError as err:
             err.partial = build(True)
             raise
         except (EvaluationDomainError, OverflowError, ZeroDivisionError) as err:
             raise IntegrationError(str(err) or type(err).__name__, t, partial=build(True)) from err
+        iterations[its] = iterations.get(its, 0) + 1
+        if update > max_update:
+            max_update, max_update_step = update, k
+        if slope is not None:
+            history = [slope, *history[:2]]
         if not np.all(np.isfinite(y)):
             raise IntegrationError("state left the domain", t, partial=build(True))
         if k % keep_every == 0 or k == n_steps:

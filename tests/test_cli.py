@@ -1,9 +1,11 @@
 """CLI: exit codes, file outputs, determinism, config precedence."""
 
+import dataclasses
 import json
 
 import pytest
 
+from zgeoflow import cli
 from zgeoflow.cli import main
 
 
@@ -83,6 +85,35 @@ def test_non_finite_or_zero_parameters_exit_one(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config, code",
+    [
+        (["verify", "--n", "2", "--samples", "2", "--z", "1e308"], None, 2),
+        (["transform", "--q", "0.5,0.4,0.6", "--z", "800"], None, 2),
+        (["verify", "--samples", "2"], {"n": "3"}, 1),
+        (["verify", "--samples", "2"], [1, 2], 1),
+        (["simulate", "--q", "0.1,0.2,0.3"], {"p": [0.1, "x", 0.2]}, 1),
+        (["transform", "--q", "0.5,0.4,0.6"], {"roundtrip": 1}, 1),
+        (["verify", "--n", "2", "--samples", "2", "--output", "MISSING"], None, 1),
+        (["simulate", "--q", "0.1,0.2,0.3", "--p", "0,0,0", "--t-end", "0.01",
+          "--output", "MISSING"], None, 1),
+        (["curvature", "--n", "2", "--grid-points", "2", "--output", "MISSING"],
+         None, 1),
+        (["transform", "--q", "0.5,0.4,0.6", "--output", "MISSING"], None, 1),
+    ],
+)
+def test_contract_errors_exit_without_traceback(argv, config, code, tmp_path, capsys):
+    missing = str(tmp_path / "no-such-dir" / "out")
+    argv = [missing if a == "MISSING" else a for a in argv]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert "error: " in err and "Traceback" not in err
 
 
 def test_simulate_requires_initial_state(capsys):
@@ -261,6 +292,39 @@ def test_transform_to_cartesian_direction(tmp_path):
     doc = json.loads(read(out))
     q = doc["results"]["cartesian"]["q"]
     assert len(q) == 3 and all(isinstance(v, float) for v in q)
+
+
+def test_to_cartesian_roundtrip_compares_momenta(tmp_path, monkeypatch):
+    # a momentum-only error in polar -> Cartesian -> polar must be reported
+    exact = cli.transform_to_polar
+
+    def momentum_off(point, z, kappa2, norm):
+        back = exact(point, z, kappa2, norm)
+        return dataclasses.replace(back, p_theta=back.p_theta + 1e-6)
+
+    monkeypatch.setattr(cli, "transform_to_polar", momentum_off)
+    out = tmp_path / "trip.json"
+    code = run(
+        ["transform", "--direction", "to-cartesian", "--q", "1.0,0.7,0.8",
+         "--p", "0.3,0.2,0.1", "--z", "0.3", "--roundtrip", "--output", str(out)]
+    )
+    assert code == 0
+    trip = json.loads(read(out))["results"]["roundtrip_error"]
+    assert trip == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_simulate_metadata_has_solver_stats(tmp_path):
+    meta = tmp_path / "m.json"
+    args = ["simulate", "--n", "3", "--z", "0.3", "--q", "0.25,0.15,0.35",
+            "--p", "0.05,-0.04,0.06", "--t-end", "0.05", "--dt", "0.001",
+            "--output", str(tmp_path / "t.csv"), "--metadata", str(meta)]
+    assert run(args) == 0
+    first = read(meta)
+    solver = json.loads(first)["results"]["solver"]
+    assert set(solver) == {"rhs_evals", "iterations", "max_update", "max_update_step"}
+    assert sum(solver["iterations"].values()) == 50
+    assert solver["rhs_evals"] <= 2 * 50
+    assert run(args) == 0 and read(meta) == first  # no timings: reruns identical
 
 
 # --------------------------------------------------------------------------

@@ -229,3 +229,112 @@ def test_cross_chart_vector_field_consistency():
         ) / (12 * dt)
         field = dynamics.hamilton_rhs(system.hamiltonian, mapped[idx])
         assert np.max(np.abs(vel - 2.0 * field)) < 1e-6
+
+
+# --------------------------------------------------------------------------
+# warm-started fixed point: same solution as a cold start, fewer RHS calls
+# --------------------------------------------------------------------------
+
+Z8 = 0.3
+X8 = PhasePoint([0.25, 0.15, 0.35], [0.05, -0.04, 0.06])  # criterion-8 orbit
+
+
+def criterion_8_systems():
+    polar = charts.integrable_polar_system(Z8, 1.0)
+    x_polar = charts.transform_to_polar(X8, Z8, 1.0).as_phase_point()
+    return [
+        ("H_int", hamiltonian_integrable(3, Z8), X8),
+        ("H_sup", hamiltonian_superintegrable(3, Z8), X8),
+        ("H_polar_int", polar.hamiltonian, x_polar),
+    ]
+
+
+def reference_trajectory(h, x0, dt, n_steps, method):
+    """Fixed-point steps started from the explicit Euler predictor every step."""
+    tol = dynamics.FIXED_POINT_TOL
+
+    def f(y):
+        return dynamics.hamilton_rhs(h, PhasePoint.from_flat(y))
+
+    a = np.array([[0.25, 0.25 - np.sqrt(3.0) / 6.0], [0.25 + np.sqrt(3.0) / 6.0, 0.25]])
+    y = x0.flat().astype(float)
+    out = [y]
+    for _ in range(n_steps):
+        scale = max(1.0, np.max(np.abs(y)))
+        if method == "implicit-midpoint":
+            u = y + dt * f(y)
+            for _ in range(dynamics.FIXED_POINT_MAX_ITER):
+                u_next = y + dt * f(0.5 * (y + u))
+                done = np.max(np.abs(u_next - u)) < tol * scale
+                u = u_next
+                if done:
+                    break
+            y = u
+        else:
+            f0 = f(y)
+            k = np.array([f0, f0])
+            for _ in range(dynamics.FIXED_POINT_MAX_ITER):
+                k_next = np.array([f(y + dt * (a[i] @ k)) for i in range(2)])
+                done = np.max(np.abs(k_next - k)) < tol * scale
+                k = k_next
+                if done:
+                    break
+            y = y + 0.5 * dt * (k[0] + k[1])
+        out.append(y)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("method", ["implicit-midpoint", "gauss4"])
+def test_warm_start_matches_cold_start_oracle(method):
+    dt, n_steps = 1e-3, 1000
+    for label, h, x0 in criterion_8_systems():
+        ref = reference_trajectory(h, x0, dt, n_steps, method)
+        traj = dynamics.integrate(h, x0, n_steps * dt, dt, method)
+        got = np.array([s.flat() for s in traj.states])
+        assert np.max(np.abs(got - ref)) < 1e-12, (label, np.max(np.abs(got - ref)))
+
+
+@pytest.mark.parametrize(
+    "method, dt, bound",
+    [
+        ("implicit-midpoint", 1e-3, 1.5),
+        ("gauss4", 1e-3, 4.5),
+        ("implicit-midpoint", 1e-2, 3.5),  # cold start: 4.0-5.0
+    ],
+)
+def test_warm_start_rhs_count(method, dt, bound, monkeypatch):
+    calls = []
+    rhs = dynamics._rhs_flat
+
+    def counted(h, vec):
+        calls.append(1)
+        return rhs(h, vec)
+
+    monkeypatch.setattr(dynamics, "_rhs_flat", counted)
+    n_steps = 200
+    for label, h, x0 in criterion_8_systems():
+        calls.clear()
+        traj = dynamics.integrate(h, x0, n_steps * dt, dt, method)
+        assert len(calls) / n_steps <= bound, (label, len(calls) / n_steps)
+        assert traj.solver.rhs_evals == len(calls)
+        assert sum(traj.solver.iterations.values()) == n_steps
+
+
+def test_solver_stats_record_iterations_and_updates():
+    h = hamiltonian_integrable(3, Z8)
+    traj = dynamics.integrate(h, X8, 0.05, 1e-3)
+    stats = traj.solver
+    # step 1 is Euler-started: one predictor evaluation on top of its iterations
+    assert stats.rhs_evals == 1 + sum(i * n for i, n in stats.iterations.items())
+    assert 0.0 < stats.max_update < dynamics.FIXED_POINT_TOL
+    assert 1 <= stats.max_update_step <= 50
+    rk4 = dynamics.integrate(h, X8, 0.05, 1e-3, "rk4-check").solver
+    assert rk4.rhs_evals == 4 * 50 and rk4.iterations == {0: 50}
+
+
+def test_partial_trajectory_carries_solver_stats():
+    h = hamiltonian_superintegrable(3, 1.0)
+    wild = PhasePoint([1.5, -1.4, 1.3], [2.0, 2.0, -2.0])
+    with pytest.raises(dynamics.IntegrationError) as err:
+        dynamics.integrate(h, wild, 10.0, 5.0)
+    assert err.value.partial.solver.rhs_evals > 0

@@ -30,11 +30,16 @@ class PhaseGradient:
         return np.concatenate([self.dq, self.dp])
 
 
+@np.errstate(all="ignore")
 def gradient(f: PhaseFunction, x: PhasePoint) -> PhaseGradient:
-    """Machine-precision gradient of ``f`` at ``x`` via dual numbers."""
+    """Machine-precision gradient of ``f`` at ``x`` via dual numbers.
+
+    A non-finite gradient raises EvaluationDomainError; numpy's warnings on
+    the way there (complex points carry numpy scalars) are silenced.
+    """
     if f.arity != x.dim:
         raise ValueError("arity mismatch between function and point")
-    dq, dp = gradient_lists(f, list(x.q), list(x.p))
+    dq, dp = gradient_lists(f, *x.scalars())
     dtype = complex if np.iscomplexobj(x.q) or np.iscomplexobj(x.p) else float
     dq = np.array(dq, dtype=dtype)
     dp = np.array(dp, dtype=dtype)
@@ -69,11 +74,14 @@ def gradient_fd(f: PhaseFunction, x: PhasePoint) -> PhaseGradient:
     return PhaseGradient(out[:n], out[n:])
 
 
+@np.errstate(all="ignore")
 def bracket_matrix(funcs, x: PhasePoint):
     """All brackets {f_a, f_b} among ``funcs`` at ``x``, from one gradient each.
 
     With the gradients as rows of Dq, Dp: vals = Dq Dp^T - Dp Dq^T (exactly
-    antisymmetric) and the roundoff scales |Dq| |Dp|^T + |Dp| |Dq|^T.
+    antisymmetric) and the roundoff scales |Dq| |Dp|^T + |Dp| |Dq|^T.  Huge
+    finite gradients overflow to inf and nan here without a warning; the
+    non-finite entries fail every residual check that reads them.
     """
     if len({f.arity for f in funcs}) > 1:
         raise ValueError("arity mismatch between bracket arguments")
@@ -83,6 +91,7 @@ def bracket_matrix(funcs, x: PhasePoint):
     return cross - cross.T, size + size.T
 
 
+@np.errstate(all="ignore")
 def _scaled_residual(vals, scales, target=0.0):
     """|vals - target| / max(1, |target|, scales), elementwise."""
     return np.abs(vals - target) / np.maximum(np.maximum(1.0, np.abs(target)), scales)
@@ -152,11 +161,11 @@ class AlgebraReport:
 
     @property
     def max_residual(self) -> float:
-        return max(
-            self.residual_j3_jplus,
-            self.residual_j3_jminus,
-            self.residual_jminus_jplus,
+        """The largest residual; nan if any residual is nan, so it fails."""
+        worst = np.array(
+            [self.residual_j3_jplus, self.residual_j3_jminus, self.residual_jminus_jplus]
         )
+        return float(worst.max())
 
     @property
     def passed(self) -> bool:
@@ -177,6 +186,7 @@ class AlgebraReport:
         return "\n".join(lines)
 
 
+@np.errstate(all="ignore")
 def check_algebra(n: int, z: float, samples: int = 200, seed: int = 0) -> AlgebraReport:
     """Verify the three defining brackets of the realization at random points.
 

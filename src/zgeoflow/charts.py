@@ -150,9 +150,9 @@ def _cart_to_polar_generic(q, z: float, kappa2: float):
             )
         ratio_phi = None if abs(_real(w[1])) == 0.0 else w[0] / w[1]
     else:
-        e1 = dual.exp(2.0 * z * w[0])
-        e2 = dual.exp(2.0 * z * w[1])
-        a = dual.expm1(2.0 * z * qq)  # sinh^2(l1 rho) = e^{2z q^2} - 1
+        e1 = dual.exp(2.0 * (z * w[0]))
+        e2 = dual.exp(2.0 * (z * w[1]))
+        a = dual.expm1(2.0 * (z * qq))  # sinh^2(l1 rho) = e^{2z q^2} - 1
         ap = _real(a)
         if z > 0 and ap < 0.0:
             raise OutOfChartError("e^{2z q^2} < 1 on the z > 0 branch", relation=1)
@@ -162,16 +162,16 @@ def _cart_to_polar_generic(q, z: float, kappa2: float):
             rho = dual.asinh(dual.sqrt(a)) / np.sqrt(z)
         else:
             rho = dual.asin(dual.sqrt(-a)) / np.sqrt(-z)
-        c2 = e1 * e2 * dual.expm1(2.0 * z * w[2]) / a
+        c2 = e1 * e2 * dual.expm1(2.0 * (z * w[2])) / a
         if _real(c2) < -1e-12:
             raise OutOfChartError("cos^2(l2 theta) < 0", relation=2)
-        ks2 = dual.expm1(2.0 * z * (w[0] + w[1])) / (a * kappa2)
+        ks2 = dual.expm1(2.0 * (z * (w[0] + w[1]))) / (a * kappa2)
         if _real(ks2) < -1e-12:
             raise OutOfChartError(
                 "sin^2(l2 theta)/kappa2 < 0 (wrong relativistic octant)", relation=3
             )
-        num = dual.expm1(2.0 * z * w[0])
-        den = e1 * dual.expm1(2.0 * z * w[1])
+        num = dual.expm1(2.0 * (z * w[0]))
+        den = e1 * dual.expm1(2.0 * (z * w[1]))
         ratio_phi = None if abs(_real(den)) < 1e-300 else num / den
         if ratio_phi is not None and _real(ratio_phi) < -1e-12:
             raise OutOfChartError("tan^2(phi) < 0 (wrong relativistic octant)", relation=4)
@@ -225,14 +225,26 @@ def _polar_to_cart_generic(x, z: float, kappa2: float):
     return out
 
 
+def _finite_image(x, what):
+    """``x``, or OutOfChartError if the map overflowed to inf or nan."""
+    if not np.all(np.isfinite(x)):
+        raise OutOfChartError(f"{what} coordinates not finite (overflow)")
+    return x
+
+
+# at a huge |z| the arguments 2 (z q_i^2) overflow to inf; the non-finite
+# image is reported as out of chart, without numpy's warnings
+@np.errstate(all="ignore")
 def cart_to_polar(q, z: float, kappa2: float = 1.0) -> np.ndarray:
     """Solve the chart relations for (rho, theta, phi) on the principal branch."""
     q = list(np.asarray(q))
     if len(q) != 3:
         raise ValueError("the geodesic polar chart is three-dimensional")
-    return np.array(_cart_to_polar_generic(q, float(z), float(kappa2)))
+    x = np.array(_cart_to_polar_generic(q, float(z), float(kappa2)))
+    return _finite_image(x, "polar")
 
 
+@np.errstate(all="ignore")
 def polar_to_cart(x, z: float, kappa2: float = 1.0) -> np.ndarray:
     """Positive-octant Cartesian preimage of a polar point.
 
@@ -242,14 +254,15 @@ def polar_to_cart(x, z: float, kappa2: float = 1.0) -> np.ndarray:
     x = list(np.asarray(x))
     if len(x) != 3:
         raise ValueError("the geodesic polar chart is three-dimensional")
-    return np.array(_polar_to_cart_generic(x, float(z), float(kappa2)))
+    q = np.array(_polar_to_cart_generic(x, float(z), float(kappa2)))
+    return _finite_image(q, "Cartesian")
 
 
 def chart_relation_residuals(q, x, z: float, kappa2: float) -> np.ndarray:
     """Absolute residuals of the four chart relations at matched (q, x)."""
     q = np.asarray(q)
     rho, theta, phi = (complex(v) for v in np.asarray(x))
-    e = [np.exp(2.0 * z * complex(qi) ** 2) for qi in q]
+    e = [np.exp(2.0 * (z * complex(qi) ** 2)) for qi in q]
     a = z * complex(kappa_sin(-z, rho)) ** 2
     t = kappa2 * complex(kappa_sin(kappa2, theta)) ** 2
     c2 = complex(kappa_cos(kappa2, theta)) ** 2

@@ -9,11 +9,12 @@ a fresh tag: mixing duals from different passes treats the older one as a
 constant, which is exactly the perturbation-confusion-safe rule.
 
 The helpers :func:`partial`, :func:`gradient`, :func:`second_partial`,
-:func:`hessian` and the one-variable :func:`derivative` are the only code in
-the package that creates tags, seeds inputs and extracts derivative parts;
-every other module differentiates through them.  Each call of ``f`` is one
-pass: first partials take one first-order pass per slot, second partials one
-nested pass per pair.
+:func:`taylor2`, :func:`hessian` and the one-variable :func:`derivative`
+are the only code in the package that creates tags, seeds inputs and
+extracts derivative parts; every other module differentiates through them.
+Each call of ``f`` is one pass: first partials take one first-order pass per
+slot, second partials one nested pass per pair, and that pass for (i, i)
+also carries the value and d_i f.
 """
 
 from __future__ import annotations
@@ -156,6 +157,17 @@ def gradient(f, args):
     return [partial(f, args, i) for i in range(len(args))]
 
 
+def _pair_pass(f, args, i, j):
+    """One nested pass: ``f`` with slot i seeded by tag ti and slot j by the
+    fresher tag tj (wrapping the ti seed when i = j); returns (f, ti, tj)."""
+    ti = fresh_tag()
+    tj = fresh_tag()
+    seeded = list(args)
+    seeded[i] = Dual(ti, args[i], 1.0)
+    seeded[j] = Dual(tj, seeded[j], 1.0)
+    return f(seeded), ti, tj
+
+
 def second_partial(f, args, i, j):
     """Exact d^2 f / d args_i d args_j from one nested pass.
 
@@ -163,25 +175,35 @@ def second_partial(f, args, i, j):
     wraps the slot-``i`` seed.  The result keeps any dual layers the inputs
     carry, so it can be differentiated again.
     """
-    ti = fresh_tag()
-    tj = fresh_tag()
-    seeded = list(args)
-    seeded[i] = Dual(ti, args[i], 1.0)
-    seeded[j] = Dual(tj, seeded[j], 1.0)
-    return dual_part(dual_part(f(seeded), tj), ti)
+    out, ti, tj = _pair_pass(f, args, i, j)
+    return dual_part(dual_part(out, tj), ti)
+
+
+def taylor2(f, args):
+    """Float value, gradient and symmetric Hessian (list of rows) of ``f``.
+
+    One nested pass per pair i <= j, as in :func:`second_partial`.  The
+    diagonal pass (i, i) seeds slot i with ``Dual(tj, Dual(ti, x_i, 1), 1)``,
+    so it also carries the value (its primal) and d_i f (its ``ti`` part):
+    the value, gradient and Hessian come from the same n(n+1)/2 passes.
+    """
+    n = len(args)
+    value = None
+    grad = [0.0] * n
+    hess = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            out, ti, tj = _pair_pass(f, args, i, j)
+            hess[i][j] = hess[j][i] = float(primal(dual_part(dual_part(out, tj), ti)))
+            if i == j:
+                grad[i] = float(primal(dual_part(out, ti)))
+                value = float(primal(out))
+    return value, grad, hess
 
 
 def hessian(f, args):
-    """Float parts of all second partials of ``f`` as a symmetric list of rows.
-
-    One :func:`second_partial` pass per pair i <= j.
-    """
-    n = len(args)
-    out = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            out[i][j] = out[j][i] = float(primal(second_partial(f, args, i, j)))
-    return out
+    """Float parts of all second partials of ``f`` as a symmetric list of rows."""
+    return taylor2(f, args)[2]
 
 
 def derivative(f, x):

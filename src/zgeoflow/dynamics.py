@@ -99,10 +99,12 @@ class ConservationReport:
 
 def _rhs_flat(h, vec):
     n = vec.size // 2
-    dq, dp = gradient_lists(h, list(vec[:n]), list(vec[n:]))
+    dq, dp = gradient_lists(h, vec[:n].tolist(), vec[n:].tolist())
     out = np.empty_like(vec)
     out[:n] = dp
     out[n:] = [-v for v in dq]
+    if not np.all(np.isfinite(out)):
+        raise EvaluationDomainError(f"phase velocity of {h.label} not finite")
     return out
 
 

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import dual
-from .phase import PhaseFunction, PhasePoint
+from .phase import EvaluationDomainError, PhaseFunction, PhasePoint
 
 #: metric components with magnitude below this are treated as degenerate
 DEGENERACY_CUTOFF = 1e-12
@@ -50,10 +50,14 @@ class DiagonalMetric:
     label: str = ""
 
     def values(self, q) -> np.ndarray:
-        g = np.array([float(c(list(q))) for c in self.components])
-        if np.any(np.abs(g) < DEGENERACY_CUTOFF):
+        return self._nondegenerate([float(c(list(q))) for c in self.components], q)
+
+    def _nondegenerate(self, gval, q) -> np.ndarray:
+        """``gval`` as an array; MetricDegenerateError if an entry vanishes."""
+        gval = np.array(gval)
+        if np.any(np.abs(gval) < DEGENERACY_CUTOFF):
             raise MetricDegenerateError(f"metric {self.label} degenerate at q={q}")
-        return g
+        return gval
 
     def signature(self, q) -> tuple:
         return tuple(int(np.sign(v)) for v in self.values(q))
@@ -75,12 +79,16 @@ def metric_from_hamiltonian(
 
     The Hamiltonian must be exactly quadratic and diagonal in the momenta;
     this is verified at every check point and violations are rejected with
-    the failing residual.
+    the failing residual.  For such an H = (1/2) sum a_i(q) p_i^2 the
+    definition equals g_ii(q) = 1 / (2 h(q, e_i)) at the unit momentum e_i,
+    which is how each component evaluates: one plain evaluation of h, with
+    no momentum duals under the position passes of the curvature.
     """
     if h.arity != n:
         raise ValueError("Hamiltonian arity does not match requested dimension")
     for x in check_points:
-        hess = np.array(dual.hessian(lambda ps: h.raw(list(x.q), ps), x.p))
+        q, p = x.scalars()
+        hess = np.array(dual.hessian(lambda ps: h.raw(q, ps), p))
         off = np.max(np.abs(hess - np.diag(np.diag(hess))))
         if off >= tolerance:
             raise NonKineticHamiltonianError(
@@ -93,10 +101,11 @@ def metric_from_hamiltonian(
             )
 
     def make_component(i):
+        unit = [0.0] * n
+        unit[i] = 1.0
+
         def g_ii(q):
-            return 1.0 / dual.second_partial(
-                lambda p: h.raw(list(q), p), [0.0] * n, i, i
-            )
+            return 1.0 / (2.0 * h.raw(list(q), unit))
 
         return g_ii
 
@@ -120,30 +129,26 @@ def _first_partials(g: DiagonalMetric, q):
 
 
 def _component_derivatives(g: DiagonalMetric, q):
-    """:func:`_first_partials` plus the exact second partials
-    d2[i][j][k] = d_i d_j g_kk from :func:`zgeoflow.dual.hessian`."""
-    gval, d1 = _first_partials(g, q)
+    """Metric values, first partials d1[i][k] = d_i g_kk and second partials
+    d2[i][j][k] = d_i d_j g_kk, all from one :func:`zgeoflow.dual.taylor2`
+    (its n(n+1)/2 nested passes) per component."""
     q = [float(v) for v in q]
-    return gval, d1, np.stack([dual.hessian(c, q) for c in g.components], axis=-1)
+    gval, d1, d2 = zip(*(dual.taylor2(c, q) for c in g.components))
+    return g._nondegenerate(gval, q), np.array(d1).T, np.stack(d2, axis=-1)
 
 
 def _connection(gval, d1) -> np.ndarray:
-    """Gamma^k_{ij} from metric values and first partials d1[i][k] = d_i g_kk."""
-    n = len(gval)
-    gamma = np.zeros((n, n, n))
-    for k in range(n):
-        inv2 = 0.5 / gval[k]
-        for i in range(n):
-            for j in range(n):
-                term = 0.0
-                if k == j:
-                    term += d1[i, k]
-                if k == i:
-                    term += d1[j, k]
-                if i == j:
-                    term -= d1[k, i]
-                gamma[k, i, j] = inv2 * term
-    return gamma
+    """Gamma^k_{ij} from metric values and first partials d1[i][k] = d_i g_kk.
+
+    Gamma^k_{ij} = (d_kj d_i g_kk + d_ki d_j g_kk - d_ij d_k g_ii) / (2 g_kk).
+    """
+    eye = np.eye(len(gval))
+    term = (
+        np.einsum("kj,ik->kij", eye, d1)
+        + np.einsum("ki,jk->kij", eye, d1)
+        - np.einsum("ij,ki->kij", eye, d1)
+    )
+    return (0.5 / gval)[:, None, None] * term
 
 
 def christoffel(g: DiagonalMetric, q) -> np.ndarray:
@@ -153,40 +158,38 @@ def christoffel(g: DiagonalMetric, q) -> np.ndarray:
 
 def _riemann(gval, d1, d2) -> np.ndarray:
     """R^l_{kij} from metric values, first and second partials."""
-    n = len(gval)
+    eye = np.eye(len(gval))
     gamma = _connection(gval, d1)
-    dgamma = np.zeros((n, n, n, n))  # dgamma[i, l, j, k] = d_i Gamma^l_{jk}
-    for i in range(n):
-        for l in range(n):
-            for j in range(n):
-                for k in range(n):
-                    term = 0.0
-                    if l == k:
-                        term += d2[i, j, l]
-                    if l == j:
-                        term += d2[i, k, l]
-                    if j == k:
-                        term -= d2[i, l, j]
-                    dgamma[i, l, j, k] = (
-                        0.5 * term / gval[l]
-                        - gamma[l, j, k] * d1[i, l] / gval[l]
-                    )
-    riem = np.zeros((n, n, n, n))  # R^l_{kij}
-    for l in range(n):
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    val = dgamma[i, l, j, k] - dgamma[j, l, i, k]
-                    for m in range(n):
-                        val += gamma[l, i, m] * gamma[m, j, k]
-                        val -= gamma[l, j, m] * gamma[m, i, k]
-                    riem[l, k, i, j] = val
-    return riem
+    g_l = gval[None, :, None, None]
+    # dgamma[i, l, j, k] = d_i Gamma^l_{jk}
+    term = (
+        np.einsum("lk,ijl->iljk", eye, d2)
+        + np.einsum("lj,ikl->iljk", eye, d2)
+        - np.einsum("jk,ilj->iljk", eye, d2)
+    )
+    dgamma = 0.5 * term / g_l - gamma[None] * d1[:, :, None, None] / g_l
+    # half[l, k, i, j] = d_i Gamma^l_{jk} + Gamma^l_{im} Gamma^m_{jk};
+    # R^l_{kij} is its antisymmetric part in (i, j)
+    half = np.einsum("iljk->lkij", dgamma) + np.einsum("lim,mjk->lkij", gamma, gamma)
+    return half - np.swapaxes(half, 2, 3)
 
 
+def _finite(values, g: DiagonalMetric, q):
+    """``values``, or EvaluationDomainError if any overflowed to inf or nan.
+
+    Metric components and slopes that are huge but finite (exp(|z| q^2) at a
+    large |z|) can overflow in the tensor arithmetic; the callers run it
+    under ``np.errstate`` and report the non-finite result here instead.
+    """
+    if not np.all(np.isfinite(values)):
+        raise EvaluationDomainError(f"curvature of {g.label} not finite at q={q}")
+    return values
+
+
+@np.errstate(all="ignore")
 def riemann(g: DiagonalMetric, q) -> np.ndarray:
     """Riemann tensor R^l_{kij} = d_i G^l_{jk} - d_j G^l_{ik} + G G - G G."""
-    return _riemann(*_component_derivatives(g, q))
+    return _finite(_riemann(*_component_derivatives(g, q)), g, q)
 
 
 def riemann_covariant(g: DiagonalMetric, q) -> np.ndarray:
@@ -195,6 +198,7 @@ def riemann_covariant(g: DiagonalMetric, q) -> np.ndarray:
     return gval[:, None, None, None] * _riemann(gval, d1, d2)
 
 
+@np.errstate(all="ignore")
 def curvature_summary(g: DiagonalMetric, q):
     """All sectional curvatures and the scalar, from one Riemann evaluation.
 
@@ -204,15 +208,14 @@ def curvature_summary(g: DiagonalMetric, q):
     gval, d1, d2 = _component_derivatives(g, q)
     riem = _riemann(gval, d1, d2)
     n = g.dim
-    sect = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            sect[(i, j)] = float(riem[i, j, i, j] / gval[j])
-    scal = 0.0
-    for k in range(n):
-        ricci_kk = sum(riem[l, k, l, k] for l in range(n))
-        scal += ricci_kk / gval[k]
-    return sect, float(scal)
+    sect = {
+        (i, j): float(riem[i, j, i, j] / gval[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+    scal = float(np.sum(np.einsum("lklk->k", riem) / gval))
+    _finite([*sect.values(), scal], g, q)
+    return sect, scal
 
 
 def sectional_curvature(g: DiagonalMetric, q, i: int, j: int) -> float:

@@ -41,6 +41,15 @@ class PhasePoint:
     def dim(self) -> int:
         return self.q.size
 
+    def scalars(self) -> tuple:
+        """(q, p) as lists for the generic scalar code: Python floats for a
+        real vector, which that code runs on fastest and without numpy's
+        overflow warnings; numpy complex scalars for a complex one, whose
+        arithmetic the complex-octant chart results are computed with."""
+        return tuple(
+            v.tolist() if v.dtype == float else list(v) for v in (self.q, self.p)
+        )
+
     def flat(self) -> np.ndarray:
         return np.concatenate([self.q, self.p])
 
@@ -76,7 +85,7 @@ class PhaseFunction:
                 f"{self.label or 'function'} expects dimension {self.arity}, "
                 f"got {point.dim}"
             )
-        val = self.fn(list(point.q), list(point.p))
+        val = self.fn(*point.scalars())
         if not np.isfinite(complex(val)):
             raise EvaluationDomainError(
                 f"{self.label or 'function'} is not finite at {point}"

@@ -285,3 +285,10 @@ def test_one_gradient_per_function_and_point(monkeypatch):
     calls.clear()
     check_algebra(3, z, samples=5, seed=1)
     assert len(calls) == 3 * 5
+
+
+def test_algebra_report_with_a_nan_residual_fails():
+    # a nan anywhere must fail the report, whatever its position
+    for res in ([float("nan"), 0.0, 0.0], [0.0, float("nan"), 0.0], [0.0, 0.0, float("nan")]):
+        report = brackets.AlgebraReport(2, 0.3, 1, 0, *res)
+        assert np.isnan(report.max_residual) and not report.passed

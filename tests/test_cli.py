@@ -1,9 +1,14 @@
 """CLI: exit codes, file outputs, determinism, config precedence."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zgeoflow import cli
 from zgeoflow.cli import main
@@ -114,6 +119,33 @@ def test_contract_errors_exit_without_traceback(argv, config, code, tmp_path, ca
     assert run(argv) == code
     err = capsys.readouterr().err
     assert "error: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--z=800", "--n=2", "--samples=2"],
+        ["verify", "--n=8", "--z=50", "--samples=1"],
+        ["transform", "--z=1e308", "--q=0,0,1"],
+        ["curvature", "--z=-22", "--metric=superintegrable", "--grid-points=2",
+         "--grid-min=0", "--grid-max=2"],
+    ],
+)
+def test_overflow_is_exit_two_without_warnings(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv + [f"--output={out}"]) == 2
+    assert not caught, [str(w.message) for w in caught]
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Warning" not in err and "Traceback" not in err
+
+
+def test_transform_origin_at_huge_z_is_finite(tmp_path):
+    # 2 (z q_i^2) stays 0 at q = 0; it was inf * 0 = nan with exit 0
+    out = tmp_path / "t.json"
+    assert run(["transform", "--z=1e308", "--q=0,0,0", f"--output={out}"]) == 0
+    assert "nan" not in out.read_text().lower()
 
 
 def test_simulate_requires_initial_state(capsys):
@@ -384,3 +416,84 @@ def test_family_hamiltonians_selectable(tmp_path):
         ["simulate", "--n", "2", "--z", "0.2", "--hamiltonian", "family:zeta",
          "--q", "0.3,0.2", "--p", "0.1,-0.2", "--t-end", "0.1", "--dt", "0.01"]
     ) == 1
+
+
+# --------------------------------------------------------------------------
+# CLI fuzz: the exit-code contract over all four commands
+# --------------------------------------------------------------------------
+
+_coord = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+_z = st.builds(
+    lambda sign, mag: sign * mag,
+    st.sampled_from((1.0, -1.0)),
+    st.one_of(st.floats(min_value=1e-15, max_value=1e3), st.just(1e308)),
+)
+
+
+def _vec(values):
+    return ",".join(repr(v) for v in values)
+
+
+@st.composite
+def _cli_argv(draw):
+    """One argv over verify/simulate/curvature/transform at small sizes.
+
+    Values go in as --flag=value, so that a negative number is not read as
+    an option."""
+    command = draw(st.sampled_from(("verify", "simulate", "curvature", "transform")))
+    argv = [command, f"--z={draw(_z)!r}"]
+    if command != "verify":
+        argv.append(f"--kappa2={draw(st.sampled_from((1.0, -1.0, 0.0, 2.0)))!r}")
+    n = draw(st.integers(min_value=1, max_value=4))
+    if command == "verify":
+        argv += [f"--n={n}", "--samples=1", f"--seed={draw(st.integers(0, 99))}"]
+    elif command == "simulate":
+        dt = draw(st.sampled_from((1e-3, 1e-2, 0.1)))
+        steps = draw(st.integers(min_value=1, max_value=5))
+        argv += [
+            f"--n={n}",
+            f"--chart={draw(st.sampled_from(('cartesian', 'polar')))}",
+            "--hamiltonian=" + draw(st.sampled_from(
+                ("integrable", "superintegrable", "family:exp", "family:one-plus")
+            )),
+            f"--method={draw(st.sampled_from(cli.METHODS))}",
+            f"--q={_vec(draw(st.lists(_coord, min_size=n, max_size=n)))}",
+            f"--p={_vec(draw(st.lists(_coord, min_size=n, max_size=n)))}",
+            f"--dt={dt!r}",
+            f"--t-end={steps * dt!r}",
+        ]
+    elif command == "curvature":
+        lo, hi = sorted(draw(st.lists(_coord, min_size=2, max_size=2)))
+        argv += [
+            f"--n={n}",
+            f"--metric={draw(st.sampled_from(('integrable', 'superintegrable')))}",
+            f"--chart={draw(st.sampled_from(('cartesian', 'polar')))}",
+            f"--grid-points={draw(st.integers(min_value=1, max_value=2))}",
+            f"--grid-min={lo!r}",
+            f"--grid-max={hi!r}",
+        ]
+    else:
+        argv += [
+            f"--direction={draw(st.sampled_from(('to-polar', 'to-cartesian')))}",
+            f"--normalization={draw(st.sampled_from(('canonical', 'chart')))}",
+            f"--q={_vec(draw(st.lists(_coord, min_size=3, max_size=3)))}",
+            f"--p={_vec(draw(st.lists(_coord, min_size=3, max_size=3)))}",
+        ]
+        argv += [f for f in ("--with-r", "--roundtrip", "--canonicity") if draw(st.booleans())]
+    return argv
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argv=_cli_argv())
+def test_cli_fuzz_keeps_the_exit_code_contract(argv, tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz") / "out"
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv + [f"--output={out}"])
+    text = err.getvalue()
+    assert code in (0, 1, 2), text
+    assert not caught, [str(w.message) for w in caught]
+    assert "Traceback" not in text and "Warning" not in text, text
+    if code == 0:
+        assert "nan" not in out.read_text().lower()

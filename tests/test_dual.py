@@ -293,6 +293,35 @@ def test_hessian_symmetric_floats():
     assert hess[2][2] == pytest.approx(-math.exp(x * y) * math.sin(z) + 2 * x, rel=1e-14)
 
 
+def _taylor2_cases():
+    jp = realize_generators(3, 0.3).j_plus
+    h = hamiltonian_superintegrable(3, -0.2)
+    yield lambda qs: jp.raw(qs, [0.4, -0.9, 0.2]), [0.3, -0.5, 0.7]
+    yield lambda qs: 1.0 / (2.0 * h.raw(qs, [0.0, 1.0, 0.0])), [-0.6, 0.25, 0.4]
+    yield _xy, [X0, Y0]
+    yield lambda args: dual.log(args[0]) / (1.0 + args[1] * args[1]), [1.7, 0.3]
+    yield lambda args: 2.5, [0.1, 0.2]  # a constant: no dual layer at all
+
+
+@pytest.mark.parametrize("f, args", list(_taylor2_cases()))
+def test_taylor2_value_gradient_hessian(f, args):
+    n = len(args)
+    tags = dual.fresh_tag()
+    value, grad, hess = dual.taylor2(f, args)
+    assert dual.fresh_tag() - tags == n * (n + 1) + 1  # two tags per pair i <= j
+    for i in range(n):
+        for j in range(i, n):
+            want = float(primal(dual.second_partial(f, args, i, j)))
+            assert hess[i][j] == hess[j][i] == want
+    assert hess == dual.hessian(f, args)
+    ref = float(primal(f(args)))
+    assert abs(value - ref) <= 2 * math.ulp(ref)
+    ref_grad = [float(primal(v)) for v in dual.gradient(f, args)]
+    for got, want in zip(grad, ref_grad):
+        assert abs(got - want) <= 1e-13 * abs(want)
+    assert all(type(v) is float for v in (value, *grad, *sum(hess, [])))
+
+
 def test_bracket_gradients_agree_bit_for_bit():
     funcs = [realize_generators(3, 0.3).j_plus, hamiltonian_superintegrable(3, -0.2)]
     for f in funcs:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from zgeoflow import charts, dynamics
+from zgeoflow import charts, dual, dynamics
 from zgeoflow.algebra import (
     casimir_m,
     hamiltonian_integrable,
@@ -11,7 +11,7 @@ from zgeoflow.algebra import (
     integral_extra_2,
     integral_extra_3,
 )
-from zgeoflow.brackets import gradient_fd
+from zgeoflow.brackets import gradient, gradient_fd
 from zgeoflow.phase import PhaseFunction, PhasePoint
 
 X0 = PhasePoint([0.25, 0.15, 0.35], [0.2, -0.15, 0.3])
@@ -338,3 +338,30 @@ def test_partial_trajectory_carries_solver_stats():
     with pytest.raises(dynamics.IntegrationError) as err:
         dynamics.integrate(h, wild, 10.0, 5.0)
     assert err.value.partial.solver.rhs_evals > 0
+
+
+def test_generic_code_sees_python_floats():
+    # real points reach the generic scalar code as Python floats (dual seeds
+    # aside), not numpy scalars, through every evaluation route
+    seen = set()
+
+    def fn(q, p):
+        seen.update(type(v) for v in (*q, *p) if not isinstance(v, dual.Dual))
+        return 0.5 * (p[0] * p[0] + p[1] * p[1]) * dual.exp(0.3 * q[0] * q[1])
+
+    h = PhaseFunction(2, fn, "spy")
+    x = PhasePoint([0.3, -0.2], [0.1, 0.4])
+    for run in (lambda: h(x), lambda: gradient(h, x),
+                lambda: dynamics.integrate(h, x, 0.005, 0.001)):
+        seen.clear()
+        run()
+        assert seen == {float}
+
+
+def test_non_finite_phase_velocity_stops_the_run():
+    # the gradient overflows to inf in float arithmetic: the run stops at
+    # the first step with the partial trajectory, not after 50 nan iterations
+    h = PhaseFunction(1, lambda q, p: 0.5 * p[0] * p[0] * dual.exp(q[0]) * 1e300, "huge")
+    with pytest.raises(dynamics.IntegrationError, match="not finite") as info:
+        dynamics.integrate(h, PhasePoint([700.0], [1.0]), 0.01, 0.001)
+    assert len(info.value.partial) == 1

@@ -1,14 +1,15 @@
 """Curvature machinery against closed forms and classical test metrics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from zgeoflow import dual
+from zgeoflow import charts, dual
 from zgeoflow import geometry as geo
 from zgeoflow.algebra import hamiltonian_integrable, hamiltonian_superintegrable
-from zgeoflow.phase import PhaseFunction, PhasePoint
+from zgeoflow.phase import EvaluationDomainError, PhaseFunction, PhasePoint
 
 
 def check_points(n, seed=0):
@@ -177,8 +178,10 @@ def test_christoffel_symmetry_and_fd_oracle():
 
 
 def test_curvature_passes_per_point(monkeypatch):
-    # christoffel needs only values and first partials; curvature_summary
-    # evaluates the metric once, inside its one Riemann evaluation
+    # christoffel takes one first-order pass per (component, slot); riemann
+    # and curvature_summary take the n(n+1)/2 nested passes of one taylor2
+    # per component, which carry the values and first partials as well.
+    # Metric components evaluate h at unit momenta: no momentum passes.
     g = integrable_line_element(3, 0.3)
     tags = []
     fresh_tag = dual.fresh_tag
@@ -188,8 +191,8 @@ def test_curvature_passes_per_point(monkeypatch):
         return fresh_tag()
 
     monkeypatch.setattr(dual, "fresh_tag", counted)
-    for fn, expected in ((geo.christoffel, 33), (geo.riemann, 105),
-                         (geo.curvature_summary, 105)):
+    for fn, expected in ((geo.christoffel, 9), (geo.riemann, 36),
+                         (geo.curvature_summary, 36)):
         tags.clear()
         fn(g, [0.2, -0.4, 0.5])
         assert len(tags) == expected, fn.__name__
@@ -325,3 +328,126 @@ def test_rescaled_metric_scales_curvature_inversely():
     k_base = geo.sectional_curvature(g, q, 0, 1)
     k_doubled = geo.sectional_curvature(g.rescaled(2.0), q, 0, 1)
     assert k_doubled == pytest.approx(k_base / 2.0, rel=1e-12)
+
+
+# --------------------------------------------------------------------------
+# the one-pass-set curvature path against the nested-pass formulation
+# --------------------------------------------------------------------------
+
+
+def _oracle_components(h, n, factor):
+    """factor / (d^2 h / dp_k^2 at p = 0): one nested momentum pass each."""
+
+    def make(k):
+        def g_kk(q):
+            return factor / dual.second_partial(
+                lambda p: h.raw(list(q), p), [0.0] * n, k, k
+            )
+
+        return g_kk
+
+    return [make(k) for k in range(n)]
+
+
+def _oracle_riemann(comps, q):
+    """Values and first partials from first-order passes, second partials
+    from per-pair nested passes, and the loop-based Riemann assembly."""
+    n = len(q)
+    num = lambda v: float(dual.primal(v))  # noqa: E731
+    gval = [num(c(q)) for c in comps]
+    d1 = [[num(dual.partial(comps[k], q, i)) for k in range(n)] for i in range(n)]
+    d2 = [
+        [[num(dual.second_partial(comps[k], q, i, j)) for k in range(n)]
+         for j in range(n)]
+        for i in range(n)
+    ]
+    gamma = np.zeros((n, n, n))
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                term = 0.0
+                if k == j:
+                    term += d1[i][k]
+                if k == i:
+                    term += d1[j][k]
+                if i == j:
+                    term -= d1[k][i]
+                gamma[k, i, j] = 0.5 / gval[k] * term
+    dgamma = np.zeros((n, n, n, n))  # dgamma[i, l, j, k] = d_i Gamma^l_{jk}
+    for i in range(n):
+        for l in range(n):
+            for j in range(n):
+                for k in range(n):
+                    term = 0.0
+                    if l == k:
+                        term += d2[i][j][l]
+                    if l == j:
+                        term += d2[i][k][l]
+                    if j == k:
+                        term -= d2[i][l][j]
+                    dgamma[i, l, j, k] = (
+                        0.5 * term / gval[l] - gamma[l, j, k] * d1[i][l] / gval[l]
+                    )
+    riem = np.zeros((n, n, n, n))
+    for l in range(n):
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    val = dgamma[i, l, j, k] - dgamma[j, l, i, k]
+                    for m in range(n):
+                        val += gamma[l, i, m] * gamma[m, j, k]
+                        val -= gamma[l, j, m] * gamma[m, i, k]
+                    riem[l, k, i, j] = val
+    sect = {
+        (i, j): riem[i, j, i, j] / gval[j] for i in range(n) for j in range(i + 1, n)
+    }
+    scal = sum(riem[l, k, l, k] / gval[k] for k in range(n) for l in range(n))
+    return riem, sect, scal
+
+
+def _cartesian_cases():
+    for n in (2, 3):
+        for build in (hamiltonian_integrable, hamiltonian_superintegrable):
+            for z in (-0.3, 0.3, 0.8):
+                h = build(n, z)
+                g = geo.line_element_from_hamiltonian(h, n, check_points(n))
+                yield f"{h.label}-z{z}", g, _oracle_components(h, n, 2.0), (-1.0, 1.0)
+
+
+def _polar_cases():
+    for build in (charts.integrable_polar_system, charts.superintegrable_polar_system):
+        for kappa2 in (1.0, -1.0):
+            h = build(0.3, kappa2).hamiltonian
+            check = [PhasePoint([0.71, 0.62, 0.53], [0.2, 0.3, 0.4])]
+            g = geo.metric_from_hamiltonian(h, 3, check)
+            yield f"{h.label}-k{kappa2}", g, _oracle_components(h, 3, 1.0), (0.3, 1.1)
+
+
+@pytest.mark.parametrize(
+    "label, g, comps, box",
+    [pytest.param(*case, id=case[0]) for case in (*_cartesian_cases(), *_polar_cases())],
+)
+def test_curvature_matches_nested_pass_oracle(label, g, comps, box):
+    rng = np.random.default_rng(list(label.encode()))
+    for _ in range(2):
+        q = rng.uniform(*box, g.dim).tolist()
+        riem_ref, sect_ref, scal_ref = _oracle_riemann(comps, q)
+        riem = geo.riemann(g, q)
+        assert np.all(np.abs(riem - riem_ref) <= 1e-12 * np.maximum(1.0, np.abs(riem_ref)))
+        sect, scal = geo.curvature_summary(g, q)
+        assert sect.keys() == sect_ref.keys()
+        for key, ref in sect_ref.items():
+            assert abs(sect[key] - ref) <= 1e-12 * max(1.0, abs(ref)), key
+        assert abs(scal - scal_ref) <= 1e-12 * max(1.0, abs(scal_ref))
+
+
+def test_curvature_overflow_is_a_domain_error():
+    # finite exact curvature (z), but the metric components reach exp(176):
+    # the tensor arithmetic overflows and is reported, without numpy warnings
+    g = superintegrable_line_element(3, -22.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationDomainError):
+            geo.curvature_summary(g, [2.0, 2.0, 2.0])
+        with pytest.raises(EvaluationDomainError):
+            geo.riemann(g, [2.0, 2.0, 2.0])

@@ -129,10 +129,14 @@ def _real(x):
     return dual.primal(x).real
 
 
-def _as_complex(x):
+def _times_i(x):
+    """i x, part by part.  A real part r becomes complex(0.0, r), which for
+    r >= 0 is exactly the principal complex sqrt of -r^2."""
     if isinstance(x, dual.Dual):
-        return dual.Dual(x.tag, _as_complex(x.re), _as_complex(x.du))
-    return complex(x)
+        return dual.Dual(x.tag, _times_i(x.re), _times_i(x.du))
+    if isinstance(x, dual.Jet):
+        return dual.Jet(_times_i(x.v), [_times_i(a) for a in x.d], x.ps)
+    return 1j * x if isinstance(x, complex) else complex(0.0, x)
 
 
 def _cart_to_polar_generic(q, z: float, kappa2: float):
@@ -219,7 +223,9 @@ def _polar_to_cart_generic(x, z: float, kappa2: float):
                     f"q_{i + 1}^2 < 0 has no real preimage on the kappa2 > 0 branch",
                     relation=4 - i,
                 )
-            out.append(dual.sqrt(_as_complex(wi)))
+            # q_i = i sqrt(-w_i): the positive imaginary axis for every sign
+            # of zero or roundoff in the imaginary part of w_i
+            out.append(_times_i(dual.sqrt(-wi)))
         else:
             out.append(dual.sqrt(wi))
     return out
@@ -405,13 +411,37 @@ def polar_chart_functions(z: float, kappa2: float):
     return tuple(PhaseFunction(3, f, n) for f, n in zip(fns, names))
 
 
+@np.errstate(all="ignore")
 def fundamental_bracket_residuals(
     point: PhasePoint, z: float, kappa2: float
 ) -> np.ndarray:
-    """|{u_a, u_b} - canonical| for the six polar chart variables at a point."""
-    from .brackets import bracket_matrix
+    """|{u_a, u_b} - canonical| for the six polar chart variables at a point.
 
-    vals, _ = bracket_matrix(polar_chart_functions(z, kappa2), point)
+    Two jet passes give all six gradients.  A first-order pass of the chart
+    map gives x(q) and A = dx/dq; a second-order pass of its inverse at x
+    gives J = dq/dx and T_i = d^2 q_i / dx^2.  The canonical momenta are
+    P = J^T p, so by the chain rule the Jacobian of (x, P) in (q, p) is
+    [[A, 0], [sum_i p_i T_i A, J^T]].  Its rows are the gradients of the
+    :func:`polar_chart_functions`, and the brackets are formed from them as
+    in :func:`zgeoflow.brackets.bracket_matrix`.
+    """
+    from .brackets import gradient_brackets
+
+    if point.dim != 3:
+        raise ValueError("the geodesic polar chart is three-dimensional")
+    z, kappa2 = float(z), float(kappa2)
+    q, p = point.scalars()
+    polar = dual.jet(lambda qs: _cart_to_polar_generic(qs, z, kappa2), q, order=1)
+    x = [v for v, _, _ in polar]
+    cart = dual.jet(lambda xs: _polar_to_cart_generic(xs, z, kappa2), x)
+    a = np.array([g for _, g, _ in polar])
+    jac = np.array([g for _, g, _ in cart])
+    curv = np.array([h for _, _, h in cart])
+    dq = np.vstack([a, np.einsum("i,iab,bk->ak", p, curv, a)])
+    dp = np.vstack([np.zeros((3, 3)), jac.T])
+    if not (np.all(np.isfinite(dq)) and np.all(np.isfinite(dp))):
+        raise EvaluationDomainError(f"polar chart Jacobian not finite at {point}")
+    vals, _ = gradient_brackets(dq, dp)
     omega = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(3))
     return np.abs(vals - omega)
 

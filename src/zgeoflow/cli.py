@@ -261,7 +261,7 @@ def cmd_verify(cfg) -> int:
             failures.append(f"superintegrable involution ({sup_res:.3e})")
         ranks = [independence_rank(sup_set, x) for x in pts[: min(10, len(pts))]]
         results["superintegrable_rank"] = ranks
-        if n == 3 and any(r != 5 for r in ranks):
+        if any(r != 5 for r in ranks):
             failures.append(f"superintegrable rank != 5 (got {ranks})")
         ranks_i = [independence_rank(tower, x) for x in pts[: min(10, len(pts))]]
         results["integrable_rank"] = ranks_i

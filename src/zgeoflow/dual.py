@@ -8,13 +8,23 @@ tensors, brackets of brackets) work because each differentiation pass carries
 a fresh tag: mixing duals from different passes treats the older one as a
 constant, which is exactly the perturbation-confusion-safe rule.
 
+Second order has its own number type, :class:`Jet`: a truncated Taylor
+expansion that carries the value, the gradient and the packed Hessian over
+all n input directions at once, so one evaluation of ``f`` (one pass) gives
+all three (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).
+Every elementary function below maps a jet through one chain rule from its
+(f, f', f'') at the jet's value, for real and complex values alike.  A jet
+pass is always the outermost one: its inputs are plain floats or complex
+numbers, and jets never meet duals.
+
 The helpers :func:`partial`, :func:`gradient`, :func:`second_partial`,
-:func:`taylor2`, :func:`hessian` and the one-variable :func:`derivative`
-are the only code in the package that creates tags, seeds inputs and
-extracts derivative parts; every other module differentiates through them.
-Each call of ``f`` is one pass: first partials take one first-order pass per
-slot, second partials one nested pass per pair, and that pass for (i, i)
-also carries the value and d_i f.
+:func:`jet`, :func:`taylor2`, :func:`hessian` and the one-variable
+:func:`derivative` are the only code in the package that creates tags,
+seeds inputs and extracts derivative parts; every other module
+differentiates through them.  Each call of ``f`` is one pass and draws its
+own tags: first partials take one first-order dual pass per slot, a single
+second partial one nested dual pass, and a value-gradient-Hessian triple
+one jet pass.
 """
 
 from __future__ import annotations
@@ -117,11 +127,163 @@ class Dual:
         return exp(n * log(self))
 
 
+class _JetPass:
+    """What the jets of one pass share: the number n of input directions,
+    and for each packed Hessian entry k >= n of a jet's parts the pair
+    (i, j), i <= j, it belongs to (none for a first-order pass).  Jets tell
+    their passes apart by this object."""
+
+    __slots__ = ("n", "order", "hidx")
+
+    def __init__(self, n, order):
+        fresh_tag()  # jets need no tag, but every pass draws one: tags count passes
+        self.n = n
+        self.order = order
+        pairs = [(i, j) for i in range(n) for j in range(i, n)] if order == 2 else []
+        self.hidx = [(n + k, i, j) for k, (i, j) in enumerate(pairs)]
+
+    def parts(self, y):
+        """(value, gradient, Hessian rows or None) of a pass output ``y``;
+        an output that is no jet is a constant."""
+        n = self.n
+        if isinstance(y, Jet):
+            if y.ps is not self:
+                _mixed_passes()
+            value, d = y.v, y.d
+        else:
+            value, d = y, [0.0] * (n + len(self.hidx))
+        if self.order == 1:
+            return value, d[:n], None
+        hess = [[0.0] * n for _ in range(n)]
+        for k, i, j in self.hidx:
+            hess[i][j] = hess[j][i] = d[k]
+        return value, d[:n], hess
+
+
+def _mixed_passes():
+    raise ValueError("jets of two different passes do not mix")
+
+
+class Jet:
+    """A truncated second-order Taylor expansion over a pass's n inputs.
+
+    ``v`` is the value and ``d`` the list of derivative parts: the n first
+    partials, then the packed upper triangle of the Hessian (entry k >= n
+    is d^2 / dx_i dx_j for the pass's k-th (i, j)).  The lists are never
+    mutated, so jets share them.  Arithmetic with a plain number treats it
+    as a constant.
+    """
+
+    __slots__ = ("v", "d", "ps")
+
+    # numpy scalars on the left defer to the reflected operators
+    __array_ufunc__ = None
+
+    def __init__(self, v, d, ps):
+        self.v = v
+        self.d = d
+        self.ps = ps
+
+    def __repr__(self):
+        return f"Jet(v={self.v!r}, d={self.d!r})"
+
+    def _chain(self, v, d1, d2):
+        """f(self) from v = f(x), d1 = f'(x) and d2 = f''(x) at x = self.v."""
+        d, ps = self.d, self.ps
+        return Jet(
+            v,
+            [d1 * a for a in d[: ps.n]]
+            + [d1 * d[k] + d2 * d[i] * d[j] for k, i, j in ps.hidx],
+            ps,
+        )
+
+    def __add__(self, other):
+        if type(other) is Jet:
+            if other.ps is not self.ps:
+                _mixed_passes()
+            return Jet(self.v + other.v, [a + b for a, b in zip(self.d, other.d)], self.ps)
+        return Jet(self.v + other, self.d, self.ps)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Jet(-self.v, [-a for a in self.d], self.ps)
+
+    def __sub__(self, other):
+        if type(other) is Jet:
+            if other.ps is not self.ps:
+                _mixed_passes()
+            return Jet(self.v - other.v, [a - b for a, b in zip(self.d, other.d)], self.ps)
+        return Jet(self.v - other, self.d, self.ps)
+
+    def __rsub__(self, other):
+        return Jet(other - self.v, [-a for a in self.d], self.ps)
+
+    def __mul__(self, other):
+        if type(other) is Jet:
+            ps = self.ps
+            if other.ps is not ps:
+                _mixed_passes()
+            av, bv, ad, bd, n = self.v, other.v, self.d, other.d, ps.n
+            return Jet(
+                av * bv,
+                [av * b + bv * a for a, b in zip(ad[:n], bd[:n])]
+                + [
+                    av * bd[k] + bv * ad[k] + ad[i] * bd[j] + ad[j] * bd[i]
+                    for k, i, j in ps.hidx
+                ],
+                ps,
+            )
+        return Jet(self.v * other, [a * other for a in self.d], self.ps)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if type(other) is Jet:
+            ps = self.ps
+            if other.ps is not ps:
+                _mixed_passes()
+            # q = a / b from a = q b: q' = (a' - q b') / b and
+            # q'' = (a'' - q b'' - b' q'^T - q' b'^T) / b
+            inv = 1.0 / other.v
+            v, ad, bd, n = self.v / other.v, self.d, other.d, ps.n
+            g = [(a - v * b) * inv for a, b in zip(ad[:n], bd[:n])]
+            return Jet(
+                v,
+                g
+                + [
+                    (ad[k] - v * bd[k] - bd[i] * g[j] - bd[j] * g[i]) * inv
+                    for k, i, j in ps.hidx
+                ],
+                ps,
+            )
+        inv = 1.0 / other
+        return Jet(self.v * inv, [a * inv for a in self.d], self.ps)
+
+    def __rtruediv__(self, other):
+        inv = 1.0 / self.v
+        v = other * inv
+        d1 = -v * inv
+        return self._chain(v, d1, -2.0 * d1 * inv)
+
+    def __pow__(self, n):
+        if isinstance(n, int):
+            if n == 0:
+                return self.v**0
+            if n < 0:
+                return 1.0 / self.__pow__(-n)
+            if n == 1:
+                return self
+            x = self.v
+            return self._chain(x**n, n * x ** (n - 1), n * (n - 1) * x ** (n - 2))
+        return exp(n * log(self))
+
+
 def primal(x):
-    """Strip all dual layers and return the underlying float / complex."""
+    """Strip all dual (or jet) layers and return the underlying float / complex."""
     while isinstance(x, Dual):
         x = x.re
-    return x
+    return x.v if type(x) is Jet else x
 
 
 def dual_part(x, tag):
@@ -153,8 +315,22 @@ def partial(f, args, i):
 
 
 def gradient(f, args):
-    """All first partials of ``f``, one first-order pass per slot."""
-    return [partial(f, args, i) for i in range(len(args))]
+    """All first partials of ``f``, one first-order pass per slot.
+
+    The same tags and parts as :func:`partial` slot by slot, seeded in one
+    loop over one argument list.
+    """
+    seeded = list(args)
+    out = []
+    for i, x in enumerate(args):
+        tag = fresh_tag()
+        seeded[i] = Dual(tag, x, 1.0)
+        val = f(seeded)
+        out.append(
+            [dual_part(v, tag) for v in val] if isinstance(val, list) else dual_part(val, tag)
+        )
+        seeded[i] = x
+    return out
 
 
 def _pair_pass(f, args, i, j):
@@ -179,26 +355,32 @@ def second_partial(f, args, i, j):
     return dual_part(dual_part(out, tj), ti)
 
 
-def taylor2(f, args):
-    """Float value, gradient and symmetric Hessian (list of rows) of ``f``.
+def jet(f, args, order=2):
+    """Value, gradient and Hessian (symmetric list of rows) of ``f`` at
+    ``args`` from one jet pass: one evaluation of ``f`` and one tag.
 
-    One nested pass per pair i <= j, as in :func:`second_partial`.  The
-    diagonal pass (i, i) seeds slot i with ``Dual(tj, Dual(ti, x_i, 1), 1)``,
-    so it also carries the value (its primal) and d_i f (its ``ti`` part):
-    the value, gradient and Hessian come from the same n(n+1)/2 passes.
+    ``order=1`` carries no Hessian and returns ``None`` in its place.  A
+    list-valued ``f`` gives one (value, gradient, Hessian) triple per
+    component.  The parts keep their scalar type (float or complex).
     """
     n = len(args)
-    value = None
-    grad = [0.0] * n
-    hess = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            out, ti, tj = _pair_pass(f, args, i, j)
-            hess[i][j] = hess[j][i] = float(primal(dual_part(dual_part(out, tj), ti)))
-            if i == j:
-                grad[i] = float(primal(dual_part(out, ti)))
-                value = float(primal(out))
-    return value, grad, hess
+    ps = _JetPass(n, order)
+    seeded = []
+    for i, x in enumerate(args):
+        parts = [0.0] * (n + len(ps.hidx))
+        parts[i] = 1.0
+        seeded.append(Jet(x, parts, ps))
+    out = f(seeded)
+    if isinstance(out, list):
+        return [ps.parts(y) for y in out]
+    return ps.parts(out)
+
+
+def taylor2(f, args):
+    """Float value, gradient and symmetric Hessian (list of rows) of ``f``,
+    all from the one jet pass of :func:`jet`."""
+    value, grad, hess = jet(f, args)
+    return float(value), [float(v) for v in grad], [[float(v) for v in row] for row in hess]
 
 
 def hessian(f, args):
@@ -218,22 +400,35 @@ def second_derivative(f, x):
 
 
 # ---------------------------------------------------------------------------
-# generic elementary functions (float / complex / Dual)
+# generic elementary functions (float / complex / Dual / Jet)
 # ---------------------------------------------------------------------------
+
+# A plain float goes straight to ``math``, so evaluations and the float parts
+# of dual passes pay nothing for the dual and jet dispatch below it.
 
 
 def exp(x):
+    if type(x) is float:
+        return math.exp(x)
     if isinstance(x, Dual):
         v = exp(x.re)
         return Dual(x.tag, v, x.du * v)
+    if isinstance(x, Jet):
+        v = exp(x.v)
+        return x._chain(v, v, v)
     return cmath.exp(x) if isinstance(x, complex) else math.exp(x)
 
 
 def expm1(x):
     """exp(x) - 1 without cancellation near 0, also for complex x
     (the complex octant of the relativistic chart needs it)."""
+    if type(x) is float:
+        return math.expm1(x)
     if isinstance(x, Dual):
         return Dual(x.tag, expm1(x.re), x.du * exp(x.re))
+    if isinstance(x, Jet):
+        e = exp(x.v)
+        return x._chain(expm1(x.v), e, e)
     if isinstance(x, complex):
         a, b = x.real, x.imag
         return complex(
@@ -244,87 +439,160 @@ def expm1(x):
 
 
 def log(x):
+    if type(x) is float:
+        return math.log(x)
     if isinstance(x, Dual):
         return Dual(x.tag, log(x.re), x.du / x.re)
+    if isinstance(x, Jet):
+        inv = 1.0 / x.v
+        return x._chain(log(x.v), inv, -inv * inv)
     return cmath.log(x) if isinstance(x, complex) else math.log(x)
 
 
 def log1p(x):
+    if type(x) is float:
+        return math.log1p(x)
     if isinstance(x, Dual):
         return Dual(x.tag, log1p(x.re), x.du / (1.0 + x.re))
+    if isinstance(x, Jet):
+        inv = 1.0 / (1.0 + x.v)
+        return x._chain(log1p(x.v), inv, -inv * inv)
     return cmath.log(1.0 + x) if isinstance(x, complex) else math.log1p(x)
 
 
 def sqrt(x):
+    if type(x) is float:
+        return math.sqrt(x)
     if isinstance(x, Dual):
         v = sqrt(x.re)
         return Dual(x.tag, v, x.du / (2.0 * v))
+    if isinstance(x, Jet):
+        v = sqrt(x.v)
+        d1 = 1.0 / (2.0 * v)
+        return x._chain(v, d1, -d1 / (2.0 * x.v))
     return cmath.sqrt(x) if isinstance(x, complex) else math.sqrt(x)
 
 
 def sin(x):
+    if type(x) is float:
+        return math.sin(x)
     if isinstance(x, Dual):
         return Dual(x.tag, sin(x.re), x.du * cos(x.re))
+    if isinstance(x, Jet):
+        s = sin(x.v)
+        return x._chain(s, cos(x.v), -s)
     return cmath.sin(x) if isinstance(x, complex) else math.sin(x)
 
 
 def cos(x):
+    if type(x) is float:
+        return math.cos(x)
     if isinstance(x, Dual):
         return Dual(x.tag, cos(x.re), -x.du * sin(x.re))
+    if isinstance(x, Jet):
+        c = cos(x.v)
+        return x._chain(c, -sin(x.v), -c)
     return cmath.cos(x) if isinstance(x, complex) else math.cos(x)
 
 
 def tan(x):
+    if type(x) is float:
+        return math.tan(x)
     if isinstance(x, Dual):
         c = cos(x.re)
         return Dual(x.tag, tan(x.re), x.du / (c * c))
+    if isinstance(x, Jet):
+        t, c = tan(x.v), cos(x.v)
+        d1 = 1.0 / (c * c)
+        return x._chain(t, d1, 2.0 * t * d1)
     return cmath.tan(x) if isinstance(x, complex) else math.tan(x)
 
 
 def sinh(x):
+    if type(x) is float:
+        return math.sinh(x)
     if isinstance(x, Dual):
         return Dual(x.tag, sinh(x.re), x.du * cosh(x.re))
+    if isinstance(x, Jet):
+        s = sinh(x.v)
+        return x._chain(s, cosh(x.v), s)
     return cmath.sinh(x) if isinstance(x, complex) else math.sinh(x)
 
 
 def cosh(x):
+    if type(x) is float:
+        return math.cosh(x)
     if isinstance(x, Dual):
         return Dual(x.tag, cosh(x.re), x.du * sinh(x.re))
+    if isinstance(x, Jet):
+        c = cosh(x.v)
+        return x._chain(c, sinh(x.v), c)
     return cmath.cosh(x) if isinstance(x, complex) else math.cosh(x)
 
 
 def tanh(x):
+    if type(x) is float:
+        return math.tanh(x)
     if isinstance(x, Dual):
         c = cosh(x.re)
         return Dual(x.tag, tanh(x.re), x.du / (c * c))
+    if isinstance(x, Jet):
+        t, c = tanh(x.v), cosh(x.v)
+        d1 = 1.0 / (c * c)
+        return x._chain(t, d1, -2.0 * t * d1)
     return cmath.tanh(x) if isinstance(x, complex) else math.tanh(x)
 
 
 def asin(x):
+    if type(x) is float:
+        return math.asin(x)
     if isinstance(x, Dual):
         return Dual(x.tag, asin(x.re), x.du / sqrt(1.0 - x.re * x.re))
+    if isinstance(x, Jet):
+        r = 1.0 / sqrt(1.0 - x.v * x.v)
+        return x._chain(asin(x.v), r, x.v * r * r * r)
     return cmath.asin(x) if isinstance(x, complex) else math.asin(x)
 
 
 def acos(x):
+    if type(x) is float:
+        return math.acos(x)
     if isinstance(x, Dual):
         return Dual(x.tag, acos(x.re), -x.du / sqrt(1.0 - x.re * x.re))
+    if isinstance(x, Jet):
+        r = 1.0 / sqrt(1.0 - x.v * x.v)
+        return x._chain(acos(x.v), -r, -x.v * r * r * r)
     return cmath.acos(x) if isinstance(x, complex) else math.acos(x)
 
 
 def atan(x):
+    if type(x) is float:
+        return math.atan(x)
     if isinstance(x, Dual):
         return Dual(x.tag, atan(x.re), x.du / (1.0 + x.re * x.re))
+    if isinstance(x, Jet):
+        d1 = 1.0 / (1.0 + x.v * x.v)
+        return x._chain(atan(x.v), d1, -2.0 * x.v * d1 * d1)
     return cmath.atan(x) if isinstance(x, complex) else math.atan(x)
 
 
 def asinh(x):
+    if type(x) is float:
+        return math.asinh(x)
     if isinstance(x, Dual):
         return Dual(x.tag, asinh(x.re), x.du / sqrt(x.re * x.re + 1.0))
+    if isinstance(x, Jet):
+        r = 1.0 / sqrt(x.v * x.v + 1.0)
+        return x._chain(asinh(x.v), r, -x.v * r * r * r)
     return cmath.asinh(x) if isinstance(x, complex) else math.asinh(x)
 
 
 def acosh(x):
+    if type(x) is float:
+        return math.acosh(x)
     if isinstance(x, Dual):
         return Dual(x.tag, acosh(x.re), x.du / sqrt(x.re * x.re - 1.0))
+    if isinstance(x, Jet):
+        r = 1.0 / sqrt(x.v * x.v - 1.0)
+        return x._chain(acosh(x.v), r, -x.v * r * r * r)
     return cmath.acosh(x) if isinstance(x, complex) else math.acosh(x)

@@ -17,7 +17,7 @@ from zgeoflow.algebra import (
     integral_extra_2,
     integral_extra_3,
 )
-from zgeoflow.brackets import poisson_bracket
+from zgeoflow.brackets import bracket_matrix, poisson_bracket
 from zgeoflow.phase import EvaluationDomainError, PhasePoint
 
 SINH_1 = 1.1752011936438014
@@ -238,6 +238,51 @@ def test_fundamental_brackets_relativistic(z):
         cart = charts.transform_to_cartesian(pp, z, -1.0)
         res = charts.fundamental_bracket_residuals(cart, z, -1.0)
         assert res.max() < 1e-9
+
+
+def _nested_canonicity(point, z, kappa2):
+    """The six chart functions' gradients one pass per slot, as an oracle."""
+    vals, _ = bracket_matrix(charts.polar_chart_functions(z, kappa2), point)
+    return np.abs(vals - np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(3)))
+
+
+@pytest.mark.parametrize("z", [0.7, 0.3, -0.3, 1e-3, 1e-6, 1e-9, 1e-12,
+                               charts.FLAT_Z_CUTOFF, 0.5 * charts.FLAT_Z_CUTOFF, 0.0])
+@pytest.mark.parametrize("kappa2", [1.0, -1.0])
+def test_chain_rule_canonicity_matches_per_function_gradients(z, kappa2):
+    for pp in relativistic_samples(2, seed=17):
+        point = charts.transform_to_cartesian(pp, z, kappa2)
+        got = charts.fundamental_bracket_residuals(point, z, kappa2)
+        assert np.max(np.abs(got - _nested_canonicity(point, z, kappa2))) < 1e-13
+
+
+@pytest.mark.parametrize("z", [-0.3, -0.1])
+def test_anti_de_sitter_preimage_keeps_its_branch(z):
+    # at a complex polar point (the image of a complex-octant one) the
+    # imaginary parts of q_1^2, q_2^2 carry signed zeros and roundoff; the
+    # preimage must stay on the positive imaginary axis, or the Jacobian
+    # belongs to another preimage (momentum round trip errors near 0.6)
+    for pp in relativistic_samples(4, seed=17):
+        cart = charts.transform_to_cartesian(pp, z, -1.0)
+        x = charts.cart_to_polar(cart.q, z, -1.0)
+        q = charts.polar_to_cart(x, z, -1.0)
+        assert q[0].imag > 0 and q[1].imag > 0
+        back = charts.transform_to_polar(cart, z, -1.0)
+        assert np.max(np.abs(back.momentum() - pp.momentum())) < 1e-12
+        assert charts.fundamental_bracket_residuals(cart, z, -1.0).max() < 1e-9
+
+
+def test_canonicity_takes_two_jet_passes(monkeypatch):
+    tags = []
+    fresh_tag = dual.fresh_tag
+
+    def counted():
+        tags.append(None)
+        return fresh_tag()
+
+    monkeypatch.setattr(dual, "fresh_tag", counted)
+    charts.fundamental_bracket_residuals(PhasePoint([0.5, 0.4, 0.6], [0.2, -0.1, 0.3]), 0.3, 1.0)
+    assert len(tags) == 2
 
 
 def test_momentum_round_trip():

@@ -51,6 +51,15 @@ def test_verify_full_scale(tmp_path):
     assert b'"seed": 42' in content  # resolved config embedded for provenance
 
 
+def test_verify_n8_draw_reads_superintegrable_rank_5(tmp_path):
+    # this n = 8 draw read as rank 3 before the gradient rows were scaled
+    out = tmp_path / "report.txt"
+    code = run(["verify", "--n=8", "--z=0.7", "--samples=1", "--seed=4",
+                "--output", str(out)])
+    assert code == 0
+    assert b"superintegrable_rank = [5]" in read(out)
+
+
 def test_verify_rejects_bad_dimension(capsys):
     assert run(["verify", "--n", "0", "--z", "0.3"]) == 1
     assert "dimension" in capsys.readouterr().err

@@ -2,7 +2,7 @@
 
 Subpackage map:
 
-* :mod:`zgeoflow.dual`      forward-mode dual numbers, generic scalar math
+* :mod:`zgeoflow.dual`      dual numbers, jets, reverse passes, generic scalar math
 * :mod:`zgeoflow.phase`     phase points and phase functions
 * :mod:`zgeoflow.algebra`   deformed generators, Casimirs, Hamiltonians
 * :mod:`zgeoflow.brackets`  exact gradients, Poisson bracket, verification

@@ -54,16 +54,6 @@ class DeformedRealization:
         return (self.j_minus, self.j_plus, self.j_three)
 
 
-def _site_weight(z, q, i, n):
-    """exp(-z sum_{k<i} q_k^2 + z sum_{l>i} q_l^2) for site i of n."""
-    s = 0.0
-    for k in range(i):
-        s = s - q[k] * q[k]
-    for l in range(i + 1, n):
-        s = s + q[l] * q[l]
-    return dual.exp(z * s)
-
-
 def realize_generators(n: int, z: float) -> DeformedRealization:
     """N-site symplectic realization of the deformed generator triple.
 
@@ -82,18 +72,31 @@ def realize_generators(n: int, z: float) -> DeformedRealization:
             out = out + q[i] * q[i]
         return out
 
+    def coefficients(q):
+        """sinhc(z q_i^2) exp(z s_i) per site, the factor J+ and J3 share,
+        with z s_i = sum_{l>i} z q_l^2 - sum_{k<i} z q_k^2 from one running
+        sum each way (O(n) per evaluation)."""
+        zw = [z * (qi * qi) for qi in q]
+        above = [0.0] * n
+        for i in range(n - 1, 0, -1):
+            above[i - 1] = above[i] + zw[i]
+        out = []
+        below = 0.0
+        for i in range(n):
+            out.append(sinhc(zw[i]) * dual.exp(above[i] - below))
+            below = below + zw[i]
+        return out
+
     def j_plus(q, p):
         out = 0.0
-        for i in range(n):
-            qi2 = q[i] * q[i]
-            out = out + sinhc(z * qi2) * p[i] * p[i] * _site_weight(z, q, i, n)
+        for c, pi in zip(coefficients(q), p):
+            out = out + c * pi * pi
         return out
 
     def j_three(q, p):
         out = 0.0
-        for i in range(n):
-            qi2 = q[i] * q[i]
-            out = out + sinhc(z * qi2) * q[i] * p[i] * _site_weight(z, q, i, n)
+        for c, qi, pi in zip(coefficients(q), q, p):
+            out = out + c * qi * pi
         return out
 
     return DeformedRealization(

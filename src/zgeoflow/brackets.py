@@ -1,8 +1,8 @@
 """Exact differentiation, the canonical Poisson bracket and verification tools.
 
-The primary differentiation path is forward-mode dual numbers (machine
-precision, nestable); a central finite-difference path exists purely as an
-independent cross-check oracle and is never used by the bracket itself.
+Gradients are one reverse pass of :mod:`zgeoflow.dual` (machine precision);
+a central finite-difference path exists purely as an independent
+cross-check oracle and is never used by the bracket itself.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class PhaseGradient:
 
 @np.errstate(all="ignore")
 def gradient(f: PhaseFunction, x: PhasePoint) -> PhaseGradient:
-    """Machine-precision gradient of ``f`` at ``x`` via dual numbers.
+    """Machine-precision gradient of ``f`` at ``x`` from one reverse pass.
 
     A non-finite gradient raises EvaluationDomainError; numpy's warnings on
     the way there (complex points carry numpy scalars) are silenced.
@@ -49,11 +49,12 @@ def gradient(f: PhaseFunction, x: PhasePoint) -> PhaseGradient:
 
 
 def gradient_lists(f: PhaseFunction, q: list, p: list):
-    """Gradient on raw coordinate lists; hot-loop variant of :func:`gradient`."""
-    return (
-        dual.gradient(lambda qs: f.fn(qs, p), q),
-        dual.gradient(lambda ps: f.fn(q, ps), p),
-    )
+    """Gradient on raw coordinate lists; hot-loop variant of :func:`gradient`.
+
+    One reverse pass over all 2n coordinates gives (dq, dp)."""
+    n = len(q)
+    grad = dual.gradient(lambda qp: f.fn(qp[:n], qp[n:]), [*q, *p])
+    return grad[:n], grad[n:]
 
 
 def gradient_fd(f: PhaseFunction, x: PhasePoint) -> PhaseGradient:
@@ -121,23 +122,6 @@ def bracket_residual(f: PhaseFunction, g: PhaseFunction, x: PhasePoint, target=0
     """
     vals, scales = bracket_matrix((f, g), x)
     return float(_scaled_residual(vals[0, 1], scales[0, 1], target))
-
-
-def bracket_function(f: PhaseFunction, g: PhaseFunction) -> PhaseFunction:
-    """{f, g} as a PhaseFunction, differentiable again (nested duals)."""
-    if f.arity != g.arity:
-        raise ValueError("arity mismatch between bracket arguments")
-    n = f.arity
-
-    def fn(q, p):
-        fq, fp = gradient_lists(f, q, p)
-        gq, gp = gradient_lists(g, q, p)
-        out = 0.0
-        for i in range(n):
-            out = out + fq[i] * gp[i] - fp[i] * gq[i]
-        return out
-
-    return PhaseFunction(n, fn, f"{{{f.label},{g.label}}}")
 
 
 def sample_points(n: int, samples: int, seed: int, scale: float = 2.0):

@@ -136,6 +136,8 @@ def _times_i(x):
         return dual.Dual(x.tag, _times_i(x.re), _times_i(x.du))
     if isinstance(x, dual.Jet):
         return dual.Jet(_times_i(x.v), [_times_i(a) for a in x.d], x.ps)
+    if isinstance(x, dual.Rev):
+        return x._chain(_times_i(x.v), 1j)
     return 1j * x if isinstance(x, complex) else complex(0.0, x)
 
 

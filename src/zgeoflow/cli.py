@@ -69,6 +69,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 
+#: ``transform`` exits 2 unless its residuals are below these
+#: (the round-trip and canonicity tolerances of acceptance criterion 6)
+ROUNDTRIP_TOLERANCE = 1e-10
+CANONICITY_TOLERANCE = 1e-9
+
 FAMILY_REGISTRY = {
     "one": (lambda x: 1.0, "1"),
     "exp": (dual.exp, "exp"),
@@ -601,6 +606,18 @@ def cmd_transform(cfg) -> int:
         print(f"error: out of chart{rel}: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     _write(cfg["output"], _json_report(cfg, results, residuals))
+    # written as not (x < tol), so that a nan residual fails too
+    failures = [
+        f"{name} {value:.3e} is not below {tol:g}"
+        for name, value, tol in (
+            ("roundtrip_error", results.get("roundtrip_error"), ROUNDTRIP_TOLERANCE),
+            ("canonicity_max", residuals.get("canonicity_max"), CANONICITY_TOLERANCE),
+        )
+        if value is not None and not value < tol
+    ]
+    if failures:
+        print("error: " + "; ".join(failures), file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 

@@ -1,30 +1,43 @@
-"""Forward-mode dual numbers and the package's one differentiation core.
+"""Dual numbers, jets and reverse passes: the package's one differentiation core.
 
 Every quantity in this package that ever gets differentiated (generators,
 Hamiltonians, metric components, chart maps) is written against the generic
 scalar functions defined here, so the same code path evaluates on floats,
-complex numbers and ``Dual`` values.  Nested derivatives (Hessians, curvature
-tensors, brackets of brackets) work because each differentiation pass carries
-a fresh tag: mixing duals from different passes treats the older one as a
-constant, which is exactly the perturbation-confusion-safe rule.
+complex numbers, ``Dual``, ``Jet`` and ``Rev`` values.  Nested derivatives
+(brackets of brackets, third partials) work because each forward dual pass
+carries a fresh tag: mixing duals from different passes treats the older
+one as a constant, which is exactly the perturbation-confusion-safe rule.
 
 Second order has its own number type, :class:`Jet`: a truncated Taylor
 expansion that carries the value, the gradient and the packed Hessian over
 all n input directions at once, so one evaluation of ``f`` (one pass) gives
 all three (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).
-Every elementary function below maps a jet through one chain rule from its
-(f, f', f'') at the jet's value, for real and complex values alike.  A jet
-pass is always the outermost one: its inputs are plain floats or complex
-numbers, and jets never meet duals.
+
+A full gradient is one reverse pass (ibid., ch. 3-4): one evaluation of
+``f`` on :class:`Rev` nodes records each operation's local partials on a
+tape, and one backward sweep over the tape accumulates the adjoints, at a
+cost independent of the number of inputs (Baur & Strassen 1983).
+
+Every elementary function below has a branch for each type: a jet maps
+through (f, f', f'') at its value, a dual and a reverse node through f',
+all on the generic function of the value, so complex points work too.
+
+Nesting rule.  Jet and reverse passes are outermost: their inputs are plain
+floats or complex numbers.  Forward dual passes may run inside a reverse
+pass (a ``Dual`` then wraps reverse nodes; the nodes' operators return
+``NotImplemented`` for a ``Dual`` operand, so the dual stays the outer
+layer), but never inside a jet pass.  Nodes of two reverse passes, like
+jets of two jet passes, do not mix: a reverse pass inside a reverse pass
+raises ``ValueError``.
 
 The helpers :func:`partial`, :func:`gradient`, :func:`second_partial`,
 :func:`jet`, :func:`taylor2`, :func:`hessian` and the one-variable
 :func:`derivative` are the only code in the package that creates tags,
 seeds inputs and extracts derivative parts; every other module
 differentiates through them.  Each call of ``f`` is one pass and draws its
-own tags: first partials take one first-order dual pass per slot, a single
-second partial one nested dual pass, and a value-gradient-Hessian triple
-one jet pass.
+own tags: a first partial is one dual pass, a gradient one reverse pass, a
+single second partial one nested dual pass, and a value-gradient-Hessian
+triple one jet pass.
 """
 
 from __future__ import annotations
@@ -279,11 +292,146 @@ class Jet:
         return exp(n * log(self))
 
 
+def _mixed_tapes():
+    raise ValueError("nodes of two different reverse passes do not mix")
+
+
+class Rev:
+    """A node of a reverse pass: value ``v`` and index ``k`` on the tape ``t``.
+
+    Tape entry k is the flat tuple (i, d_i) or (i, d_i, j, d_j) of node k's
+    parents and local partials; the pass's n inputs are entries 0..n-1.
+    Adding a constant records nothing: x + c shares the index of x, since
+    its partial is 1.  Arithmetic with a plain number treats it as a
+    constant; a ``Dual`` operand is left to the dual's operators.
+    """
+
+    __slots__ = ("v", "k", "t")
+
+    # numpy scalars on the left defer to the reflected operators
+    __array_ufunc__ = None
+
+    def __init__(self, v, k, t):
+        self.v = v
+        self.k = k
+        self.t = t
+
+    def __repr__(self):
+        return f"Rev(v={self.v!r}, k={self.k})"
+
+    def _chain(self, v, d):
+        """The node f(self) from v = f(x) and d = f'(x) at x = self.v."""
+        t = self.t
+        t.append((self.k, d))
+        return Rev(v, len(t) - 1, t)
+
+    # the operators record their entries inline: one call less per operation
+
+    def __add__(self, other):
+        if type(other) is Rev:
+            t = self.t
+            if other.t is not t:
+                _mixed_tapes()
+            t.append((self.k, 1.0, other.k, 1.0))
+            return Rev(self.v + other.v, len(t) - 1, t)
+        if type(other) is Dual:
+            return NotImplemented
+        return Rev(self.v + other, self.k, self.t)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        t = self.t
+        t.append((self.k, -1.0))
+        return Rev(-self.v, len(t) - 1, t)
+
+    def __sub__(self, other):
+        if type(other) is Rev:
+            t = self.t
+            if other.t is not t:
+                _mixed_tapes()
+            t.append((self.k, 1.0, other.k, -1.0))
+            return Rev(self.v - other.v, len(t) - 1, t)
+        if type(other) is Dual:
+            return NotImplemented
+        return Rev(self.v - other, self.k, self.t)
+
+    def __rsub__(self, other):
+        t = self.t
+        t.append((self.k, -1.0))
+        return Rev(other - self.v, len(t) - 1, t)
+
+    def __mul__(self, other):
+        t = self.t
+        if type(other) is Rev:
+            if other.t is not t:
+                _mixed_tapes()
+            a, b = self.v, other.v
+            t.append((self.k, b, other.k, a))
+            return Rev(a * b, len(t) - 1, t)
+        if type(other) is Dual:
+            return NotImplemented
+        t.append((self.k, other))
+        return Rev(self.v * other, len(t) - 1, t)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        t = self.t
+        if type(other) is Rev:
+            if other.t is not t:
+                _mixed_tapes()
+            inv = 1.0 / other.v
+            v = self.v * inv
+            t.append((self.k, inv, other.k, -v * inv))
+            return Rev(v, len(t) - 1, t)
+        if type(other) is Dual:
+            return NotImplemented
+        inv = 1.0 / other
+        t.append((self.k, inv))
+        return Rev(self.v * inv, len(t) - 1, t)
+
+    def __rtruediv__(self, other):
+        inv = 1.0 / self.v
+        v = other * inv
+        return self._chain(v, -v * inv)
+
+    def __pow__(self, n):
+        if isinstance(n, int):
+            if n == 0:
+                return self.v**0
+            x = self.v
+            return self._chain(x**n, n * x ** (n - 1))
+        return exp(n * log(self))
+
+
+#: the package's number types, none of which a reverse pass takes as input
+_NUMBER_TYPES = frozenset((Dual, Jet, Rev))
+
+
+def _sweep(tape, y, n):
+    """Adjoints of the n inputs of ``tape`` for the pass output ``y``: one
+    backward sweep; an output that is no node is a constant."""
+    if type(y) is not Rev:
+        return [0.0] * n
+    if y.t is not tape:
+        _mixed_tapes()
+    adj = [0.0] * len(tape)
+    adj[y.k] = 1.0
+    for k in range(y.k, n - 1, -1):
+        a = adj[k]
+        e = tape[k]
+        adj[e[0]] += a * e[1]
+        if len(e) == 4:
+            adj[e[2]] += a * e[3]
+    return adj[:n]
+
+
 def primal(x):
-    """Strip all dual (or jet) layers and return the underlying float / complex."""
+    """Strip all dual, jet or reverse layers and return the underlying float / complex."""
     while isinstance(x, Dual):
         x = x.re
-    return x.v if type(x) is Jet else x
+    return x.v if type(x) is Jet or type(x) is Rev else x
 
 
 def dual_part(x, tag):
@@ -315,22 +463,22 @@ def partial(f, args, i):
 
 
 def gradient(f, args):
-    """All first partials of ``f``, one first-order pass per slot.
+    """All first partials of ``f`` at float or complex ``args`` from one
+    reverse pass: one evaluation of ``f`` (one tag) and one backward sweep.
 
-    The same tags and parts as :func:`partial` slot by slot, seeded in one
-    loop over one argument list.
+    A list-valued ``f`` gives the list of Jacobian columns, as
+    :func:`partial` slot by slot does, from one sweep per component.
     """
-    seeded = list(args)
-    out = []
-    for i, x in enumerate(args):
-        tag = fresh_tag()
-        seeded[i] = Dual(tag, x, 1.0)
-        val = f(seeded)
-        out.append(
-            [dual_part(v, tag) for v in val] if isinstance(val, list) else dual_part(val, tag)
-        )
-        seeded[i] = x
-    return out
+    n = len(args)
+    if not _NUMBER_TYPES.isdisjoint(map(type, args)):
+        raise ValueError("a reverse pass is outermost: its inputs are floats or complex")
+    fresh_tag()  # the tape needs no tag, but every pass draws one: tags count passes
+    tape = [None] * n
+    out = f([Rev(x, k, tape) for k, x in enumerate(args)])
+    if isinstance(out, list):
+        rows = [_sweep(tape, y, n) for y in out]
+        return [[row[i] for row in rows] for i in range(n)]
+    return _sweep(tape, out, n)
 
 
 def _pair_pass(f, args, i, j):
@@ -400,16 +548,20 @@ def second_derivative(f, x):
 
 
 # ---------------------------------------------------------------------------
-# generic elementary functions (float / complex / Dual / Jet)
+# generic elementary functions (float / complex / Dual / Jet / Rev)
 # ---------------------------------------------------------------------------
 
 # A plain float goes straight to ``math``, so evaluations and the float parts
-# of dual passes pay nothing for the dual and jet dispatch below it.
+# of dual passes pay nothing for the dispatch below it; reverse nodes, the
+# hot case of every gradient, come next.
 
 
 def exp(x):
     if type(x) is float:
         return math.exp(x)
+    if type(x) is Rev:
+        v = exp(x.v)
+        return x._chain(v, v)
     if isinstance(x, Dual):
         v = exp(x.re)
         return Dual(x.tag, v, x.du * v)
@@ -424,6 +576,8 @@ def expm1(x):
     (the complex octant of the relativistic chart needs it)."""
     if type(x) is float:
         return math.expm1(x)
+    if type(x) is Rev:
+        return x._chain(expm1(x.v), exp(x.v))
     if isinstance(x, Dual):
         return Dual(x.tag, expm1(x.re), x.du * exp(x.re))
     if isinstance(x, Jet):
@@ -441,6 +595,8 @@ def expm1(x):
 def log(x):
     if type(x) is float:
         return math.log(x)
+    if type(x) is Rev:
+        return x._chain(log(x.v), 1.0 / x.v)
     if isinstance(x, Dual):
         return Dual(x.tag, log(x.re), x.du / x.re)
     if isinstance(x, Jet):
@@ -452,17 +608,26 @@ def log(x):
 def log1p(x):
     if type(x) is float:
         return math.log1p(x)
+    if type(x) is Rev:
+        return x._chain(log1p(x.v), 1.0 / (1.0 + x.v))
     if isinstance(x, Dual):
         return Dual(x.tag, log1p(x.re), x.du / (1.0 + x.re))
     if isinstance(x, Jet):
         inv = 1.0 / (1.0 + x.v)
         return x._chain(log1p(x.v), inv, -inv * inv)
-    return cmath.log(1.0 + x) if isinstance(x, complex) else math.log1p(x)
+    if isinstance(x, complex):
+        # log|1 + x| and arg(1 + x) without rounding 1 + x: small |x| keeps its digits
+        a, b = x.real, x.imag
+        return complex(0.5 * math.log1p(2.0 * a + a * a + b * b), math.atan2(b, 1.0 + a))
+    return math.log1p(x)
 
 
 def sqrt(x):
     if type(x) is float:
         return math.sqrt(x)
+    if type(x) is Rev:
+        v = sqrt(x.v)
+        return x._chain(v, 1.0 / (2.0 * v))
     if isinstance(x, Dual):
         v = sqrt(x.re)
         return Dual(x.tag, v, x.du / (2.0 * v))
@@ -476,6 +641,8 @@ def sqrt(x):
 def sin(x):
     if type(x) is float:
         return math.sin(x)
+    if type(x) is Rev:
+        return x._chain(sin(x.v), cos(x.v))
     if isinstance(x, Dual):
         return Dual(x.tag, sin(x.re), x.du * cos(x.re))
     if isinstance(x, Jet):
@@ -487,6 +654,8 @@ def sin(x):
 def cos(x):
     if type(x) is float:
         return math.cos(x)
+    if type(x) is Rev:
+        return x._chain(cos(x.v), -sin(x.v))
     if isinstance(x, Dual):
         return Dual(x.tag, cos(x.re), -x.du * sin(x.re))
     if isinstance(x, Jet):
@@ -498,6 +667,9 @@ def cos(x):
 def tan(x):
     if type(x) is float:
         return math.tan(x)
+    if type(x) is Rev:
+        c = cos(x.v)
+        return x._chain(tan(x.v), 1.0 / (c * c))
     if isinstance(x, Dual):
         c = cos(x.re)
         return Dual(x.tag, tan(x.re), x.du / (c * c))
@@ -511,6 +683,8 @@ def tan(x):
 def sinh(x):
     if type(x) is float:
         return math.sinh(x)
+    if type(x) is Rev:
+        return x._chain(sinh(x.v), cosh(x.v))
     if isinstance(x, Dual):
         return Dual(x.tag, sinh(x.re), x.du * cosh(x.re))
     if isinstance(x, Jet):
@@ -522,6 +696,8 @@ def sinh(x):
 def cosh(x):
     if type(x) is float:
         return math.cosh(x)
+    if type(x) is Rev:
+        return x._chain(cosh(x.v), sinh(x.v))
     if isinstance(x, Dual):
         return Dual(x.tag, cosh(x.re), x.du * sinh(x.re))
     if isinstance(x, Jet):
@@ -533,6 +709,9 @@ def cosh(x):
 def tanh(x):
     if type(x) is float:
         return math.tanh(x)
+    if type(x) is Rev:
+        c = cosh(x.v)
+        return x._chain(tanh(x.v), 1.0 / (c * c))
     if isinstance(x, Dual):
         c = cosh(x.re)
         return Dual(x.tag, tanh(x.re), x.du / (c * c))
@@ -546,6 +725,8 @@ def tanh(x):
 def asin(x):
     if type(x) is float:
         return math.asin(x)
+    if type(x) is Rev:
+        return x._chain(asin(x.v), 1.0 / sqrt(1.0 - x.v * x.v))
     if isinstance(x, Dual):
         return Dual(x.tag, asin(x.re), x.du / sqrt(1.0 - x.re * x.re))
     if isinstance(x, Jet):
@@ -557,6 +738,8 @@ def asin(x):
 def acos(x):
     if type(x) is float:
         return math.acos(x)
+    if type(x) is Rev:
+        return x._chain(acos(x.v), -1.0 / sqrt(1.0 - x.v * x.v))
     if isinstance(x, Dual):
         return Dual(x.tag, acos(x.re), -x.du / sqrt(1.0 - x.re * x.re))
     if isinstance(x, Jet):
@@ -568,6 +751,8 @@ def acos(x):
 def atan(x):
     if type(x) is float:
         return math.atan(x)
+    if type(x) is Rev:
+        return x._chain(atan(x.v), 1.0 / (1.0 + x.v * x.v))
     if isinstance(x, Dual):
         return Dual(x.tag, atan(x.re), x.du / (1.0 + x.re * x.re))
     if isinstance(x, Jet):
@@ -579,6 +764,8 @@ def atan(x):
 def asinh(x):
     if type(x) is float:
         return math.asinh(x)
+    if type(x) is Rev:
+        return x._chain(asinh(x.v), 1.0 / sqrt(x.v * x.v + 1.0))
     if isinstance(x, Dual):
         return Dual(x.tag, asinh(x.re), x.du / sqrt(x.re * x.re + 1.0))
     if isinstance(x, Jet):
@@ -590,6 +777,8 @@ def asinh(x):
 def acosh(x):
     if type(x) is float:
         return math.acosh(x)
+    if type(x) is Rev:
+        return x._chain(acosh(x.v), 1.0 / sqrt(x.v * x.v - 1.0))
     if isinstance(x, Dual):
         return Dual(x.tag, acosh(x.re), x.du / sqrt(x.re * x.re - 1.0))
     if isinstance(x, Jet):

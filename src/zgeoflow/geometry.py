@@ -121,7 +121,8 @@ def line_element_from_hamiltonian(
 
 
 def _first_partials(g: DiagonalMetric, q):
-    """g values and exact first partials d1[i][k] = d_i g_kk (first-order passes)."""
+    """g values and exact first partials d1[i][k] = d_i g_kk (one reverse
+    pass per component)."""
     q = [float(v) for v in q]
     gval = g.values(q)
     d1 = [[float(dual.primal(v)) for v in dual.gradient(c, q)] for c in g.components]

@@ -211,6 +211,50 @@ def test_undeformed_limit_is_flat_bilinears():
         assert gen.j_three(x) == pytest.approx(float(np.dot(x.q, x.p)), rel=1e-15)
 
 
+def quadratic_site_generators(n, z):
+    """J+ and J3 with every site weight exp(z s_i) summed afresh, O(n^2)."""
+
+    def weight(q, i):
+        s = 0.0
+        for k in range(i):
+            s = s - q[k] * q[k]
+        for l in range(i + 1, n):
+            s = s + q[l] * q[l]
+        return dual.exp(z * s)
+
+    def j_plus(q, p):
+        out = 0.0
+        for i in range(n):
+            out = out + sinhc(z * (q[i] * q[i])) * p[i] * p[i] * weight(q, i)
+        return out
+
+    def j_three(q, p):
+        out = 0.0
+        for i in range(n):
+            out = out + sinhc(z * (q[i] * q[i])) * q[i] * p[i] * weight(q, i)
+        return out
+
+    return j_plus, j_three
+
+
+@pytest.mark.parametrize("z", [-0.4, 0.3])
+def test_running_site_sums_match_the_quadratic_formula(z):
+    # the realization's running prefix and suffix sums against the per-site
+    # sums, values and gradients, at n = 1..32, to 1e-13 x max(1, |value|)
+    for n in range(1, 33):
+        gen = realize_generators(n, z)
+        slow_fns = quadratic_site_generators(n, z)
+        for x in random_points(n, 2, seed=n):
+            q, p = x.scalars()
+            for fast, slow in zip((gen.j_plus, gen.j_three), slow_fns):
+                want = slow(q, p)
+                tol = 1e-13 * max(1.0, abs(want))
+                assert abs(fast.raw(q, p) - want) <= tol, n
+                got = dual.gradient(lambda a: fast.raw(a[:n], a[n:]), q + p)
+                ref = dual.gradient(lambda a: slow(a[:n], a[n:]), q + p)
+                assert max(abs(g - r) for g, r in zip(got, ref)) <= tol, n
+
+
 def test_zero_sites_rejected():
     with pytest.raises(ValueError):
         realize_generators(0, 0.3)

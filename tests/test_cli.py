@@ -1,5 +1,6 @@
 """CLI: exit codes, file outputs, determinism, config precedence."""
 
+import cmath
 import contextlib
 import dataclasses
 import io
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zgeoflow import cli
+from zgeoflow import cli, dual
 from zgeoflow.cli import main
 
 
@@ -349,9 +350,43 @@ def test_to_cartesian_roundtrip_compares_momenta(tmp_path, monkeypatch):
         ["transform", "--direction", "to-cartesian", "--q", "1.0,0.7,0.8",
          "--p", "0.3,0.2,0.1", "--z", "0.3", "--roundtrip", "--output", str(out)]
     )
-    assert code == 0
+    assert code == 2  # the round-trip gate (1e-10) catches it, after writing
     trip = json.loads(read(out))["results"]["roundtrip_error"]
     assert trip == pytest.approx(1e-6, rel=1e-6)
+
+
+_SMALL_Z_COMPLEX_OCTANT = [
+    "transform", "--direction=to-cartesian", "--kappa2=-1", "--q=0.6,0.5,0.7",
+    "--p=0.3,-0.8,0.5", "--roundtrip", "--canonicity",
+]
+
+
+def test_transform_gates_its_residuals(tmp_path, monkeypatch, capsys):
+    # log(1 + x) formed in complex arithmetic, as dual.log1p once did, loses
+    # the small complex arguments of the kappa2 < 0 chart at z = 1e-13:
+    # round trip 6.2e-3 and canonicity 1.2e-2; the command must exit 2
+    exact = dual.log1p
+
+    def rounded_log1p(x):
+        return cmath.log(1.0 + x) if isinstance(x, complex) else exact(x)
+
+    monkeypatch.setattr(dual, "log1p", rounded_log1p)
+    out = tmp_path / "gate.json"
+    assert run(_SMALL_Z_COMPLEX_OCTANT + ["--z=1e-13", f"--output={out}"]) == 2
+    err = capsys.readouterr().err
+    assert "error: roundtrip_error" in err and "canonicity_max" in err
+    doc = json.loads(read(out))  # the report is written before the gate
+    assert doc["results"]["roundtrip_error"] > 1e-3
+    assert doc["residuals"]["canonicity_max"] > 1e-3
+
+
+@pytest.mark.parametrize("z", ["1e-9", "1e-12", "1e-13"])
+def test_transform_complex_octant_at_small_z(tmp_path, z):
+    out = tmp_path / "small.json"
+    assert run(_SMALL_Z_COMPLEX_OCTANT + [f"--z={z}", f"--output={out}"]) == 0
+    doc = json.loads(read(out))
+    assert doc["results"]["roundtrip_error"] <= 1e-12
+    assert doc["residuals"]["canonicity_max"] <= 1e-12
 
 
 def test_simulate_metadata_has_solver_stats(tmp_path):

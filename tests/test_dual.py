@@ -1,4 +1,4 @@
-"""Exactness and nesting of the forward-mode dual numbers."""
+"""Exactness and nesting of the dual numbers, jets and reverse passes."""
 
 import cmath
 import math
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zgeoflow import dual
+from zgeoflow import algebra, charts, dual
 from zgeoflow.algebra import hamiltonian_superintegrable, realize_generators
 from zgeoflow.brackets import gradient, gradient_fd, gradient_lists, sample_points
 from zgeoflow.dual import Dual, derivative, partial, primal, second_derivative
@@ -319,7 +319,7 @@ def test_taylor2_value_gradient_hessian(f, args):
     assert hess == dual.hessian(f, args)
     ref = float(primal(f(args)))
     assert abs(value - ref) <= 2 * math.ulp(ref)
-    ref_grad = [float(primal(v)) for v in dual.gradient(f, args)]
+    ref_grad = [float(primal(partial(f, args, i))) for i in range(n)]
     for got, want in zip(grad, ref_grad):
         assert abs(got - want) <= 1e-13 * abs(want)
     assert all(type(v) is float for v in (value, *grad, *sum(hess, [])))
@@ -335,14 +335,16 @@ def test_bracket_gradients_agree_bit_for_bit():
 
 
 def test_gradient_matches_partial_slot_by_slot():
-    # the one seeding loop draws the same tags and gives the same parts
+    # one reverse pass (one tag) against one dual pass per slot
     jp = realize_generators(3, 0.3).j_plus
     f = lambda qs: jp.raw(qs, [0.4, -0.9, 0.2])  # noqa: E731
     args = [0.3, -0.5, 0.7]
     tags = dual.fresh_tag()
     got = dual.gradient(f, args)
-    assert dual.fresh_tag() - tags == len(args) + 1
-    assert got == [partial(f, args, i) for i in range(len(args))]
+    assert dual.fresh_tag() - tags == 2
+    for i, g in enumerate(got):
+        want = partial(f, args, i)
+        assert abs(g - want) <= 1e-15 * max(1.0, abs(want))
     vec = lambda xs: [xs[0] * xs[1], dual.sin(xs[1]), 2.0]  # noqa: E731
     assert dual.gradient(vec, args) == [partial(vec, args, i) for i in range(3)]
     assert args == [0.3, -0.5, 0.7]
@@ -428,3 +430,201 @@ def test_jets_of_two_passes_do_not_mix():
     dual.jet(lambda a: inner.append(a[0]) or a[0], [1.0])
     with pytest.raises(ValueError, match="different passes"):
         dual.jet(lambda a: a[0] * inner[0], [2.0])
+
+
+# --------------------------------------------------------------------------
+# reverse passes: one recorded evaluation and one backward sweep
+# --------------------------------------------------------------------------
+
+
+def _flat(f):
+    n = f.arity
+    return lambda a: f.fn(a[:n], a[n:])
+
+
+def _algebra_functions(n, z):
+    funcs = [
+        *realize_generators(n, z).as_tuple(),
+        algebra.casimir_one(z, n),
+        algebra.hamiltonian_integrable(n, z),
+        algebra.hamiltonian_superintegrable(n, z),
+        algebra.hamiltonian_family(n, z, dual.exp, "exp"),
+        algebra.hamiltonian_family(n, z, lambda x: 1.0 + x, "1+x"),
+    ]
+    funcs += [algebra.casimir_m(m, n, z) for m in range(2, n + 1)]
+    if n >= 2:
+        funcs.append(algebra.integral_extra_2(z, n))
+    if n >= 3:
+        funcs.append(algebra.integral_extra_3(z, n))
+    return funcs
+
+
+def _complex_octant(x):
+    """A complex point of the kappa2 < 0 kind: q1, q2 and p1, p2 imaginary."""
+    q, p = x.scalars()
+    return (
+        [1j * v if i < 2 else complex(v) for i, v in enumerate(q)],
+        [-1j * v if i < 2 else complex(v) for i, v in enumerate(p)],
+    )
+
+
+def _term_sizes(f, args):
+    """For each input, the sum over all paths from the output of |product of
+    local partials|: the size of the terms its derivative sums, so the
+    level its roundoff lives at (at least |df/dx_i|).  Entries that cancel
+    (the Casimirs; sinh(x)/x just above its series cutoff) are far smaller."""
+    n = len(args)
+    tape = [None] * n
+    y = f([dual.Rev(x, k, tape) for k, x in enumerate(args)])
+    size = [0.0] * len(tape)
+    if type(y) is dual.Rev:
+        size[y.k] = 1.0
+        for k in range(y.k, n - 1, -1):
+            e = tape[k]
+            size[e[0]] += size[k] * abs(e[1])
+            if len(e) == 4:
+                size[e[2]] += size[k] * abs(e[3])
+    return size[:n]
+
+
+def _assert_matches_partial(f, q, p):
+    args = [*q, *p]
+    got = dual.gradient(_flat(f), args)
+    assert len(got) == len(args)
+    for i, (g, size) in enumerate(zip(got, _term_sizes(_flat(f), args))):
+        want = partial(_flat(f), args, i)
+        assert abs(g - want) <= 2e-15 * max(1.0, size), (f.label, i, g, want, size)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("z", [0.3, -0.7])
+def test_reverse_gradient_matches_partial_algebra(n, z):
+    for x in sample_points(n, 2, seed=40 + n, scale=1.0):
+        for f in _algebra_functions(n, z):
+            _assert_matches_partial(f, *x.scalars())
+            _assert_matches_partial(f, *_complex_octant(x))
+
+
+def test_reverse_gradient_matches_partial_at_n32():
+    h = algebra.hamiltonian_integrable(32, 0.3)
+    for x in sample_points(32, 2, seed=32, scale=1.0):
+        _assert_matches_partial(h, *x.scalars())
+
+
+@pytest.mark.parametrize("kappa2", [1.0, -1.0])
+@pytest.mark.parametrize("z", [0.4, -0.3])
+def test_reverse_gradient_matches_partial_charts(z, kappa2):
+    polar = [charts.integrable_polar_system(z, kappa2),
+             charts.superintegrable_polar_system(z, kappa2)]
+    x = PhasePoint([0.7, 0.6, 0.5], [0.2, -0.3, 0.4])
+    for system in polar:
+        for f in (system.hamiltonian, *system.constants.values()):
+            _assert_matches_partial(f, *x.scalars())
+    # the chart variables on the Cartesian side, a dual pass inside each
+    # momentum function's reverse pass; complex octant for kappa2 < 0
+    cart = charts.transform_to_cartesian(charts.PolarPoint(0.6, 0.5, 0.7, 0.3, -0.8, 0.5),
+                                         z, kappa2)
+    q, p = cart.scalars()
+    assert (kappa2 < 0) == isinstance(q[0], complex)
+    for f in charts.polar_chart_functions(z, kappa2):
+        _assert_matches_partial(f, q, p)
+
+
+@pytest.mark.parametrize("kappa2", [1.0, -1.0])
+def test_reverse_gradient_matches_fd_on_polar_systems(kappa2):
+    x = PhasePoint([0.7, 0.6, 0.5], [0.2, -0.3, 0.4])
+    for system in (charts.integrable_polar_system(0.4, kappa2),
+                   charts.superintegrable_polar_system(0.4, kappa2)):
+        for f in (system.hamiltonian, *system.constants.values()):
+            got = gradient(f, x).flat()
+            assert list(got) == pytest.approx(list(gradient_fd(f, x).flat()),
+                                              rel=1e-7, abs=1e-9), f.label
+
+
+@pytest.mark.parametrize("fn, d1, d2, x0", _JET_RULES, ids=[r[0].__name__ for r in _JET_RULES])
+@pytest.mark.parametrize("shift", [0.0, 0.2j], ids=["real", "complex"])
+def test_reverse_elementary_functions_against_closed_forms(fn, d1, d2, x0, shift):
+    x = x0 + shift
+    (got,) = dual.gradient(lambda a: fn(a[0]), [x])
+    assert abs(got - d1(x)) <= 1e-14 * max(1.0, abs(d1(x)))
+    if shift == 0.0:
+        assert type(got) is float
+    # through a linear map of two inputs: f' u
+    u = [0.3, -1.7]
+    grad = dual.gradient(lambda a: fn(u[0] * a[0] + u[1] * a[1] + x), [0.0, 0.0])
+    for i in range(2):
+        assert abs(grad[i] - d1(x) * u[i]) <= 1e-14 * max(1.0, abs(d1(x)))
+
+
+def test_reverse_arithmetic_against_closed_forms():
+    def f(a):
+        x, y = a
+        return (x**3 - 2.0 / y + y**-2 - x) / (1.0 - x * y) + (3.0 - x) * x ** 0.5 - (-y)
+
+    x, y = 0.6, 1.4
+    num = x**3 - 2.0 / y + y**-2 - x
+    den = 1.0 - x * y
+    want = [
+        (3 * x**2 - 1.0) / den + num * y / den**2 - x**0.5 + (3.0 - x) * 0.5 * x**-0.5,
+        (2.0 / y**2 - 2 * y**-3) / den + num * x / den**2 + 1.0,
+    ]
+    assert dual.gradient(f, [x, y]) == pytest.approx(want, rel=1e-14)
+    # x + c shares the node of x; a constant or an input as output
+    assert dual.gradient(lambda a: a[1] + 2.0, [x, y]) == [0.0, 1.0]
+    assert dual.gradient(lambda a: 2.5, [x, y]) == [0.0, 0.0]
+
+
+def test_reverse_list_valued():
+    def f(a):
+        x, y = a
+        xy = x * y
+        return [xy, dual.exp(xy) + y, 2.0, x + 1.0]
+
+    x, y = 0.5, -0.2
+    cols = dual.gradient(f, [x, y])
+    e = math.exp(x * y)
+    assert cols[0] == pytest.approx([y, y * e, 0.0, 1.0], rel=1e-15)
+    assert cols[1] == pytest.approx([x, x * e + 1.0, 0.0, 0.0], rel=1e-15)
+    assert cols == [partial(f, [x, y], i) for i in range(2)]
+
+
+def test_dual_pass_inside_reverse_pass():
+    # a Dual wraps the reverse nodes: d/dt [sin(t a0) a1] at t = 0.3
+    t = 0.3
+
+    def f(a):
+        return derivative(lambda s: dual.sin(s * a[0]) * a[1], t)
+
+    a0, a1 = 0.8, -1.3
+    got = dual.gradient(f, [a0, a1])
+    assert got == pytest.approx([
+        math.cos(t * a0) * a1 - t * a0 * math.sin(t * a0) * a1,
+        a0 * math.cos(t * a0),
+    ], rel=1e-15)
+    for i in range(2):
+        want = partial(f, [a0, a1], i)
+        assert abs(got[i] - want) <= 1e-15 * max(1.0, abs(want))
+
+
+def test_nested_reverse_passes_raise():
+    with pytest.raises(ValueError, match="outermost"):
+        dual.gradient(lambda a: dual.gradient(lambda b: b[0] * b[0], [a[0]])[0], [2.0])
+    with pytest.raises(ValueError, match="do not mix"):
+        dual.gradient(lambda a: dual.gradient(lambda b: a[0] * b[0], [1.0])[0], [2.0])
+    inner = []
+    dual.gradient(lambda a: inner.append(a[0]) or a[0], [1.0])
+    with pytest.raises(ValueError, match="do not mix"):
+        dual.gradient(lambda a: a[0] * inner[0], [2.0])
+    with pytest.raises(ValueError, match="outermost"):
+        dual.gradient(lambda a: a[0], [Dual(dual.fresh_tag(), 1.0, 1.0)])
+
+
+def test_one_gradient_draws_one_tag():
+    h = hamiltonian_superintegrable(4, 0.3)
+    x = PhasePoint([0.3, -0.2, 0.5, 0.1], [0.7, 0.1, -0.4, 0.2])
+    for take in (lambda: dual.gradient(_flat(h), [*x.q.tolist(), *x.p.tolist()]),
+                 lambda: gradient_lists(h, x.q.tolist(), x.p.tolist()),
+                 lambda: gradient(h, x)):
+        tags = dual.fresh_tag()
+        take()
+        assert dual.fresh_tag() - tags == 2

@@ -341,12 +341,14 @@ def test_partial_trajectory_carries_solver_stats():
 
 
 def test_generic_code_sees_python_floats():
-    # real points reach the generic scalar code as Python floats (dual seeds
-    # aside), not numpy scalars, through every evaluation route
+    # real points reach the generic scalar code as Python floats (dual and
+    # reverse seeds aside, and the reverse seeds' values are floats too), not
+    # numpy scalars, through every evaluation route
     seen = set()
 
     def fn(q, p):
-        seen.update(type(v) for v in (*q, *p) if not isinstance(v, dual.Dual))
+        seen.update(type(v) for v in (*q, *p) if not isinstance(v, (dual.Dual, dual.Rev)))
+        seen.update(type(v.v) for v in (*q, *p) if isinstance(v, dual.Rev))
         return 0.5 * (p[0] * p[0] + p[1] * p[1]) * dual.exp(0.3 * q[0] * q[1])
 
     h = PhaseFunction(2, fn, "spy")

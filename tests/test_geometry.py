@@ -178,7 +178,7 @@ def test_christoffel_symmetry_and_fd_oracle():
 
 
 def test_curvature_passes_per_point(monkeypatch):
-    # christoffel takes one first-order pass per (component, slot); riemann
+    # christoffel takes one reverse pass (one gradient) per component; riemann
     # and curvature_summary take one jet pass (taylor2) per component, which
     # carries the value, the first and the second partials at once.
     # Metric components evaluate h at unit momenta: no momentum passes.
@@ -191,7 +191,7 @@ def test_curvature_passes_per_point(monkeypatch):
         return fresh_tag()
 
     monkeypatch.setattr(dual, "fresh_tag", counted)
-    for fn, expected in ((geo.christoffel, 9), (geo.riemann, 3),
+    for fn, expected in ((geo.christoffel, 3), (geo.riemann, 3),
                          (geo.curvature_summary, 3)):
         tags.clear()
         fn(g, [0.2, -0.4, 0.5])

@@ -129,16 +129,11 @@ def _real(x):
     return dual.primal(x).real
 
 
-def _times_i(x):
-    """i x, part by part.  A real part r becomes complex(0.0, r), which for
-    r >= 0 is exactly the principal complex sqrt of -r^2."""
-    if isinstance(x, dual.Dual):
-        return dual.Dual(x.tag, _times_i(x.re), _times_i(x.du))
-    if isinstance(x, dual.Jet):
-        return dual.Jet(_times_i(x.v), [_times_i(a) for a in x.d], x.ps)
-    if isinstance(x, dual.Rev):
-        return x._chain(_times_i(x.v), 1j)
-    return 1j * x if isinstance(x, complex) else complex(0.0, x)
+# i x, part by part.  A real part r becomes complex(0.0, r), which for
+# r >= 0 is exactly the principal complex sqrt of -r^2.
+_times_i = dual._elementary(
+    "_times_i", lambda r: complex(0.0, r), lambda c: 1j * c, lambda x, v: 1j, lambda x, v, g: 0.0
+)
 
 
 def _cart_to_polar_generic(q, z: float, kappa2: float):

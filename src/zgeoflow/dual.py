@@ -18,9 +18,12 @@ A full gradient is one reverse pass (ibid., ch. 3-4): one evaluation of
 tape, and one backward sweep over the tape accumulates the adjoints, at a
 cost independent of the number of inputs (Baur & Strassen 1983).
 
-Every elementary function below has a branch for each type: a jet maps
-through (f, f', f'') at its value, a dual and a reverse node through f',
-all on the generic function of the value, so complex points work too.
+Each elementary function is one table entry: its float and complex
+values and its f' and f'' as expressions in x, f(x) and f'(x).  One
+builder, :func:`_elementary`, applies each type's chain rule to them: a jet
+maps through (f, f', f'') at its value, a dual and a reverse node through
+f', all on the generic function of the value, so complex points work too.
+A new number type or kernel plugs in once, in the builder.
 
 Nesting rule.  Jet and reverse passes are outermost: their inputs are plain
 floats or complex numbers.  Forward dual passes may run inside a reverse
@@ -33,7 +36,8 @@ raises ``ValueError``.
 The helpers :func:`partial`, :func:`gradient`, :func:`second_partial`,
 :func:`jet`, :func:`taylor2`, :func:`hessian` and the one-variable
 :func:`derivative` are the only code in the package that creates tags,
-seeds inputs and extracts derivative parts; every other module
+seeds inputs and extracts derivative parts, and the builder is the only
+code outside the number types that reads their parts; every other module
 differentiates through them.  Each call of ``f`` is one pass and draws its
 own tags: a first partial is one dual pass, a gradient one reverse pass, a
 single second partial one nested dual pass, and a value-gradient-Hessian
@@ -542,246 +546,90 @@ def derivative(f, x):
     return dual_part(f(Dual(tag, x, 1.0)), tag)
 
 
-def second_derivative(f, x):
-    """Exact second derivative via nested duals."""
-    return derivative(lambda y: derivative(f, y), x)
-
-
 # ---------------------------------------------------------------------------
-# generic elementary functions (float / complex / Dual / Jet / Rev)
+# generic elementary functions: one (f, f', f'') entry each
 # ---------------------------------------------------------------------------
 
-# A plain float goes straight to ``math``, so evaluations and the float parts
-# of dual passes pay nothing for the dispatch below it; reverse nodes, the
-# hot case of every gradient, come next.
+
+def _elementary(name, real, cplx, d1, d2):
+    """The generic function with float values ``real``, complex values
+    ``cplx``, f' = ``d1(x, v)`` and f'' = ``d2(x, v, g)`` at x, from
+    v = f(x) and g = f'(x).
+
+    A plain float goes straight to ``real``, so evaluations and the float
+    parts of dual passes pay nothing for the dispatch below it; reverse
+    nodes, the hot case of every gradient, come next.  Each type's chain
+    rule is written once, here: the value recurses on ``f``, so a ``Dual``
+    wrapping older duals or reverse nodes gets f' on the generic types too.
+    """
+
+    def f(x):
+        if type(x) is float:
+            return real(x)
+        if type(x) is Rev:
+            v = f(x.v)
+            return x._chain(v, d1(x.v, v))
+        if isinstance(x, Dual):
+            v = f(x.re)
+            return Dual(x.tag, v, x.du * d1(x.re, v))
+        if isinstance(x, Jet):
+            v = f(x.v)
+            g = d1(x.v, v)
+            return x._chain(v, g, d2(x.v, v, g))
+        return cplx(x) if isinstance(x, complex) else real(x)
+
+    f.__name__ = f.__qualname__ = name
+    return f
 
 
-def exp(x):
-    if type(x) is float:
-        return math.exp(x)
-    if type(x) is Rev:
-        v = exp(x.v)
-        return x._chain(v, v)
-    if isinstance(x, Dual):
-        v = exp(x.re)
-        return Dual(x.tag, v, x.du * v)
-    if isinstance(x, Jet):
-        v = exp(x.v)
-        return x._chain(v, v, v)
-    return cmath.exp(x) if isinstance(x, complex) else math.exp(x)
+def _cexpm1(x):
+    """exp(x) - 1 without cancellation near 0 for complex x (the complex
+    octant of the relativistic chart needs it)."""
+    a, b = x.real, x.imag
+    return complex(
+        math.expm1(a) * math.cos(b) - 2.0 * math.sin(0.5 * b) ** 2,
+        math.exp(a) * math.sin(b),
+    )
 
 
-def expm1(x):
-    """exp(x) - 1 without cancellation near 0, also for complex x
-    (the complex octant of the relativistic chart needs it)."""
-    if type(x) is float:
-        return math.expm1(x)
-    if type(x) is Rev:
-        return x._chain(expm1(x.v), exp(x.v))
-    if isinstance(x, Dual):
-        return Dual(x.tag, expm1(x.re), x.du * exp(x.re))
-    if isinstance(x, Jet):
-        e = exp(x.v)
-        return x._chain(expm1(x.v), e, e)
-    if isinstance(x, complex):
-        a, b = x.real, x.imag
-        return complex(
-            math.expm1(a) * math.cos(b) - 2.0 * math.sin(0.5 * b) ** 2,
-            math.exp(a) * math.sin(b),
-        )
-    return math.expm1(x)
+def _clog1p(x):
+    """log|1 + x| and arg(1 + x) for complex x without rounding 1 + x:
+    small |x| keeps its digits."""
+    a, b = x.real, x.imag
+    return complex(0.5 * math.log1p(2.0 * a + a * a + b * b), math.atan2(b, 1.0 + a))
 
 
-def log(x):
-    if type(x) is float:
-        return math.log(x)
-    if type(x) is Rev:
-        return x._chain(log(x.v), 1.0 / x.v)
-    if isinstance(x, Dual):
-        return Dual(x.tag, log(x.re), x.du / x.re)
-    if isinstance(x, Jet):
-        inv = 1.0 / x.v
-        return x._chain(log(x.v), inv, -inv * inv)
-    return cmath.log(x) if isinstance(x, complex) else math.log(x)
-
-
-def log1p(x):
-    if type(x) is float:
-        return math.log1p(x)
-    if type(x) is Rev:
-        return x._chain(log1p(x.v), 1.0 / (1.0 + x.v))
-    if isinstance(x, Dual):
-        return Dual(x.tag, log1p(x.re), x.du / (1.0 + x.re))
-    if isinstance(x, Jet):
-        inv = 1.0 / (1.0 + x.v)
-        return x._chain(log1p(x.v), inv, -inv * inv)
-    if isinstance(x, complex):
-        # log|1 + x| and arg(1 + x) without rounding 1 + x: small |x| keeps its digits
-        a, b = x.real, x.imag
-        return complex(0.5 * math.log1p(2.0 * a + a * a + b * b), math.atan2(b, 1.0 + a))
-    return math.log1p(x)
-
-
-def sqrt(x):
-    if type(x) is float:
-        return math.sqrt(x)
-    if type(x) is Rev:
-        v = sqrt(x.v)
-        return x._chain(v, 1.0 / (2.0 * v))
-    if isinstance(x, Dual):
-        v = sqrt(x.re)
-        return Dual(x.tag, v, x.du / (2.0 * v))
-    if isinstance(x, Jet):
-        v = sqrt(x.v)
-        d1 = 1.0 / (2.0 * v)
-        return x._chain(v, d1, -d1 / (2.0 * x.v))
-    return cmath.sqrt(x) if isinstance(x, complex) else math.sqrt(x)
-
-
-def sin(x):
-    if type(x) is float:
-        return math.sin(x)
-    if type(x) is Rev:
-        return x._chain(sin(x.v), cos(x.v))
-    if isinstance(x, Dual):
-        return Dual(x.tag, sin(x.re), x.du * cos(x.re))
-    if isinstance(x, Jet):
-        s = sin(x.v)
-        return x._chain(s, cos(x.v), -s)
-    return cmath.sin(x) if isinstance(x, complex) else math.sin(x)
-
-
-def cos(x):
-    if type(x) is float:
-        return math.cos(x)
-    if type(x) is Rev:
-        return x._chain(cos(x.v), -sin(x.v))
-    if isinstance(x, Dual):
-        return Dual(x.tag, cos(x.re), -x.du * sin(x.re))
-    if isinstance(x, Jet):
-        c = cos(x.v)
-        return x._chain(c, -sin(x.v), -c)
-    return cmath.cos(x) if isinstance(x, complex) else math.cos(x)
-
-
-def tan(x):
-    if type(x) is float:
-        return math.tan(x)
-    if type(x) is Rev:
-        c = cos(x.v)
-        return x._chain(tan(x.v), 1.0 / (c * c))
-    if isinstance(x, Dual):
-        c = cos(x.re)
-        return Dual(x.tag, tan(x.re), x.du / (c * c))
-    if isinstance(x, Jet):
-        t, c = tan(x.v), cos(x.v)
-        d1 = 1.0 / (c * c)
-        return x._chain(t, d1, 2.0 * t * d1)
-    return cmath.tan(x) if isinstance(x, complex) else math.tan(x)
-
-
-def sinh(x):
-    if type(x) is float:
-        return math.sinh(x)
-    if type(x) is Rev:
-        return x._chain(sinh(x.v), cosh(x.v))
-    if isinstance(x, Dual):
-        return Dual(x.tag, sinh(x.re), x.du * cosh(x.re))
-    if isinstance(x, Jet):
-        s = sinh(x.v)
-        return x._chain(s, cosh(x.v), s)
-    return cmath.sinh(x) if isinstance(x, complex) else math.sinh(x)
-
-
-def cosh(x):
-    if type(x) is float:
-        return math.cosh(x)
-    if type(x) is Rev:
-        return x._chain(cosh(x.v), sinh(x.v))
-    if isinstance(x, Dual):
-        return Dual(x.tag, cosh(x.re), x.du * sinh(x.re))
-    if isinstance(x, Jet):
-        c = cosh(x.v)
-        return x._chain(c, sinh(x.v), c)
-    return cmath.cosh(x) if isinstance(x, complex) else math.cosh(x)
-
-
-def tanh(x):
-    if type(x) is float:
-        return math.tanh(x)
-    if type(x) is Rev:
-        c = cosh(x.v)
-        return x._chain(tanh(x.v), 1.0 / (c * c))
-    if isinstance(x, Dual):
-        c = cosh(x.re)
-        return Dual(x.tag, tanh(x.re), x.du / (c * c))
-    if isinstance(x, Jet):
-        t, c = tanh(x.v), cosh(x.v)
-        d1 = 1.0 / (c * c)
-        return x._chain(t, d1, -2.0 * t * d1)
-    return cmath.tanh(x) if isinstance(x, complex) else math.tanh(x)
-
-
-def asin(x):
-    if type(x) is float:
-        return math.asin(x)
-    if type(x) is Rev:
-        return x._chain(asin(x.v), 1.0 / sqrt(1.0 - x.v * x.v))
-    if isinstance(x, Dual):
-        return Dual(x.tag, asin(x.re), x.du / sqrt(1.0 - x.re * x.re))
-    if isinstance(x, Jet):
-        r = 1.0 / sqrt(1.0 - x.v * x.v)
-        return x._chain(asin(x.v), r, x.v * r * r * r)
-    return cmath.asin(x) if isinstance(x, complex) else math.asin(x)
-
-
-def acos(x):
-    if type(x) is float:
-        return math.acos(x)
-    if type(x) is Rev:
-        return x._chain(acos(x.v), -1.0 / sqrt(1.0 - x.v * x.v))
-    if isinstance(x, Dual):
-        return Dual(x.tag, acos(x.re), -x.du / sqrt(1.0 - x.re * x.re))
-    if isinstance(x, Jet):
-        r = 1.0 / sqrt(1.0 - x.v * x.v)
-        return x._chain(acos(x.v), -r, -x.v * r * r * r)
-    return cmath.acos(x) if isinstance(x, complex) else math.acos(x)
-
-
-def atan(x):
-    if type(x) is float:
-        return math.atan(x)
-    if type(x) is Rev:
-        return x._chain(atan(x.v), 1.0 / (1.0 + x.v * x.v))
-    if isinstance(x, Dual):
-        return Dual(x.tag, atan(x.re), x.du / (1.0 + x.re * x.re))
-    if isinstance(x, Jet):
-        d1 = 1.0 / (1.0 + x.v * x.v)
-        return x._chain(atan(x.v), d1, -2.0 * x.v * d1 * d1)
-    return cmath.atan(x) if isinstance(x, complex) else math.atan(x)
-
-
-def asinh(x):
-    if type(x) is float:
-        return math.asinh(x)
-    if type(x) is Rev:
-        return x._chain(asinh(x.v), 1.0 / sqrt(x.v * x.v + 1.0))
-    if isinstance(x, Dual):
-        return Dual(x.tag, asinh(x.re), x.du / sqrt(x.re * x.re + 1.0))
-    if isinstance(x, Jet):
-        r = 1.0 / sqrt(x.v * x.v + 1.0)
-        return x._chain(asinh(x.v), r, -x.v * r * r * r)
-    return cmath.asinh(x) if isinstance(x, complex) else math.asinh(x)
-
-
-def acosh(x):
-    if type(x) is float:
-        return math.acosh(x)
-    if type(x) is Rev:
-        return x._chain(acosh(x.v), 1.0 / sqrt(x.v * x.v - 1.0))
-    if isinstance(x, Dual):
-        return Dual(x.tag, acosh(x.re), x.du / sqrt(x.re * x.re - 1.0))
-    if isinstance(x, Jet):
-        r = 1.0 / sqrt(x.v * x.v - 1.0)
-        return x._chain(acosh(x.v), r, -x.v * r * r * r)
-    return cmath.acosh(x) if isinstance(x, complex) else math.acosh(x)
+exp = _elementary("exp", math.exp, cmath.exp, lambda x, v: v, lambda x, v, g: v)
+expm1 = _elementary("expm1", math.expm1, _cexpm1, lambda x, v: exp(x), lambda x, v, g: g)
+log = _elementary("log", math.log, cmath.log, lambda x, v: 1.0 / x, lambda x, v, g: -g * g)
+log1p = _elementary(
+    "log1p", math.log1p, _clog1p, lambda x, v: 1.0 / (1.0 + x), lambda x, v, g: -g * g
+)
+sqrt = _elementary(
+    "sqrt", math.sqrt, cmath.sqrt, lambda x, v: 1.0 / (2.0 * v), lambda x, v, g: -g / (2.0 * x)
+)
+sin = _elementary("sin", math.sin, cmath.sin, lambda x, v: cos(x), lambda x, v, g: -v)
+cos = _elementary("cos", math.cos, cmath.cos, lambda x, v: -sin(x), lambda x, v, g: -v)
+sinh = _elementary("sinh", math.sinh, cmath.sinh, lambda x, v: cosh(x), lambda x, v, g: v)
+cosh = _elementary("cosh", math.cosh, cmath.cosh, lambda x, v: sinh(x), lambda x, v, g: v)
+asin = _elementary(
+    "asin",
+    math.asin,
+    cmath.asin,
+    lambda x, v: 1.0 / sqrt(1.0 - x * x),
+    lambda x, v, g: x * g * g * g,
+)
+atan = _elementary(
+    "atan",
+    math.atan,
+    cmath.atan,
+    lambda x, v: 1.0 / (1.0 + x * x),
+    lambda x, v, g: -2.0 * x * g * g,
+)
+asinh = _elementary(
+    "asinh",
+    math.asinh,
+    cmath.asinh,
+    lambda x, v: 1.0 / sqrt(x * x + 1.0),
+    lambda x, v, g: -x * g * g * g,
+)

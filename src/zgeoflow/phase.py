@@ -65,10 +65,11 @@ class PhaseFunction:
     """A scalar function on 2N-dimensional phase space.
 
     ``fn(q, p)`` receives two sequences of N generic scalars (floats,
-    complex numbers or :class:`~zgeoflow.dual.Dual` values) and must be built
-    from the generic math in :mod:`zgeoflow.dual` so that exact derivatives
-    are available.  Instances are immutable and safe to evaluate
-    concurrently.
+    complex numbers, or the :class:`~zgeoflow.dual.Dual`,
+    :class:`~zgeoflow.dual.Jet` and :class:`~zgeoflow.dual.Rev` values of a
+    dual, jet or reverse pass) and must be built from the generic math in
+    :mod:`zgeoflow.dual` so that exact derivatives are available.  Instances
+    are immutable and safe to evaluate concurrently.
     """
 
     arity: int

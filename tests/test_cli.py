@@ -5,6 +5,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import warnings
 
 import pytest
@@ -365,11 +366,13 @@ def test_transform_gates_its_residuals(tmp_path, monkeypatch, capsys):
     # log(1 + x) formed in complex arithmetic, as dual.log1p once did, loses
     # the small complex arguments of the kappa2 < 0 chart at z = 1e-13:
     # round trip 6.2e-3 and canonicity 1.2e-2; the command must exit 2
-    exact = dual.log1p
-
-    def rounded_log1p(x):
-        return cmath.log(1.0 + x) if isinstance(x, complex) else exact(x)
-
+    rounded_log1p = dual._elementary(
+        "log1p",
+        math.log1p,
+        lambda x: cmath.log(1.0 + x),
+        lambda x, v: 1.0 / (1.0 + x),
+        lambda x, v, g: -g * g,
+    )
     monkeypatch.setattr(dual, "log1p", rounded_log1p)
     out = tmp_path / "gate.json"
     assert run(_SMALL_Z_COMPLEX_OCTANT + ["--z=1e-13", f"--output={out}"]) == 2

@@ -51,7 +51,7 @@ from .charts import (
     transform_to_cartesian,
     transform_to_polar,
 )
-from .dynamics import conservation_report, hamilton_rhs, integrate
+from .dynamics import conservation_report, integrate
 from .geometry import (
     DiagonalMetric,
     christoffel,
@@ -85,7 +85,6 @@ __all__ = [
     "gaussian_curvature_2d",
     "gradient",
     "gradient_fd",
-    "hamilton_rhs",
     "hamiltonian_family",
     "hamiltonian_integrable",
     "hamiltonian_superintegrable",

@@ -10,8 +10,13 @@ polar coordinates (rho, theta, phi) are
 
 with z = l1^2 and kappa2 = l2^2 (either sign; kappa2 = +1 is the Riemannian
 family, kappa2 = -1 the relativistic one).  Everything is written through the
-signed-curvature functions kappa_sin / kappa_cos so real and imaginary l1, l2
-share one code path.
+curvature-dependent trigonometry of Herranz, Ortega & Santander (J. Phys. A
+33 (2000) 4525): kappa_sin, kappa_cos, kappa_tan, their inverses kappa_asin
+and kappa_atan, and kappa_expm1(k, x) = expm1(k x)/k, kappa_log1p(k, x) =
+log1p(k x)/k.  Each is analytic in its curvature label and takes a short
+Taylor series near 0, so it equals its flat limit exactly at k = 0.  Each
+chart map is then one expression for every z, the flat z = 0 included, and
+real and imaginary l1, l2 share one code path.
 
 Branch policy: principal branches everywhere; Cartesian preimages live in the
 positive octant (the relations only determine q_i^2).  For kappa2 < 0 the
@@ -38,10 +43,7 @@ import numpy as np
 from . import dual
 from .phase import EvaluationDomainError, PhaseFunction, PhasePoint
 
-#: |z| below this selects the analytic flat-limit chart
-FLAT_Z_CUTOFF = 1e-13
-
-#: series cutoff for the unified sin/sinh kernels
+#: series cutoff of the kappa kernels
 _SERIES_CUTOFF = 1e-4
 
 #: chart momenta are this multiple of canonical ones
@@ -120,6 +122,41 @@ def kappa_tan(kappa: float, x):
     return kappa_sin(kappa, x) / kappa_cos(kappa, x)
 
 
+def kappa_expm1(kappa: float, x):
+    """expm1(kappa x)/kappa, smooth in kappa, equal to x at kappa=0."""
+    u = kappa * x
+    if abs(dual.primal(u)) < _SERIES_CUTOFF:
+        return x * (1.0 + u * (0.5 + u * (1.0 / 6.0 + u / 24.0)))
+    return dual.expm1(u) / kappa
+
+
+def kappa_log1p(kappa: float, x):
+    """log1p(kappa x)/kappa, smooth in kappa, equal to x at kappa=0."""
+    u = kappa * x
+    if abs(dual.primal(u)) < _SERIES_CUTOFF:
+        return x * (1.0 - u * (0.5 - u * (1.0 / 3.0 - u / 4.0)))
+    return dual.log1p(u) / kappa
+
+
+def kappa_asin(kappa: float, y):
+    """asin(sqrt(kappa) y)/sqrt(kappa), the inverse of kappa_sin, smooth in
+    kappa (asinh branch for kappa < 0), equal to y at kappa=0."""
+    u = kappa * y * y
+    up = dual.primal(u)
+    if abs(up) < _SERIES_CUTOFF:
+        return y * (1.0 + u * (1.0 / 6.0 + u * (3.0 / 40.0 + u * 5.0 / 112.0)))
+    if up.real > 0:
+        v = dual.sqrt(u)
+        return y * dual.asin(v) / v
+    v = dual.sqrt(-u)
+    return y * dual.asinh(v) / v
+
+
+def kappa_atan(kappa: float, y):
+    """atan(sqrt(kappa) y)/sqrt(kappa), the inverse of :func:`kappa_tan`."""
+    return kappa_asin(kappa, y / dual.sqrt(1.0 + kappa * y * y))
+
+
 # ---------------------------------------------------------------------------
 # chart maps (generic scalars: float / complex / dual)
 # ---------------------------------------------------------------------------
@@ -138,79 +175,48 @@ _times_i = dual._elementary(
 
 def _cart_to_polar_generic(q, z: float, kappa2: float):
     w = [qi * qi for qi in q]
-    qq = w[0] + w[1] + w[2]
-    if abs(_real(qq)) == 0.0:
+    if abs(_real(w[0] + w[1] + w[2])) == 0.0:
         return [0.0, 0.0, 0.0]
-
-    if abs(z) < FLAT_Z_CUTOFF:
-        rho = dual.sqrt(2.0 * qq)
-        ks2 = (w[0] + w[1]) / (kappa2 * qq)
-        if _real(ks2) < -1e-12:
-            raise OutOfChartError(
-                "sin^2(l2 theta)/kappa2 < 0 (wrong relativistic octant)", relation=3
-            )
-        ratio_phi = None if abs(_real(w[1])) == 0.0 else w[0] / w[1]
-    else:
-        e1 = dual.exp(2.0 * (z * w[0]))
-        e2 = dual.exp(2.0 * (z * w[1]))
-        a = dual.expm1(2.0 * (z * qq))  # sinh^2(l1 rho) = e^{2z q^2} - 1
-        ap = _real(a)
-        if z > 0 and ap < 0.0:
-            raise OutOfChartError("e^{2z q^2} < 1 on the z > 0 branch", relation=1)
-        if z < 0 and not (-1.0 < ap <= 0.0):
-            raise OutOfChartError("e^{2z q^2} outside (0, 1] on the z < 0 branch", relation=1)
-        if z > 0:
-            rho = dual.asinh(dual.sqrt(a)) / np.sqrt(z)
-        else:
-            rho = dual.asin(dual.sqrt(-a)) / np.sqrt(-z)
-        c2 = e1 * e2 * dual.expm1(2.0 * (z * w[2])) / a
-        if _real(c2) < -1e-12:
-            raise OutOfChartError("cos^2(l2 theta) < 0", relation=2)
-        ks2 = dual.expm1(2.0 * (z * (w[0] + w[1]))) / (a * kappa2)
-        if _real(ks2) < -1e-12:
-            raise OutOfChartError(
-                "sin^2(l2 theta)/kappa2 < 0 (wrong relativistic octant)", relation=3
-            )
-        num = dual.expm1(2.0 * (z * w[0]))
-        den = e1 * dual.expm1(2.0 * (z * w[1]))
-        ratio_phi = None if abs(_real(den)) < 1e-300 else num / den
-        if ratio_phi is not None and _real(ratio_phi) < -1e-12:
-            raise OutOfChartError("tan^2(phi) < 0 (wrong relativistic octant)", relation=4)
-
-    if kappa2 > 0:
-        arg = dual.sqrt(kappa2 * ks2)
-        theta = dual.asin(arg) / np.sqrt(kappa2)
-    else:
-        arg = dual.sqrt(-kappa2 * ks2)
-        theta = dual.asinh(arg) / np.sqrt(-kappa2)
+    # m_i = (e^{2z q_i^2} - 1)/z and e_i = e^{2z q_i^2} = 1 + z m_i; the
+    # expm1 addition rule sums the m_i with positive terms for either sign of z
+    m = [kappa_expm1(z, 2.0 * wi) for wi in w]
+    e = [1.0 + z * mi for mi in m]
+    m12 = m[0] * e[1] + m[1]
+    mqq = m12 * e[2] + m[2]  # sinh^2(l1 rho)/z
+    mp = _real(mqq)
+    if not (mp >= 0.0 and 1.0 + z * mp > 0.0):
+        raise OutOfChartError("e^{2z q^2} outside its branch", relation=1)
+    rho = kappa_asin(-z, dual.sqrt(mqq))
+    if _real(e[0] * e[1] * m[2] / mqq) < -1e-12:
+        raise OutOfChartError("cos^2(l2 theta) < 0", relation=2)
+    ks2 = m12 / (kappa2 * mqq)  # sin^2(l2 theta)/kappa2
+    if _real(ks2) < -1e-12:
+        raise OutOfChartError("sin^2(l2 theta)/kappa2 < 0 (wrong relativistic octant)", relation=3)
+    den = e[0] * m[1]
+    ratio_phi = None if abs(_real(den)) < 1e-300 else m[0] / den  # tan^2(phi)
+    if ratio_phi is not None and _real(ratio_phi) < -1e-12:
+        raise OutOfChartError("tan^2(phi) < 0 (wrong relativistic octant)", relation=4)
+    theta = kappa_asin(kappa2, dual.sqrt(ks2))
     phi = np.pi / 2 if ratio_phi is None else dual.atan(dual.sqrt(ratio_phi))
     return [rho, theta, phi]
 
 
 def _polar_to_cart_generic(x, z: float, kappa2: float):
     rho, theta, phi = x
-    if z < -FLAT_Z_CUTOFF and _real(rho) * np.sqrt(-z) >= np.pi / 2:
-        raise OutOfChartError(
-            "rho outside the principal branch for z < 0", relation=1
-        )
+    if -z * _real(rho) ** 2 >= (np.pi / 2) ** 2:
+        raise OutOfChartError("rho outside the principal branch for z < 0", relation=1)
     sin_phi = dual.sin(phi)
-    if abs(z) < FLAT_Z_CUTOFF:
-        t = kappa2 * kappa_sin(kappa2, theta) ** 2
-        w1 = rho * rho * t * sin_phi * sin_phi / 2.0
-        w12 = rho * rho * t / 2.0
-        ws = rho * rho / 2.0
-    else:
-        a = z * kappa_sin(-z, rho) ** 2          # sinh^2(l1 rho)
-        t = kappa2 * kappa_sin(kappa2, theta) ** 2  # sin^2(l2 theta)
-        # log(cosh^2) = log1p(sinh^2) keeps every relation accurate as z -> 0
-        args = (a * t * sin_phi * sin_phi, a * t, a)
-        for idx, arg in enumerate(args):
-            if _real(arg) <= -1.0:
-                raise OutOfChartError(
-                    "logarithm of non-positive value (outside chart)",
-                    relation=(4, 3, 1)[idx],
-                )
-        w1, w12, ws = (dual.log1p(arg) / (2.0 * z) for arg in args)
+    s = kappa_sin(-z, rho) ** 2                 # sinh^2(l1 rho)/z
+    t = kappa2 * kappa_sin(kappa2, theta) ** 2  # sin^2(l2 theta)
+    # log(cosh^2)/z = log1p(z s)/z, one expression for every z
+    args = (s * t * sin_phi * sin_phi, s * t, s)
+    for idx, arg in enumerate(args):
+        if z * _real(arg) <= -1.0:
+            raise OutOfChartError(
+                "logarithm of non-positive value (outside chart)",
+                relation=(4, 3, 1)[idx],
+            )
+    w1, w12, ws = (0.5 * kappa_log1p(z, arg) for arg in args)
     w = [w1, w12 - w1, ws - w12]
     out = []
     for i, wi in enumerate(w):
@@ -289,13 +295,14 @@ def chart_relation_residuals(q, x, z: float, kappa2: float) -> np.ndarray:
 
 
 def position_jacobian(x, z: float, kappa2: float) -> np.ndarray:
-    """Exact Jacobian d(cartesian)/d(polar) of :func:`polar_to_cart` at x."""
+    """Exact Jacobian d(cartesian)/d(polar) of :func:`polar_to_cart` at x;
+    OutOfChartError where it is singular."""
     x = [complex(v) if isinstance(v, complex) else float(v) for v in np.asarray(x)]
     z, kappa2 = float(z), float(kappa2)
     cols = dual.gradient(lambda xs: _polar_to_cart_generic(xs, z, kappa2), x)
     cplx = any(isinstance(c, complex) for col in cols for c in col)
     jac = np.array(cols, dtype=complex if cplx else float).T
-    if not np.all(np.isfinite(jac)):
+    if not np.all(np.isfinite(jac)) or abs(np.linalg.det(jac)) < 1e-12:
         raise OutOfChartError("singular Jacobian (chart boundary)")
     return jac
 
@@ -342,8 +349,6 @@ def transform_to_polar(
         mom = np.zeros(3)
     else:
         jac = position_jacobian(x, z, kappa2)
-        if abs(np.linalg.det(jac)) < 1e-12:
-            raise OutOfChartError("singular Jacobian (chart boundary)")
         mom = jac.T @ point.p
         if normalization == "chart":
             mom = CHART_MOMENTUM_FACTOR * mom
@@ -370,8 +375,6 @@ def transform_to_cartesian(
         p = np.zeros_like(q)
     else:
         jac = position_jacobian(x, z, kappa2)
-        if abs(np.linalg.det(jac)) < 1e-12:
-            raise OutOfChartError("singular Jacobian (chart boundary)")
         p = np.linalg.solve(jac.T.astype(complex), mom.astype(complex))
         if not np.iscomplexobj(q):
             p = p.real
@@ -452,31 +455,25 @@ def rho_to_r(rho: float, z: float) -> float:
     """The arc-length radial coordinate r with kappa_cos(-z, rho) kappa_cos(z, r) = 1.
 
     Equals the integral of 1/cosh(l1 x) from 0 to rho on the z > 0 branch.
+    The half-angle Gudermannian r = 2 kappa_atan(z, kappa_tan(-z, rho/2)) is
+    one expression for every z, well conditioned at both ends of the branch.
     """
+    rho, z = float(rho), float(z)
     if rho < 0:
         raise OutOfChartError("rho must be nonnegative")
-    if abs(z) < FLAT_Z_CUTOFF:
-        return float(rho)
-    s = np.sqrt(abs(z))
-    if z > 0:
-        return float(np.arccos(1.0 / np.cosh(s * rho)) / s)
-    if s * rho >= np.pi / 2:
+    if -z * rho * rho >= (np.pi / 2) ** 2:
         raise OutOfChartError("rho outside the principal branch for z < 0")
-    return float(np.arccosh(1.0 / np.cos(s * rho)) / s)
+    return 2.0 * kappa_atan(z, kappa_tan(-z, 0.5 * rho))
 
 
 def r_to_rho(r: float, z: float) -> float:
     """Inverse of :func:`rho_to_r` on the principal branch."""
+    r, z = float(r), float(z)
     if r < 0:
         raise OutOfChartError("r must be nonnegative")
-    if abs(z) < FLAT_Z_CUTOFF:
-        return float(r)
-    s = np.sqrt(abs(z))
-    if z > 0:
-        if s * r >= np.pi / 2:
-            raise OutOfChartError("r outside the principal branch for z > 0")
-        return float(np.arccosh(1.0 / np.cos(s * r)) / s)
-    return float(np.arccos(1.0 / np.cosh(s * r)) / s)
+    if z * r * r >= (np.pi / 2) ** 2:
+        raise OutOfChartError("r outside the principal branch for z > 0")
+    return 2.0 * kappa_atan(-z, kappa_tan(z, 0.5 * r))
 
 
 # ---------------------------------------------------------------------------

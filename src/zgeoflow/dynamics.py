@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brackets import gradient, gradient_lists
+from .brackets import gradient_lists
 from .phase import EvaluationDomainError, PhaseFunction, PhasePoint
 
 METHODS = ("implicit-midpoint", "gauss4", "rk4-check")
@@ -37,12 +37,6 @@ class IntegrationError(RuntimeError):
         super().__init__(f"{message} at t = {time:.6g}")
         self.time = time
         self.partial = partial
-
-
-def hamilton_rhs(h: PhaseFunction, x: PhasePoint) -> np.ndarray:
-    """Canonical phase velocity (dq/dt, dp/dt) = (dH/dp, -dH/dq)."""
-    g = gradient(h, x)
-    return np.concatenate([g.dp, -g.dq])
 
 
 @dataclass(frozen=True)

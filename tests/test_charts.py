@@ -141,10 +141,13 @@ def test_flat_chart_is_the_analytic_limit():
     assert np.max(np.abs(back - q)) < 1e-12
 
 
-small_z = st.builds(
-    lambda sign, e: sign * 10.0**e,
-    st.sampled_from([1.0, -1.0]),
-    st.floats(min_value=-15.0, max_value=0.0),
+small_z = st.one_of(
+    st.just(0.0),
+    st.builds(
+        lambda sign, e: sign * 10.0**e,
+        st.sampled_from([1.0, -1.0]),
+        st.floats(min_value=-300.0, max_value=0.0),
+    ),
 )
 chart_q = st.lists(st.floats(min_value=0.05, max_value=0.9), min_size=3, max_size=3)
 
@@ -164,19 +167,22 @@ def test_round_trip_for_every_scale_of_z(q, z):
 @settings(max_examples=100, deadline=None)
 @given(q=chart_q, z=small_z)
 def test_rho_matches_high_precision_closed_form(q, z):
-    # cosh^2(l1 rho) = e^{2z q^2}, evaluated at 50 digits; below FLAT_Z_CUTOFF
-    # the flat chart rho = sqrt(2 q^2) is off by O(z)
+    # sinh^2(l1 rho) = e^{2z q^2} - 1, evaluated at 50 digits (expm1 keeps
+    # them at |z| down to 1e-300); z = 0 is the flat chart rho = sqrt(2 q^2)
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         zm = mpmath.mpf(z)
-        c = mpmath.exp(zm * mpmath.fsum(mpmath.mpf(v) ** 2 for v in q))
+        qq = mpmath.fsum(mpmath.mpf(v) ** 2 for v in q)
+        a = mpmath.expm1(2 * zm * qq)
         if z > 0:
-            ref = mpmath.acosh(c) / mpmath.sqrt(zm)
+            ref = mpmath.asinh(mpmath.sqrt(a)) / mpmath.sqrt(zm)
+        elif z < 0:
+            ref = mpmath.asin(mpmath.sqrt(-a)) / mpmath.sqrt(-zm)
         else:
-            ref = mpmath.acos(c) / mpmath.sqrt(-zm)
+            ref = mpmath.sqrt(2 * qq)
         ref = float(ref)
     rho = charts.cart_to_polar(q, z, 1.0)[0]
-    assert abs(rho - ref) <= (1e-15 + abs(z)) * ref
+    assert abs(rho - ref) <= 2e-15 * ref
 
 
 def test_origin_maps_to_zero():
@@ -246,8 +252,7 @@ def _nested_canonicity(point, z, kappa2):
     return np.abs(vals - np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(3)))
 
 
-@pytest.mark.parametrize("z", [0.7, 0.3, -0.3, 1e-3, 1e-6, 1e-9, 1e-12,
-                               charts.FLAT_Z_CUTOFF, 0.5 * charts.FLAT_Z_CUTOFF, 0.0])
+@pytest.mark.parametrize("z", [0.7, 0.3, -0.3, 1e-3, 1e-6, 1e-9, 1e-12, 1e-13, 5e-14, 0.0])
 @pytest.mark.parametrize("kappa2", [1.0, -1.0])
 def test_chain_rule_canonicity_matches_per_function_gradients(z, kappa2):
     for pp in relativistic_samples(2, seed=17):
@@ -412,6 +417,31 @@ def test_quadrature_definition_matches_closed_form():
     for rho in (0.4, 1.0, 1.7):
         oracle, _ = quad(lambda x: 1.0 / math.cosh(l1 * x), 0.0, rho, epsabs=1e-13)
         assert charts.rho_to_r(rho, z) == pytest.approx(oracle, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "z", [0.0] + [s * m for m in (1e-300, 1e-13, 1e-12, 1e-9, 1e-6, 0.3, 1.0, 4.0) for s in (1, -1)]
+)
+def test_radial_maps_match_high_precision_gudermannian(z):
+    # acos(1/cosh(l1 rho))/l1 at 50 digits (acosh(1/cos) for z < 0); the
+    # arccos form in double precision cancels at small l1 rho (1e-2 at z = 1e-12)
+    mpmath = pytest.importorskip("mpmath")
+    for rho in np.geomspace(0.01, 8.0, 30):
+        if z < 0:
+            rho = min(rho, (math.pi / 2 - 1e-3) / math.sqrt(-z))
+        with mpmath.workdps(50):
+            zm, rm = mpmath.mpf(z), mpmath.mpf(rho)
+            if abs(z) < 1e-40:
+                ref = rm
+            elif z > 0:
+                ref = mpmath.acos(1 / mpmath.cosh(mpmath.sqrt(zm) * rm)) / mpmath.sqrt(zm)
+            else:
+                ref = mpmath.acosh(1 / mpmath.cos(mpmath.sqrt(-zm) * rm)) / mpmath.sqrt(-zm)
+            ref = float(ref)
+        assert abs(charts.rho_to_r(rho, z) - ref) <= 1e-13 * max(1.0, ref), rho
+        # d rho / d r = kappa_cos(-z, rho) scales the rounding of the reference r
+        cond = max(1.0, float(charts.kappa_cos(-z, rho)))
+        assert abs(charts.r_to_rho(ref, z) - rho) <= 1e-12 * cond, rho
 
 
 # --------------------------------------------------------------------------

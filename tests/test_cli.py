@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zgeoflow import cli, dual
+from zgeoflow import charts, cli, dual
 from zgeoflow.cli import main
 
 
@@ -363,9 +363,10 @@ _SMALL_Z_COMPLEX_OCTANT = [
 
 
 def test_transform_gates_its_residuals(tmp_path, monkeypatch, capsys):
-    # log(1 + x) formed in complex arithmetic, as dual.log1p once did, loses
-    # the small complex arguments of the kappa2 < 0 chart at z = 1e-13:
-    # round trip 6.2e-3 and canonicity 1.2e-2; the command must exit 2
+    # log(1 + x) formed in complex arithmetic, as dual.log1p once did, and
+    # divided by z with no series, loses the small complex arguments of the
+    # kappa2 < 0 chart at z = 1e-13: round trip 6.2e-3 and canonicity
+    # 1.2e-2; the command must exit 2
     rounded_log1p = dual._elementary(
         "log1p",
         math.log1p,
@@ -373,7 +374,7 @@ def test_transform_gates_its_residuals(tmp_path, monkeypatch, capsys):
         lambda x, v: 1.0 / (1.0 + x),
         lambda x, v, g: -g * g,
     )
-    monkeypatch.setattr(dual, "log1p", rounded_log1p)
+    monkeypatch.setattr(charts, "kappa_log1p", lambda k, x: rounded_log1p(k * x) / k)
     out = tmp_path / "gate.json"
     assert run(_SMALL_Z_COMPLEX_OCTANT + ["--z=1e-13", f"--output={out}"]) == 2
     err = capsys.readouterr().err
@@ -390,6 +391,15 @@ def test_transform_complex_octant_at_small_z(tmp_path, z):
     doc = json.loads(read(out))
     assert doc["results"]["roundtrip_error"] <= 1e-12
     assert doc["residuals"]["canonicity_max"] <= 1e-12
+
+
+def test_transform_with_r_near_the_origin_at_small_z(tmp_path):
+    # r = rho - O(z rho^3); an arccos(1/cosh) radial map cancels to r = 0 here
+    out = tmp_path / "r.json"
+    assert run(["transform", "--direction=to-polar", "--z=1e-12", "--q=0.004,0.004,0.004",
+                "--p=0.1,0.2,0.3", "--with-r", f"--output={out}"]) == 0
+    results = json.loads(read(out))["results"]
+    assert results["r"] == pytest.approx(results["polar"]["rho"], rel=1e-15)
 
 
 def test_simulate_metadata_has_solver_stats(tmp_path):

@@ -8,6 +8,7 @@ cross-check oracle and is never used by the bracket itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -254,7 +255,19 @@ def check_involution(
     )
 
 
-def independence_rank(funcs, x: PhasePoint, tolerance: float = RANK_TOLERANCE) -> int:
+class IndependenceRank(NamedTuple):
+    """Numerical rank of a set of gradients, and its margin: the smallest
+    kept singular value over the largest (1 when every value is kept at
+    full size, near ``tolerance`` when the rank decision was close; 0.0 at
+    rank 0)."""
+
+    rank: int
+    margin: float
+
+
+def independence_rank(
+    funcs, x: PhasePoint, tolerance: float = RANK_TOLERANCE
+) -> IndependenceRank:
     """Numerical rank of the stacked gradients of ``funcs`` at ``x``.
 
     Each gradient row is first divided by its largest entry in magnitude
@@ -269,5 +282,6 @@ def independence_rank(funcs, x: PhasePoint, tolerance: float = RANK_TOLERANCE) -
     mat = mat / np.where(scale > 0.0, scale, 1.0)[:, None]
     svals = np.linalg.svd(mat, compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
-        return 0
-    return int(np.sum(svals > tolerance * svals[0]))
+        return IndependenceRank(0, 0.0)
+    rank = int(np.sum(svals > tolerance * svals[0]))
+    return IndependenceRank(rank, float(svals[rank - 1] / svals[0]))

@@ -118,7 +118,12 @@ def kappa_cos(kappa: float, x):
 
 
 def kappa_tan(kappa: float, x):
-    """kappa_sin / kappa_cos."""
+    """kappa_sin / kappa_cos; for kappa < 0 the bounded tanh(r x)/r with
+    r = sqrt(-kappa), whose sinh and cosh factors would each overflow once
+    r |x| passes 710."""
+    if dual.primal(kappa).real < 0 and abs(dual.primal(kappa * x * x)) >= _SERIES_CUTOFF:
+        r = dual.sqrt(-kappa)
+        return dual.tanh(r * x) / r
     return kappa_sin(kappa, x) / kappa_cos(kappa, x)
 
 

@@ -264,14 +264,14 @@ def cmd_verify(cfg) -> int:
         results["superintegrable_involution"] = sup_res
         if sup_res >= threshold:
             failures.append(f"superintegrable involution ({sup_res:.3e})")
-        ranks = [independence_rank(sup_set, x) for x in pts[: min(10, len(pts))]]
-        results["superintegrable_rank"] = ranks
-        if any(r != 5 for r in ranks):
-            failures.append(f"superintegrable rank != 5 (got {ranks})")
-        ranks_i = [independence_rank(tower, x) for x in pts[: min(10, len(pts))]]
-        results["integrable_rank"] = ranks_i
-        if any(r != n for r in ranks_i):
-            failures.append(f"integrable rank != {n} (got {ranks_i})")
+        # rank per point, and its margin: the smallest kept singular-value
+        # ratio, how far the rank decision was from the tolerance
+        for key, funcs, want in (("superintegrable", sup_set, 5), ("integrable", tower, n)):
+            ranks = [independence_rank(funcs, x) for x in pts[: min(10, len(pts))]]
+            results[f"{key}_rank"] = [r.rank for r in ranks]
+            results[f"{key}_rank_margin"] = [r.margin for r in ranks]
+            if any(r.rank != want for r in ranks):
+                failures.append(f"{key} rank != {want} (got {results[f'{key}_rank']})")
 
     passed = not failures
     results["passed"] = passed

@@ -612,6 +612,9 @@ sin = _elementary("sin", math.sin, cmath.sin, lambda x, v: cos(x), lambda x, v, 
 cos = _elementary("cos", math.cos, cmath.cos, lambda x, v: -sin(x), lambda x, v, g: -v)
 sinh = _elementary("sinh", math.sinh, cmath.sinh, lambda x, v: cosh(x), lambda x, v, g: v)
 cosh = _elementary("cosh", math.cosh, cmath.cosh, lambda x, v: sinh(x), lambda x, v, g: v)
+tanh = _elementary(
+    "tanh", math.tanh, cmath.tanh, lambda x, v: 1.0 - v * v, lambda x, v, g: -2.0 * v * g
+)
 asin = _elementary(
     "asin",
     math.asin,

@@ -5,11 +5,21 @@ flows are non-separable and explicit leapfrog is not symplectic for them.
 The default method is the implicit midpoint rule (symplectic, second order,
 fixed-point solved); a fourth-order Gauss-Legendre collocation method and a
 non-symplectic RK4 reference are also provided.
+
+Inside the steppers a phase-space vector is a list of 2N Python floats, q
+then p, not an ndarray: at the few-site sizes of a geodesic run, numpy's
+per-operation overhead on a 6-element array costs more than the arithmetic,
+and the gradient core takes and returns lists anyway.  Every element-wise
+expression keeps the operation order of its vector form, so each state,
+slope and update is bit for bit what the ndarray arithmetic gives.  Stored
+states are :class:`PhasePoint` s, and each monitored function is evaluated
+once per stored state, for the trajectory table and the drift report alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -22,11 +32,9 @@ METHODS = ("implicit-midpoint", "gauss4", "rk4-check")
 FIXED_POINT_TOL = 1e-13
 FIXED_POINT_MAX_ITER = 50
 
-_GAUSS_A = np.array(
-    [
-        [0.25, 0.25 - np.sqrt(3.0) / 6.0],
-        [0.25 + np.sqrt(3.0) / 6.0, 0.25],
-    ]
+_GAUSS_A = (
+    (0.25, 0.25 - sqrt(3.0) / 6.0),
+    (0.25 + sqrt(3.0) / 6.0, 0.25),
 )
 
 
@@ -66,6 +74,8 @@ class Trajectory:
     dt: float
     truncated: bool = False
     solver: SolverStats = field(default_factory=SolverStats)
+    #: PhaseFunction -> its value (or evaluation error) at each stored state
+    _monitored: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.times) != len(self.states):
@@ -92,14 +102,21 @@ class ConservationReport:
 
 
 def _rhs_flat(h, vec):
-    n = vec.size // 2
-    dq, dp = gradient_lists(h, vec[:n].tolist(), vec[n:].tolist())
-    out = np.empty_like(vec)
-    out[:n] = dp
-    out[n:] = [-v for v in dq]
-    if not np.all(np.isfinite(out)):
+    n = len(vec) // 2
+    dq, dp = gradient_lists(h, vec[:n], vec[n:])
+    out = [*dp, *[-v for v in dq]]
+    if not all(map(isfinite, out)):
         raise EvaluationDomainError(f"phase velocity of {h.label} not finite")
     return out
+
+
+def _update_norm(new, old):
+    """max |new_i - old_i|; NaN when any difference is NaN, as np.max gives
+    (Python's max keeps a NaN only in the first place), so that a NaN
+    update never passes the convergence test."""
+    diffs = [abs(a - b) for a, b in zip(new, old)]
+    total = sum(diffs)
+    return total if total != total else max(diffs)
 
 
 def _midpoint_step(rhs, y, dt, t, slope=None):
@@ -112,13 +129,13 @@ def _midpoint_step(rhs, y, dt, t, slope=None):
     """
     if slope is None:
         slope = rhs(y)
-    u = y + dt * slope
-    scale = max(1.0, float(np.max(np.abs(y))))
+    u = [yi + dt * si for yi, si in zip(y, slope)]
+    tol = FIXED_POINT_TOL * max(1.0, max(map(abs, y)))
     for it in range(1, FIXED_POINT_MAX_ITER + 1):
-        slope = rhs(0.5 * (y + u))
-        u_next = y + dt * slope
-        update = float(np.max(np.abs(u_next - u)))
-        if update < FIXED_POINT_TOL * scale:
+        slope = rhs([0.5 * (yi + ui) for yi, ui in zip(y, u)])
+        u_next = [yi + dt * si for yi, si in zip(y, slope)]
+        update = _update_norm(u_next, u)
+        if update < tol:
             return u_next, slope, it, update
         u = u_next
     raise IntegrationError("implicit midpoint fixed point did not converge", t)
@@ -127,33 +144,41 @@ def _midpoint_step(rhs, y, dt, t, slope=None):
 def _gauss4_step(rhs, y, dt, t, slope=None):
     """One gauss4 step, with the same arguments and returns as `_midpoint_step`.
 
-    ``slope`` is the starting guess for the pair of stage slopes.
+    The slope is the pair of stage slopes as one list, the first stage's
+    2N entries and then the second's.
     """
+    m = len(y)
     k = slope
     if k is None:
         f0 = rhs(y)
-        k = np.array([f0, f0])
-    scale = max(1.0, float(np.max(np.abs(y))))
+        k = f0 + f0
+    tol = FIXED_POINT_TOL * max(1.0, max(map(abs, y)))
+    (a11, a12), (a21, a22) = _GAUSS_A
     for it in range(1, FIXED_POINT_MAX_ITER + 1):
-        k_next = np.array(
-            [
-                rhs(y + dt * (_GAUSS_A[0, 0] * k[0] + _GAUSS_A[0, 1] * k[1])),
-                rhs(y + dt * (_GAUSS_A[1, 0] * k[0] + _GAUSS_A[1, 1] * k[1])),
-            ]
-        )
-        update = float(np.max(np.abs(k_next - k)))
-        if update < FIXED_POINT_TOL * scale:
-            return y + dt * 0.5 * (k_next[0] + k_next[1]), k_next, it, update
+        k1, k2 = k[:m], k[m:]
+        k_next = rhs(
+            [yi + dt * (a11 * s1 + a12 * s2) for yi, s1, s2 in zip(y, k1, k2)]
+        ) + rhs([yi + dt * (a21 * s1 + a22 * s2) for yi, s1, s2 in zip(y, k1, k2)])
+        update = _update_norm(k_next, k)
+        if update < tol:
+            w = dt * 0.5
+            y_next = [yi + w * (s1 + s2) for yi, s1, s2 in zip(y, k_next[:m], k_next[m:])]
+            return y_next, k_next, it, update
         k = k_next
     raise IntegrationError("gauss4 fixed point did not converge", t)
 
 
 def _rk4_step(rhs, y, dt, t, slope=None):
+    h = 0.5 * dt
     k1 = rhs(y)
-    k2 = rhs(y + 0.5 * dt * k1)
-    k3 = rhs(y + 0.5 * dt * k2)
-    k4 = rhs(y + dt * k3)
-    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), None, 0, 0.0
+    k2 = rhs([yi + h * si for yi, si in zip(y, k1)])
+    k3 = rhs([yi + h * si for yi, si in zip(y, k2)])
+    k4 = rhs([yi + dt * si for yi, si in zip(y, k3)])
+    w = dt / 6.0
+    y_next = [
+        yi + w * (a + 2.0 * b + 2.0 * c + d) for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
+    ]
+    return y_next, None, 0, 0.0
 
 
 def _starting_slope(history):
@@ -164,9 +189,9 @@ def _starting_slope(history):
     Hairer, Lubich & Wanner, Geometric Numerical Integration, VIII.6.
     """
     if len(history) == 3:
-        return 3.0 * history[0] - 3.0 * history[1] + history[2]
+        return [3.0 * a - 3.0 * b + c for a, b, c in zip(*history)]
     if len(history) == 2:
-        return 2.0 * history[0] - history[1]
+        return [2.0 * a - b for a, b in zip(*history)]
     return history[0] if history else None
 
 
@@ -203,7 +228,7 @@ def integrate(
     step = _STEPPERS[method]
     times = [0.0]
     states = [x0]
-    y = x0.flat().astype(float)
+    y = x0.flat().astype(float).tolist()
     n_rhs = 0
     iterations = {}
     max_update, max_update_step = 0.0, 0
@@ -239,7 +264,7 @@ def integrate(
             max_update, max_update_step = update, k
         if slope is not None:
             history = [slope, *history[:2]]
-        if not np.all(np.isfinite(y)):
+        if not all(map(isfinite, y)):
             raise IntegrationError("state left the domain", t, partial=build(True))
         if k % keep_every == 0 or k == n_steps:
             times.append(t)
@@ -247,21 +272,42 @@ def integrate(
     return build(False)
 
 
+def _monitored_values(traj: Trajectory, f) -> list:
+    """``float(f(x))`` at every stored state, computed once per trajectory
+    and function.  A state where ``f`` leaves its domain (chart boundary of
+    a truncated run) holds the error instead of a value."""
+    values = traj._monitored.get(f)
+    if values is None:
+        values = []
+        for x in traj.states:
+            try:
+                values.append(float(f(x)))
+            except (EvaluationDomainError, OverflowError, ZeroDivisionError) as err:
+                values.append(err)
+        traj._monitored[f] = values
+    return values
+
+
 def conservation_report(traj: Trajectory, funcs) -> ConservationReport:
     """Max relative drift |f(x(t)) - f(x(0))| / max(1, |f(x(0))|) per function.
 
     ``funcs`` is a mapping label -> PhaseFunction or an iterable of
-    PhaseFunctions (labels taken from the functions).
+    PhaseFunctions (labels taken from the functions).  A function that
+    cannot be evaluated at a stored state raises its evaluation error.
     """
     if not isinstance(funcs, dict):
         funcs = {f.label or f"f{i}": f for i, f in enumerate(funcs)}
     drifts = {}
     for label, f in funcs.items():
-        ref = float(f(traj.states[0]))
+        values = _monitored_values(traj, f)
+        for v in values:
+            if isinstance(v, Exception):
+                raise v
+        ref = values[0]
         denom = max(1.0, abs(ref))
         worst = 0.0
-        for x in traj.states[1:]:
-            worst = max(worst, abs(float(f(x)) - ref) / denom)
+        for v in values[1:]:
+            worst = max(worst, abs(v - ref) / denom)
         drifts[label] = worst
     return ConservationReport(drifts)
 
@@ -280,13 +326,12 @@ def trajectory_table(traj: Trajectory, monitored=None):
         + [f"p{i + 1}" for i in range(n)]
         + list(monitored)
     )
-    rows = []
-    for t, x in zip(traj.times, traj.states):
-        row = [t, *x.q, *x.p]
-        for f in monitored.values():
-            try:
-                row.append(float(f(x)))
-            except (EvaluationDomainError, OverflowError, ZeroDivisionError):
-                row.append(float("nan"))
-        rows.append(row)
+    columns = [
+        [float("nan") if isinstance(v, Exception) else v for v in _monitored_values(traj, f)]
+        for f in monitored.values()
+    ]
+    rows = [
+        [t, *x.q, *x.p, *values]
+        for t, x, *values in zip(traj.times, traj.states, *columns)
+    ]
     return header, rows

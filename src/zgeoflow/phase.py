@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -87,7 +88,7 @@ class PhaseFunction:
                 f"got {point.dim}"
             )
         val = self.fn(*point.scalars())
-        if not np.isfinite(complex(val)):
+        if not cmath.isfinite(val):
             raise EvaluationDomainError(
                 f"{self.label or 'function'} is not finite at {point}"
             )

@@ -175,8 +175,8 @@ def test_criterion_3_integrability_and_superintegrability():
     assert worst < 1e-9
 
     pts = sample_points(3, 10, seed=33)
-    ranks_int = [independence_rank([h_int, c2, c3], x) for x in pts]
-    ranks_sup = [independence_rank([h_sup, c2, c3, i2, i3], x) for x in pts]
+    ranks_int = [independence_rank([h_int, c2, c3], x).rank for x in pts]
+    ranks_sup = [independence_rank([h_sup, c2, c3, i2, i3], x).rank for x in pts]
     assert all(r == 3 for r in ranks_int), ranks_int
     assert all(r == 5 for r in ranks_sup), ranks_sup
     print(

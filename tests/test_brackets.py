@@ -195,7 +195,20 @@ def test_involution_arity_mismatch():
 def test_independence_rank_degenerate():
     q1 = coordinate(1, 0)
     q1sq = PhaseFunction(1, lambda q, p: q[0] * q[0], "q1^2")
-    assert independence_rank([q1, q1sq], PhasePoint([1.0], [0.5])) == 1
+    assert independence_rank([q1, q1sq], PhasePoint([1.0], [0.5])).rank == 1
+
+
+def test_independence_rank_margin_is_the_smallest_kept_singular_ratio():
+    q1, p1 = coordinate(1, 0), momentum(1, 0)
+    x = PhasePoint([1.0], [0.5])
+    assert independence_rank([q1, p1], x) == (2, 1.0)
+    # rows (1, 0) and (1, 1e-6): kept, but close to the 1e-8 cut
+    tilted = PhaseFunction(1, lambda q, p: q[0] + 1e-6 * p[0], "tilted")
+    rank, margin = independence_rank([q1, tilted], x)
+    assert rank == 2 and margin == pytest.approx(0.5e-6, rel=1e-6)
+    q1sq = PhaseFunction(1, lambda q, p: q[0] * q[0], "q1^2")
+    assert independence_rank([q1, q1sq], x) == (1, 1.0)
+    assert independence_rank([q1 - q1], x) == (0, 0.0)
 
 
 def test_independence_rank_integrable_and_superintegrable():
@@ -205,8 +218,8 @@ def test_independence_rank_integrable_and_superintegrable():
     c2, c3 = casimir_m(2, 3, z), casimir_m(3, 3, z)
     i2, i3 = integral_extra_2(z, 3), integral_extra_3(z, 3)
     for x in sample_points(3, 5, seed=77):
-        assert independence_rank([h, c2, c3], x) == 3
-        assert independence_rank([hs, c2, c3, i2, i3], x) == 5
+        assert independence_rank([h, c2, c3], x).rank == 3
+        assert independence_rank([hs, c2, c3, i2, i3], x).rank == 5
 
 
 def test_independence_rank_ignores_row_scale():
@@ -217,8 +230,8 @@ def test_independence_rank_ignores_row_scale():
     sup = [hamiltonian_superintegrable(n, z), casimirs[0], casimirs[1],
            integral_extra_2(z, n), integral_extra_3(z, n)]
     x = sample_points(n, 1, seed=4)[0]
-    assert independence_rank(sup, x) == 5
-    assert independence_rank([hamiltonian_integrable(n, z), *casimirs], x) == n
+    assert independence_rank(sup, x).rank == 5
+    assert independence_rank([hamiltonian_integrable(n, z), *casimirs], x).rank == n
 
 
 def test_independence_rank_still_finds_dependence():
@@ -226,11 +239,11 @@ def test_independence_rank_still_finds_dependence():
     h = hamiltonian_integrable(3, z)
     c2, c3 = casimir_m(2, 3, z), casimir_m(3, 3, z)
     for x in sample_points(3, 5, seed=78):
-        assert independence_rank([h, c2, c3, 2.0 * h], x) == 3
-        assert independence_rank([h, c2, c3, c2 * c3], x) == 3
+        assert independence_rank([h, c2, c3, 2.0 * h], x).rank == 3
+        assert independence_rank([h, c2, c3, c2 * c3], x).rank == 3
     x = sample_points(8, 1, seed=4)[0]
     tower = [hamiltonian_integrable(8, 0.7)] + [casimir_m(m, 8, 0.7) for m in range(2, 9)]
-    assert independence_rank([*tower, 2.0 * tower[0]], x) == 8
+    assert independence_rank([*tower, 2.0 * tower[0]], x).rank == 8
 
 
 def test_bracket_arity_mismatch():

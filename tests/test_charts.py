@@ -1,6 +1,7 @@
 """Polar charts: trig kernels, round trips, canonicity, matched-point scales."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -442,6 +443,23 @@ def test_radial_maps_match_high_precision_gudermannian(z):
         # d rho / d r = kappa_cos(-z, rho) scales the rounding of the reference r
         cond = max(1.0, float(charts.kappa_cos(-z, rho)))
         assert abs(charts.r_to_rho(ref, z) - rho) <= 1e-12 * cond, rho
+    if z == 0.0:
+        return
+    # past sqrt|z| x = 1420 the sinh and cosh of the half-angle tangent
+    # overflow; rho_to_r (z > 0) and r_to_rho (z < 0) reach pi/(2 sqrt|z|)
+    lam = math.sqrt(abs(z))
+    for s in (1e3, 1419.0, 1421.0, 1.5e3, 3e3, 1e5, 1e100):
+        with mpmath.workdps(50):
+            ref = float(mpmath.acos(1 / mpmath.cosh(s)) / mpmath.sqrt(abs(mpmath.mpf(z))))
+        got = charts.rho_to_r(s / lam, z) if z > 0 else charts.r_to_rho(s / lam, z)
+        assert abs(got - ref) <= 1e-13 * max(1.0, ref), s
+
+
+def test_radial_maps_overflow_to_their_asymptote():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for got in (charts.rho_to_r(1500.0, 1.0), charts.r_to_rho(1500.0, -1.0)):
+            assert got == pytest.approx(math.pi / 2, rel=1e-15, abs=0.0)
 
 
 # --------------------------------------------------------------------------

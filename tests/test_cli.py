@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from zgeoflow import charts, cli, dual
 from zgeoflow.cli import main
+from zgeoflow.phase import PhaseFunction
 
 
 def run(args):
@@ -184,6 +185,64 @@ def test_simulate_domain_exit_writes_partial(tmp_path, capsys):
     content = read(csv)
     assert b"# truncated" in content
     assert "singularity" in capsys.readouterr().err
+
+
+def test_simulate_truncated_table_writes_nan(tmp_path):
+    # theta = 0 is the chart boundary: H and C(3) cannot be evaluated there
+    csv = tmp_path / "edge.csv"
+    code = run(
+        ["simulate", "--chart", "polar", "--hamiltonian", "integrable",
+         "--n", "3", "--z", "0.3", "--q", "0.8,0.0,0.5", "--p", "0.1,0.0,0.2",
+         "--t-end", "0.1", "--dt", "0.001", "--output", str(csv)]
+    )
+    assert code == 2
+    lines = read(csv).decode().splitlines()
+    row = dict(zip(lines[1].split(","), lines[2].split(",")))
+    assert (row["H"], row["C(3)"]) == ("nan", "nan")
+    assert float(row["C(2)"]) == pytest.approx(0.04)
+
+
+def test_simulate_completed_run_with_unevaluable_constant_is_exit_two(tmp_path, monkeypatch, capsys):
+    # the run completes, but a monitored value is not finite after the
+    # first state: the table says nan and no drift is written
+    build = cli._build_system
+
+    def with_bad_constant(cfg):
+        h, monitored = build(cfg)
+        q1 = cfg["q"][0]
+        bad = PhaseFunction(3, lambda q, p: 1.0 if q[0] == q1 else math.inf, "bad")
+        return h, {**monitored, "bad": bad}
+
+    monkeypatch.setattr(cli, "_build_system", with_bad_constant)
+    csv, meta = tmp_path / "t.csv", tmp_path / "m.json"
+    code = run(["simulate", "--n", "3", "--z", "0.3", "--q", "0.25,0.15,0.35",
+                "--p", "0.05,-0.04,0.06", "--t-end", "0.005", "--dt", "0.001",
+                "--output", str(csv), "--metadata", str(meta)])
+    assert code == 2
+    assert "bad is not finite" in capsys.readouterr().err
+    lines = read(csv).decode().splitlines()
+    assert [line.split(",")[-1] for line in lines[2:]] == ["1", *["nan"] * 5]
+    assert not meta.exists()
+
+
+def test_simulate_evaluates_each_monitored_value_once(tmp_path, monkeypatch):
+    calls = {}
+    call = PhaseFunction.__call__
+
+    def counted(f, x):
+        calls[f.label] = calls.get(f.label, 0) + 1
+        return call(f, x)
+
+    monkeypatch.setattr(PhaseFunction, "__call__", counted)
+    csv = tmp_path / "t.csv"
+    code = run(["simulate", "--n", "3", "--z", "0.3", "--hamiltonian", "superintegrable",
+                "--q", "0.25,0.15,0.35", "--p", "0.05,-0.04,0.06", "--t-end", "0.02",
+                "--dt", "0.001", "--keep-every", "4", "--output", str(csv),
+                "--metadata", str(tmp_path / "m.json")])
+    assert code == 0
+    states = len(read(csv).decode().splitlines()) - 2
+    assert states == 6
+    assert sorted(calls.values()) == [states] * 5
 
 
 def test_curvature_degenerate_grid_is_exit_two(tmp_path):

@@ -361,10 +361,6 @@ _tan = dual._elementary(
     "tan", math.tan, cmath.tan,
     lambda x, v: 1.0 / (dual.cos(x) * dual.cos(x)), lambda x, v, g: 2.0 * v * g,
 )
-_tanh = dual._elementary(
-    "tanh", math.tanh, cmath.tanh,
-    lambda x, v: 1.0 / (dual.cosh(x) * dual.cosh(x)), lambda x, v, g: -2.0 * v * g,
-)
 _acos = dual._elementary(
     "acos", math.acos, cmath.acos,
     lambda x, v: -1.0 / dual.sqrt(1.0 - x * x), lambda x, v, g: x * g * g * g,
@@ -388,7 +384,7 @@ _JET_RULES = [
      lambda x: 2 * cmath.sin(x) / cmath.cos(x) ** 3, 0.6),
     (dual.sinh, cmath.cosh, cmath.sinh, -0.8),
     (dual.cosh, cmath.sinh, cmath.cosh, -0.8),
-    (_tanh, lambda x: 1 / cmath.cosh(x) ** 2,
+    (dual.tanh, lambda x: 1 / cmath.cosh(x) ** 2,
      lambda x: -2 * cmath.sinh(x) / cmath.cosh(x) ** 3, 0.5),
     (dual.asin, lambda x: (1 - x * x) ** -0.5, lambda x: x * (1 - x * x) ** -1.5, 0.35),
     (_acos, lambda x: -((1 - x * x) ** -0.5), lambda x: -x * (1 - x * x) ** -1.5, 0.35),

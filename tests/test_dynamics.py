@@ -44,13 +44,13 @@ def phase_velocity(h, x):
 
 def test_rhs_free_particle():
     h = PhaseFunction(1, lambda q, p: 0.5 * p[0] * p[0], "T")
-    v = dynamics._rhs_flat(h, PhasePoint([0.0], [2.0]).flat())
+    v = dynamics._rhs_flat(h, [0.0, 2.0])
     assert v == pytest.approx([2.0, 0.0], abs=1e-15)
 
 
 def test_rhs_flat_integrable_is_free():
     h = hamiltonian_integrable(3, 0.0)
-    v = dynamics._rhs_flat(h, X0.flat())
+    v = dynamics._rhs_flat(h, X0.flat().tolist())
     assert v[:3] == pytest.approx(list(X0.p), abs=1e-15)
     assert v[3:] == pytest.approx([0.0, 0.0, 0.0], abs=1e-15)
 
@@ -58,7 +58,7 @@ def test_rhs_flat_integrable_is_free():
 def test_rhs_matches_fd_gradient():
     h = hamiltonian_integrable(2, 0.3)
     x = PhasePoint([0.5, -0.7], [0.9, 0.2])
-    v = dynamics._rhs_flat(h, x.flat())
+    v = dynamics._rhs_flat(h, x.flat().tolist())
     g = gradient_fd(h, x)
     assert v[:2] == pytest.approx(list(g.dp), rel=1e-6)
     assert v[2:] == pytest.approx(list(-g.dq), rel=1e-6)
@@ -325,6 +325,131 @@ def test_warm_start_rhs_count(method, dt, bound, monkeypatch):
         assert len(calls) / n_steps <= bound, (label, len(calls) / n_steps)
         assert traj.solver.rhs_evals == len(calls)
         assert sum(traj.solver.iterations.values()) == n_steps
+
+
+def parent_trajectory(h, x0, dt, n_steps, method):
+    """The ndarray steppers the list steppers replaced, with their warm start
+    and solver statistics: (states, SolverStats).  The RHS is shared; every
+    stepper operation is transcribed in its ndarray order."""
+    tol, max_iter = dynamics.FIXED_POINT_TOL, dynamics.FIXED_POINT_MAX_ITER
+    a = np.array([[0.25, 0.25 - np.sqrt(3.0) / 6.0], [0.25 + np.sqrt(3.0) / 6.0, 0.25]])
+    n_rhs = 0
+
+    def rhs(vec):
+        nonlocal n_rhs
+        n_rhs += 1
+        return np.array(dynamics._rhs_flat(h, vec.tolist()))
+
+    def midpoint(y, slope):
+        if slope is None:
+            slope = rhs(y)
+        u = y + dt * slope
+        scale = max(1.0, float(np.max(np.abs(y))))
+        for it in range(1, max_iter + 1):
+            slope = rhs(0.5 * (y + u))
+            u_next = y + dt * slope
+            update = float(np.max(np.abs(u_next - u)))
+            if update < tol * scale:
+                return u_next, slope, it, update
+            u = u_next
+        raise AssertionError("no convergence")
+
+    def gauss4(y, k):
+        if k is None:
+            f0 = rhs(y)
+            k = np.array([f0, f0])
+        scale = max(1.0, float(np.max(np.abs(y))))
+        for it in range(1, max_iter + 1):
+            k_next = np.array([
+                rhs(y + dt * (a[0, 0] * k[0] + a[0, 1] * k[1])),
+                rhs(y + dt * (a[1, 0] * k[0] + a[1, 1] * k[1])),
+            ])
+            update = float(np.max(np.abs(k_next - k)))
+            if update < tol * scale:
+                return y + dt * 0.5 * (k_next[0] + k_next[1]), k_next, it, update
+            k = k_next
+        raise AssertionError("no convergence")
+
+    def rk4(y, slope):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), None, 0, 0.0
+
+    def starting_slope(history):
+        if len(history) == 3:
+            return 3.0 * history[0] - 3.0 * history[1] + history[2]
+        if len(history) == 2:
+            return 2.0 * history[0] - history[1]
+        return history[0] if history else None
+
+    step = {"implicit-midpoint": midpoint, "gauss4": gauss4, "rk4-check": rk4}[method]
+    y = x0.flat().astype(float)
+    states, history, iterations = [y], [], {}
+    max_update, max_update_step = 0.0, 0
+    for k in range(1, n_steps + 1):
+        y, slope, its, update = step(y, starting_slope(history))
+        iterations[its] = iterations.get(its, 0) + 1
+        if update > max_update:
+            max_update, max_update_step = update, k
+        if slope is not None:
+            history = [slope, *history[:2]]
+        states.append(y)
+    return states, dynamics.SolverStats(n_rhs, iterations, max_update, max_update_step)
+
+
+@pytest.mark.parametrize("method", dynamics.METHODS)
+def test_list_steppers_match_ndarray_steppers_bit_for_bit(method):
+    n_steps = 200
+    for label, h, x0 in criterion_8_systems():
+        ref_states, ref_stats = parent_trajectory(h, x0, 1e-3, n_steps, method)
+        traj = dynamics.integrate(h, x0, n_steps * 1e-3, 1e-3, method)
+        assert [s.flat().tolist() for s in traj.states] == [s.tolist() for s in ref_states], label
+        assert traj.solver == ref_stats, label
+
+
+@pytest.mark.parametrize("step", [dynamics._midpoint_step, dynamics._gauss4_step])
+def test_nan_update_never_converges(step):
+    # a NaN past the first slot: Python's max would drop it, np.max does not
+    def rhs(vec):
+        return [0.0, float("nan"), 0.0, 0.0]
+
+    assert np.isnan(dynamics._update_norm([0.0, float("nan")], [0.0, 0.0]))
+    with pytest.raises(dynamics.IntegrationError, match="did not converge"):
+        step(rhs, [0.1, 0.2, 0.3, 0.4], 1e-3, 1e-3)
+
+
+def test_each_monitored_value_is_evaluated_once(monkeypatch):
+    calls = {}
+    call = PhaseFunction.__call__
+
+    def counted(f, x):
+        calls[f.label] = calls.get(f.label, 0) + 1
+        return call(f, x)
+
+    monkeypatch.setattr(PhaseFunction, "__call__", counted)
+    monitored = monitored_superintegrable(Z8)
+    traj = dynamics.integrate(monitored["H"], X8, 0.02, 1e-3, keep_every=5)
+    header, rows = dynamics.trajectory_table(traj, monitored)
+    drifts = dynamics.conservation_report(traj, monitored).drifts
+    assert calls == {f.label: len(traj) for f in monitored.values()}
+    # the drift reads the table's values
+    col = header.index("C(3)")
+    ref = rows[0][col]
+    assert drifts["C(3)"] == max(abs(r[col] - ref) / max(1.0, abs(ref)) for r in rows[1:])
+
+
+def test_unevaluable_monitored_value_is_nan_in_the_table_and_raises_in_the_report():
+    h = hamiltonian_integrable(2, 0.0)
+    traj = dynamics.integrate(h, PhasePoint([0.1, 0.2], [0.3, 0.4]), 0.1, 0.05)
+    x1 = float(traj.states[1].q[0])
+    bad = PhaseFunction(2, lambda q, p: 1.0 / (q[0] - x1), "bad")
+    header, rows = dynamics.trajectory_table(traj, {"bad": bad, "H": h})
+    assert [np.isnan(r[header.index("bad")]) for r in rows] == [False, True, False]
+    assert rows[1][header.index("H")] == pytest.approx(0.125)
+    with pytest.raises(ZeroDivisionError):
+        dynamics.conservation_report(traj, {"H": h, "bad": bad})
 
 
 def test_solver_stats_record_iterations_and_updates():

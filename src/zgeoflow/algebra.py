@@ -22,23 +22,8 @@ import math
 from dataclasses import dataclass
 
 from . import dual
+from .kernels import sinhc
 from .phase import PhaseFunction
-
-#: below this |x| the even Taylor series of sinhc is exact to ~1e-20 relative
-SINHC_SERIES_CUTOFF = 1e-4
-
-
-def sinhc(x):
-    """sinh(x)/x, total on finite reals, with sinhc(0) = 1 exactly.
-
-    Accepts floats, complex numbers and duals.  Near zero the 4-term even
-    Taylor series avoids the 0/0 cancellation.
-    """
-    if abs(dual.primal(x)) < SINHC_SERIES_CUTOFF:
-        x2 = x * x
-        return 1.0 + x2 * (1.0 / 6.0 + x2 * (1.0 / 120.0 + x2 / 5040.0))
-    return dual.sinh(x) / x
-
 
 @dataclass(frozen=True)
 class DeformedRealization:

@@ -52,9 +52,11 @@ def gradient(f: PhaseFunction, x: PhasePoint) -> PhaseGradient:
 def gradient_lists(f: PhaseFunction, q: list, p: list):
     """Gradient on raw coordinate lists; hot-loop variant of :func:`gradient`.
 
-    One reverse pass over all 2n coordinates gives (dq, dp)."""
+    The gradient over all 2n coordinates, (dq, dp), is one reverse pass the
+    first time; later calls on floats run the code compiled from that pass
+    (:class:`zgeoflow.dual.CompiledGradient`, kept with ``f``)."""
     n = len(q)
-    grad = dual.gradient(lambda qp: f.fn(qp[:n], qp[n:]), [*q, *p])
+    grad = f._gradient(lambda qp: f.fn(qp[:n], qp[n:]), [*q, *p])
     return grad[:n], grad[n:]
 
 

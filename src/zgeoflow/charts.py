@@ -41,6 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual
+from .kernels import cos_kernel as _cos_kernel
+from .kernels import sin_kernel
 from .phase import EvaluationDomainError, PhaseFunction, PhasePoint
 
 #: series cutoff of the kappa kernels
@@ -85,26 +87,9 @@ class SpaceSignature:
 # ---------------------------------------------------------------------------
 
 
-def _sin_kernel(u):
-    """sin(sqrt(u))/sqrt(u), analytic in u (sinh branch for u < 0)."""
-    up = dual.primal(u)
-    if abs(up) < _SERIES_CUTOFF:
-        return 1.0 - u * (1.0 / 6.0 - u * (1.0 / 120.0 - u / 5040.0))
-    if up.real > 0:
-        v = dual.sqrt(u)
-        return dual.sin(v) / v
-    v = dual.sqrt(-u)
-    return dual.sinh(v) / v
-
-
-def _cos_kernel(u):
-    """cos(sqrt(u)), analytic in u (cosh branch for u < 0)."""
-    up = dual.primal(u)
-    if abs(up) < _SERIES_CUTOFF:
-        return 1.0 - u * (0.5 - u * (1.0 / 24.0 - u / 720.0))
-    if up.real > 0:
-        return dual.cos(dual.sqrt(u))
-    return dual.cosh(dual.sqrt(-u))
+#: sin(sqrt(u))/sqrt(u) and cos(sqrt(u)), analytic in u (sinh and cosh
+#: branches for u < 0): one table entry each
+_sin_kernel = sin_kernel(0)
 
 
 def kappa_sin(kappa: float, x):
@@ -497,10 +482,23 @@ class PolarSystem:
     kappa2: float
 
 
-def _guard(value, what):
-    if abs(dual.primal(value)) < 1e-12:
-        raise EvaluationDomainError(f"chart-boundary singularity: {what} = 0")
-    return value
+def _guard(what):
+    """The identity as a table entry whose value raises EvaluationDomainError
+    at |x| < 1e-12, the chart boundary where ``what`` vanishes."""
+
+    def check(x):
+        if abs(x) < 1e-12:
+            raise EvaluationDomainError(f"chart-boundary singularity: {what} = 0")
+        return x
+
+    return dual._elementary(
+        f"guard[{what}]", check, check, lambda x, v: 1.0, lambda x, v, g: 0.0
+    )
+
+
+_guard_rho = _guard("sinh(l1 rho)/l1")
+_guard_r = _guard("sin(l1 r)/l1")
+_guard_theta = _guard("sin(l2 theta)/l2")
 
 
 def _polar_casimirs(kappa2: float) -> dict:
@@ -511,7 +509,7 @@ def _polar_casimirs(kappa2: float) -> dict:
         return p[2] * p[2]
 
     def c_three(q, p):
-        ks_t = _guard(kappa_sin(kappa2, q[1]), "sin(l2 theta)/l2")
+        ks_t = _guard_theta(kappa_sin(kappa2, q[1]))
         return p[1] * p[1] + p[2] * p[2] / (ks_t * ks_t)
 
     return {
@@ -533,8 +531,8 @@ def integrable_polar_system(z: float, kappa2: float) -> PolarSystem:
 
     def ham(q, p):
         rho, theta = q[0], q[1]
-        ks_r = _guard(kappa_sin(-z, rho), "sinh(l1 rho)/l1")
-        ks_t = _guard(kappa_sin(kappa2, theta), "sin(l2 theta)/l2")
+        ks_r = _guard_rho(kappa_sin(-z, rho))
+        ks_t = _guard_theta(kappa_sin(kappa2, theta))
         kc_r = kappa_cos(-z, rho)
         angular = p[1] * p[1] + p[2] * p[2] / (ks_t * ks_t)
         return 0.5 * kc_r * (p[0] * p[0] + angular / (kappa2 * ks_r * ks_r))
@@ -560,15 +558,15 @@ def superintegrable_polar_system(z: float, kappa2: float) -> PolarSystem:
 
     def ham(q, p):
         r, theta = q[0], q[1]
-        ks_r = _guard(kappa_sin(z, r), "sin(l1 r)/l1")
-        ks_t = _guard(kappa_sin(kappa2, theta), "sin(l2 theta)/l2")
+        ks_r = _guard_r(kappa_sin(z, r))
+        ks_t = _guard_theta(kappa_sin(kappa2, theta))
         angular = p[1] * p[1] + p[2] * p[2] / (ks_t * ks_t)
         return 0.5 * (p[0] * p[0] + angular / (kappa2 * ks_r * ks_r))
 
     def i_two(q, p):
         r, theta, phi = q
-        ks_r = _guard(kappa_sin(z, r), "sin(l1 r)/l1")
-        ks_t = _guard(kappa_sin(kappa2, theta), "sin(l2 theta)/l2")
+        ks_r = _guard_r(kappa_sin(z, r))
+        ks_t = _guard_theta(kappa_sin(kappa2, theta))
         kc_r = kappa_cos(z, r)
         kc_t = kappa_cos(kappa2, theta)
         sphi = dual.sin(phi)
@@ -582,8 +580,8 @@ def superintegrable_polar_system(z: float, kappa2: float) -> PolarSystem:
 
     def i_three(q, p):
         r, theta = q[0], q[1]
-        ks_r = _guard(kappa_sin(z, r), "sin(l1 r)/l1")
-        ks_t = _guard(kappa_sin(kappa2, theta), "sin(l2 theta)/l2")
+        ks_r = _guard_r(kappa_sin(z, r))
+        ks_t = _guard_theta(kappa_sin(kappa2, theta))
         kc_r = kappa_cos(z, r)
         kc_t = kappa_cos(kappa2, theta)
         cot_r = kc_r / ks_r

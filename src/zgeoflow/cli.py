@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, dual
+from . import __version__, dual, jsontext
 from .algebra import (
     casimir_m,
     casimir_one,
@@ -114,7 +114,7 @@ def _json_report(config, results, residuals):
         "residuals": residuals,
         "version": __version__,
     }
-    return json.dumps(doc, sort_keys=True, indent=2, default=float) + "\n"
+    return jsontext.dumps(doc) + "\n"
 
 
 def _csv(header, rows, config):

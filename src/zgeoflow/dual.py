@@ -23,7 +23,24 @@ values and its f' and f'' as expressions in x, f(x) and f'(x).  One
 builder, :func:`_elementary`, applies each type's chain rule to them: a jet
 maps through (f, f', f'') at its value, a dual and a reverse node through
 f', all on the generic function of the value, so complex points work too.
-A new number type or kernel plugs in once, in the builder.
+A new number type or kernel plugs in once, in the builder; the kernels of
+:mod:`zgeoflow.kernels` are entries too.
+
+Compiled gradients.  A reverse pass also records each forward operation
+(its table entry or operator, its operands' value slots, and its
+plain-number operands lifted into a constants vector).  When the operation
+sequence of a function does not depend on its input, that record is
+emitted once as straight-line Python, forward values and then the adjoint
+sweep (source transformation, Griewank & Walther ch. 6), and run on plain
+floats (:class:`CompiledGradient`).  The code is cached on the operation
+skeleton, so a shape compiles once per process whatever its constants.
+Every value and partial is computed as the ``Rev`` operators compute it
+and the adjoints accumulate in the sweep's order, so a compiled gradient
+equals the reverse pass bit for bit; the reverse pass stays the per-call
+path and the oracle.  Fallback rule: a pass that read a node's value
+through :func:`primal` may branch on it, so its function never compiles,
+and a call with a non-float argument takes the reverse pass.  A compiled
+call evaluates no number type and draws no tag.
 
 Nesting rule.  Jet and reverse passes are outermost: their inputs are plain
 floats or complex numbers.  Forward dual passes may run inside a reverse
@@ -34,14 +51,14 @@ jets of two jet passes, do not mix: a reverse pass inside a reverse pass
 raises ``ValueError``.
 
 The helpers :func:`partial`, :func:`gradient`, :func:`second_partial`,
-:func:`jet`, :func:`taylor2`, :func:`hessian` and the one-variable
-:func:`derivative` are the only code in the package that creates tags,
-seeds inputs and extracts derivative parts, and the builder is the only
-code outside the number types that reads their parts; every other module
-differentiates through them.  Each call of ``f`` is one pass and draws its
-own tags: a first partial is one dual pass, a gradient one reverse pass, a
-single second partial one nested dual pass, and a value-gradient-Hessian
-triple one jet pass.
+:func:`jet`, :func:`taylor2`, :func:`hessian`, the one-variable
+:func:`derivative` and :class:`CompiledGradient` are the only code in the
+package that creates tags, seeds inputs and extracts derivative parts, and
+the builder is the only code outside the number types that reads their
+parts; every other module differentiates through them.  Each call of ``f``
+is one pass and draws its own tags: a first partial is one dual pass, a
+gradient one reverse pass, a single second partial one nested dual pass,
+and a value-gradient-Hessian triple one jet pass.
 """
 
 from __future__ import annotations
@@ -300,112 +317,164 @@ def _mixed_tapes():
     raise ValueError("nodes of two different reverse passes do not mix")
 
 
-class Rev:
-    """A node of a reverse pass: value ``v`` and index ``k`` on the tape ``t``.
+class _Tape(list):
+    """The record of one reverse pass.
 
-    Tape entry k is the flat tuple (i, d_i) or (i, d_i, j, d_j) of node k's
-    parents and local partials; the pass's n inputs are entries 0..n-1.
-    Adding a constant records nothing: x + c shares the index of x, since
-    its partial is 1.  Arithmetic with a plain number treats it as a
-    constant; a ``Dual`` operand is left to the dual's operators.
+    The list holds the sweep entries: entry k is the flat tuple (i, d_i) or
+    (i, d_i, j, d_j) of node k's parents and local partials, the pass's n
+    inputs being entries 0..n-1.  ``ops`` holds one forward operation per
+    value, inputs first (as ``None``): a tuple of the table entry or
+    operator code and the value slots of its operands (and an integer
+    power), with every plain-number operand lifted, in order, into
+    ``consts``.  ``opaque`` is set once a value is read off a node, after
+    which the operation sequence may depend on the input.
     """
 
-    __slots__ = ("v", "k", "t")
+    __slots__ = ("ops", "consts", "opaque")
+
+    def __init__(self, n):
+        super().__init__([None] * n)
+        self.ops = [None] * n
+        self.consts = []
+        self.opaque = False
+
+
+# operator codes of a tape's forward operations; the ``*C`` codes and
+# _RSUB/_RDIV take one constant operand, lifted into the tape's consts
+_ADD, _ADDC, _SUB, _SUBC, _RSUB, _NEG, _MUL, _MULC, _DIV, _RDIV, _POW = range(11)
+
+
+class Rev:
+    """A node of a reverse pass: value ``v``, index ``k`` on the tape ``t``
+    and value slot ``s`` among the tape's forward operations.
+
+    Adding a constant records no sweep entry: x + c shares the index of x,
+    since its partial is 1, but it has a value slot of its own.  Arithmetic
+    with a plain number treats it as a constant; a ``Dual`` operand is left
+    to the dual's operators.
+    """
+
+    __slots__ = ("v", "k", "t", "s")
 
     # numpy scalars on the left defer to the reflected operators
     __array_ufunc__ = None
 
-    def __init__(self, v, k, t):
+    def __init__(self, v, k, t, s):
         self.v = v
         self.k = k
         self.t = t
+        self.s = s
 
     def __repr__(self):
         return f"Rev(v={self.v!r}, k={self.k})"
 
-    def _chain(self, v, d):
-        """The node f(self) from v = f(x) and d = f'(x) at x = self.v."""
+    def _chain(self, v, d, op):
+        """The node f(self) from v = f(x) and d = f'(x) at x = self.v; ``op``
+        is its forward operation."""
         t = self.t
         t.append((self.k, d))
-        return Rev(v, len(t) - 1, t)
+        ops = t.ops
+        ops.append(op)
+        return Rev(v, len(t) - 1, t, len(ops) - 1)
 
     # the operators record their entries inline: one call less per operation
 
     def __add__(self, other):
+        t = self.t
+        ops = t.ops
         if type(other) is Rev:
-            t = self.t
             if other.t is not t:
                 _mixed_tapes()
             t.append((self.k, 1.0, other.k, 1.0))
-            return Rev(self.v + other.v, len(t) - 1, t)
+            ops.append((_ADD, self.s, other.s))
+            return Rev(self.v + other.v, len(t) - 1, t, len(ops) - 1)
         if type(other) is Dual:
             return NotImplemented
-        return Rev(self.v + other, self.k, self.t)
+        v = self.v + other
+        ops.append((_ADDC, self.s))
+        t.consts.append(other)
+        return Rev(v, self.k, t, len(ops) - 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        t = self.t
-        t.append((self.k, -1.0))
-        return Rev(-self.v, len(t) - 1, t)
+        return self._chain(-self.v, -1.0, (_NEG, self.s))
 
     def __sub__(self, other):
+        t = self.t
+        ops = t.ops
         if type(other) is Rev:
-            t = self.t
             if other.t is not t:
                 _mixed_tapes()
             t.append((self.k, 1.0, other.k, -1.0))
-            return Rev(self.v - other.v, len(t) - 1, t)
+            ops.append((_SUB, self.s, other.s))
+            return Rev(self.v - other.v, len(t) - 1, t, len(ops) - 1)
         if type(other) is Dual:
             return NotImplemented
-        return Rev(self.v - other, self.k, self.t)
+        v = self.v - other
+        ops.append((_SUBC, self.s))
+        t.consts.append(other)
+        return Rev(v, self.k, t, len(ops) - 1)
 
     def __rsub__(self, other):
-        t = self.t
-        t.append((self.k, -1.0))
-        return Rev(other - self.v, len(t) - 1, t)
+        v = other - self.v
+        self.t.consts.append(other)
+        return self._chain(v, -1.0, (_RSUB, self.s))
 
     def __mul__(self, other):
         t = self.t
+        ops = t.ops
         if type(other) is Rev:
             if other.t is not t:
                 _mixed_tapes()
             a, b = self.v, other.v
             t.append((self.k, b, other.k, a))
-            return Rev(a * b, len(t) - 1, t)
+            ops.append((_MUL, self.s, other.s))
+            return Rev(a * b, len(t) - 1, t, len(ops) - 1)
         if type(other) is Dual:
             return NotImplemented
+        v = self.v * other
         t.append((self.k, other))
-        return Rev(self.v * other, len(t) - 1, t)
+        ops.append((_MULC, self.s))
+        t.consts.append(other)
+        return Rev(v, len(t) - 1, t, len(ops) - 1)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         t = self.t
+        ops = t.ops
         if type(other) is Rev:
             if other.t is not t:
                 _mixed_tapes()
             inv = 1.0 / other.v
             v = self.v * inv
             t.append((self.k, inv, other.k, -v * inv))
-            return Rev(v, len(t) - 1, t)
+            ops.append((_DIV, self.s, other.s))
+            return Rev(v, len(t) - 1, t, len(ops) - 1)
         if type(other) is Dual:
             return NotImplemented
+        # x / c is x * (1 / c), in value, partial and record
         inv = 1.0 / other
+        v = self.v * inv
         t.append((self.k, inv))
-        return Rev(self.v * inv, len(t) - 1, t)
+        ops.append((_MULC, self.s))
+        t.consts.append(inv)
+        return Rev(v, len(t) - 1, t, len(ops) - 1)
 
     def __rtruediv__(self, other):
         inv = 1.0 / self.v
         v = other * inv
-        return self._chain(v, -v * inv)
+        d = -v * inv
+        self.t.consts.append(other)
+        return self._chain(v, d, (_RDIV, self.s))
 
     def __pow__(self, n):
         if isinstance(n, int):
             if n == 0:
                 return self.v**0
             x = self.v
-            return self._chain(x**n, n * x ** (n - 1))
+            return self._chain(x**n, n * x ** (n - 1), (_POW, self.s, n))
         return exp(n * log(self))
 
 
@@ -432,10 +501,16 @@ def _sweep(tape, y, n):
 
 
 def primal(x):
-    """Strip all dual, jet or reverse layers and return the underlying float / complex."""
+    """Strip all dual, jet or reverse layers and return the underlying float / complex.
+
+    Reading a node's value marks its tape opaque: the pass may branch on it.
+    """
     while isinstance(x, Dual):
         x = x.re
-    return x.v if type(x) is Jet or type(x) is Rev else x
+    if type(x) is Rev:
+        x.t.opaque = True
+        return x.v
+    return x.v if type(x) is Jet else x
 
 
 def dual_part(x, tag):
@@ -473,12 +548,21 @@ def gradient(f, args):
     A list-valued ``f`` gives the list of Jacobian columns, as
     :func:`partial` slot by slot does, from one sweep per component.
     """
-    n = len(args)
+    return _adjoints(*_record(f, args), len(args))
+
+
+def _record(f, args):
+    """One recorded evaluation of ``f`` on the nodes of a new reverse pass
+    seeded with ``args``: returns (tape, output)."""
     if not _NUMBER_TYPES.isdisjoint(map(type, args)):
         raise ValueError("a reverse pass is outermost: its inputs are floats or complex")
     fresh_tag()  # the tape needs no tag, but every pass draws one: tags count passes
-    tape = [None] * n
-    out = f([Rev(x, k, tape) for k, x in enumerate(args)])
+    tape = _Tape(len(args))
+    return tape, f([Rev(x, k, tape, k) for k, x in enumerate(args)])
+
+
+def _adjoints(tape, out, n):
+    """The gradient (or Jacobian columns) of the recorded pass output ``out``."""
     if isinstance(out, list):
         rows = [_sweep(tape, y, n) for y in out]
         return [[row[i] for row in rows] for i in range(n)]
@@ -547,6 +631,170 @@ def derivative(f, x):
 
 
 # ---------------------------------------------------------------------------
+# compiled gradients: a recorded reverse pass as straight-line float code
+# ---------------------------------------------------------------------------
+
+#: operation skeleton -> compiled gradient code; the oldest goes first once
+#: MAX_SKELETONS are held
+_SKELETONS = {}
+MAX_SKELETONS = 256
+
+
+#: the forward lines and the local partials (one per operand slot; "+" and
+#: "-" are 1 and -1) of each operator, in the value {v} of slot {j}, its
+#: operand values {x} and {y}, its constant {c} and integer power {p}; an
+#: operator without partials shares the sweep index of {x}
+_FORMS = {
+    _ADD: (["{v} = {x} + {y}"], ["+", "+"]),
+    _ADDC: (["{v} = {x} + {c}"], None),
+    _SUB: (["{v} = {x} - {y}"], ["+", "-"]),
+    _SUBC: (["{v} = {x} - {c}"], None),
+    _RSUB: (["{v} = {c} - {x}"], ["-"]),
+    _NEG: (["{v} = -{x}"], ["-"]),
+    _MUL: (["{v} = {x} * {y}"], ["{y}", "{x}"]),
+    _MULC: (["{v} = {x} * {c}"], ["{c}"]),
+    _DIV: (["i{j} = 1.0 / {y}", "{v} = {x} * i{j}"], ["i{j}", "(-{v} * i{j})"]),
+    _RDIV: (["i{j} = 1.0 / {x}", "{v} = {c} * i{j}"], ["(-{v} * i{j})"]),
+    _POW: (["{v} = {x} ** {p}", "d{j} = {p} * {x} ** ({p} - 1)"], ["d{j}"]),
+}
+_ENTRY_FORM = (["{v} = R{e}({x})", "d{j} = D{e}({x}, {v})"], ["d{j}"])
+_WITH_CONST = frozenset((_ADDC, _SUBC, _RSUB, _MULC, _RDIV))
+
+
+def _emit(n, ops, out):
+    """Source of ``grad(x, c)``, the gradient of value slot ``out`` of the
+    forward operations ``ops`` (slots 0..n-1 are the inputs ``x``, the
+    constants ``c`` are the lifted plain-number operands in order), and the
+    table entries it calls by name.
+
+    Every value and local partial is computed as the ``Rev`` operators
+    compute it, in the same order, and the adjoints accumulate in the order
+    of :func:`_sweep`, so the result equals a reverse pass bit for bit.  An
+    adjoint starts at its first contribution instead of 0.0 + it, which can
+    only change the sign of a zero; the returned ``+ 0.0`` undoes that.
+    """
+    lines, entries, nc = [], {}, 0
+    kof = list(range(n))  # sweep index of each value slot
+    parents = [None] * n  # sweep index -> [(parent sweep index, partial)]
+    for j in range(n, len(ops)):
+        code, *slots = ops[j]
+        form, partials = _FORMS.get(code) or _ENTRY_FORM
+        names = {"j": j, "v": f"v{j}", "x": f"v{slots[0]}", "c": f"c{nc}"}
+        if code == _POW:
+            names["p"] = slots.pop()
+        elif len(slots) == 2:
+            names["y"] = f"v{slots[1]}"
+        elif code not in _FORMS:
+            names["e"] = entries.setdefault(code, len(entries))
+        nc += code in _WITH_CONST
+        lines += [line.format(**names) for line in form]
+        if partials is None:
+            kof.append(kof[slots[0]])
+            continue
+        kof.append(len(parents))
+        parents.append([(kof[a], d.format(**names)) for a, d in zip(slots, partials)])
+    top = kof[out]
+    adj = {top: "1.0"}
+    for k in range(top, n - 1, -1):
+        ak = adj.get(k, "0.0")
+        for p, d in parents[k]:
+            if d == "+" or d == "-":
+                if ak == "0.0":
+                    continue  # a zero, whatever its sign, changes no sum
+                if p in adj:
+                    lines.append(f"a{p} {d}= {ak}")
+                    continue
+                term = ak if d == "+" else f"-{ak}"
+            else:
+                term = d if ak == "1.0" else f"{ak} * {d}"
+                if p in adj:
+                    lines.append(f"a{p} += {term}")
+                    continue
+            lines.append(f"a{p} = {term}")
+            adj[p] = f"a{p}"
+    ret = [adj[i] if i == top else f"a{i} + 0.0" if i in adj else "0.0" for i in range(n)]
+    head = [f"{', '.join(f'v{i}' for i in range(n))}, = x"]
+    if nc:
+        head.append(f"{', '.join(f'c{i}' for i in range(nc))}, = c")
+    body = "\n    ".join([*head, *lines, f"return [{', '.join(ret)}]"])
+    return f"def grad(x, c):\n    {body}\n", entries
+
+
+def _compile(tape, out, n):
+    """The compiled gradient of the recorded pass (``tape``, output ``out``),
+    called as ``code(args, consts)``; one compilation per operation
+    skeleton, whatever the constants."""
+    key = (n, out.s, tuple(tape.ops[n:]))
+    code = _SKELETONS.get(key)
+    if code is None:
+        src, entries = _emit(n, tape.ops, out.s)
+        names = {}
+        for f, e in entries.items():
+            names[f"R{e}"], names[f"D{e}"] = f.real, f.d1
+        exec(compile(src, "<compiled gradient>", "exec"), names)
+        code = names["grad"]
+        if len(_SKELETONS) >= MAX_SKELETONS:
+            del _SKELETONS[next(iter(_SKELETONS))]
+        _SKELETONS[key] = code
+    return code
+
+
+class CompiledGradient:
+    """The gradient of one scalar function ``f`` of float arguments, run as
+    compiled straight-line code once the operation sequence is known.
+
+    The first call is one recorded reverse pass, as :func:`gradient`.  The
+    second compiles that record (or finds its skeleton compiled already),
+    checks the code against the first pass's gradient, and runs it; so do
+    all later calls.  The code draws no tag: it evaluates no number type.
+    A pass that read a node's value (see :func:`primal`) may take another
+    sequence at another input, so its function stays on the per-call
+    reverse pass, as do calls with a non-float argument.  (A function that
+    catches the exceptions of its own arithmetic could branch unseen; none
+    in this package does.)
+    """
+
+    __slots__ = ("code", "consts", "first", "opaque")
+
+    def __init__(self):
+        self.code = self.consts = self.first = None
+        self.opaque = False
+
+    def __call__(self, f, args):
+        floats = _FLOAT.issuperset(map(type, args))
+        code = self.code
+        if code is not None and floats:
+            return code(args, self.consts)
+        if self.opaque or not floats:
+            return gradient(f, args)
+        n = len(args)
+        if self.first is None:
+            tape, out = _record(f, args)
+            grad = _adjoints(tape, out, n)
+            if tape.opaque or type(out) is not Rev:
+                self.opaque = True
+            else:
+                self.first = (list(args), grad, tape, out)
+            return grad
+        args0, grad0, tape, out = self.first
+        self.first = None
+        code, consts = _compile(tape, out, n), tuple(tape.consts)
+        try:
+            agrees = code(args0, consts) == grad0
+        except (ArithmeticError, TypeError, ValueError):
+            agrees = False
+        if not agrees:
+            self.opaque = True
+            return gradient(f, args)
+        self.consts = consts  # before the code: a call that sees the code sees them
+        self.code = code
+        return code(args, consts)
+
+
+_FLOAT = frozenset((float,))
+
+
+# ---------------------------------------------------------------------------
 # generic elementary functions: one (f, f', f'') entry each
 # ---------------------------------------------------------------------------
 
@@ -568,7 +816,7 @@ def _elementary(name, real, cplx, d1, d2):
             return real(x)
         if type(x) is Rev:
             v = f(x.v)
-            return x._chain(v, d1(x.v, v))
+            return x._chain(v, d1(x.v, v), (f, x.s))
         if isinstance(x, Dual):
             v = f(x.re)
             return Dual(x.tag, v, x.du * d1(x.re, v))
@@ -579,6 +827,7 @@ def _elementary(name, real, cplx, d1, d2):
         return cplx(x) if isinstance(x, complex) else real(x)
 
     f.__name__ = f.__qualname__ = name
+    f.real, f.d1 = real, d1  # what compiled gradients call on floats
     return f
 
 

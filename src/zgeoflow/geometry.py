@@ -226,11 +226,6 @@ def sectional_curvature(g: DiagonalMetric, q, i: int, j: int) -> float:
     return curvature_summary(g, q)[0][(min(i, j), max(i, j))]
 
 
-def sectional_curvatures(g: DiagonalMetric, q) -> dict:
-    """All coordinate-plane sectional curvatures {(i, j): K_ij} with i < j."""
-    return curvature_summary(g, q)[0]
-
-
 def scalar_curvature(g: DiagonalMetric, q) -> float:
     """Ricci scalar K = g^{ab} R_ab; equals 2 * sum K_ij for 3D diagonal g."""
     return curvature_summary(g, q)[1]

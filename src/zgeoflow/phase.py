@@ -8,6 +8,8 @@ from typing import Callable
 
 import numpy as np
 
+from . import dual
+
 
 class EvaluationDomainError(ValueError):
     """A function was evaluated outside its domain (non-finite result)."""
@@ -70,12 +72,17 @@ class PhaseFunction:
     :class:`~zgeoflow.dual.Jet` and :class:`~zgeoflow.dual.Rev` values of a
     dual, jet or reverse pass) and must be built from the generic math in
     :mod:`zgeoflow.dual` so that exact derivatives are available.  Instances
-    are immutable and safe to evaluate concurrently.
+    are immutable, apart from the gradient state that caches the compiled
+    gradient of ``fn``, and safe to evaluate concurrently.
     """
 
     arity: int
     fn: Callable = field(repr=False)
     label: str = ""
+    #: the gradient state of ``fn`` (see :func:`zgeoflow.brackets.gradient_lists`)
+    _gradient: dual.CompiledGradient = field(
+        default_factory=dual.CompiledGradient, init=False, repr=False, compare=False
+    )
 
     def raw(self, q, p):
         """Evaluate on generic scalar sequences (dual/complex capable)."""

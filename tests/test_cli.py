@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zgeoflow import charts, cli, dual
+from zgeoflow import charts, cli, dual, jsontext
 from zgeoflow.cli import main
 from zgeoflow.phase import PhaseFunction
 
@@ -613,3 +613,69 @@ def test_cli_fuzz_keeps_the_exit_code_contract(argv, tmp_path_factory):
     assert "Traceback" not in text and "Warning" not in text, text
     if code == 0:
         assert "nan" not in out.read_text().lower()
+
+
+_UNITS = {
+    "verify": ["verify", "--n=3", "--z=0.3", "--samples=2", "--seed=4", "--format=json"],
+    "simulate": ["simulate", "--n=3", "--z=-0.4", "--q=0.25,-0.15,0.35",
+                 "--p=0.05,-0.04,0.06", "--t-end=0.01", "--dt=0.001", "--metadata=meta.json"],
+    "curvature": ["curvature", "--n=3", "--z=0.6", "--grid-points=2"],
+    "transform": ["transform", "--q=0.5,0.4,0.6", "--p=0.1,-0.3,0.2", "--z=0.3",
+                  "--with-r", "--roundtrip", "--canonicity"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_UNITS))
+def test_json_reports_are_the_standard_encoding(command, tmp_path, monkeypatch):
+    # every document a command writes as JSON, and the config a CSV header
+    # carries, encodes byte for byte as json.dumps with an indent of 2
+    docs = []
+    report, csv = cli._json_report, cli._csv
+
+    def spy_report(config, results, residuals):
+        docs.append({"config": config, "results": results, "residuals": residuals,
+                     "version": cli.__version__})
+        return report(config, results, residuals)
+
+    def spy_csv(header, rows, config):
+        docs.append(config)
+        return csv(header, rows, config)
+
+    monkeypatch.setattr(cli, "_json_report", spy_report)
+    monkeypatch.setattr(cli, "_csv", spy_csv)
+    monkeypatch.chdir(tmp_path)
+    assert main([*_UNITS[command], "--output=out"]) == 0
+    assert docs
+    for doc in docs:
+        assert jsontext.dumps(doc) == json.dumps(doc, sort_keys=True, indent=2, default=float)
+    written = [tmp_path / "out"] if command in ("verify", "transform") else []
+    written += [tmp_path / "meta.json"] if command == "simulate" else []
+    for path, doc in zip(written, docs[-len(written):]):
+        assert read(path).decode() == json.dumps(doc, sort_keys=True, indent=2, default=float) + "\n"
+
+
+def test_json_encoding_of_edge_values():
+    doc = {"b": [1e-320, -0.0, math.inf, -math.inf, math.nan, True, None, 2**70, "é\n"],
+           "a": {"x": [], "y": {}, "z": ()}, "c": {3: [1.5, {"k": [[]]}], 2.5: False, True: 1}}
+    for value in (doc, [], {}, 0.1, "s", None, [doc, doc]):
+        got = jsontext.dumps(value)
+        assert got == json.dumps(value, sort_keys=True, indent=2, default=float)
+
+
+def test_one_simulate_unit_leaves_no_garbage(tmp_path, monkeypatch):
+    # nothing a unit allocates waits for the cyclic collector
+    import gc
+
+    monkeypatch.chdir(tmp_path)
+    argv = [*_UNITS["simulate"], "--output=out"]
+    assert main(argv) == 0  # warm: the first unit of a process compiles its gradient
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert garbage == []

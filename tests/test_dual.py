@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zgeoflow import algebra, charts, dual
+from zgeoflow import algebra, charts, dual, kernels
 from zgeoflow.algebra import hamiltonian_superintegrable, realize_generators
 from zgeoflow.brackets import gradient, gradient_fd, gradient_lists, sample_points
 from zgeoflow.dual import Dual, derivative, partial, primal
@@ -492,8 +492,7 @@ def _term_sizes(f, args):
     level its roundoff lives at (at least |df/dx_i|).  Entries that cancel
     (the Casimirs; sinh(x)/x just above its series cutoff) are far smaller."""
     n = len(args)
-    tape = [None] * n
-    y = f([dual.Rev(x, k, tape) for k, x in enumerate(args)])
+    tape, y = dual._record(f, args)
     size = [0.0] * len(tape)
     if type(y) is dual.Rev:
         size[y.k] = 1.0
@@ -638,14 +637,20 @@ def test_nested_reverse_passes_raise():
 
 
 def test_one_gradient_draws_one_tag():
-    h = hamiltonian_superintegrable(4, 0.3)
+    # one reverse pass per gradient; a function's later float gradients run
+    # compiled code, which evaluates no number type and draws no tag
     x = PhasePoint([0.3, -0.2, 0.5, 0.1], [0.7, 0.1, -0.4, 0.2])
-    for take in (lambda: dual.gradient(_flat(h), [*x.q.tolist(), *x.p.tolist()]),
-                 lambda: gradient_lists(h, x.q.tolist(), x.p.tolist()),
-                 lambda: gradient(h, x)):
+    for take in (lambda h: dual.gradient(_flat(h), [*x.q.tolist(), *x.p.tolist()]),
+                 lambda h: gradient_lists(h, x.q.tolist(), x.p.tolist()),
+                 lambda h: gradient(h, x)):
+        h = hamiltonian_superintegrable(4, 0.3)
         tags = dual.fresh_tag()
-        take()
+        take(h)
         assert dual.fresh_tag() - tags == 2
+    for _ in range(2):
+        tags = dual.fresh_tag()
+        gradient(h, x)
+        assert dual.fresh_tag() - tags == 1
 
 
 def test_only_dual_reads_the_number_types():
@@ -665,3 +670,50 @@ def test_only_dual_reads_the_number_types():
             elif isinstance(node, ast.alias):
                 used.add(node.name)
         assert not names & used, (path.name, sorted(names & used))
+
+
+_KERNELS = {
+    # entry, and its 40-digit reference as a function of mpmath numbers
+    "sinhc": (algebra.sinhc, lambda m, x: m.sinh(x) / x),
+    "sin_kernel": (charts._sin_kernel, lambda m, u: m.sin(m.sqrt(u)) / m.sqrt(u)),
+    "cos_kernel": (charts._cos_kernel, lambda m, u: m.cos(m.sqrt(u))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KERNELS))
+def test_kernel_entries_match_high_precision(name):
+    # f, f' and f'' from one jet pass, against 40 digits, for real and
+    # complex arguments with |u| from 1e-8 to 2, across the old 1e-4 cutoff
+    # (where f'' of the closed forms lost up to ~1e9 eps)
+    mpmath = pytest.importorskip("mpmath")
+    entry, ref = _KERNELS[name]
+    eps = 2.0**-52
+    for size in (1e-8, 3e-6, 9e-5, 1e-4, 1.2e-4, 1e-3, 2e-2, 0.1, 0.6, 2.0):
+        for turn in (0.0, 0.5, 0.13, 0.31, 0.77):
+            u = size * cmath.exp(2j * math.pi * turn)
+            u = u.real if turn in (0.0, 0.5) else u
+            (value, grad, hess), = dual.jet(lambda x: [entry(x[0])], [u])
+            with mpmath.workdps(40):
+                want = [mpmath.diff(lambda x: ref(mpmath, x), mpmath.mpmathify(u), k)
+                        for k in range(3)]
+            for k, got in enumerate((value, grad[0], hess[0][0])):
+                err = abs(mpmath.mpmathify(got) - want[k]) / abs(want[k])
+                assert err <= 4 * eps, (name, u, k, float(err) / eps)
+
+
+def test_kernel_derivatives_on_both_sides_of_their_series_range():
+    # the order-k kernel sums its series below |u| = 4k + 1 and takes the
+    # upward recurrence above it; order k is the f' of order k - 1
+    mpmath = pytest.importorskip("mpmath")
+    eps = 2.0**-52
+    for k in range(1, 5):
+        for size in (0.05, 3.0, 4 * k + 0.9, 4 * k + 1.1, 30.0):
+            for u in (size, -size, size * cmath.exp(0.4j), size * cmath.exp(-2.0j)):
+                with mpmath.workdps(40):
+                    want = mpmath.diff(
+                        lambda x: mpmath.sin(mpmath.sqrt(x)) / mpmath.sqrt(x),
+                        mpmath.mpmathify(u), k,
+                    )
+                err = abs(mpmath.mpmathify(kernels.sin_kernel(k)(u)) - want) / abs(want)
+                assert err <= 32 * eps, (k, u, float(err) / eps)
+        assert derivative(kernels.sin_kernel(k - 1), 0.7) == kernels.sin_kernel(k)(0.7)

@@ -475,7 +475,9 @@ def test_partial_trajectory_carries_solver_stats():
 def test_generic_code_sees_python_floats():
     # real points reach the generic scalar code as Python floats (dual and
     # reverse seeds aside, and the reverse seeds' values are floats too), not
-    # numpy scalars, through every evaluation route
+    # numpy scalars, through every evaluation route; each route gets a new
+    # function, whose first gradient is a reverse pass (later ones run
+    # compiled code, which calls no ``fn``)
     seen = set()
 
     def fn(q, p):
@@ -483,12 +485,11 @@ def test_generic_code_sees_python_floats():
         seen.update(type(v.v) for v in (*q, *p) if isinstance(v, dual.Rev))
         return 0.5 * (p[0] * p[0] + p[1] * p[1]) * dual.exp(0.3 * q[0] * q[1])
 
-    h = PhaseFunction(2, fn, "spy")
     x = PhasePoint([0.3, -0.2], [0.1, 0.4])
-    for run in (lambda: h(x), lambda: gradient(h, x),
-                lambda: dynamics.integrate(h, x, 0.005, 0.001)):
+    for run in (lambda h: h(x), lambda h: gradient(h, x),
+                lambda h: dynamics.integrate(h, x, 0.005, 0.001)):
         seen.clear()
-        run()
+        run(PhaseFunction(2, fn, "spy"))
         assert seen == {float}
 
 

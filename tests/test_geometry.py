@@ -448,11 +448,10 @@ def test_curvature_matches_nested_pass_oracle(label, g, comps, box):
 def test_taylor2_matches_nested_passes(label, g, comps, box):
     # the jet value, gradient and Hessian of every metric component against
     # plain evaluation, first-order passes and one nested pass per pair.
-    # The Hessian bound is 1e-12, not 1e-13: at a small |q_k| the entry
-    # d^2 g_kk / dq_k^2 goes through sinh(u)/u at u = z q_k^2 < 1e-2, where
-    # both routes lose about eps/u (against a 40-digit reference, up to
-    # 6.6e-13 nested and 9.9e-13 jet at these points); every other entry,
-    # and every polar system, agrees to 1e-13.
+    # Both routes take sinhc's f' and f'' from its well-conditioned kernel
+    # derivatives, so the entries through sinh(u)/u at a small u = z q_k^2
+    # agree to 1e-13 too (they differed by up to 9.2e-13 when f' and f''
+    # came from the closed form above |u| = 1e-4).
     rng = np.random.default_rng(list(label.encode()))
     num = lambda v: float(dual.primal(v))  # noqa: E731
     for _ in range(2):
@@ -465,7 +464,28 @@ def test_taylor2_matches_nested_passes(label, g, comps, box):
                 assert abs(grad[i] - want) <= 1e-13 * max(1.0, abs(want))
                 for j in range(g.dim):
                     want = num(dual.second_partial(c, q, i, j))
-                    assert abs(hess[i][j] - want) <= 1e-12 * max(1.0, abs(want))
+                    assert abs(hess[i][j] - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def test_small_coordinate_hessian_entry_matches_high_precision():
+    # d^2 g_11 / dq_1^2 of the H_sup line element at q_1 = 0.0196, through
+    # sinh(u)/u at u = 3e-4: it erred by 9.9e-13 (1.6e-12 relative) while
+    # sinhc's derivatives came from its closed form above |u| = 1e-4
+    mpmath = pytest.importorskip("mpmath")
+    z, q = 0.8, [0.0196097085350746, 0.960822792909027, -0.30606713093676463]
+    g = superintegrable_line_element(3, z)
+    _, _, hess = dual.taylor2(g.components[0], q)
+    with mpmath.workdps(40):
+        zm, (q1, q2, q3) = mpmath.mpf(z), (mpmath.mpf(v) for v in q)
+
+        def g11(x):
+            # 2 / (sinhc(z x^2) e^{z (q2^2 + q3^2)} e^{z J-})
+            u = zm * x * x
+            jm = x * x + q2 * q2 + q3 * q3
+            return 2 / (mpmath.sinh(u) / u * mpmath.exp(zm * (q2 * q2 + q3 * q3) + zm * jm))
+
+        want = mpmath.diff(g11, q1, 2)
+    assert abs(hess[0][0] - want) <= 1e-15 * abs(want)
 
 
 def test_curvature_overflow_is_a_domain_error():

@@ -26,21 +26,22 @@ f', all on the generic function of the value, so complex points work too.
 A new number type or kernel plugs in once, in the builder; the kernels of
 :mod:`zgeoflow.kernels` are entries too.
 
-Compiled gradients.  A reverse pass also records each forward operation
-(its table entry or operator, its operands' value slots, and its
-plain-number operands lifted into a constants vector).  When the operation
-sequence of a function does not depend on its input, that record is
-emitted once as straight-line Python, forward values and then the adjoint
-sweep (source transformation, Griewank & Walther ch. 6), and run on plain
-floats (:class:`CompiledGradient`).  The code is cached on the operation
-skeleton, so a shape compiles once per process whatever its constants.
-Every value and partial is computed as the ``Rev`` operators compute it
-and the adjoints accumulate in the sweep's order, so a compiled gradient
-equals the reverse pass bit for bit; the reverse pass stays the per-call
-path and the oracle.  Fallback rule: a pass that read a node's value
-through :func:`primal` may branch on it, so its function never compiles,
-and a call with a non-float argument takes the reverse pass.  A compiled
-call evaluates no number type and draws no tag.
+Compiled passes.  A reverse pass also records each forward operation (its
+table entry or operator, its operands' value slots, and its plain-number
+operands lifted into a constants vector).  When the operation sequence of
+a function does not depend on its input, that record is emitted once as
+straight-line Python and run on plain floats (source transformation,
+Griewank & Walther ch. 6 and 13; :class:`CompiledGradient`): at order 1
+the forward values and then the adjoint sweep, at order 2 the value, the
+gradient and the packed Hessian part by part.  The code is cached on the
+order and the operation skeleton, so a shape compiles once per process
+whatever its constants.  Every value, partial and part is computed as the
+``Rev`` (order 1) or ``Jet`` (order 2) operators compute it, in the same
+order, so compiled code equals the per-call pass bit for bit; that pass
+stays the per-call path and the oracle.  Fallback rule: a pass that read a
+node's value through :func:`primal` may branch on it, so its function
+never compiles, and a call with a non-float argument takes the per-call
+pass.  A compiled call evaluates no number type and draws no tag.
 
 Nesting rule.  Jet and reverse passes are outermost: their inputs are plain
 floats or complex numbers.  Forward dual passes may run inside a reverse
@@ -52,7 +53,8 @@ raises ``ValueError``.
 
 The helpers :func:`partial`, :func:`gradient`, :func:`second_partial`,
 :func:`jet`, :func:`taylor2`, :func:`hessian`, the one-variable
-:func:`derivative` and :class:`CompiledGradient` are the only code in the
+:func:`derivative` and :class:`CompiledGradient` (gradients at order 1,
+value-gradient-Hessian triples at order 2) are the only code in the
 package that creates tags, seeds inputs and extracts derivative parts, and
 the builder is the only code outside the number types that reads their
 parts; every other module differentiates through them.  Each call of ``f``
@@ -173,8 +175,7 @@ class _JetPass:
         fresh_tag()  # jets need no tag, but every pass draws one: tags count passes
         self.n = n
         self.order = order
-        pairs = [(i, j) for i in range(n) for j in range(i, n)] if order == 2 else []
-        self.hidx = [(n + k, i, j) for k, (i, j) in enumerate(pairs)]
+        self.hidx = _hidx(n) if order == 2 else []
 
     def parts(self, y):
         """(value, gradient, Hessian rows or None) of a pass output ``y``;
@@ -192,6 +193,13 @@ class _JetPass:
         for k, i, j in self.hidx:
             hess[i][j] = hess[j][i] = d[k]
         return value, d[:n], hess
+
+
+def _hidx(n):
+    """(k, i, j) for each packed Hessian part k >= n of n inputs: the pairs
+    i <= j, row by row."""
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    return [(n + k, i, j) for k, (i, j) in enumerate(pairs)]
 
 
 def _mixed_passes():
@@ -470,9 +478,15 @@ class Rev:
         return self._chain(v, d, (_RDIV, self.s))
 
     def __pow__(self, n):
+        # x ** 1 is x and x ** -n is 1 / x ** n, as for jets and duals, so
+        # that one record serves both orders of compiled code
         if isinstance(n, int):
             if n == 0:
                 return self.v**0
+            if n < 0:
+                return 1.0 / self.__pow__(-n)
+            if n == 1:
+                return self
             x = self.v
             return self._chain(x**n, n * x ** (n - 1), (_POW, self.s, n))
         return exp(n * log(self))
@@ -631,54 +645,59 @@ def derivative(f, x):
 
 
 # ---------------------------------------------------------------------------
-# compiled gradients: a recorded reverse pass as straight-line float code
+# compiled passes: a recorded reverse pass as straight-line float code
 # ---------------------------------------------------------------------------
 
-#: operation skeleton -> compiled gradient code; the oldest goes first once
+#: (order, operation skeleton) -> compiled code; the oldest goes first once
 #: MAX_SKELETONS are held
 _SKELETONS = {}
 MAX_SKELETONS = 256
 
 
-#: the forward lines and the local partials (one per operand slot; "+" and
-#: "-" are 1 and -1) of each operator, in the value {v} of slot {j}, its
-#: operand values {x} and {y}, its constant {c} and integer power {p}; an
-#: operator without partials shares the sweep index of {x}
+#: a chain rule's first partial and Hessian part (see _FORMS), with
+#: f' = g{j} and f'' = h{j}
+_CHAIN = ("g{j} * {a}", "g{j} * {a} + h{j} * {ai} * {aj}")
+
+#: each operator's forms, in the value {v} of slot {j}, its operand values
+#: {x} and {y}, its constant {c} and integer power {p}: the forward lines
+#: and local partials (one per operand slot; "+" and "-" are 1 and -1) of
+#: the reverse pass, then a jet result's first partial and Hessian part k
+#: in the operands' parts {a} and {b} at k, theirs at the pair (i, j) of k
+#: ({ai}, {aj}, {bi}, {bj}) and the result's first partials {gi} and {gj},
+#: and the jet's forward lines where they are not the reverse pass's.  An
+#: operator without partials shares the sweep index and the parts of {x}.
 _FORMS = {
-    _ADD: (["{v} = {x} + {y}"], ["+", "+"]),
-    _ADDC: (["{v} = {x} + {c}"], None),
-    _SUB: (["{v} = {x} - {y}"], ["+", "-"]),
-    _SUBC: (["{v} = {x} - {c}"], None),
-    _RSUB: (["{v} = {c} - {x}"], ["-"]),
-    _NEG: (["{v} = -{x}"], ["-"]),
-    _MUL: (["{v} = {x} * {y}"], ["{y}", "{x}"]),
-    _MULC: (["{v} = {x} * {c}"], ["{c}"]),
-    _DIV: (["i{j} = 1.0 / {y}", "{v} = {x} * i{j}"], ["i{j}", "(-{v} * i{j})"]),
-    _RDIV: (["i{j} = 1.0 / {x}", "{v} = {c} * i{j}"], ["(-{v} * i{j})"]),
-    _POW: (["{v} = {x} ** {p}", "d{j} = {p} * {x} ** ({p} - 1)"], ["d{j}"]),
+    _ADD: (["{v} = {x} + {y}"], ["+", "+"], "{a} + {b}", "{a} + {b}"),
+    _ADDC: (["{v} = {x} + {c}"], None, None, None),
+    _SUB: (["{v} = {x} - {y}"], ["+", "-"], "{a} - {b}", "{a} - {b}"),
+    _SUBC: (["{v} = {x} - {c}"], None, None, None),
+    _RSUB: (["{v} = {c} - {x}"], ["-"], "-{a}", "-{a}"),
+    _NEG: (["{v} = -{x}"], ["-"], "-{a}", "-{a}"),
+    _MUL: (["{v} = {x} * {y}"], ["{y}", "{x}"], "{x} * {b} + {y} * {a}",
+           "{x} * {b} + {y} * {a} + {ai} * {bj} + {aj} * {bi}"),
+    _MULC: (["{v} = {x} * {c}"], ["{c}"], "{a} * {c}", "{a} * {c}"),
+    _DIV: (["i{j} = 1.0 / {y}", "{v} = {x} * i{j}"], ["i{j}", "(-{v} * i{j})"],
+           "({a} - {v} * {b}) * i{j}", "({a} - {v} * {b} - {bi} * {gj} - {bj} * {gi}) * i{j}",
+           ["i{j} = 1.0 / {y}", "{v} = {x} / {y}"]),
+    _RDIV: (["i{j} = 1.0 / {x}", "{v} = {c} * i{j}"], ["(-{v} * i{j})"], *_CHAIN,
+            ["i{j} = 1.0 / {x}", "{v} = {c} * i{j}", "g{j} = -{v} * i{j}",
+             "h{j} = -2.0 * g{j} * i{j}"]),
+    _POW: (["{v} = {x} ** {p}", "g{j} = {p} * {x} ** ({p} - 1)"], ["g{j}"], *_CHAIN,
+           ["{v} = {x} ** {p}", "g{j} = {p} * {x} ** ({p} - 1)",
+            "h{j} = {p} * ({p} - 1) * {x} ** ({p} - 2)"]),
 }
-_ENTRY_FORM = (["{v} = R{e}({x})", "d{j} = D{e}({x}, {v})"], ["d{j}"])
+_ENTRY_FORM = (["{v} = R{e}({x})", "g{j} = D{e}({x}, {v})"], ["g{j}"], *_CHAIN,
+               ["{v} = R{e}({x})", "g{j} = D{e}({x}, {v})", "h{j} = E{e}({x}, {v}, g{j})"])
 _WITH_CONST = frozenset((_ADDC, _SUBC, _RSUB, _MULC, _RDIV))
 
 
-def _emit(n, ops, out):
-    """Source of ``grad(x, c)``, the gradient of value slot ``out`` of the
-    forward operations ``ops`` (slots 0..n-1 are the inputs ``x``, the
-    constants ``c`` are the lifted plain-number operands in order), and the
-    table entries it calls by name.
-
-    Every value and local partial is computed as the ``Rev`` operators
-    compute it, in the same order, and the adjoints accumulate in the order
-    of :func:`_sweep`, so the result equals a reverse pass bit for bit.  An
-    adjoint starts at its first contribution instead of 0.0 + it, which can
-    only change the sign of a zero; the returned ``+ 0.0`` undoes that.
-    """
-    lines, entries, nc = [], {}, 0
-    kof = list(range(n))  # sweep index of each value slot
-    parents = [None] * n  # sweep index -> [(parent sweep index, partial)]
+def _operations(n, ops, entries):
+    """(operator code, operand slots, format names) of each operation past
+    the n inputs of ``ops``; the lifted constants are c0, c1, ... in order
+    and ``entries`` numbers the table entries."""
+    nc = 0
     for j in range(n, len(ops)):
         code, *slots = ops[j]
-        form, partials = _FORMS.get(code) or _ENTRY_FORM
         names = {"j": j, "v": f"v{j}", "x": f"v{slots[0]}", "c": f"c{nc}"}
         if code == _POW:
             names["p"] = slots.pop()
@@ -687,6 +706,24 @@ def _emit(n, ops, out):
         elif code not in _FORMS:
             names["e"] = entries.setdefault(code, len(entries))
         nc += code in _WITH_CONST
+        yield code, slots, names
+
+
+def _emit(n, ops, out, entries):
+    """Body lines and return value of the gradient of value slot ``out`` of
+    the forward operations ``ops`` (slots 0..n-1 are the inputs).
+
+    Every value and local partial is computed as the ``Rev`` operators
+    compute it, in the same order, and the adjoints accumulate in the order
+    of :func:`_sweep`, so the result equals a reverse pass bit for bit.  An
+    adjoint starts at its first contribution instead of 0.0 + it, which can
+    only change the sign of a zero; the returned ``+ 0.0`` undoes that.
+    """
+    lines = []
+    kof = list(range(n))  # sweep index of each value slot
+    parents = [None] * n  # sweep index -> [(parent sweep index, partial)]
+    for code, slots, names in _operations(n, ops, entries):
+        form, partials = (_FORMS.get(code) or _ENTRY_FORM)[:2]
         lines += [line.format(**names) for line in form]
         if partials is None:
             kof.append(kof[slots[0]])
@@ -713,26 +750,67 @@ def _emit(n, ops, out):
             lines.append(f"a{p} = {term}")
             adj[p] = f"a{p}"
     ret = [adj[i] if i == top else f"a{i} + 0.0" if i in adj else "0.0" for i in range(n)]
-    head = [f"{', '.join(f'v{i}' for i in range(n))}, = x"]
-    if nc:
-        head.append(f"{', '.join(f'c{i}' for i in range(nc))}, = c")
-    body = "\n    ".join([*head, *lines, f"return [{', '.join(ret)}]"])
-    return f"def grad(x, c):\n    {body}\n", entries
+    return lines, f"[{', '.join(ret)}]"
 
 
-def _compile(tape, out, n):
-    """The compiled gradient of the recorded pass (``tape``, output ``out``),
-    called as ``code(args, consts)``; one compilation per operation
-    skeleton, whatever the constants."""
-    key = (n, out.s, tuple(tape.ops[n:]))
+def _emit2(n, ops, out, entries):
+    """Body lines and return value of the (value, gradient, Hessian rows)
+    of value slot ``out`` of the forward operations ``ops``.
+
+    Part k of slot j is d{j}_k, and the inputs' parts are the 1.0 and 0.0
+    of a jet pass's seeds.  Every value and part is computed as the ``Jet``
+    operators compute it, in the same order, so the result equals a jet pass
+    bit for bit: no zero part is dropped, since its sign and a 0 * inf
+    reach the result.  A part whose expression was computed already shares
+    its variable.
+    """
+    hidx = _hidx(n)
+    lines, seen = [], {}  # seen: expression -> the variable that holds it
+    parts = [["1.0" if k == i else "0.0" for k in range(n + len(hidx))] for i in range(n)]
+    for code, slots, names in _operations(n, ops, entries):
+        form = _FORMS.get(code) or _ENTRY_FORM
+        lines += [line.format(**names) for line in (form[4] if len(form) > 4 else form[0])]
+        a = parts[slots[0]]
+        if form[2] is None:
+            parts.append(a)
+            continue
+        b, d = parts[slots[-1]], []  # b is a for a one-operand operator
+        for k in range(len(a)):
+            if k < n:
+                expr = form[2].format(a=a[k], b=b[k], **names)
+            else:
+                _, i, m = hidx[k - n]
+                pair = {"ai": a[i], "aj": a[m], "bi": b[i], "bj": b[m], "gi": d[i], "gj": d[m]}
+                expr = form[3].format(a=a[k], b=b[k], **pair, **names)
+            if expr not in seen:
+                seen[expr] = f"d{names['j']}_{k}"
+                lines.append(f"{seen[expr]} = {expr}")
+            d.append(seen[expr])
+        parts.append(d)
+    d = parts[out]
+    at = {(i, m): k for k, i, m in hidx}
+    rows = [", ".join(d[at[min(i, m), max(i, m)]] for m in range(n)) for i in range(n)]
+    return lines, f"v{out}, [{', '.join(d[:n])}], [[{'], ['.join(rows)}]]"
+
+
+def _compile(tape, out, n, order):
+    """The compiled pass of the given order of the recorded pass (``tape``,
+    output ``out``), called as ``code(args, consts)``; one compilation per
+    order and operation skeleton, whatever the constants."""
+    key = (order, n, out.s, tuple(tape.ops[n:]))
     code = _SKELETONS.get(key)
     if code is None:
-        src, entries = _emit(n, tape.ops, out.s)
+        entries = {}
+        lines, ret = (_emit if order == 1 else _emit2)(n, tape.ops, out.s, entries)
+        head = [f"{', '.join(f'v{i}' for i in range(n))}, = x"]
+        if tape.consts:
+            head.append(f"{', '.join(f'c{i}' for i in range(len(tape.consts)))}, = c")
+        body = "\n    ".join([*head, *lines, f"return {ret}"])
         names = {}
         for f, e in entries.items():
-            names[f"R{e}"], names[f"D{e}"] = f.real, f.d1
-        exec(compile(src, "<compiled gradient>", "exec"), names)
-        code = names["grad"]
+            names[f"R{e}"], names[f"D{e}"], names[f"E{e}"] = f.real, f.d1, f.d2
+        exec(compile(f"def code(x, c):\n    {body}\n", "<compiled pass>", "exec"), names)
+        code = names["code"]
         if len(_SKELETONS) >= MAX_SKELETONS:
             del _SKELETONS[next(iter(_SKELETONS))]
         _SKELETONS[key] = code
@@ -740,23 +818,27 @@ def _compile(tape, out, n):
 
 
 class CompiledGradient:
-    """The gradient of one scalar function ``f`` of float arguments, run as
-    compiled straight-line code once the operation sequence is known.
+    """The derivatives of one scalar function ``f`` of float arguments, run
+    as compiled straight-line code once the operation sequence is known:
+    the gradient of :func:`gradient` (``order=1``) or the value, gradient
+    and Hessian of :func:`taylor2` (``order=2``).
 
-    The first call is one recorded reverse pass, as :func:`gradient`.  The
-    second compiles that record (or finds its skeleton compiled already),
-    checks the code against the first pass's gradient, and runs it; so do
-    all later calls.  The code draws no tag: it evaluates no number type.
-    A pass that read a node's value (see :func:`primal`) may take another
-    sequence at another input, so its function stays on the per-call
-    reverse pass, as do calls with a non-float argument.  (A function that
-    catches the exceptions of its own arithmetic could branch unseen; none
-    in this package does.)
+    The first call is that pass (for order 2 plus one recorded reverse pass:
+    the record).  The second compiles the record (or finds its skeleton
+    compiled already), checks the code against the first call's result,
+    and runs it; so do all later calls.  The code draws no tag: it
+    evaluates no number type.  A record that read a node's value (see
+    :func:`primal`) may take another sequence at another input, so its
+    function stays on the per-call pass, as does one whose record raises
+    where its jet pass answers, and so do calls with a non-float argument.
+    (A function that catches the exceptions of its own arithmetic could
+    branch unseen; none in this package does.)
     """
 
-    __slots__ = ("code", "consts", "first", "opaque")
+    __slots__ = ("order", "code", "consts", "first", "opaque")
 
-    def __init__(self):
+    def __init__(self, order=1):
+        self.order = order
         self.code = self.consts = self.first = None
         self.opaque = False
 
@@ -765,27 +847,35 @@ class CompiledGradient:
         code = self.code
         if code is not None and floats:
             return code(args, self.consts)
+        run = gradient if self.order == 1 else taylor2
         if self.opaque or not floats:
-            return gradient(f, args)
+            return run(f, args)
         n = len(args)
         if self.first is None:
-            tape, out = _record(f, args)
-            grad = _adjoints(tape, out, n)
-            if tape.opaque or type(out) is not Rev:
+            if self.order == 1:
+                tape, out = _record(f, args)
+                result = _adjoints(tape, out, n)
+            else:
+                result = run(f, args)
+                try:
+                    tape, out = _record(f, args)
+                except (ArithmeticError, TypeError, ValueError):
+                    tape = None  # the jet pass answers; the record cannot
+            if tape is None or tape.opaque or type(out) is not Rev:
                 self.opaque = True
             else:
-                self.first = (list(args), grad, tape, out)
-            return grad
-        args0, grad0, tape, out = self.first
+                self.first = (list(args), result, tape, out)
+            return result
+        args0, result0, tape, out = self.first
         self.first = None
-        code, consts = _compile(tape, out, n), tuple(tape.consts)
+        code, consts = _compile(tape, out, n, self.order), tuple(tape.consts)
         try:
-            agrees = code(args0, consts) == grad0
+            agrees = code(args0, consts) == result0
         except (ArithmeticError, TypeError, ValueError):
             agrees = False
         if not agrees:
             self.opaque = True
-            return gradient(f, args)
+            return run(f, args)
         self.consts = consts  # before the code: a call that sees the code sees them
         self.code = code
         return code(args, consts)
@@ -827,7 +917,7 @@ def _elementary(name, real, cplx, d1, d2):
         return cplx(x) if isinstance(x, complex) else real(x)
 
     f.__name__ = f.__qualname__ = name
-    f.real, f.d1 = real, d1  # what compiled gradients call on floats
+    f.real, f.d1, f.d2 = real, d1, d2  # what compiled code calls on floats
     return f
 
 

@@ -18,7 +18,7 @@ scales inversely with a constant metric factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -43,11 +43,20 @@ class DiagonalMetric:
     """Position-dependent diagonal metric g = diag(g_11(q), ..., g_NN(q)).
 
     ``components[i]`` maps a length-N sequence of generic scalars to g_ii.
+    Instances are immutable, apart from the state that caches the compiled
+    (value, gradient, Hessian) code of each component.
     """
 
     dim: int
     components: tuple
     label: str = ""
+    #: the (value, gradient, Hessian) state of each component (see
+    #: :func:`_component_derivatives`)
+    _jets: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        jets = tuple(dual.CompiledGradient(2) for _ in self.components)
+        object.__setattr__(self, "_jets", jets)
 
     def values(self, q) -> np.ndarray:
         return self._nondegenerate([float(c(list(q))) for c in self.components], q)
@@ -120,21 +129,13 @@ def line_element_from_hamiltonian(
     return metric_from_hamiltonian(h, n, check_points).rescaled(2.0)
 
 
-def _first_partials(g: DiagonalMetric, q):
-    """g values and exact first partials d1[i][k] = d_i g_kk (one reverse
-    pass per component)."""
-    q = [float(v) for v in q]
-    gval = g.values(q)
-    d1 = [[float(dual.primal(v)) for v in dual.gradient(c, q)] for c in g.components]
-    return gval, np.array(d1).T
-
-
 def _component_derivatives(g: DiagonalMetric, q):
     """Metric values, first partials d1[i][k] = d_i g_kk and second partials
-    d2[i][j][k] = d_i d_j g_kk, all from one :func:`zgeoflow.dual.taylor2`
-    (its n(n+1)/2 nested passes) per component."""
+    d2[i][j][k] = d_i d_j g_kk: one (value, gradient, Hessian) triple per
+    component, from its :class:`zgeoflow.dual.CompiledGradient` state (a
+    jet pass at the first point, compiled code at the later ones)."""
     q = [float(v) for v in q]
-    gval, d1, d2 = zip(*(dual.taylor2(c, q) for c in g.components))
+    gval, d1, d2 = zip(*(jet(c, q) for jet, c in zip(g._jets, g.components)))
     return g._nondegenerate(gval, q), np.array(d1).T, np.stack(d2, axis=-1)
 
 
@@ -154,7 +155,7 @@ def _connection(gval, d1) -> np.ndarray:
 
 def christoffel(g: DiagonalMetric, q) -> np.ndarray:
     """Levi-Civita connection coefficients Gamma^k_{ij} for a diagonal metric."""
-    return _connection(*_first_partials(g, q))
+    return _connection(*_component_derivatives(g, q)[:2])
 
 
 def _riemann(gval, d1, d2) -> np.ndarray:

@@ -8,7 +8,7 @@ series and its closed form inside its own float and complex value
 functions, so a reverse, dual or jet pass records one operation and reads
 no value to choose a formula: the passes through them have an operation
 sequence that does not depend on the input, which is what lets their
-gradients compile (:class:`zgeoflow.dual.CompiledGradient`).
+gradients and jets compile (:class:`zgeoflow.dual.CompiledGradient`).
 
 Their f' and f'' are well conditioned.  The derivatives come from the
 S_k, which sum their series out to |u| = 4k + 1, where the closed forms

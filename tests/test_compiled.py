@@ -1,8 +1,10 @@
-"""Compiled gradients: one recorded reverse pass run as straight-line code.
+"""Compiled passes: one recorded reverse pass run as straight-line code.
 
-The per-call reverse pass (``dual.gradient``) is the oracle: a compiled
-gradient must equal it bit for bit, fall back to it wherever the operation
-sequence may depend on the input, and raise what it raises.
+The per-call passes are the oracles: a compiled gradient must equal the
+reverse pass (``dual.gradient``) and a compiled (value, gradient, Hessian)
+triple the jet pass (``dual.taylor2``) bit for bit, fall back to that pass
+wherever the operation sequence may depend on the input, and raise what it
+raises.
 """
 
 import gc
@@ -11,7 +13,9 @@ import weakref
 
 import pytest
 
-from zgeoflow import charts, cli, dual
+import numpy as np
+
+from zgeoflow import charts, cli, dual, geometry, kernels
 from zgeoflow.algebra import (
     hamiltonian_family,
     hamiltonian_integrable,
@@ -201,3 +205,245 @@ def test_simulate_running_into_the_boundary_matches_the_reverse_pass(
     assert ((tmp_path / "o.csv").read_text(), capsys.readouterr().err) == compiled
     assert compiled[1] == "error: implicit midpoint fixed point did not converge at t = 0.007\n"
     assert "# truncated" in compiled[0]
+
+
+# ---------------------------------------------------------------------------
+# order 2: compiled (value, gradient, Hessian) triples of metric components
+# ---------------------------------------------------------------------------
+
+
+def _metrics(z):
+    """The six metric shapes of ``curvature``, built as it builds them (no
+    kinetic check), each with a point sampler and whether it is Cartesian."""
+    for n in (2, 3):
+        cart = lambda rng, n=n: [rng.uniform(-1.0, 1.0) for _ in range(n)]  # noqa: E731
+        for family in (hamiltonian_integrable, hamiltonian_superintegrable):
+            yield geometry.line_element_from_hamiltonian(family(n, z), n, []), cart, True
+    polar = lambda rng: [rng.uniform(0.3, 1.1) for _ in range(3)]  # noqa: E731
+    for system in (charts.integrable_polar_system, charts.superintegrable_polar_system):
+        yield geometry.metric_from_hamiltonian(system(z, 1.0).hamiltonian, 3, []), polar, False
+
+
+def _triple_bits(triple):
+    value, grad, hess = triple
+    return _bits([value, *grad, *(v for row in hess for v in row)])
+
+
+def _compiled_state(g, i, points):
+    """The state of component i of ``g`` after a jet pass and a compilation."""
+    state = g._jets[i]
+    for q in points:
+        state(g.components[i], q)
+    assert state.code is not None, g.label
+    return state
+
+
+@pytest.mark.parametrize("z", [0.47, -0.38])
+def test_compiled_jets_equal_the_jet_pass_bit_for_bit(z):
+    rng = random.Random(f"compiled-jets:{z}")
+    for g, sample, cartesian in _metrics(z):
+        n = g.dim
+        # a kernel's argument is z q_i^2 (Cartesian), or -z rho^2, z r^2 and
+        # kappa2 theta^2 with kappa2 = 1 (polar)
+        scale = abs(z) if cartesian else max(abs(z), 1.0)
+        tiny = 0.5 * (kernels.SERIES_CUTOFF / scale) ** 0.5
+        points = [sample(rng) for _ in range(24)]
+        if cartesian:  # the grid's q = 0, and sinhc's series
+            points += [[0.0] * n, [tiny] * n, [-tiny, *[0.5] * (n - 1)], [0.0, *[-tiny] * (n - 1)]]
+        else:  # polar: the kernels' series at small rho, theta and r
+            points += [[tiny, 0.7, 0.4], [0.6, tiny, 0.4], [tiny, tiny, 0.9]]
+        assert all(scale * min(abs(v) for v in q) ** 2 < kernels.SERIES_CUTOFF
+                   for q in points[24:])
+        for i, comp in enumerate(g.components):
+            state = _compiled_state(g, i, points[:2])
+            for q in points:
+                want = dual.taylor2(comp, q)
+                got = state(comp, q)
+                assert len(_triple_bits(got)) == 1 + n + n * n
+                assert _triple_bits(got) == _triple_bits(want), (g.label, i, q)
+
+
+def test_every_operator_compiles_as_the_jet_pass_computes():
+    # each operator code and a few table entries, integer powers included
+    # (x ** 1 is x itself to a jet, x ** -p is 1.0 / x ** p)
+    def f(q):
+        x, y, w = q
+        a = (x + y) * (x - 0.5) + (2.0 - y) * -w + x / y + y / 3.0 + 1.5 / w
+        b = x**2 * y**3 + w**1 * x**-1 + y**-2 + (x - y) ** 4
+        c = dual.exp(x * w) + dual.log(y) + dual.sqrt(w) + kernels.sinhc(x * y)
+        return a * b - c / (1.0 + x * y * w) + dual.atan(y - w) * dual.sin(x)
+
+    state = dual.CompiledGradient(2)
+    rng = random.Random(7)
+    points = [[rng.uniform(0.2, 1.5) * rng.choice((1, -1)), rng.uniform(0.2, 1.5),
+               rng.uniform(0.2, 1.5)] for _ in range(40)]
+    for q in points[:2]:
+        state(f, q)
+    assert state.code is not None
+    for q in points:
+        assert _triple_bits(state(f, q)) == _triple_bits(dual.taylor2(f, q)), q
+
+
+def test_compiled_jets_keep_the_jet_pass_sign_of_zero():
+    # products with the seeds' 0.0 parts carry signs: -0.0 parts survive;
+    # and x ** 1 is x itself to a jet, also at x = 0
+    def f(q):
+        return -2.0 * q[0] * q[1] - q[1] * 3.0 + q[0] ** 1 * q[1] ** 2
+
+    state = dual.CompiledGradient(2)
+    for q in ([0.5, 0.7], [0.3, -0.2]):
+        state(f, q)
+    assert state.code is not None
+    for q in ([0.0, 0.0], [-0.0, 0.0], [-1.5, -0.0], [0.0, -0.0], [2.0, 1.0]):
+        assert _triple_bits(state(f, q)) == _triple_bits(dual.taylor2(f, q)), q
+
+
+def test_one_skeleton_per_metric_shape_and_no_state_outlives_its_metric():
+    g = geometry.line_element_from_hamiltonian(hamiltonian_integrable(3, 0.1), 3, [])
+    _compiled_state(g, 0, ([0.1, 0.2, 0.3], [0.3, 0.2, 0.1]))
+    before = set(dual._SKELETONS)
+    rng = random.Random(11)
+    refs, codes = [], set()
+    for i in range(1000):
+        z = (-1) ** i * (0.05 + i * 1e-3)
+        g = geometry.line_element_from_hamiltonian(hamiltonian_integrable(3, z), 3, [])
+        for _ in range(2):
+            geometry.curvature_summary(g, [rng.uniform(-0.9, 0.9) for _ in range(3)])
+        codes.update(state.code for state in g._jets)
+        refs.append(weakref.ref(g))
+    del g
+    gc.collect()
+    # the three components share the shape: g_ii evaluates h at the unit
+    # momentum e_i, whose entries are lifted constants
+    assert len(codes) == 1 and None not in codes
+    assert len(set(dual._SKELETONS) - before) == 0
+    assert sum(r() is not None for r in refs) == 0
+
+
+def test_a_component_that_reads_a_value_stays_on_the_jet_pass():
+    def comp(q):
+        if dual.primal(q[0]) > 0.0:
+            return q[0] * q[0] * q[1]
+        return dual.sin(q[0]) * q[1] * q[1]
+
+    g = geometry.DiagonalMetric(2, (comp, lambda q: 1.0 + q[1] * q[1]))
+    for x in (0.5, -0.5, 0.25, -0.25, 0.75, -0.75):
+        y = 1.5
+        value, grad, hess = g._jets[0](comp, [x, y])
+        if x > 0:
+            want = (x * x * y, [2.0 * x * y, x * x], [[2.0 * y, 2.0 * x], [2.0 * x, 0.0]])
+        else:
+            s, c = dual.sin(x), dual.cos(x)
+            want = (s * y * y, [c * y * y, 2.0 * s * y], [[-s * y * y, 2.0 * c * y],
+                                                          [2.0 * c * y, 2.0 * s]])
+        assert value == pytest.approx(want[0], rel=1e-15, abs=0.0)
+        assert grad == pytest.approx(want[1], rel=1e-15, abs=0.0)
+        assert np.array(hess) == pytest.approx(np.array(want[2]), rel=1e-15, abs=0.0)
+        assert _triple_bits((value, grad, hess)) == _triple_bits(dual.taylor2(comp, [x, y]))
+        geometry.christoffel(g, [x, y])
+    state = g._jets[0]
+    assert state.opaque and state.code is None and state.first is None
+    assert g._jets[1].code is not None  # the other component compiles
+
+
+def test_non_float_arguments_take_the_jet_pass():
+    g = geometry.line_element_from_hamiltonian(hamiltonian_superintegrable(3, 0.3), 3, [])
+    state = _compiled_state(g, 1, ([0.2, 0.3, 0.4], [0.4, 0.3, 0.2]))
+    comp = g.components[1]
+    for q in ([np.float64(0.3), 0.1, -0.2], [1, 0, 2], [0.5, np.float32(0.25), 0.125]):
+        tags = dual.fresh_tag()
+        got = state(comp, q)
+        assert dual.fresh_tag() - tags == 2  # one jet pass
+        assert _triple_bits(got) == _triple_bits(dual.taylor2(comp, q))
+    tags = dual.fresh_tag()
+    state(comp, [0.3, 0.1, -0.2])
+    assert dual.fresh_tag() - tags == 1  # compiled: no pass
+
+
+def test_compiled_jets_raise_what_the_jet_pass_raises():
+    g = geometry.metric_from_hamiltonian(charts.integrable_polar_system(0.3, 1.0).hamiltonian, 3, [])
+    state = _compiled_state(g, 2, ([0.8, 0.4, 0.5], [0.7, 0.6, 0.5]))
+    edge = [0.8, 0.0, 0.5]
+    with pytest.raises(EvaluationDomainError) as want:
+        dual.taylor2(g.components[2], edge)
+    with pytest.raises(EvaluationDomainError) as got:
+        state(g.components[2], edge)
+    assert str(got.value) == str(want.value) == "chart-boundary singularity: sin(l2 theta)/l2 = 0"
+
+    def f(q):
+        return dual.exp(q[0]) * q[1] + 1.0 / (q[0] - 1.0) + q[1] ** -2
+
+    state = dual.CompiledGradient(2)
+    for q in ([0.5, 0.5], [0.25, 0.75]):
+        state(f, q)
+    assert state.code is not None
+    for q, err in (([800.0, 1.0], OverflowError), ([1.0, 1.0], ZeroDivisionError),
+                   ([0.5, 0.0], ZeroDivisionError)):
+        with pytest.raises(err):
+            dual.taylor2(f, q)
+        with pytest.raises(err):
+            state(f, q)
+
+
+def test_a_record_that_fails_where_the_jet_pass_does_not_keeps_the_jet_pass():
+    # a reverse pass takes x / y as x * (1 / y): at 49 / 49 that is
+    # 1 - 2^-53, so the log's argument is 0.0 on the record and 2^-53 on the
+    # jet pass, which answers
+    def f(q):
+        return dual.log(q[0] / q[1] - 0.9999999999999999)
+
+    state = dual.CompiledGradient(2)
+    got = state(f, [49.0, 49.0])
+    assert _triple_bits(got) == _triple_bits(dual.taylor2(f, [49.0, 49.0]))
+    assert state.opaque and state.code is None
+    assert _triple_bits(state(f, [2.0, 1.0])) == _triple_bits(dual.taylor2(f, [2.0, 1.0]))
+
+
+def test_curvature_at_the_polar_boundary_is_unchanged(tmp_path, capsys, monkeypatch):
+    # the grid meets theta = 0 at its fourth point, inside compiled code: the
+    # exit code and the message of the jet-pass program, frozen
+    monkeypatch.chdir(tmp_path)
+    tags = []
+    fresh_tag = dual.fresh_tag
+
+    def counted():
+        tags.append(None)
+        return fresh_tag()
+
+    monkeypatch.setattr(dual, "fresh_tag", counted)
+    for metric in ("integrable", "superintegrable"):
+        tags.clear()
+        argv = ["curvature", "--chart=polar", "--n=3", "--z=0.3", f"--metric={metric}",
+                "--grid-min=-0.6", "--grid-max=0.6", "--grid-points=3", "--output=c.csv"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: metric not usable on the grid: "
+            "chart-boundary singularity: sin(l2 theta)/l2 = 0\n"
+        )
+        assert len(tags) == 1 + 2 * 3  # the kinetic check, then one point's passes
+        assert not (tmp_path / "c.csv").exists()
+
+
+def test_the_skeleton_bound_is_shared_by_both_orders(monkeypatch):
+    monkeypatch.setattr(dual, "_SKELETONS", {})
+    monkeypatch.setattr(dual, "MAX_SKELETONS", 3)
+    orders = []
+    for n in range(1, 4):
+        h = hamiltonian_integrable(n, 0.2)
+        for q in ([0.1] * n, [0.2] * n):
+            gradient_lists(h, q, [0.3] * n)
+        g = geometry.line_element_from_hamiltonian(h, n, [])
+        _compiled_state(g, 0, ([0.1] * n, [0.2] * n))
+        orders += [1, 2]
+        assert [key[0] for key in dual._SKELETONS] == orders[-3:]
+    # one function at both orders: one skeleton, two entries, two passes
+    monkeypatch.setattr(dual, "_SKELETONS", {})
+    f = hamiltonian_integrable(2, 0.2).fn
+    g = lambda q: f(q, [0.3, 0.4])  # noqa: E731
+    states = dual.CompiledGradient(1), dual.CompiledGradient(2)
+    for q in ([0.1, 0.2], [0.2, 0.1], [0.3, -0.4]):
+        got = [state(g, q) for state in states]
+    assert got[0] == dual.gradient(g, [0.3, -0.4])
+    assert _triple_bits(got[1]) == _triple_bits(dual.taylor2(g, [0.3, -0.4]))
+    assert None not in (states[0].code, states[1].code)
+    assert sorted(key[0] for key in dual._SKELETONS) == [1, 2]

@@ -178,11 +178,11 @@ def test_christoffel_symmetry_and_fd_oracle():
 
 
 def test_curvature_passes_per_point(monkeypatch):
-    # christoffel takes one reverse pass (one gradient) per component; riemann
-    # and curvature_summary take one jet pass (taylor2) per component, which
-    # carries the value, the first and the second partials at once.
-    # Metric components evaluate h at unit momenta: no momentum passes.
-    g = integrable_line_element(3, 0.3)
+    # christoffel, riemann and curvature_summary take one (value, gradient,
+    # Hessian) triple per component: at a metric's first point one jet pass
+    # plus one recorded reverse pass, after that compiled code, which draws
+    # no tag.  Metric components evaluate h at unit momenta: no momentum
+    # passes.
     tags = []
     fresh_tag = dual.fresh_tag
 
@@ -191,11 +191,12 @@ def test_curvature_passes_per_point(monkeypatch):
         return fresh_tag()
 
     monkeypatch.setattr(dual, "fresh_tag", counted)
-    for fn, expected in ((geo.christoffel, 3), (geo.riemann, 3),
-                         (geo.curvature_summary, 3)):
-        tags.clear()
-        fn(g, [0.2, -0.4, 0.5])
-        assert len(tags) == expected, fn.__name__
+    for fn in (geo.christoffel, geo.riemann, geo.curvature_summary):
+        g = integrable_line_element(3, 0.3)
+        for q, expected in (([0.2, -0.4, 0.5], 6), ([0.1, 0.3, -0.2], 0), ([0.2, -0.4, 0.5], 0)):
+            tags.clear()
+            fn(g, q)
+            assert len(tags) == expected, fn.__name__
 
 
 def test_riemann_against_fd_christoffel_oracle():

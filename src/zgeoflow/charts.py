@@ -41,12 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual
+from .kernels import SERIES_CUTOFF, sin_kernel
 from .kernels import cos_kernel as _cos_kernel
-from .kernels import sin_kernel
 from .phase import EvaluationDomainError, PhaseFunction, PhasePoint
-
-#: series cutoff of the kappa kernels
-_SERIES_CUTOFF = 1e-4
 
 #: chart momenta are this multiple of canonical ones
 CHART_MOMENTUM_FACTOR = 2.0
@@ -106,7 +103,7 @@ def kappa_tan(kappa: float, x):
     """kappa_sin / kappa_cos; for kappa < 0 the bounded tanh(r x)/r with
     r = sqrt(-kappa), whose sinh and cosh factors would each overflow once
     r |x| passes 710."""
-    if dual.primal(kappa).real < 0 and abs(dual.primal(kappa * x * x)) >= _SERIES_CUTOFF:
+    if dual.primal(kappa).real < 0 and abs(dual.primal(kappa * x * x)) >= SERIES_CUTOFF:
         r = dual.sqrt(-kappa)
         return dual.tanh(r * x) / r
     return kappa_sin(kappa, x) / kappa_cos(kappa, x)
@@ -115,7 +112,7 @@ def kappa_tan(kappa: float, x):
 def kappa_expm1(kappa: float, x):
     """expm1(kappa x)/kappa, smooth in kappa, equal to x at kappa=0."""
     u = kappa * x
-    if abs(dual.primal(u)) < _SERIES_CUTOFF:
+    if abs(dual.primal(u)) < SERIES_CUTOFF:
         return x * (1.0 + u * (0.5 + u * (1.0 / 6.0 + u / 24.0)))
     return dual.expm1(u) / kappa
 
@@ -123,7 +120,7 @@ def kappa_expm1(kappa: float, x):
 def kappa_log1p(kappa: float, x):
     """log1p(kappa x)/kappa, smooth in kappa, equal to x at kappa=0."""
     u = kappa * x
-    if abs(dual.primal(u)) < _SERIES_CUTOFF:
+    if abs(dual.primal(u)) < SERIES_CUTOFF:
         return x * (1.0 - u * (0.5 - u * (1.0 / 3.0 - u / 4.0)))
     return dual.log1p(u) / kappa
 
@@ -133,7 +130,7 @@ def kappa_asin(kappa: float, y):
     kappa (asinh branch for kappa < 0), equal to y at kappa=0."""
     u = kappa * y * y
     up = dual.primal(u)
-    if abs(up) < _SERIES_CUTOFF:
+    if abs(up) < SERIES_CUTOFF:
         return y * (1.0 + u * (1.0 / 6.0 + u * (3.0 / 40.0 + u * 5.0 / 112.0)))
     if up.real > 0:
         v = dual.sqrt(u)

@@ -194,12 +194,6 @@ def riemann(g: DiagonalMetric, q) -> np.ndarray:
     return _finite(_riemann(*_component_derivatives(g, q)), g, q)
 
 
-def riemann_covariant(g: DiagonalMetric, q) -> np.ndarray:
-    """Fully lowered Riemann tensor R_{lkij} = g_ll R^l_{kij}."""
-    gval, d1, d2 = _component_derivatives(g, q)
-    return gval[:, None, None, None] * _riemann(gval, d1, d2)
-
-
 @np.errstate(all="ignore")
 def curvature_summary(g: DiagonalMetric, q):
     """All sectional curvatures and the scalar, from one Riemann evaluation.

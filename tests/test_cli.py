@@ -12,7 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zgeoflow import charts, cli, dual, jsontext
+from zgeoflow import brackets, charts, cli, dual, jsontext
+from zgeoflow.algebra import (
+    casimir_m,
+    hamiltonian_integrable,
+    hamiltonian_superintegrable,
+    integral_extra_2,
+    integral_extra_3,
+    realize_generators,
+)
+from zgeoflow.brackets import bracket_residual, check_involution, sample_points
 from zgeoflow.cli import main
 from zgeoflow.phase import PhaseFunction
 
@@ -76,6 +85,88 @@ def test_verify_threshold_violation_is_numerical_failure(tmp_path):
     )
     assert code == 2
     assert b"FAIL" in read(out)
+
+
+def test_verify_takes_one_gradient_per_function_and_point(monkeypatch):
+    calls = []
+    counted = brackets.gradient
+
+    def counting(f, x):
+        calls.append(f.label)
+        return counted(f, x)
+
+    monkeypatch.setattr(brackets, "gradient", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["verify", "--n=3", "--samples=4", "--output=-"]) == 0
+    # per point: the algebra's 3, the table's 9 (J-, J+, J3, C2, C3, H_int,
+    # H_sup, I2, I3) and the two ranks' 5 + 3
+    assert len(calls) <= 4 * (3 + 9 + 8)
+
+
+@pytest.mark.parametrize(
+    "pair, check, key",
+    [
+        (("C(2)", "J+(3)"), "Casimir centrality", "casimir_centrality"),
+        (("H_int(3)", "C(3)"), "integrable involution", "integrable_involution"),
+        (("H_sup(3)", "I(3)"), "superintegrable involution", "superintegrable_involution"),
+    ],
+)
+def test_verify_fails_on_a_nan_bracket(pair, check, key, tmp_path, monkeypatch, capsys):
+    table = cli.check_involution
+
+    def with_nan(funcs, *args):
+        report = table(funcs, *args)
+        a, b = ([f.label for f in funcs].index(label) for label in pair)
+        report.residuals[a, b] = report.residuals[b, a] = math.nan
+        return report
+
+    monkeypatch.setattr(cli, "check_involution", with_nan)
+    out = tmp_path / "report.txt"
+    assert run(["verify", "--n=3", "--samples=2", f"--output={out}"]) == 2
+    err = capsys.readouterr().err
+    assert f"{check} (nan)" in err and err.count("nan") == 1  # only its block
+    lines = read(out).decode().splitlines()
+    assert f"{key} = NaN" in lines and lines[-1] == "status = fail"
+    out = tmp_path / "report.json"
+    assert run(["verify", "--n=3", "--samples=2", "--format=json", f"--output={out}"]) == 2
+    assert math.isnan(json.loads(read(out))["residuals"]["max"])
+
+
+def _per_pair_brackets(n, z, samples, seed):
+    """verify's bracket checks as per-pair loops and separate tables."""
+    pts = sample_points(n, min(samples, 50), seed)
+    casimirs = [casimir_m(m, n, z) for m in range(2, n + 1)]
+    gens = realize_generators(n, z).as_tuple()
+    out = {
+        "casimir_centrality": max(
+            [bracket_residual(c, g, x) for c in casimirs for g in gens for x in pts]
+        ),
+        "integrable_involution": check_involution(
+            [hamiltonian_integrable(n, z), *casimirs], min(samples, 50), seed
+        ).max_residual,
+    }
+    if n >= 3:
+        h = hamiltonian_superintegrable(n, z)
+        extra = [integral_extra_2(z, n), integral_extra_3(z, n)]
+        pairs = [bracket_residual(h, c, x) for c in casimirs[:2] + extra for x in pts]
+        triples = [
+            check_involution(t, min(samples, 50), seed).max_residual
+            for t in ([h, *casimirs[:2]], [h, *extra])
+        ]
+        out["superintegrable_involution"] = max(pairs + triples)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_verify_table_matches_per_pair_brackets(n, seed, tmp_path):
+    out = tmp_path / "report.json"
+    z, samples = -0.3, 3
+    assert run(["verify", f"--n={n}", f"--z={z}", f"--samples={samples}",
+                f"--seed={seed}", "--format=json", f"--output={out}"]) == 0
+    results = json.loads(read(out))["results"]
+    oracle = _per_pair_brackets(n, z, samples, seed)
+    assert {key: results[key] for key in oracle} == oracle
 
 
 def test_unknown_flag_values_exit_one():

@@ -233,11 +233,11 @@ def test_riemann_symmetries_and_bianchi():
     rng = np.random.default_rng(3)
     for _ in range(3):
         q = rng.uniform(-1, 1, 3)
-        low = geo.riemann_covariant(g, q)
+        up = geo.riemann(g, q)
+        low = g.values(q)[:, None, None, None] * up  # R_{lkij} = g_ll R^l_{kij}
         assert np.max(np.abs(low + np.swapaxes(low, 0, 1))) < 1e-7
         assert np.max(np.abs(low + np.swapaxes(low, 2, 3))) < 1e-7
         assert np.max(np.abs(low - np.transpose(low, (2, 3, 0, 1)))) < 1e-7
-        up = geo.riemann(g, q)
         bianchi = up + np.transpose(up, (0, 3, 1, 2)) + np.transpose(up, (0, 2, 3, 1))
         assert np.max(np.abs(bianchi)) < 1e-7
 

@@ -1,8 +1,9 @@
 """Diagonal metrics, Christoffel symbols, Riemann tensor, curvatures.
 
 Metric components are position functions built on :mod:`zgeoflow.dual`
-primitives, so first and second derivatives reuse the same exact
-differentiation stack as the Poisson machinery.
+primitives; each one's value, gradient and Hessian come from compiled float
+code.  Christoffel symbols and Riemann entries are one formula on those float
+lists, so a curvature point runs no numpy; only the tensor getters build arrays.
 
 Sign conventions are fixed so that the round unit 2-sphere has sectional
 curvature +1.  Lorentzian signatures are supported throughout: nothing
@@ -18,6 +19,7 @@ scales inversely with a constant metric factor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -59,12 +61,11 @@ class DiagonalMetric:
         object.__setattr__(self, "_jets", jets)
 
     def values(self, q) -> np.ndarray:
-        return self._nondegenerate([float(c(list(q))) for c in self.components], q)
+        return np.array(self._nondegenerate([float(c(list(q))) for c in self.components], q))
 
-    def _nondegenerate(self, gval, q) -> np.ndarray:
-        """``gval`` as an array; MetricDegenerateError if an entry vanishes."""
-        gval = np.array(gval)
-        if np.any(np.abs(gval) < DEGENERACY_CUTOFF):
+    def _nondegenerate(self, gval, q):
+        """``gval``, or MetricDegenerateError if an entry vanishes."""
+        if any(abs(v) < DEGENERACY_CUTOFF for v in gval):
             raise MetricDegenerateError(f"metric {self.label} degenerate at q={q}")
         return gval
 
@@ -130,86 +131,84 @@ def line_element_from_hamiltonian(
 
 
 def _component_derivatives(g: DiagonalMetric, q):
-    """Metric values, first partials d1[i][k] = d_i g_kk and second partials
-    d2[i][j][k] = d_i d_j g_kk: one (value, gradient, Hessian) triple per
-    component, from its :class:`zgeoflow.dual.CompiledGradient` state (a
-    jet pass at the first point, compiled code at the later ones)."""
+    """Float lists of the metric values g_kk and their partials d1[k][i] =
+    d_i g_kk and d2[k][i][j] = d_i d_j g_kk: each component's (value,
+    gradient, Hessian) triple from its :class:`zgeoflow.dual.CompiledGradient`
+    state (a jet pass at the first point, compiled code at the later ones)."""
     q = [float(v) for v in q]
     gval, d1, d2 = zip(*(jet(c, q) for jet, c in zip(g._jets, g.components)))
-    return g._nondegenerate(gval, q), np.array(d1).T, np.stack(d2, axis=-1)
+    return g._nondegenerate(gval, q), d1, d2
 
 
-def _connection(gval, d1) -> np.ndarray:
-    """Gamma^k_{ij} from metric values and first partials d1[i][k] = d_i g_kk.
-
-    Gamma^k_{ij} = (d_kj d_i g_kk + d_ki d_j g_kk - d_ij d_k g_ii) / (2 g_kk).
-    """
-    eye = np.eye(len(gval))
-    term = (
-        np.einsum("kj,ik->kij", eye, d1)
-        + np.einsum("ki,jk->kij", eye, d1)
-        - np.einsum("ij,ki->kij", eye, d1)
-    )
-    return (0.5 / gval)[:, None, None] * term
-
-
-def christoffel(g: DiagonalMetric, q) -> np.ndarray:
-    """Levi-Civita connection coefficients Gamma^k_{ij} for a diagonal metric."""
-    return _connection(*_component_derivatives(g, q)[:2])
+def _connection(gval, d1):
+    """Gamma^k_{ij} = (d_kj d_i g_kk + d_ki d_j g_kk - d_ij d_k g_ii) / (2 g_kk)
+    as lists gamma[k][i][j]: Gamma^k_{ki} = Gamma^k_{ik} = d_i g_kk / (2 g_kk),
+    Gamma^k_{ii} = -d_k g_ii / (2 g_kk) for i != k, and 0 elsewhere."""
+    n = len(gval)
+    gamma = [[[0.0] * n for _ in range(n)] for _ in range(n)]
+    for k, gk in enumerate(gamma):
+        s = 0.5 / gval[k]
+        for i in range(n):  # at i = k the second line overwrites the first
+            gk[i][i] = -s * d1[i][k]
+            gk[k][i] = gk[i][k] = s * d1[k][i]
+    return gamma
 
 
-def _riemann(gval, d1, d2) -> np.ndarray:
-    """R^l_{kij} from metric values, first and second partials."""
-    eye = np.eye(len(gval))
-    gamma = _connection(gval, d1)
-    g_l = gval[None, :, None, None]
-    # dgamma[i, l, j, k] = d_i Gamma^l_{jk}
-    term = (
-        np.einsum("lk,ijl->iljk", eye, d2)
-        + np.einsum("lj,ikl->iljk", eye, d2)
-        - np.einsum("jk,ilj->iljk", eye, d2)
-    )
-    dgamma = 0.5 * term / g_l - gamma[None] * d1[:, :, None, None] / g_l
-    # half[l, k, i, j] = d_i Gamma^l_{jk} + Gamma^l_{im} Gamma^m_{jk};
-    # R^l_{kij} is its antisymmetric part in (i, j)
-    half = np.einsum("iljk->lkij", dgamma) + np.einsum("lim,mjk->lkij", gamma, gamma)
-    return half - np.swapaxes(half, 2, 3)
+def _riemann_entry(gval, d1, d2, gamma, l, k, i, j):
+    """R^l_{kij} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik} + Gamma^l_{im} Gamma^m_{jk}
+    - Gamma^l_{jm} Gamma^m_{ik}, where d_i Gamma^l_{jk} = (d_lk d_i d_j g_ll
+    + d_lj d_i d_k g_ll - d_jk d_i d_l g_jj) / (2 g_ll) - Gamma^l_{jk} d_i g_ll
+    / g_ll.  The two d_lk terms cancel: each Hessian is exactly symmetric."""
+    gl, dl = gamma[l], d1[l]
+    second = (d2[l][i][k] if l == j else 0.0) - (d2[l][j][k] if l == i else 0.0)
+    second += (d2[i][j][l] if i == k else 0.0) - (d2[j][i][l] if j == k else 0.0)
+    val = (0.5 * second - gl[j][k] * dl[i] + gl[i][k] * dl[j]) / gval[l]
+    for m, gm in enumerate(gamma):
+        val += gl[i][m] * gm[j][k] - gl[j][m] * gm[i][k]
+    return val
 
 
 def _finite(values, g: DiagonalMetric, q):
-    """``values``, or EvaluationDomainError if any overflowed to inf or nan.
-
-    Metric components and slopes that are huge but finite (exp(|z| q^2) at a
-    large |z|) can overflow in the tensor arithmetic; the callers run it
-    under ``np.errstate`` and report the non-finite result here instead.
-    """
-    if not np.all(np.isfinite(values)):
+    """``values``, or EvaluationDomainError if any is inf or nan: float
+    arithmetic on huge but finite metric slopes (exp(|z| q^2) at a large |z|)
+    overflows without raising."""
+    if not all(map(math.isfinite, values)):
         raise EvaluationDomainError(f"curvature of {g.label} not finite at q={q}")
     return values
 
 
-@np.errstate(all="ignore")
+def christoffel(g: DiagonalMetric, q) -> np.ndarray:
+    """Levi-Civita connection Gamma^k_{ij} of a diagonal metric, indexed
+    [k, i, j]: the lists of :func:`_connection` as an array."""
+    return np.array(_connection(*_component_derivatives(g, q)[:2]))
+
+
 def riemann(g: DiagonalMetric, q) -> np.ndarray:
-    """Riemann tensor R^l_{kij} = d_i G^l_{jk} - d_j G^l_{ik} + G G - G G."""
-    return _finite(_riemann(*_component_derivatives(g, q)), g, q)
+    """Riemann tensor R^l_{kij}, indexed [l, k, i, j]: every entry of
+    :func:`_riemann_entry` as an array."""
+    gval, d1, d2 = _component_derivatives(g, q)
+    gamma = _connection(gval, d1)
+    riem = [_riemann_entry(gval, d1, d2, gamma, *idx) for idx in np.ndindex((g.dim,) * 4)]
+    return np.reshape(_finite(riem, g, q), (g.dim,) * 4)
 
 
-@np.errstate(all="ignore")
 def curvature_summary(g: DiagonalMetric, q):
-    """All sectional curvatures and the scalar, from one Riemann evaluation.
+    """All sectional curvatures and the scalar, on Python floats, from the
+    entries R^l_{klk} (l != k) of :func:`_riemann_entry` alone.
 
-    K_ij = R_{ijij} / (g_ii g_jj) for i < j (the unit 2-sphere gives +1) and
-    the Ricci scalar K = g^{ab} R_ab, which is 2 * sum K_ij for 3D diagonal g.
+    K_ij = R^i_{jij} / g_jj for i < j (the unit 2-sphere gives +1).  The Ricci
+    scalar K = g^{ab} R_ab sums R^l_{klk} / g_kk over both orderings of each
+    pair: it equals 2 * sum K_ij, but is not computed from the K_ij.
     """
     gval, d1, d2 = _component_derivatives(g, q)
-    riem = _riemann(gval, d1, d2)
+    gamma = _connection(gval, d1)
     n = g.dim
-    sect = {
-        (i, j): float(riem[i, j, i, j] / gval[j])
-        for i in range(n)
-        for j in range(i + 1, n)
+    ratio = {
+        (l, k): _riemann_entry(gval, d1, d2, gamma, l, k, l, k) / gval[k]
+        for l in range(n) for k in range(n) if l != k
     }
-    scal = float(np.sum(np.einsum("lklk->k", riem) / gval))
+    sect = {(i, j): ratio[i, j] for i in range(n) for j in range(i + 1, n)}
+    scal = sum(ratio.values())
     _finite([*sect.values(), scal], g, q)
     return sect, scal
 

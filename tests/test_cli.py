@@ -345,6 +345,22 @@ def test_curvature_degenerate_grid_is_exit_two(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["curvature", "--z=-22", "--metric=superintegrable", "--grid-min=2",
+          "--grid-max=2", "--grid-points=1"],
+         "curvature of 2.0*g[H_sup(3)] not finite at q=[2.0, 2.0, 2.0]"),
+        (["curvature", "--z", "50", "--grid-points", "2"],
+         "metric 2.0*g[H_int(3)] degenerate at q=[-1.0, -1.0, -1.0]"),
+    ],
+)
+def test_curvature_grid_error_names_metric_and_point(argv, message, tmp_path, capsys):
+    assert run(argv + [f"--output={tmp_path / 'c.csv'}"]) == 2
+    assert capsys.readouterr().err == f"error: metric not usable on the grid: {message}\n"
+    assert not (tmp_path / "c.csv").exists()
+
+
 # --------------------------------------------------------------------------
 # outputs
 # --------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Curvature machinery against closed forms and classical test metrics."""
 
+import ast
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -290,6 +292,39 @@ def test_constant_curvature_family(z):
     assert np.mean(vals) == pytest.approx(z, abs=1e-8)
 
 
+def _constant_curvature_metric(family, z):
+    """The constant-curvature metric of ``family`` at ``z``, as the curvature
+    command builds it, and its sampling box."""
+    if family.startswith("cartesian"):
+        n = int(family[-1])
+        h = hamiltonian_superintegrable(n, z)
+        check = [PhasePoint([0.31] * n, [0.41] * n)]
+        return geo.line_element_from_hamiltonian(h, n, check), (-1.0, 1.0)
+    h = charts.superintegrable_polar_system(z, float(family[len("polar"):])).hamiltonian
+    check = [PhasePoint([0.71, 0.62, 0.53], [0.2, 0.3, 0.4])]
+    return geo.metric_from_hamiltonian(h, 3, check), (0.3, 1.1)
+
+
+@pytest.mark.parametrize(
+    "family, bound",
+    # twice the largest |K_ij - z| of the einsum Riemann assembly on the same
+    # samples: 3.2e-15, 9.9e-15, 5.0e-14 and 6.5e-14
+    [("cartesian2", 6.4e-15), ("cartesian3", 2.0e-14), ("polar1", 1.0e-13),
+     ("polar-1", 1.3e-13)],
+)
+def test_constant_curvature_accuracy_on_grid_domains(family, bound):
+    # K_ij = z exactly on the benchmark's curvature grid domains, 40 z values
+    # with |z| in [0.2, 1] x 6 points each
+    rng = np.random.default_rng(list(family.encode()))
+    worst = 0.0
+    for z in [s * v for v in np.linspace(0.2, 1.0, 20) for s in (1.0, -1.0)]:
+        g, box = _constant_curvature_metric(family, z)
+        for _ in range(6):
+            sect, _ = geo.curvature_summary(g, rng.uniform(*box, g.dim).tolist())
+            worst = max(worst, *(abs(k - z) for k in sect.values()))
+    assert worst <= bound
+
+
 def test_two_dimensional_curvatures():
     z = 0.5
     gi = integrable_line_element(2, z)
@@ -403,7 +438,7 @@ def _oracle_riemann(comps, q):
         (i, j): riem[i, j, i, j] / gval[j] for i in range(n) for j in range(i + 1, n)
     }
     scal = sum(riem[l, k, l, k] / gval[k] for k in range(n) for l in range(n))
-    return riem, sect, scal
+    return gamma, riem, sect, scal
 
 
 def _cartesian_cases():
@@ -424,15 +459,26 @@ def _polar_cases():
             yield f"{h.label}-k{kappa2}", g, _oracle_components(h, 3, 1.0), (0.3, 1.1)
 
 
+#: a Lorentzian point toward the polar chart's degenerate locus rho = theta = 0,
+#: where |g_33| = 5.1e-4 (8.3e-3 at the box's corner).  Nearer the 1e-12
+#: cutoff both routes' eps-level partials are amplified past 1e-12 in the
+#: sectionals, einsum assembly or float (8e-11 at |g_33| = 1.8e-5).
+_NEAR_DEGENERATE = {
+    f"{label}-k-1.0": [[0.15, 0.15, 0.7]] for label in ("H_polar_int", "H_polar_sup")
+}
+
+
 @pytest.mark.parametrize(
     "label, g, comps, box",
     [pytest.param(*case, id=case[0]) for case in (*_cartesian_cases(), *_polar_cases())],
 )
 def test_curvature_matches_nested_pass_oracle(label, g, comps, box):
     rng = np.random.default_rng(list(label.encode()))
-    for _ in range(2):
-        q = rng.uniform(*box, g.dim).tolist()
-        riem_ref, sect_ref, scal_ref = _oracle_riemann(comps, q)
+    points = [rng.uniform(*box, g.dim).tolist() for _ in range(2)]
+    for q in points + _NEAR_DEGENERATE.get(label, []):
+        gamma_ref, riem_ref, sect_ref, scal_ref = _oracle_riemann(comps, q)
+        gamma = geo.christoffel(g, q)
+        assert np.all(np.abs(gamma - gamma_ref) <= 1e-12 * np.maximum(1.0, np.abs(gamma_ref)))
         riem = geo.riemann(g, q)
         assert np.all(np.abs(riem - riem_ref) <= 1e-12 * np.maximum(1.0, np.abs(riem_ref)))
         sect, scal = geo.curvature_summary(g, q)
@@ -499,3 +545,32 @@ def test_curvature_overflow_is_a_domain_error():
             geo.curvature_summary(g, [2.0, 2.0, 2.0])
         with pytest.raises(EvaluationDomainError):
             geo.riemann(g, [2.0, 2.0, 2.0])
+
+
+def test_curvature_point_path_reads_no_numpy():
+    # curvature_summary and every geometry function it reaches (by name, or
+    # as a method of the metric) run on Python floats: none reads np.<attr>
+    tree = ast.parse(pathlib.Path(geo.__file__).read_text())
+    def defs(nodes):
+        return {node.name: node for node in nodes if isinstance(node, ast.FunctionDef)}
+
+    metric = next(node for node in tree.body if getattr(node, "name", "") == "DiagonalMetric")
+    functions, methods = defs(tree.body), defs(metric.body)
+    todo, seen = [functions["curvature_summary"]], set()
+    while todo:
+        fn = todo.pop()
+        seen.add(fn.name)
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name):
+                ref = functions.get(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                assert node.value.id != "np", (fn.name, node.attr)
+                ref = methods.get(node.attr) if node.value.id in ("g", "self") else None
+            else:
+                continue
+            if ref is not None and ref.name not in seen:
+                todo.append(ref)
+    assert seen == {
+        "curvature_summary", "_component_derivatives", "_nondegenerate",
+        "_connection", "_riemann_entry", "_finite",
+    }

@@ -25,6 +25,13 @@ real input is rejected with the violated relation, while
 :func:`polar_to_cart` continues to the complex octant (q1, q2 pure
 imaginary), under which every identity below still holds exactly.
 
+Momenta and canonicity at a polar point x read one :class:`ChartPass`: a
+single jet pass of the position map q(x) that gives J = dq/dx and, at
+order 2, the Hessians of the q_i.  The ``transform`` command shares it
+between the momentum map, the round trip and the canonicity check, and the
+3x3 algebra on it (J^T p, det J, the transposed solve, the bracket blocks)
+runs on Python scalars.
+
 Momentum normalization: ``"canonical"`` momenta come from the transpose
 inverse Jacobian of the position map and satisfy the fundamental brackets
 exactly.  ``"chart"`` momenta are twice the canonical ones; in that
@@ -36,6 +43,8 @@ Casimirs, matching the line-element (factor 2) metric convention of
 
 from __future__ import annotations
 
+import cmath
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,17 +290,92 @@ def chart_relation_residuals(q, x, z: float, kappa2: float) -> np.ndarray:
     return np.abs(lhs - rhs)
 
 
+_SINGULAR = "singular Jacobian (chart boundary)"
+
+
+def _chart_jet(f, args, order):
+    """``dual.jet`` of a chart map; a division by zero or an overflow in the
+    derivative parts (sqrt(w)' at w = 0, say) is the chart boundary."""
+    try:
+        return dual.jet(f, args, order)
+    except (ZeroDivisionError, OverflowError) as err:
+        raise OutOfChartError(_SINGULAR) from err
+
+
+def _det3(m):
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def _matmul(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+
+
+def _solve_transposed(m, b):
+    """y with m^T y = b: Gaussian elimination with partial pivoting on the
+    augmented rows of m^T."""
+    n = len(b)
+    rows = [[m[i][r] for i in range(n)] + [b[r]] for r in range(n)]
+    for c in range(n):
+        piv = max(range(c, n), key=lambda r: abs(rows[r][c]))
+        rows[c], rows[piv] = rows[piv], rows[c]
+        for r in range(c + 1, n):
+            f = rows[r][c] / rows[c][c]
+            rows[r] = [u - f * v for u, v in zip(rows[r], rows[c])]
+    y = [0.0] * n
+    for r in reversed(range(n)):
+        acc = rows[r][n]
+        for k in range(r + 1, n):
+            acc = acc - rows[r][k] * y[k]
+        y[r] = acc / rows[r][r]
+    return y
+
+
+class ChartPass:
+    """The chart pass at a polar point x: one jet pass of the position map
+    q(x) of :func:`polar_to_cart`, run on first use and then read by every
+    consumer of the point (momentum map, round trip, canonicity check).
+
+    ``jacobian`` is J = dq/dx as a list of rows (J[i][a] = dq_i/dx_a);
+    ``hessians`` (``order=2`` only) are the symmetric T_i = d^2 q_i/dx^2.
+    Reading either raises OutOfChartError where J is singular: non-finite
+    parts, |det J| < 1e-12, or a division by zero or overflow in the pass.
+    """
+
+    def __init__(self, x, z: float, kappa2: float, order: int = 1):
+        self.x = [complex(v) if isinstance(v, complex) else float(v) for v in x]
+        if len(self.x) != 3:
+            raise ValueError("the geodesic polar chart is three-dimensional")
+        self.z, self.kappa2, self.order = float(z), float(kappa2), order
+
+    @functools.cached_property
+    def _parts(self):
+        z, kappa2 = self.z, self.kappa2
+        cart = _chart_jet(lambda xs: _polar_to_cart_generic(xs, z, kappa2), self.x, self.order)
+        jac = [g for _, g, _ in cart]
+        if not all(cmath.isfinite(v) for row in jac for v in row) or abs(_det3(jac)) < 1e-12:
+            raise OutOfChartError(_SINGULAR)
+        return jac, [h for _, _, h in cart]
+
+    @property
+    def jacobian(self) -> list:
+        return self._parts[0]
+
+    @property
+    def hessians(self) -> list:
+        if self.order != 2:
+            raise ValueError("the Hessians need a chart pass of order 2")
+        return self._parts[1]
+
+
 def position_jacobian(x, z: float, kappa2: float) -> np.ndarray:
-    """Exact Jacobian d(cartesian)/d(polar) of :func:`polar_to_cart` at x;
-    OutOfChartError where it is singular."""
-    x = [complex(v) if isinstance(v, complex) else float(v) for v in np.asarray(x)]
-    z, kappa2 = float(z), float(kappa2)
-    cols = dual.gradient(lambda xs: _polar_to_cart_generic(xs, z, kappa2), x)
-    cplx = any(isinstance(c, complex) for col in cols for c in col)
-    jac = np.array(cols, dtype=complex if cplx else float).T
-    if not np.all(np.isfinite(jac)) or abs(np.linalg.det(jac)) < 1e-12:
-        raise OutOfChartError("singular Jacobian (chart boundary)")
-    return jac
+    """Exact Jacobian d(cartesian)/d(polar) of :func:`polar_to_cart` at x,
+    the :class:`ChartPass` at x as an array; OutOfChartError where it is
+    singular."""
+    return np.array(ChartPass(x, z, kappa2).jacobian)
 
 
 @dataclass(frozen=True)
@@ -321,27 +405,35 @@ def _check_normalization(normalization):
 
 
 def transform_to_polar(
-    point: PhasePoint, z: float, kappa2: float, normalization: str = "canonical"
+    point: PhasePoint,
+    z: float,
+    kappa2: float,
+    normalization: str = "canonical",
+    chart: ChartPass | None = None,
 ) -> PolarPoint:
     """Map a Cartesian phase point into the polar chart.
 
-    Canonical momenta come from the transpose inverse Jacobian of the
-    position map; chart momenta are CHART_MOMENTUM_FACTOR times those.
+    Canonical momenta are P = J^T p with J = dq/dx the Jacobian of the
+    position map at x = cart_to_polar(q); chart momenta are
+    CHART_MOMENTUM_FACTOR times those.  ``chart`` is the :class:`ChartPass`
+    at that x, for a caller that reads it again (one is made otherwise); x
+    is then read off it.  A zero p takes no pass.
     """
     _check_normalization(normalization)
     if point.dim != 3:
         raise ValueError("the geodesic polar chart is three-dimensional")
-    x = cart_to_polar(point.q, z, kappa2)
-    if np.allclose(point.p, 0.0):
-        mom = np.zeros(3)
+    if chart is None:
+        chart = ChartPass(cart_to_polar(point.q, z, kappa2), z, kappa2)
+    _, p = point.scalars()
+    if not any(p):  # only an exactly zero momentum skips the pass
+        mom = [0.0, 0.0, 0.0]
     else:
-        jac = position_jacobian(x, z, kappa2)
-        mom = jac.T @ point.p
+        jac = chart.jacobian
+        mom = [jac[0][a] * p[0] + jac[1][a] * p[1] + jac[2][a] * p[2] for a in range(3)]
         if normalization == "chart":
-            mom = CHART_MOMENTUM_FACTOR * mom
+            mom = [CHART_MOMENTUM_FACTOR * v for v in mom]
     vals = []
-    for v in [*x, *mom]:
-        v = complex(v) if np.iscomplexobj(v) else v
+    for v in [*chart.x, *mom]:
         if isinstance(v, complex) and abs(v.imag) <= 1e-12 * max(1.0, abs(v.real)):
             v = v.real  # complex-octant outputs are real up to roundoff
         vals.append(v)
@@ -349,23 +441,29 @@ def transform_to_polar(
 
 
 def transform_to_cartesian(
-    polar: PolarPoint, z: float, kappa2: float, normalization: str = "canonical"
+    polar: PolarPoint,
+    z: float,
+    kappa2: float,
+    normalization: str = "canonical",
+    chart: ChartPass | None = None,
 ) -> PhasePoint:
-    """Inverse of :func:`transform_to_polar` (complex octant for kappa2 < 0)."""
+    """Inverse of :func:`transform_to_polar` (complex octant for kappa2 < 0).
+
+    The momenta solve J^T p = P for the Jacobian J of the position map at
+    x = polar.position(), read off ``chart`` (the :class:`ChartPass` at x;
+    one is made otherwise).  A zero P takes no pass.
+    """
     _check_normalization(normalization)
     x = polar.position()
     q = polar_to_cart(x, z, kappa2)
-    mom = polar.momentum().astype(complex if np.iscomplexobj(q) else float)
+    mom = polar.momentum().tolist()
     if normalization == "chart":
-        mom = mom / CHART_MOMENTUM_FACTOR
-    if np.allclose(mom, 0.0):
-        p = np.zeros_like(q)
-    else:
-        jac = position_jacobian(x, z, kappa2)
-        p = np.linalg.solve(jac.T.astype(complex), mom.astype(complex))
-        if not np.iscomplexobj(q):
-            p = p.real
-    return PhasePoint(q, p)
+        mom = [v / CHART_MOMENTUM_FACTOR for v in mom]
+    if not any(mom):  # only an exactly zero momentum skips the pass
+        return PhasePoint(q, np.zeros_like(q))
+    if chart is None:
+        chart = ChartPass(x, z, kappa2)
+    return PhasePoint(q, _solve_transposed(chart.jacobian, mom))
 
 
 def polar_chart_functions(z: float, kappa2: float):
@@ -398,39 +496,46 @@ def polar_chart_functions(z: float, kappa2: float):
     return tuple(PhaseFunction(3, f, n) for f, n in zip(fns, names))
 
 
+# a complex point's scalars are numpy complex, whose overflow would warn
 @np.errstate(all="ignore")
 def fundamental_bracket_residuals(
-    point: PhasePoint, z: float, kappa2: float
+    point: PhasePoint, z: float, kappa2: float, chart: ChartPass | None = None
 ) -> np.ndarray:
     """|{u_a, u_b} - canonical| for the six polar chart variables at a point.
 
-    Two jet passes give all six gradients.  A first-order pass of the chart
-    map gives x(q) and A = dx/dq; a second-order pass of its inverse at x
-    gives J = dq/dx and T_i = d^2 q_i / dx^2.  The canonical momenta are
-    P = J^T p, so by the chain rule the Jacobian of (x, P) in (q, p) is
-    [[A, 0], [sum_i p_i T_i A, J^T]].  Its rows are the gradients of the
-    :func:`polar_chart_functions`, and the brackets are formed from them as
-    in :func:`zgeoflow.brackets.bracket_matrix`.
+    Two jet passes give all six gradients.  Its own first-order pass of the
+    chart map gives x(q) and A = dx/dq, an independent check of J; the
+    second-order :class:`ChartPass` at x gives J = dq/dx and the Hessians
+    T_i.  ``chart`` is that pass at x = cart_to_polar(q), shared with the
+    caller's transform (one is made otherwise).  The canonical momenta are
+    P = J^T p, so the Jacobian of (x, P) in (q, p) is [[A, 0], [M A, J^T]]
+    with M = sum_i p_i T_i, and the brackets of those rows (as in
+    :func:`zgeoflow.brackets.bracket_matrix`) come in three blocks:
+    {x, x} = 0, {x_a, P_b} = (AJ)_ab and {P_a, P_b} = (MAJ)_ab - (MAJ)_ba.
+    Returned as the 6x6 array of residuals against the symplectic form.
     """
-    from .brackets import gradient_brackets
-
     if point.dim != 3:
         raise ValueError("the geodesic polar chart is three-dimensional")
     z, kappa2 = float(z), float(kappa2)
     q, p = point.scalars()
-    polar = dual.jet(lambda qs: _cart_to_polar_generic(qs, z, kappa2), q, order=1)
-    x = [v for v, _, _ in polar]
-    cart = dual.jet(lambda xs: _polar_to_cart_generic(xs, z, kappa2), x)
-    a = np.array([g for _, g, _ in polar])
-    jac = np.array([g for _, g, _ in cart])
-    curv = np.array([h for _, _, h in cart])
-    dq = np.vstack([a, np.einsum("i,iab,bk->ak", p, curv, a)])
-    dp = np.vstack([np.zeros((3, 3)), jac.T])
-    if not (np.all(np.isfinite(dq)) and np.all(np.isfinite(dp))):
+    polar = _chart_jet(lambda qs: _cart_to_polar_generic(qs, z, kappa2), q, 1)
+    if chart is None:
+        chart = ChartPass([v for v, _, _ in polar], z, kappa2, order=2)
+    a = [g for _, g, _ in polar]
+    jac, curv = chart.jacobian, chart.hessians
+    m = [
+        [sum(p[i] * curv[i][r][c] for i in range(3)) for c in range(3)] for r in range(3)
+    ]
+    ma = _matmul(m, a)
+    if not all(cmath.isfinite(v) for rows in (a, ma) for row in rows for v in row):
         raise EvaluationDomainError(f"polar chart Jacobian not finite at {point}")
-    vals, _ = gradient_brackets(dq, dp)
-    omega = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(3))
-    return np.abs(vals - omega)
+    aj, maj = _matmul(a, jac), _matmul(ma, jac)
+    res = np.zeros((6, 6))
+    for r in range(3):
+        for c in range(3):
+            res[r, 3 + c] = res[3 + c, r] = abs(aj[r][c] - (1.0 if r == c else 0.0))
+            res[3 + r, 3 + c] = abs(maj[r][c] - maj[c][r])
+    return res
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,10 @@ from .brackets import (
     sample_points,
 )
 from .charts import (
+    ChartPass,
     OutOfChartError,
     PolarPoint,
+    cart_to_polar,
     chart_relation_residuals,
     fundamental_bracket_residuals,
     integrable_polar_system,
@@ -560,17 +562,25 @@ def cmd_transform(cfg) -> int:
     if len(cfg["q"]) != 3:
         print("error: the polar chart is three-dimensional", file=sys.stderr)
         return EXIT_CONFIG
+    if cfg["p"] is not None and len(cfg["p"]) != 3:
+        print("error: p must have three components, like q", file=sys.stderr)
+        return EXIT_CONFIG
     if cfg["direction"] not in ("to-polar", "to-cartesian"):
         print("error: direction must be to-polar or to-cartesian", file=sys.stderr)
         return EXIT_CONFIG
     to_polar = cfg["direction"] == "to-polar"
     norm = cfg["normalization"]
     p = cfg["p"] if cfg["p"] is not None else [0.0, 0.0, 0.0]
+    # one chart pass at the polar point of q, run when first read: by the
+    # momentum map or the round trip, and by the canonicity check, which
+    # needs its Hessians
+    order = 2 if cfg["canonicity"] else 1
     results = {}
     try:
         if to_polar:
             point = PhasePoint(cfg["q"], p)
-            polar = transform_to_polar(point, z, kappa2, norm)
+            chart = ChartPass(cart_to_polar(point.q, z, kappa2), z, kappa2, order)
+            polar = transform_to_polar(point, z, kappa2, norm, chart)
             results["polar"] = dataclasses.asdict(polar)
         else:
             polar = PolarPoint(*cfg["q"], *p)
@@ -579,17 +589,19 @@ def cmd_transform(cfg) -> int:
                 "q": [str(v) for v in point.q] if np.iscomplexobj(point.q) else list(point.q),
                 "p": [str(v) for v in point.p] if np.iscomplexobj(point.p) else list(point.p),
             }
+            if cfg["roundtrip"] or cfg["canonicity"]:
+                chart = ChartPass(cart_to_polar(point.q, z, kappa2), z, kappa2, order)
         resid = chart_relation_residuals(point.q, polar.position(), z, kappa2)
         if cfg["with_r"]:
             results["r"] = rho_to_r(polar.rho, z)
         if cfg["roundtrip"]:
             if to_polar:
-                back = transform_to_cartesian(polar, z, kappa2, norm)
+                back = transform_to_cartesian(polar, z, kappa2, norm, chart)
                 err = max(
                     np.max(np.abs(back.q - point.q)), np.max(np.abs(back.p - point.p))
                 )
             else:
-                back = transform_to_polar(point, z, kappa2, norm)
+                back = transform_to_polar(point, z, kappa2, norm, chart)
                 err = max(
                     np.max(np.abs(back.position() - polar.position())),
                     np.max(np.abs(back.momentum() - polar.momentum())),
@@ -597,7 +609,7 @@ def cmd_transform(cfg) -> int:
             results["roundtrip_error"] = float(err)
         residuals = {"chart_relations": [float(r) for r in resid]}
         if cfg["canonicity"]:
-            mat = fundamental_bracket_residuals(point, z, kappa2)
+            mat = fundamental_bracket_residuals(point, z, kappa2, chart)
             residuals["canonicity_max"] = float(mat.max())
     except OutOfChartError as err:
         rel = f" (relation {err.relation})" if err.relation else ""

@@ -500,6 +500,8 @@ def _sweep(tape, y, n):
     """Adjoints of the n inputs of ``tape`` for the pass output ``y``: one
     backward sweep; an output that is no node is a constant."""
     if type(y) is not Rev:
+        if isinstance(y, list):
+            raise TypeError("a reverse pass differentiates one scalar output")
         return [0.0] * n
     if y.t is not tape:
         _mixed_tapes()
@@ -556,13 +558,10 @@ def partial(f, args, i):
 
 
 def gradient(f, args):
-    """All first partials of ``f`` at float or complex ``args`` from one
-    reverse pass: one evaluation of ``f`` (one tag) and one backward sweep.
-
-    A list-valued ``f`` gives the list of Jacobian columns, as
-    :func:`partial` slot by slot does, from one sweep per component.
-    """
-    return _adjoints(*_record(f, args), len(args))
+    """All first partials of a scalar-valued ``f`` at float or complex
+    ``args`` from one reverse pass: one evaluation of ``f`` (one tag) and
+    one backward sweep."""
+    return _sweep(*_record(f, args), len(args))
 
 
 def _record(f, args):
@@ -573,14 +572,6 @@ def _record(f, args):
     fresh_tag()  # the tape needs no tag, but every pass draws one: tags count passes
     tape = _Tape(len(args))
     return tape, f([Rev(x, k, tape, k) for k, x in enumerate(args)])
-
-
-def _adjoints(tape, out, n):
-    """The gradient (or Jacobian columns) of the recorded pass output ``out``."""
-    if isinstance(out, list):
-        rows = [_sweep(tape, y, n) for y in out]
-        return [[row[i] for row in rows] for i in range(n)]
-    return _sweep(tape, out, n)
 
 
 def _pair_pass(f, args, i, j):
@@ -854,7 +845,7 @@ class CompiledGradient:
         if self.first is None:
             if self.order == 1:
                 tape, out = _record(f, args)
-                result = _adjoints(tape, out, n)
+                result = _sweep(tape, out, n)
             else:
                 result = run(f, args)
                 try:

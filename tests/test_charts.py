@@ -1,5 +1,6 @@
 """Polar charts: trig kernels, round trips, canonicity, matched-point scales."""
 
+import contextlib
 import math
 import warnings
 
@@ -18,7 +19,7 @@ from zgeoflow.algebra import (
     integral_extra_2,
     integral_extra_3,
 )
-from zgeoflow.brackets import bracket_matrix, poisson_bracket
+from zgeoflow.brackets import bracket_matrix, gradient_brackets, poisson_bracket
 from zgeoflow.phase import EvaluationDomainError, PhasePoint
 
 SINH_1 = 1.1752011936438014
@@ -289,6 +290,147 @@ def test_canonicity_takes_two_jet_passes(monkeypatch):
     monkeypatch.setattr(dual, "fresh_tag", counted)
     charts.fundamental_bracket_residuals(PhasePoint([0.5, 0.4, 0.6], [0.2, -0.1, 0.3]), 0.3, 1.0)
     assert len(tags) == 2
+
+
+# --------------------------------------------------------------------------
+# the chart pass: one jet of the position map per polar point
+# --------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+#: two interior polar points, then points near the chart boundary, where
+#: |det J| falls to 1e-7, 9e-5, 5e-2 and 3.5e-12
+CHART_PASS_POINTS = [
+    (0.7, 0.5, 0.6), (1.1, 1.0, 0.4),
+    (1e-3, 0.5, 0.6), (0.5, 1e-3, 0.6), (0.4, 0.6, 1e-4), (1e-4, 1e-3, 0.3),
+]
+
+
+def _component(z, kappa2, i):
+    return lambda xs: charts._polar_to_cart_generic(xs, z, kappa2)[i]
+
+
+@pytest.mark.parametrize("z", [0.3, -0.3, 1e-9])
+@pytest.mark.parametrize("kappa2", [1.0, -1.0])
+def test_chart_pass_matches_per_component_passes(z, kappa2):
+    # J row by row against one reverse pass per component, and T_i against
+    # the component's own jet; at the interior points T_i also against
+    # nested dual passes, an independent second order (near the boundary
+    # both sides cancel large terms, and agree only to that scale)
+    for k, x in enumerate(CHART_PASS_POINTS):
+        chart = charts.ChartPass(x, z, kappa2, order=2)
+        for i in range(3):
+            f = _component(z, kappa2, i)
+            grad = dual.gradient(f, list(x))
+            scale = max(abs(v) for v in grad)
+            assert all(abs(a - b) <= 4 * EPS * scale for a, b in zip(chart.jacobian[i], grad))
+            hess = dual.hessian(f, list(x)) if kappa2 > 0 else dual.jet(f, list(x))[2]
+            scale = max(abs(v) for row in hess for v in row)
+            for r in range(3):
+                for c in range(3):
+                    got = chart.hessians[i][r][c]
+                    assert abs(got - hess[r][c]) <= 4 * EPS * scale
+                    if k < 2:
+                        ref = dual.second_partial(f, list(x), r, c)
+                        assert abs(got - ref) <= 16 * EPS * scale
+
+
+def test_chart_pass_runs_once_on_first_use(monkeypatch):
+    tags = []
+    fresh_tag = dual.fresh_tag
+
+    def counted():
+        tags.append(None)
+        return fresh_tag()
+
+    def no_reverse_pass(f, args):
+        raise AssertionError("position_jacobian took a reverse pass")
+
+    monkeypatch.setattr(dual, "fresh_tag", counted)
+    monkeypatch.setattr(dual, "_record", no_reverse_pass)
+    chart = charts.ChartPass([0.7, 0.5, 0.6], 0.3, 1.0, order=2)
+    assert tags == []
+    jac, hess = chart.jacobian, chart.hessians
+    assert chart.jacobian is jac and len(tags) == 1
+    assert np.array_equal(charts.position_jacobian([0.7, 0.5, 0.6], 0.3, 1.0), jac)
+    assert len(tags) == 2 and len(hess) == 3
+    with pytest.raises(ValueError, match="order 2"):
+        charts.ChartPass([0.7, 0.5, 0.6], 0.3, 1.0).hessians
+
+
+@pytest.mark.parametrize("x", [(0.0, 0.0, 0.0), (0.5, 0.0, 0.6), (0.0, 0.5, 0.6)])
+def test_chart_pass_singular_points(x):
+    # each divides by zero inside the pass (sqrt(w)' at w = 0)
+    chart = charts.ChartPass(x, 0.3, 1.0)  # nothing is evaluated yet
+    with pytest.raises(charts.OutOfChartError, match=r"^singular Jacobian \(chart boundary\)$"):
+        chart.jacobian
+    with pytest.raises(charts.OutOfChartError, match="singular Jacobian"):
+        charts.position_jacobian(x, 0.3, 1.0)
+
+
+@pytest.mark.parametrize("z, kappa2", [(0.3, 1.0), (0.3, -1.0), (-0.3, 1.0), (1e-9, -1.0)])
+def test_transposed_solve_matches_numpy(z, kappa2):
+    b = [0.3, -0.7, 0.2]
+    for x in CHART_PASS_POINTS:
+        jac = charts.ChartPass(x, z, kappa2).jacobian
+        arr = np.array(jac)
+        want = np.linalg.solve(arr.T, np.array(b, dtype=arr.dtype))
+        got = np.array(charts._solve_transposed(jac, b))
+        bound = 4 * EPS * np.linalg.cond(arr) * np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= bound
+    # a zero leading entry needs the row exchange
+    perm = [[0.0, 2.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 4.0]]
+    assert charts._solve_transposed(perm, [1.0, 2.0, 3.0]) == [1.0, 1.0, 0.75]
+
+
+def _numpy_canonicity(point, z, kappa2):
+    """The numpy 6x6 assembly the block formula replaced, as an oracle:
+    (residuals, the brackets' term magnitudes)."""
+    q, p = point.scalars()
+    polar = dual.jet(lambda qs: charts._cart_to_polar_generic(qs, z, kappa2), q, order=1)
+    x = [v for v, _, _ in polar]
+    cart = dual.jet(lambda xs: charts._polar_to_cart_generic(xs, z, kappa2), x)
+    a = np.array([g for _, g, _ in polar])
+    jac = np.array([g for _, g, _ in cart])
+    curv = np.array([h for _, _, h in cart])
+    dq = np.vstack([a, np.einsum("i,iab,bk->ak", p, curv, a)])
+    dp = np.vstack([np.zeros((3, 3)), jac.T])
+    vals, scales = gradient_brackets(dq, dp)
+    return np.abs(vals - np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(3))), scales
+
+
+@pytest.mark.parametrize("z", [0.7, 0.3, -0.3, 1e-6, 1e-13, 0.0])
+def test_block_canonicity_matches_numpy_assembly(z):
+    # the two differ by the summation order of their products, so by
+    # roundoff at the scale of the brackets' terms (|p| reaches 1e7 at the
+    # boundary points)
+    points = [(pt, 1.0) for pt in cart_samples(4, seed=5)]
+    for kappa2 in (1.0, -1.0):
+        points += [(charts.transform_to_cartesian(pp, z, kappa2), kappa2)
+                   for pp in relativistic_samples(4, seed=9)]
+        for x in CHART_PASS_POINTS[1:]:
+            with contextlib.suppress(charts.OutOfChartError):  # (1.1, 1, .4) at z = .7
+                pp = charts.PolarPoint(*x, 0.4, -0.6, 0.9)
+                points.append((charts.transform_to_cartesian(pp, z, kappa2), kappa2))
+    assert len(points) >= 20
+    for point, kappa2 in points:
+        got = charts.fundamental_bracket_residuals(point, z, kappa2)
+        want, scales = _numpy_canonicity(point, z, kappa2)
+        assert np.max(np.abs(got - want)) <= 1e-15 * max(1.0, scales.max())
+        assert np.all(got[:3, :3] == 0.0) and np.all(np.diag(got) == 0.0)
+
+
+def test_transform_maps_small_momenta():
+    # only an exactly zero momentum skips the chart pass
+    point = PhasePoint([0.3, 0.4, 0.5], [1e-9, 0.0, 0.0])
+    polar = charts.transform_to_polar(point, 0.3, 1.0)
+    x = charts.cart_to_polar(point.q, 0.3, 1.0)
+    jac = charts.position_jacobian(x, 0.3, 1.0)
+    assert np.allclose(polar.momentum(), jac.T @ point.p, rtol=1e-14, atol=0.0)
+    back = charts.transform_to_cartesian(polar, 0.3, 1.0)
+    assert np.max(np.abs(back.p - point.p)) < 1e-23
+    cart = charts.transform_to_cartesian(charts.PolarPoint(0.5, 0.6, 0.7, 5e-9, 0.0, 0.0), 0.3, 1.0)
+    assert np.all(np.abs(cart.p) > 1e-10)
 
 
 def test_momentum_round_trip():

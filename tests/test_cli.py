@@ -503,12 +503,95 @@ def test_transform_to_cartesian_direction(tmp_path):
     assert len(q) == 3 and all(isinstance(v, float) for v in q)
 
 
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["transform", "--q=0.3,0.4,0.5", "--p=1e-9,0,0", "--roundtrip"], "polar"),
+        (["transform", "--direction=to-cartesian", "--q=0.5,0.6,0.7", "--p=5e-9,0,0",
+          "--roundtrip"], "cartesian"),
+    ],
+)
+def test_transform_keeps_small_momenta(argv, key, tmp_path):
+    # only an exactly zero momentum skips the chart pass: |p| ~ 1e-9 is
+    # mapped, and its round trip closes
+    out = tmp_path / "small.json"
+    assert run(argv + [f"--output={out}"]) == 0
+    doc = json.loads(read(out))
+    res = doc["results"][key]
+    mom = [res["p_rho"], res["p_theta"], res["p_phi"]] if key == "polar" else res["p"]
+    assert all(1e-10 < abs(v) < 1e-8 for v in mom)
+    assert doc["results"]["roundtrip_error"] < 1e-15
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transform", "--q=0,0,0", "--roundtrip", "--with-r"],
+        ["transform", "--q=0,0,0", "--p=0,0,0", "--roundtrip"],
+        ["transform", "--direction=to-cartesian", "--q=0,0,0", "--roundtrip"],
+    ],
+)
+def test_transform_zero_momentum_at_the_origin(argv, tmp_path):
+    # a zero momentum needs no Jacobian, so the singular origin still maps
+    out = tmp_path / "origin.json"
+    assert run(argv + [f"--output={out}"]) == 0
+    assert json.loads(read(out))["results"]["roundtrip_error"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transform", "--q=0,0,0.5", "--p=0.1,0,0"],
+        ["transform", "--direction=to-cartesian", "--q=0,0.5,0.5", "--p=0.1,0.1,0.1"],
+        ["transform", "--q=0,0,0", "--canonicity"],
+    ],
+)
+def test_transform_at_a_chart_singularity_is_exit_two(argv, tmp_path, capsys):
+    # the chart pass divides by zero there; that is the chart boundary
+    assert run(argv + [f"--output={tmp_path / 't.json'}"]) == 2
+    assert capsys.readouterr().err == "error: out of chart: singular Jacobian (chart boundary)\n"
+
+
+@pytest.mark.parametrize("direction", ["to-polar", "to-cartesian"])
+def test_transform_rejects_a_short_momentum(direction, tmp_path, capsys):
+    argv = ["transform", f"--direction={direction}", "--q=0.5,0.6,0.7", "--p=0.1,0.2",
+            f"--output={tmp_path / 't.json'}"]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: p must have three components, like q\n"
+    assert not (tmp_path / "t.json").exists()
+
+
+@pytest.mark.parametrize(
+    "direction, kappa2, passes",
+    [("to-polar", "1", 2), ("to-cartesian", "1", 3), ("to-cartesian", "-1", 3)],
+)
+def test_transform_passes_per_unit(direction, kappa2, passes, tmp_path, monkeypatch):
+    # one chart pass per polar point, read by the momentum map, the round
+    # trip and the canonicity check, plus the check's own pass of the
+    # forward map: to-polar has one polar point, to-cartesian two (its
+    # input and the image of its Cartesian output)
+    tags = []
+    fresh_tag = dual.fresh_tag
+
+    def counted():
+        tags.append(None)
+        return fresh_tag()
+
+    monkeypatch.setattr(dual, "fresh_tag", counted)
+    q = "0.4,0.5,0.6" if direction == "to-polar" else "0.5,0.6,0.7"
+    argv = ["transform", f"--direction={direction}", f"--kappa2={kappa2}", "--z=0.4",
+            f"--q={q}", "--p=0.3,-0.2,0.5", "--with-r", "--roundtrip", "--canonicity",
+            f"--output={tmp_path / 't.json'}"]
+    assert run(argv) == 0
+    assert len(tags) == passes
+
+
 def test_to_cartesian_roundtrip_compares_momenta(tmp_path, monkeypatch):
     # a momentum-only error in polar -> Cartesian -> polar must be reported
     exact = cli.transform_to_polar
 
-    def momentum_off(point, z, kappa2, norm):
-        back = exact(point, z, kappa2, norm)
+    def momentum_off(point, z, kappa2, norm, chart):
+        back = exact(point, z, kappa2, norm, chart)
         return dataclasses.replace(back, p_theta=back.p_theta + 1e-6)
 
     monkeypatch.setattr(cli, "transform_to_polar", momentum_off)

@@ -230,64 +230,54 @@ def _polar_to_cart_generic(x, z: float, kappa2: float):
     return out
 
 
-def _finite_image(x, what):
-    """``x``, or OutOfChartError if the map overflowed to inf or nan."""
-    if not np.all(np.isfinite(x)):
+def _image(f, args, what):
+    """The array of ``f(*args)``, or OutOfChartError if the map overflowed:
+    to inf or nan on numpy scalars, with an OverflowError on Python ones."""
+    try:
+        x = np.array(f(*args))
+        finite = np.all(np.isfinite(x))
+    except OverflowError:
+        finite = False
+    if not finite:
         raise OutOfChartError(f"{what} coordinates not finite (overflow)")
     return x
 
 
 # at a huge |z| the arguments 2 (z q_i^2) overflow to inf; the non-finite
-# image is reported as out of chart, without numpy's warnings
+# image is reported as out of chart, without the warnings of the numpy
+# scalars a complex-octant q arrives as
 @np.errstate(all="ignore")
 def cart_to_polar(q, z: float, kappa2: float = 1.0) -> np.ndarray:
     """Solve the chart relations for (rho, theta, phi) on the principal branch."""
     q = list(np.asarray(q))
     if len(q) != 3:
         raise ValueError("the geodesic polar chart is three-dimensional")
-    x = np.array(_cart_to_polar_generic(q, float(z), float(kappa2)))
-    return _finite_image(x, "polar")
+    return _image(_cart_to_polar_generic, (q, float(z), float(kappa2)), "polar")
 
 
-@np.errstate(all="ignore")
 def polar_to_cart(x, z: float, kappa2: float = 1.0) -> np.ndarray:
-    """Positive-octant Cartesian preimage of a polar point.
+    """Positive-octant Cartesian preimage of a polar point, on Python scalars.
 
     For kappa2 < 0 the first two components are pure imaginary (complex
     octant); the squared coordinates remain real.
     """
-    x = list(np.asarray(x))
+    x = np.asarray(x).tolist()
     if len(x) != 3:
         raise ValueError("the geodesic polar chart is three-dimensional")
-    q = np.array(_polar_to_cart_generic(x, float(z), float(kappa2)))
-    return _finite_image(q, "Cartesian")
+    return _image(_polar_to_cart_generic, (x, float(z), float(kappa2)), "Cartesian")
 
 
 def chart_relation_residuals(q, x, z: float, kappa2: float) -> np.ndarray:
-    """Absolute residuals of the four chart relations at matched (q, x)."""
-    q = np.asarray(q)
-    rho, theta, phi = (complex(v) for v in np.asarray(x))
-    e = [np.exp(2.0 * (z * complex(qi) ** 2)) for qi in q]
-    a = z * complex(kappa_sin(-z, rho)) ** 2
-    t = kappa2 * complex(kappa_sin(kappa2, theta)) ** 2
-    c2 = complex(kappa_cos(kappa2, theta)) ** 2
-    lhs = np.array(
-        [
-            complex(kappa_cos(-z, rho)) ** 2,
-            a * c2,
-            a * t * np.cos(phi) ** 2,
-            a * t * np.sin(phi) ** 2,
-        ]
-    )
-    rhs = np.array(
-        [
-            e[0] * e[1] * e[2],
-            e[0] * e[1] * (e[2] - 1.0),
-            e[0] * (e[1] - 1.0),
-            e[0] - 1.0,
-        ]
-    )
-    return np.abs(lhs - rhs)
+    """Absolute residuals of the four chart relations at matched (q, x),
+    evaluated on Python complex scalars."""
+    rho, theta, phi = (complex(v) for v in x)
+    e = [cmath.exp(2.0 * (z * complex(qi) ** 2)) for qi in q]
+    a = z * kappa_sin(-z, rho) ** 2
+    t = kappa2 * kappa_sin(kappa2, theta) ** 2
+    c2 = kappa_cos(kappa2, theta) ** 2
+    lhs = (kappa_cos(-z, rho) ** 2, a * c2, a * t * cmath.cos(phi) ** 2, a * t * cmath.sin(phi) ** 2)
+    rhs = (e[0] * e[1] * e[2], e[0] * e[1] * (e[2] - 1.0), e[0] * (e[1] - 1.0), e[0] - 1.0)
+    return np.array([abs(u - v) for u, v in zip(lhs, rhs)])
 
 
 _SINGULAR = "singular Jacobian (chart boundary)"
@@ -603,21 +593,35 @@ _guard_r = _guard("sin(l1 r)/l1")
 _guard_theta = _guard("sin(l2 theta)/l2")
 
 
+# Parameter forms of the polar systems (see PhaseFunction.keyed): one
+# family each, whatever z and kappa2.
+
+
+def _c_two(q, p):
+    return p[2] * p[2]
+
+
+def _c_three(q, p, kappa2):
+    ks_t = _guard_theta(kappa_sin(kappa2, q[1]))
+    return p[1] * p[1] + p[2] * p[2] / (ks_t * ks_t)
+
+
 def _polar_casimirs(kappa2: float) -> dict:
     """C(2) = p_phi^2 and C(3) = p_theta^2 + p_phi^2 / ks(kappa2, theta)^2,
     shared by both polar systems."""
-
-    def c_two(q, p):
-        return p[2] * p[2]
-
-    def c_three(q, p):
-        ks_t = _guard_theta(kappa_sin(kappa2, q[1]))
-        return p[1] * p[1] + p[2] * p[2] / (ks_t * ks_t)
-
     return {
-        "C(2)": PhaseFunction(3, c_two, "C(2)p"),
-        "C(3)": PhaseFunction(3, c_three, "C(3)p"),
+        "C(2)": PhaseFunction.keyed(3, _c_two, (), ("C(2)p",), "C(2)p"),
+        "C(3)": PhaseFunction.keyed(3, _c_three, (kappa2,), ("C(3)p",), "C(3)p"),
     }
+
+
+def _h_polar_int(q, p, z, kappa2):
+    rho, theta = q[0], q[1]
+    ks_r = _guard_rho(kappa_sin(-z, rho))
+    ks_t = _guard_theta(kappa_sin(kappa2, theta))
+    kc_r = kappa_cos(-z, rho)
+    angular = p[1] * p[1] + p[2] * p[2] / (ks_t * ks_t)
+    return 0.5 * kc_r * (p[0] * p[0] + angular / (kappa2 * ks_r * ks_r))
 
 
 def integrable_polar_system(z: float, kappa2: float) -> PolarSystem:
@@ -630,22 +634,51 @@ def integrable_polar_system(z: float, kappa2: float) -> PolarSystem:
     """
     z = float(z)
     kappa2 = float(kappa2)
-
-    def ham(q, p):
-        rho, theta = q[0], q[1]
-        ks_r = _guard_rho(kappa_sin(-z, rho))
-        ks_t = _guard_theta(kappa_sin(kappa2, theta))
-        kc_r = kappa_cos(-z, rho)
-        angular = p[1] * p[1] + p[2] * p[2] / (ks_t * ks_t)
-        return 0.5 * kc_r * (p[0] * p[0] + angular / (kappa2 * ks_r * ks_r))
-
     return PolarSystem(
-        hamiltonian=PhaseFunction(3, ham, "H_polar_int"),
+        hamiltonian=PhaseFunction.keyed(
+            3, _h_polar_int, (z, kappa2), ("H_polar_int",), "H_polar_int"
+        ),
         constants=_polar_casimirs(kappa2),
         chart="rho",
         z=z,
         kappa2=kappa2,
     )
+
+
+def _h_polar_sup(q, p, z, kappa2):
+    r, theta = q[0], q[1]
+    ks_r = _guard_r(kappa_sin(z, r))
+    ks_t = _guard_theta(kappa_sin(kappa2, theta))
+    angular = p[1] * p[1] + p[2] * p[2] / (ks_t * ks_t)
+    return 0.5 * (p[0] * p[0] + angular / (kappa2 * ks_r * ks_r))
+
+
+def _i_two_polar(q, p, z, kappa2):
+    r, theta, phi = q
+    ks_r = _guard_r(kappa_sin(z, r))
+    ks_t = _guard_theta(kappa_sin(kappa2, theta))
+    kc_r = kappa_cos(z, r)
+    kc_t = kappa_cos(kappa2, theta)
+    sphi = dual.sin(phi)
+    cot_r = kc_r / ks_r
+    lin = (
+        kappa2 * ks_t * sphi * p[0]
+        + kc_t * sphi * cot_r * p[1]
+        + dual.cos(phi) * cot_r / ks_t * p[2]
+    )
+    return lin * lin
+
+
+def _i_three_polar(q, p, z, kappa2):
+    r, theta = q[0], q[1]
+    ks_r = _guard_r(kappa_sin(z, r))
+    ks_t = _guard_theta(kappa_sin(kappa2, theta))
+    kc_r = kappa_cos(z, r)
+    kc_t = kappa_cos(kappa2, theta)
+    cot_r = kc_r / ks_r
+    lin = kappa2 * ks_t * p[0] + kc_t * cot_r * p[1]
+    coeff = z * kappa2 + (cot_r / ks_t) * (cot_r / ks_t)
+    return lin * lin + coeff * p[2] * p[2]
 
 
 def superintegrable_polar_system(z: float, kappa2: float) -> PolarSystem:
@@ -657,46 +690,13 @@ def superintegrable_polar_system(z: float, kappa2: float) -> PolarSystem:
     """
     z = float(z)
     kappa2 = float(kappa2)
-
-    def ham(q, p):
-        r, theta = q[0], q[1]
-        ks_r = _guard_r(kappa_sin(z, r))
-        ks_t = _guard_theta(kappa_sin(kappa2, theta))
-        angular = p[1] * p[1] + p[2] * p[2] / (ks_t * ks_t)
-        return 0.5 * (p[0] * p[0] + angular / (kappa2 * ks_r * ks_r))
-
-    def i_two(q, p):
-        r, theta, phi = q
-        ks_r = _guard_r(kappa_sin(z, r))
-        ks_t = _guard_theta(kappa_sin(kappa2, theta))
-        kc_r = kappa_cos(z, r)
-        kc_t = kappa_cos(kappa2, theta)
-        sphi = dual.sin(phi)
-        cot_r = kc_r / ks_r
-        lin = (
-            kappa2 * ks_t * sphi * p[0]
-            + kc_t * sphi * cot_r * p[1]
-            + dual.cos(phi) * cot_r / ks_t * p[2]
-        )
-        return lin * lin
-
-    def i_three(q, p):
-        r, theta = q[0], q[1]
-        ks_r = _guard_r(kappa_sin(z, r))
-        ks_t = _guard_theta(kappa_sin(kappa2, theta))
-        kc_r = kappa_cos(z, r)
-        kc_t = kappa_cos(kappa2, theta)
-        cot_r = kc_r / ks_r
-        lin = kappa2 * ks_t * p[0] + kc_t * cot_r * p[1]
-        coeff = z * kappa2 + (cot_r / ks_t) * (cot_r / ks_t)
-        return lin * lin + coeff * p[2] * p[2]
-
+    params = (z, kappa2)
     return PolarSystem(
-        hamiltonian=PhaseFunction(3, ham, "H_polar_sup"),
+        hamiltonian=PhaseFunction.keyed(3, _h_polar_sup, params, ("H_polar_sup",), "H_polar_sup"),
         constants={
             **_polar_casimirs(kappa2),
-            "I(2)": PhaseFunction(3, i_two, "I(2)p"),
-            "I(3)": PhaseFunction(3, i_three, "I(3)p"),
+            "I(2)": PhaseFunction.keyed(3, _i_two_polar, params, ("I(2)p",), "I(2)p"),
+            "I(3)": PhaseFunction.keyed(3, _i_three_polar, params, ("I(3)p",), "I(3)p"),
         },
         chart="r",
         z=z,

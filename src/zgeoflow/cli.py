@@ -45,6 +45,7 @@ from .charts import (
     chart_relation_residuals,
     fundamental_bracket_residuals,
     integrable_polar_system,
+    polar_to_cart,
     rho_to_r,
     superintegrable_polar_system,
     transform_to_cartesian,
@@ -602,8 +603,15 @@ def cmd_transform(cfg) -> int:
                 )
             else:
                 back = transform_to_polar(point, z, kappa2, norm, chart)
+                # at rho = 0 the angles are undetermined: compare positions
+                # by their Cartesian images there
+                pos = (
+                    polar_to_cart(back.position(), z, kappa2) - point.q
+                    if polar.rho == 0.0
+                    else back.position() - polar.position()
+                )
                 err = max(
-                    np.max(np.abs(back.position() - polar.position())),
+                    np.max(np.abs(pos)),
                     np.max(np.abs(back.momentum() - polar.momentum())),
                 )
             results["roundtrip_error"] = float(err)

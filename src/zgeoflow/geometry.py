@@ -46,7 +46,10 @@ class DiagonalMetric:
 
     ``components[i]`` maps a length-N sequence of generic scalars to g_ii.
     Instances are immutable, apart from the state that caches the compiled
-    (value, gradient, Hessian) code of each component.
+    (value, gradient, Hessian) code of each component.  A component made by
+    :func:`keyed_component` is a member of a family whose code compiles
+    once per process (see :class:`zgeoflow.dual.CompiledGradient`); the
+    components of a metric from a keyed Hamiltonian are.
     """
 
     dim: int
@@ -57,7 +60,10 @@ class DiagonalMetric:
     _jets: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        jets = tuple(dual.CompiledGradient(2) for _ in self.components)
+        jets = tuple(
+            dual.CompiledGradient(2, *c.family) if hasattr(c, "family") else dual.CompiledGradient(2)
+            for c in self.components
+        )
         object.__setattr__(self, "_jets", jets)
 
     def values(self, q) -> np.ndarray:
@@ -73,10 +79,34 @@ class DiagonalMetric:
         return tuple(int(np.sign(v)) for v in self.values(q))
 
     def rescaled(self, factor: float) -> "DiagonalMetric":
-        comps = tuple(
-            (lambda c: (lambda qq: factor * c(qq)))(c) for c in self.components
-        )
+        def scale(c):
+            if not hasattr(c, "family"):
+                return lambda qq: factor * c(qq)
+            key, form, params = c.family
+            return keyed_component(
+                lambda q, *k: factor * form(q, *k), params, (*key, factor)
+            )
+
+        comps = tuple(scale(c) for c in self.components)
         return DiagonalMetric(self.dim, comps, f"{factor}*{self.label}")
+
+
+def keyed_component(form, params, key):
+    """The metric component ``form(q, *params)`` of the family ``key``,
+    with ``family`` = (key, form, params) (see
+    :meth:`zgeoflow.phase.PhaseFunction.keyed`)."""
+
+    def component(q):
+        return form(q, *params)
+
+    component.family = (key, form, params)
+    return component
+
+
+def _worst(values):
+    """The largest of ``values`` (0.0 for none), or nan if one is nan:
+    Python's max drops a nan that is not first."""
+    return math.nan if any(v != v for v in values) else max(values, default=0.0)
 
 
 def metric_from_hamiltonian(
@@ -89,35 +119,50 @@ def metric_from_hamiltonian(
 
     The Hamiltonian must be exactly quadratic and diagonal in the momenta;
     this is verified at every check point and violations are rejected with
-    the failing residual.  For such an H = (1/2) sum a_i(q) p_i^2 the
-    definition equals g_ii(q) = 1 / (2 h(q, e_i)) at the unit momentum e_i,
-    which is how each component evaluates: one plain evaluation of h, with
-    no momentum duals under the position passes of the curvature.
+    the failing residual: the largest mixed entry of the momentum Hessian
+    H over max(1, max_i |H_ii|), and |h - (1/2) sum_i H_ii p_i^2| over
+    max(1, |h|), each on Python floats; a nan fails.  For such an
+    H = (1/2) sum a_i(q) p_i^2 the definition equals g_ii(q) = 1 / (2 h(q, e_i))
+    at the unit momentum e_i, which is how each component evaluates: one
+    plain evaluation of h, with no momentum duals under the position passes
+    of the curvature.  The components of a keyed h are keyed
+    ("g", h.key, i) with h's parameters.
     """
     if h.arity != n:
         raise ValueError("Hamiltonian arity does not match requested dimension")
     for x in check_points:
         q, p = x.scalars()
-        hess = np.array(dual.hessian(lambda ps: h.raw(q, ps), p))
-        off = np.max(np.abs(hess - np.diag(np.diag(hess))))
-        if off >= tolerance:
+        hess = dual.hessian(lambda ps: h.raw(q, ps), p)
+        diag = [hess[i][i] for i in range(n)]
+        off = _worst([abs(v) for i, row in enumerate(hess) for j, v in enumerate(row) if i != j])
+        off /= max(1.0, *map(abs, diag))
+        if not off < tolerance:
             raise NonKineticHamiltonianError(
-                f"mixed momentum Hessian entry {off:.3e} exceeds {tolerance:.1e}"
+                f"mixed momentum Hessian entry {off:.3e} (relative) exceeds {tolerance:.1e}"
             )
-        resid = abs(float(h(x)) - 0.5 * float(np.dot(np.diag(hess), x.p**2)))
-        if resid >= tolerance:
+        value = float(h(x))
+        kinetic = 0.0
+        for hii, pi in zip(diag, p):
+            kinetic += hii * (pi * pi)
+        resid = abs(value - 0.5 * kinetic) / max(1.0, abs(value))
+        if not resid < tolerance:
             raise NonKineticHamiltonianError(
-                f"non-quadratic momentum dependence, residual {resid:.3e}"
+                f"non-quadratic momentum dependence, relative residual {resid:.3e}"
             )
 
     def make_component(i):
         unit = [0.0] * n
         unit[i] = 1.0
+        if h.key is None:
 
-        def g_ii(q):
-            return 1.0 / (2.0 * h.raw(list(q), unit))
+            def g_ii(q):
+                return 1.0 / (2.0 * h.raw(list(q), unit))
 
-        return g_ii
+            return g_ii
+        form = h.form
+        return keyed_component(
+            lambda q, *k: 1.0 / (2.0 * form(list(q), unit, *k)), h.params, ("g", h.key, i)
+        )
 
     comps = tuple(make_component(i) for i in range(n))
     return DiagonalMetric(n, comps, f"g[{h.label}]")

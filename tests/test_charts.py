@@ -805,3 +805,33 @@ def test_space_signature_families():
     assert charts.SpaceSignature(0.0, -1.0).family == "Minkowski"
     with pytest.raises(ValueError):
         charts.SpaceSignature(0.3, 0.0)
+
+
+def _numpy_relation_residuals(q, x, z, kappa2):
+    """The relation residuals on numpy complex scalars, as they were
+    computed before the Python-scalar version: an oracle."""
+    rho, theta, phi = (complex(v) for v in np.asarray(x))
+    e = [np.exp(2.0 * (z * complex(qi) ** 2)) for qi in np.asarray(q)]
+    a = z * complex(charts.kappa_sin(-z, rho)) ** 2
+    t = kappa2 * complex(charts.kappa_sin(kappa2, theta)) ** 2
+    c2 = complex(charts.kappa_cos(kappa2, theta)) ** 2
+    lhs = np.array([complex(charts.kappa_cos(-z, rho)) ** 2, a * c2,
+                    a * t * np.cos(phi) ** 2, a * t * np.sin(phi) ** 2])
+    rhs = np.array([e[0] * e[1] * e[2], e[0] * e[1] * (e[2] - 1.0), e[0] * (e[1] - 1.0), e[0] - 1.0])
+    return np.abs(lhs - rhs), np.maximum(np.abs(lhs), np.abs(rhs))
+
+
+@pytest.mark.parametrize("kappa2", [1.0, -1.0])
+def test_relation_residuals_match_the_numpy_formulation(kappa2):
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        z = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-13, 0.3)
+        x = [rng.uniform(0.1, 0.9), rng.uniform(0.3, 1.2), rng.uniform(0.2, 1.3)]
+        try:
+            q = charts.polar_to_cart(x, z, kappa2)
+        except charts.OutOfChartError:
+            continue
+        got = charts.chart_relation_residuals(q, x, z, kappa2)
+        want, size = _numpy_relation_residuals(q, x, z, kappa2)
+        assert got.shape == (4,) and got.dtype == float
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * np.maximum(1.0, size))

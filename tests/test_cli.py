@@ -541,6 +541,48 @@ def test_transform_zero_momentum_at_the_origin(argv, tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["transform", "--q=0,0,0", "--p=0,0,0", "--roundtrip"],
+        ["transform", "--direction=to-cartesian", "--q=0,0.5,0.5", "--p=0,0,0", "--roundtrip"],
+        ["transform", "--direction=to-cartesian", "--kappa2=-1", "--q=0,1.2,0.3", "--roundtrip"],
+    ],
+)
+def test_transform_roundtrip_at_rho_zero(argv, tmp_path):
+    # the angles are undetermined at rho = 0, where cart_to_polar reads
+    # (0, 0, 0): the round trip compares the Cartesian images there
+    out = tmp_path / "origin.json"
+    assert run(argv + [f"--output={out}"]) == 0
+    assert json.loads(read(out))["results"]["roundtrip_error"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transform", "--q=0,0,0", "--p=0,0.2,0", "--roundtrip"],
+        ["transform", "--direction=to-cartesian", "--q=0,0.5,0.5", "--p=0.1,0,0", "--roundtrip"],
+    ],
+)
+def test_transform_momenta_at_rho_zero_are_out_of_chart(argv, tmp_path, capsys):
+    assert run(argv + [f"--output={tmp_path / 't.json'}"]) == 2
+    assert capsys.readouterr().err == "error: out of chart: singular Jacobian (chart boundary)\n"
+
+
+def test_curvature_at_large_z_passes_the_relative_kinetic_check(tmp_path):
+    # h at the kinetic check point is 1.9e184 here, so its roundoff is far
+    # above 1e-10 in absolute terms; the closed forms hold to criterion 4
+    out = tmp_path / "c.csv"
+    argv = ["curvature", "--n=3", "--z=1500", "--grid-min=0.01", "--grid-max=0.01",
+            "--grid-points=1", f"--output={out}"]
+    assert run(argv) == 0
+    header, row = read(out).decode().splitlines()[1:]
+    cells = dict(zip(header.split(","), map(float, row.split(","))))
+    for name in ("K12", "K13", "K23", "K"):
+        assert abs(cells[name] - cells[f"ref_{name}"]) < 1e-6 * abs(cells[f"ref_{name}"])
+    assert cells["K"] == pytest.approx(-3490.065, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["transform", "--q=0,0,0.5", "--p=0.1,0,0"],
         ["transform", "--direction=to-cartesian", "--q=0,0.5,0.5", "--p=0.1,0.1,0.1"],
         ["transform", "--q=0,0,0", "--canonicity"],

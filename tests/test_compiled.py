@@ -15,7 +15,7 @@ import pytest
 
 import numpy as np
 
-from zgeoflow import charts, cli, dual, geometry, kernels
+from zgeoflow import algebra, charts, cli, dual, geometry, kernels
 from zgeoflow.algebra import (
     hamiltonian_family,
     hamiltonian_integrable,
@@ -108,7 +108,7 @@ def test_a_function_that_reads_a_value_does_not_compile():
             want = [dual.cos(q) * 1.5 * 1.5, 2.0 * dual.sin(q) * 1.5]
         assert [*dq, *dp] == pytest.approx(want, rel=1e-15, abs=0.0)
     state = h._gradient
-    assert state.opaque and state.code is None and state.first is None
+    assert state.opaque and state.code is None
 
 
 def test_one_compilation_per_shape_and_no_state_outlives_its_function():
@@ -132,14 +132,16 @@ def test_one_compilation_per_shape_and_no_state_outlives_its_function():
 
 
 def test_the_skeleton_cache_is_bounded(monkeypatch):
+    # and so is the cache of compiled families, which shares the bound
     monkeypatch.setattr(dual, "_SKELETONS", {})
+    monkeypatch.setattr(dual, "_KEYED", {})
     monkeypatch.setattr(dual, "MAX_SKELETONS", 3)
     for n in range(1, 7):
         h = hamiltonian_integrable(n, 0.2)
         for q in ([0.1] * n, [0.2] * n):
             gradient_lists(h, q, [0.3] * n)
         assert h._gradient.code is not None
-        assert len(dual._SKELETONS) == min(n, 3)
+        assert len(dual._SKELETONS) == len(dual._KEYED) == min(n, 3)
 
 
 def test_compiled_code_raises_what_the_reverse_pass_raises():
@@ -342,7 +344,7 @@ def test_a_component_that_reads_a_value_stays_on_the_jet_pass():
         assert _triple_bits((value, grad, hess)) == _triple_bits(dual.taylor2(comp, [x, y]))
         geometry.christoffel(g, [x, y])
     state = g._jets[0]
-    assert state.opaque and state.code is None and state.first is None
+    assert state.opaque and state.code is None
     assert g._jets[1].code is not None  # the other component compiles
 
 
@@ -401,8 +403,10 @@ def test_a_record_that_fails_where_the_jet_pass_does_not_keeps_the_jet_pass():
 
 def test_curvature_at_the_polar_boundary_is_unchanged(tmp_path, capsys, monkeypatch):
     # the grid meets theta = 0 at its fourth point, inside compiled code: the
-    # exit code and the message of the jet-pass program, frozen
+    # exit code and the message of the jet-pass program, frozen; first in a
+    # process that has compiled no metric family yet, then in a warm one
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(dual, "_KEYED", {})
     tags = []
     fresh_tag = dual.fresh_tag
 
@@ -411,7 +415,8 @@ def test_curvature_at_the_polar_boundary_is_unchanged(tmp_path, capsys, monkeypa
         return fresh_tag()
 
     monkeypatch.setattr(dual, "fresh_tag", counted)
-    for metric in ("integrable", "superintegrable"):
+    for metric, passes in (("integrable", 1 + 2 * 3), ("superintegrable", 1 + 2 * 3),
+                           ("integrable", 1), ("superintegrable", 1)):
         tags.clear()
         argv = ["curvature", "--chart=polar", "--n=3", "--z=0.3", f"--metric={metric}",
                 "--grid-min=-0.6", "--grid-max=0.6", "--grid-points=3", "--output=c.csv"]
@@ -420,12 +425,14 @@ def test_curvature_at_the_polar_boundary_is_unchanged(tmp_path, capsys, monkeypa
             "error: metric not usable on the grid: "
             "chart-boundary singularity: sin(l2 theta)/l2 = 0\n"
         )
-        assert len(tags) == 1 + 2 * 3  # the kinetic check, then one point's passes
+        # the kinetic check, then one point's passes while the family is new
+        assert len(tags) == passes
         assert not (tmp_path / "c.csv").exists()
 
 
 def test_the_skeleton_bound_is_shared_by_both_orders(monkeypatch):
     monkeypatch.setattr(dual, "_SKELETONS", {})
+    monkeypatch.setattr(dual, "_KEYED", {})
     monkeypatch.setattr(dual, "MAX_SKELETONS", 3)
     orders = []
     for n in range(1, 4):
@@ -447,3 +454,187 @@ def test_the_skeleton_bound_is_shared_by_both_orders(monkeypatch):
     assert _triple_bits(got[1]) == _triple_bits(dual.taylor2(g, [0.3, -0.4]))
     assert None not in (states[0].code, states[1].code)
     assert sorted(key[0] for key in dual._SKELETONS) == [1, 2]
+
+
+# ---------------------------------------------------------------------------
+# keyed families: parameters as inputs, one compilation per key
+# ---------------------------------------------------------------------------
+
+_KEY_Z = (-1.0, -1e-9, 0.0, 1e-9, 0.3, 2.0)
+
+
+def _family_functions(z, kappa2):
+    """Every keyed function of the builders at (z, kappa2): phase functions
+    and metric components, as (key, order, state, f, point sampler)."""
+    for n in (1, 2, 3, 5):
+        cart = lambda rng, n=n: [rng.uniform(-0.6, 0.6) for _ in range(2 * n)]  # noqa: E731
+        funcs = [*algebra.realize_generators(n, z).as_tuple(), algebra.casimir_one(z, n),
+                 algebra.hamiltonian_integrable(n, z), algebra.hamiltonian_superintegrable(n, z)]
+        funcs += [algebra.casimir_m(m, n, z) for m in range(2, n + 1)]
+        funcs += [algebra.integral_extra_2(z, n)] if n >= 2 else []
+        funcs += [algebra.integral_extra_3(z, n)] if n >= 3 else []
+        for h in funcs:
+            yield h.key, 1, h._gradient, _flat(h), cart
+    polar = lambda rng: [rng.uniform(0.3, 1.0), rng.uniform(0.3, 1.3), rng.uniform(0.1, 1.3),  # noqa: E731
+                         *[rng.uniform(-0.5, 0.5) for _ in range(3)]]
+    systems = (charts.integrable_polar_system(z, kappa2), charts.superintegrable_polar_system(z, kappa2))
+    for system in systems:
+        for h in (system.hamiltonian, *system.constants.values()):
+            yield h.key, 1, h._gradient, _flat(h), polar
+    metrics = [geometry.line_element_from_hamiltonian(family(n, z), n, [])
+               for n in (2, 3) for family in (hamiltonian_integrable, hamiltonian_superintegrable)]
+    metrics += [geometry.metric_from_hamiltonian(s.hamiltonian, 3, []) for s in systems]
+    for g in metrics:
+        for comp, state in zip(g.components, g._jets):
+            yield comp.family[0], 2, state, comp, lambda rng, n=g.dim: polar(rng)[:n]
+
+
+def _flat(h):
+    n = h.arity
+    return lambda qp: h.fn(qp[:n], qp[n:])
+
+
+def test_every_keyed_builder_records_one_skeleton_per_key():
+    # the key fixes the operation sequence: one skeleton and the same lifted
+    # literals whatever z and kappa2, z = 0 and |z| = 1e-9 included
+    rng = random.Random(3)
+    records, points = {}, {}
+    for z in _KEY_Z:
+        for kappa2 in (1.0, -1.0):
+            for key, order, state, f, sample in _family_functions(z, kappa2):
+                args = points.setdefault(key, sample(rng))
+                tape, out = state._record(f, args)
+                n, npar = len(args), len(state.params)
+                assert not tape.opaque and type(out) is dual.Rev, key
+                skeleton = (n, npar, out.s, tuple(tape.ops[n + npar:]))
+                records.setdefault(key, set()).add((skeleton, tuple(tape.consts)))
+    # Cartesian phase functions at n = 1, 2, 3, 5 (36), the polar ones (6),
+    # the components of four Cartesian and two polar metrics (16)
+    assert len(records) == 36 + 6 + 16
+    for key, seen in records.items():
+        assert len(seen) == 1, key
+
+
+def test_keyed_code_equals_a_fresh_pass_bit_for_bit():
+    # a later member runs the code its family's first member compiled, with
+    # its own parameters, and still equals a per-call pass of its own fn
+    rng = random.Random(13)
+    for key, order, state, f, sample in _family_functions(0.41, 1.0):
+        state(f, sample(rng))  # the family's first member compiles
+        assert state.code is dual._KEYED[key, order][0], key
+    for _ in range(3):
+        z, kappa2 = rng.uniform(-1.5, 1.5), rng.choice((1.0, -1.0))
+        for key, order, state, f, sample in _family_functions(z, kappa2):
+            for k in range(4):
+                args = sample(rng)
+                got = state(f, args)
+                if k == 0:
+                    assert state.code is dual._KEYED[key, order][0], key
+                if order == 1:
+                    assert _bits(got) == _bits(dual.gradient(f, args)), (key, z, args)
+                else:
+                    assert _triple_bits(got) == _triple_bits(dual.taylor2(f, args)), (key, z, args)
+
+
+def _with_parameters(q, p, z, k):
+    # each operator with a parameter operand on either side, and operations
+    # on parameters alone; no parameter is divided by a literal (a record
+    # takes x / c as x * (1 / c), a float evaluation as a true division)
+    x, y = q[0], q[1]
+    a = (z + x) * (y + k) - (z - y) * (x - k) + (z * x) * (y * k) - x / z + k / y - -z * x
+    b = (z / k) * x + (2.0 * z - k) * y + (z * k + 1.5) * x * y + z ** 2 * x + (3.0 / z) * y
+    c = dual.exp(z * x) + dual.sin(k * y) + kernels.sinhc(z) * x + dual.exp(z - k) * y
+    return a * b - c / (1.0 + x * y + z * z) + p[0] * p[0] * (x - z) + p[1] * (y / (k + 0.5))
+
+
+def test_every_operator_with_a_parameter_compiles_as_the_passes_compute():
+    rng = random.Random(29)
+    members = [PhaseFunction.keyed(2, _with_parameters, (rng.uniform(0.2, 1.5) * rng.choice((1, -1)),
+                                                         rng.uniform(0.2, 1.5)), ("operators",))
+               for _ in range(12)]
+    for h in members:
+        f = _flat(h)
+        comp = geometry.keyed_component(lambda q, z, k: _with_parameters(q, [0.3, -0.7], z, k),
+                                        h.params, ("operators-g",))
+        state = dual.CompiledGradient(2, *comp.family)
+        for _ in range(4):
+            args = [rng.uniform(0.2, 1.5) * rng.choice((1, -1)) for _ in range(4)]
+            assert _bits(h._gradient(f, args)) == _bits(dual.gradient(f, args)), (h.params, args)
+            got = state(comp, args[:2])
+            assert _triple_bits(got) == _triple_bits(dual.taylor2(comp, args[:2])), (h.params, args)
+        assert h._gradient.code is dual._KEYED[("operators",), 1][0]
+        assert state.code is dual._KEYED[("operators-g",), 2][0]
+
+
+def test_a_wrapper_of_a_keyed_function_is_unkeyed():
+    # a tracer may rebuild J+ around its fn: the wrapper compiles on its own
+    # and differentiates as the keyed function does
+    jp = algebra.realize_generators(3, 0.3).j_plus
+    wrapped = PhaseFunction(jp.arity, lambda q, p: jp.fn(q, p), jp.label)
+    assert wrapped.key is None and wrapped._gradient.key is None
+    rng = random.Random(17)
+    for _ in range(5):
+        q, p = [rng.uniform(-0.6, 0.6) for _ in range(3)], [rng.uniform(-1, 1) for _ in range(3)]
+        want = _reverse(jp, q, p)
+        assert _bits([*sum(gradient_lists(wrapped, q, p), [])]) == _bits(want)
+        assert _bits([*sum(gradient_lists(jp, q, p), [])]) == _bits(want)
+    assert wrapped._gradient.code is not None
+    assert wrapped._gradient.code is not jp._gradient.code
+
+
+def test_a_member_whose_value_disagrees_stays_on_the_per_call_pass():
+    # two forms that wrongly share a key: the second member's first call
+    # finds the first member's code, whose value is not its own
+    first = PhaseFunction.keyed(1, lambda q, p, z: z * q[0] * p[0], (0.5,), ("mislabelled",))
+    other = PhaseFunction.keyed(1, lambda q, p, z: z * q[0] * p[0] * p[0], (0.5,), ("mislabelled",))
+    gradient_lists(first, [0.3], [0.7])
+    assert first._gradient.code is not None
+    for q, p in ((0.3, 0.7), (0.2, -1.5)):
+        assert gradient_lists(other, [q], [p]) == ([0.5 * p * p], [2 * 0.5 * q * p])
+    assert other._gradient.opaque and other._gradient.code is None
+
+
+def test_a_first_member_whose_code_differs_stores_no_code():
+    # z / 3.0 is recorded as z * (1 / 3.0), one bit off at this z: the
+    # check against the pass keeps the member on it, and no later member
+    # finds code under the key
+    z = 0.1 * 3
+    assert z / 3.0 != z * (1.0 / 3.0)
+    for _ in range(2):
+        h = PhaseFunction.keyed(1, lambda q, p, z: (z / 3.0) * q[0] * p[0], (z,), ("by-a-literal",))
+        for q, p in ((0.5, 0.7), (0.25, -1.5)):
+            assert _bits([*sum(gradient_lists(h, [q], [p]), [])]) == _bits(_reverse(h, [q], [p]))
+        assert h._gradient.opaque and h._gradient.code is None
+    assert (("by-a-literal",), 1) not in dual._KEYED
+
+
+def test_warm_units_take_no_pass_but_the_kinetic_check(tmp_path, monkeypatch):
+    # in a process that ran a unit of each kind, a curvature grid unit takes
+    # one pass (the kinetic check's jet) and a simulate unit of a keyed
+    # system none; a family:f Hamiltonian is user code, so it records
+    monkeypatch.chdir(tmp_path)
+    tags = []
+    fresh_tag = dual.fresh_tag
+
+    def counted():
+        tags.append(None)
+        return fresh_tag()
+
+    units = [
+        (["curvature", "--n=3", "--metric=superintegrable", "--grid-points=2"], 1),
+        (["curvature", "--n=2", "--metric=integrable", "--grid-points=3"], 1),
+        (["curvature", "--chart=polar", "--metric=integrable", "--kappa2=-1", "--grid-points=2"], 1),
+        (["simulate", "--hamiltonian=superintegrable", "--q=0.1,0.2,0.3", "--p=0.05,0,0.01",
+          "--t-end=0.01"], 0),
+        (["simulate", "--chart=polar", "--hamiltonian=integrable", "--q=0.6,0.7,0.4",
+          "--p=0.05,0,0.01", "--t-end=0.01"], 0),
+        (["simulate", "--hamiltonian=family:exp", "--q=0.1,0.2,0.3", "--p=0.05,0,0.01",
+          "--t-end=0.01"], 1),
+    ]
+    for argv, passes in units:
+        assert cli.main([*argv, "--z=0.37", "--output=o.csv"]) == 0
+        monkeypatch.setattr(dual, "fresh_tag", counted)
+        tags.clear()
+        assert cli.main([*argv, "--z=-0.21", "--output=o.csv"]) == 0
+        assert len(tags) == passes, argv
+        monkeypatch.setattr(dual, "fresh_tag", fresh_tag)

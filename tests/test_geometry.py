@@ -134,6 +134,49 @@ def test_non_quadratic_hamiltonian_rejected():
         geo.metric_from_hamiltonian(h, 2, check_points(2))
 
 
+#: f(x) = x with f' = 1 and f'' = nan: a Hamiltonian through it has a finite
+#: value and a nan momentum Hessian
+_NAN_CURVATURE = dual._elementary(
+    "nan_curvature", lambda x: x, lambda x: x, lambda x, v: 1.0, lambda x, v, g: math.nan
+)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda q, p: 0.5 * _NAN_CURVATURE(p[0] * p[0] + p[1] * p[1]),  # every entry nan
+        lambda q, p: 0.5 * (_NAN_CURVATURE(p[0] * p[0]) + p[1] * p[1]),  # the diagonal only
+    ],
+)
+def test_nan_momentum_hessian_rejected(fn):
+    h = PhaseFunction(2, fn, "nan-hessian")
+    assert math.isfinite(h(check_points(2)[0]))
+    with pytest.raises(geo.NonKineticHamiltonianError):
+        geo.metric_from_hamiltonian(h, 2, check_points(2))
+
+
+def test_nan_mixed_momentum_entry_rejected(monkeypatch):
+    # a jet spreads a nan over the diagonal too, so the mixed-entry gate is
+    # fed its Hessian directly: only that gate can see this one
+    h = PhaseFunction(2, lambda q, p: 0.5 * (p[0] * p[0] + p[1] * p[1]), "free")
+    monkeypatch.setattr(dual, "hessian", lambda f, p: [[1.0, math.nan], [math.nan, 1.0]])
+    with pytest.raises(geo.NonKineticHamiltonianError, match="mixed momentum"):
+        geo.metric_from_hamiltonian(h, 2, check_points(2))
+
+
+def test_kinetic_check_is_relative_to_the_hamiltonian():
+    # an exactly quadratic h of size 1e184: its roundoff is far above the
+    # tolerance in absolute terms, and eps-sized relative to h
+    big = PhaseFunction(
+        2, lambda q, p: 0.5 * 1e184 * (p[0] * p[0] + 3.0 * p[1] * p[1]) * dual.exp(q[0]), "big"
+    )
+    g = geo.metric_from_hamiltonian(big, 2, check_points(2))
+    assert [c([0.0, 0.0]) for c in g.components] == pytest.approx([1e-184, 1e-184 / 3.0], rel=1e-15)
+    quartic = PhaseFunction(2, lambda q, p: big.fn(q, p) + 1e176 * p[0] * p[0] * p[0] * p[0], "q4")
+    with pytest.raises(geo.NonKineticHamiltonianError, match="relative residual"):
+        geo.metric_from_hamiltonian(quartic, 2, check_points(2))
+
+
 def test_degenerate_metric_detected():
     g = geo.DiagonalMetric(2, (lambda q: q[0], lambda q: 1.0), "deg")
     with pytest.raises(geo.MetricDegenerateError):
@@ -181,10 +224,12 @@ def test_christoffel_symmetry_and_fd_oracle():
 
 def test_curvature_passes_per_point(monkeypatch):
     # christoffel, riemann and curvature_summary take one (value, gradient,
-    # Hessian) triple per component: at a metric's first point one jet pass
-    # plus one recorded reverse pass, after that compiled code, which draws
-    # no tag.  Metric components evaluate h at unit momenta: no momentum
-    # passes.
+    # Hessian) triple per component: at the first point of a metric family's
+    # first metric one jet pass plus one recorded reverse pass, after that
+    # compiled code, which draws no tag; so does every later metric of the
+    # family from its first point.  Metric components evaluate h at unit
+    # momenta: no momentum passes.
+    monkeypatch.setattr(dual, "_KEYED", {})
     tags = []
     fresh_tag = dual.fresh_tag
 
@@ -193,12 +238,14 @@ def test_curvature_passes_per_point(monkeypatch):
         return fresh_tag()
 
     monkeypatch.setattr(dual, "fresh_tag", counted)
+    first = 6
     for fn in (geo.christoffel, geo.riemann, geo.curvature_summary):
-        g = integrable_line_element(3, 0.3)
-        for q, expected in (([0.2, -0.4, 0.5], 6), ([0.1, 0.3, -0.2], 0), ([0.2, -0.4, 0.5], 0)):
+        g = integrable_line_element(3, 0.3 if first else -0.45)
+        for q, expected in (([0.2, -0.4, 0.5], first), ([0.1, 0.3, -0.2], 0), ([0.2, -0.4, 0.5], 0)):
             tags.clear()
             fn(g, q)
             assert len(tags) == expected, fn.__name__
+        first = 0
 
 
 def test_riemann_against_fd_christoffel_oracle():

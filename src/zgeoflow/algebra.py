@@ -39,75 +39,57 @@ class DeformedRealization:
         return (self.j_minus, self.j_plus, self.j_three)
 
 
-# Parameter forms: each takes (q, p, *params) and calls other forms only,
-# so that each builder's functions form one family per key (see
-# PhaseFunction.keyed); n is len(q).
-
-
-def _j_minus(q, p):
-    out = q[0] * q[0]
-    for i in range(1, len(q)):
-        out = out + q[i] * q[i]
-    return out
-
-
-def _coefficients(q, z):
-    """sinhc(z q_i^2) exp(z s_i) per site, the factor J+ and J3 share, with
-    z s_i = sum_{l>i} z q_l^2 - sum_{k<i} z q_k^2 from one running sum each
-    way (O(n) per evaluation)."""
-    n = len(q)
-    zw = [z * (qi * qi) for qi in q]
-    above = [0.0] * n
-    for i in range(n - 1, 0, -1):
-        above[i - 1] = above[i] + zw[i]
-    out = []
-    below = 0.0
-    for i in range(n):
-        out.append(sinhc(zw[i]) * dual.exp(above[i] - below))
-        below = below + zw[i]
-    return out
-
-
-def _j_plus(q, p, z):
-    out = 0.0
-    for c, pi in zip(_coefficients(q, z), p):
-        out = out + c * pi * pi
-    return out
-
-
-def _j_three(q, p, z):
-    out = 0.0
-    for c, qi, pi in zip(_coefficients(q, z), q, p):
-        out = out + c * qi * pi
-    return out
-
-
-def _casimir(j_minus, j_plus, j_three, z):
-    return j_minus * sinhc(z * j_minus) * j_plus - j_three * j_three
-
-
-def _finite_z(n, z):
-    if n < 1:
-        raise ValueError("number of sites must be >= 1")
-    z = float(z)
-    if not math.isfinite(z):
-        raise ValueError("deformation parameter must be a finite real")
-    return z
-
-
 def realize_generators(n: int, z: float) -> DeformedRealization:
     """N-site symplectic realization of the deformed generator triple.
 
     At z = 0 this reduces exactly to J- = sum q_i^2, J+ = sum p_i^2,
     J3 = sum q_i p_i (no limit is taken; sinhc and exp handle z = 0).
     """
-    z = _finite_z(n, z)
+    if n < 1:
+        raise ValueError("number of sites must be >= 1")
+    z = float(z)
+    if not math.isfinite(z):
+        raise ValueError("deformation parameter must be a finite real")
+
+    def j_minus(q, p):
+        out = q[0] * q[0]
+        for i in range(1, n):
+            out = out + q[i] * q[i]
+        return out
+
+    def coefficients(q):
+        """sinhc(z q_i^2) exp(z s_i) per site, the factor J+ and J3 share,
+        with z s_i = sum_{l>i} z q_l^2 - sum_{k<i} z q_k^2 from one running
+        sum each way (O(n) per evaluation)."""
+        zw = [z * (qi * qi) for qi in q]
+        above = [0.0] * n
+        for i in range(n - 1, 0, -1):
+            above[i - 1] = above[i] + zw[i]
+        out = []
+        below = 0.0
+        for i in range(n):
+            out.append(sinhc(zw[i]) * dual.exp(above[i] - below))
+            below = below + zw[i]
+        return out
+
+    def j_plus(q, p):
+        out = 0.0
+        for c, pi in zip(coefficients(q), p):
+            out = out + c * pi * pi
+        return out
+
+    def j_three(q, p):
+        out = 0.0
+        for c, qi, pi in zip(coefficients(q), q, p):
+            out = out + c * qi * pi
+        return out
+
     return DeformedRealization(
         n_sites=n,
         z=z,
-        j_minus=PhaseFunction.keyed(n, _j_minus, (), ("J-", n), f"J-({n})"),
-        j_plus=PhaseFunction.keyed(n, _j_plus, (z,), ("J+", n), f"J+({n})"),
-        j_three=PhaseFunction.keyed(n, _j_three, (z,), ("J3", n), f"J3({n})"),
+        j_minus=PhaseFunction(n, j_minus, f"J-({n})"),
+        j_plus=PhaseFunction(n, j_plus, f"J+({n})"),
+        j_three=PhaseFunction(n, j_three, f"J3({n})"),
     )
 
 
@@ -120,20 +102,25 @@ def casimir_abstract(z: float):
     z = float(z)
 
     def casimir(j_minus, j_plus, j_three):
-        return _casimir(j_minus, j_plus, j_three, z)
+        return j_minus * sinhc(z * j_minus) * j_plus - j_three * j_three
 
     return casimir
 
 
 def _embedded_casimir(m: int, n: int, z: float, label: str) -> PhaseFunction:
     """The abstract Casimir of the m-site realization on the first m pairs."""
-    z = _finite_z(m, z)
+    inner = realize_generators(m, z)
+    cas = casimir_abstract(z)
 
-    def form(q, p, z):
+    def fn(q, p):
         qm, pm = q[:m], p[:m]
-        return _casimir(_j_minus(qm, pm), _j_plus(qm, pm, z), _j_three(qm, pm, z), z)
+        return cas(
+            inner.j_minus.raw(qm, pm),
+            inner.j_plus.raw(qm, pm),
+            inner.j_three.raw(qm, pm),
+        )
 
-    return PhaseFunction.keyed(n, form, (z,), ("C", m, n), label)
+    return PhaseFunction(n, fn, label)
 
 
 def casimir_m(m: int, n: int, z: float) -> PhaseFunction:
@@ -154,22 +141,21 @@ def casimir_one(z: float, n: int = 1) -> PhaseFunction:
     return _embedded_casimir(1, n, z, "C(1)")
 
 
-def _h_int(q, p, z):
-    return 0.5 * _j_plus(q, p, z)
-
-
-def _h_sup(q, p, z):
-    return 0.5 * _j_plus(q, p, z) * dual.exp(z * _j_minus(q, p))
-
-
 def hamiltonian_integrable(n: int, z: float) -> PhaseFunction:
     """The free integrable Hamiltonian (1/2) J+ on N sites."""
-    return PhaseFunction.keyed(n, _h_int, (_finite_z(n, z),), ("H_int", n), f"H_int({n})")
+    gen = realize_generators(n, z)
+    return PhaseFunction(n, lambda q, p: 0.5 * gen.j_plus.raw(q, p), f"H_int({n})")
 
 
 def hamiltonian_superintegrable(n: int, z: float) -> PhaseFunction:
     """The superintegrable Hamiltonian (1/2) J+ exp(z J-) on N sites."""
-    return PhaseFunction.keyed(n, _h_sup, (_finite_z(n, z),), ("H_sup", n), f"H_sup({n})")
+    gen = realize_generators(n, z)
+    z = float(z)
+
+    def fn(q, p):
+        return 0.5 * gen.j_plus.raw(q, p) * dual.exp(z * gen.j_minus.raw(q, p))
+
+    return PhaseFunction(n, fn, f"H_sup({n})")
 
 
 def hamiltonian_family(n: int, z: float, f, label: str = "f") -> PhaseFunction:
@@ -192,19 +178,6 @@ def hamiltonian_family(n: int, z: float, f, label: str = "f") -> PhaseFunction:
     return PhaseFunction(n, fn, f"H[{label}]({n})")
 
 
-def _i_two(q, p, z):
-    q12 = q[0] * q[0]
-    return 0.5 * sinhc(z * q12) * dual.exp(z * q12) * p[0] * p[0]
-
-
-def _i_three(q, p, z):
-    q12 = q[0] * q[0]
-    q22 = q[1] * q[1]
-    t1 = 0.5 * sinhc(z * q12) * dual.exp(z * q12) * dual.exp(2.0 * z * q22) * p[0] * p[0]
-    t2 = 0.5 * sinhc(z * q22) * dual.exp(z * q22) * p[1] * p[1]
-    return t1 + t2
-
-
 def integral_extra_2(z: float, n: int = 2) -> PhaseFunction:
     """First extra constant of motion of the superintegrable flow.
 
@@ -213,7 +186,13 @@ def integral_extra_2(z: float, n: int = 2) -> PhaseFunction:
     """
     if n < 2:
         raise ValueError("I2 needs ambient dimension >= 2")
-    return PhaseFunction.keyed(n, _i_two, (z,), ("I(2)", n), "I(2)")
+    z = float(z)
+
+    def fn(q, p):
+        q12 = q[0] * q[0]
+        return 0.5 * sinhc(z * q12) * dual.exp(z * q12) * p[0] * p[0]
+
+    return PhaseFunction(n, fn, "I(2)")
 
 
 def integral_extra_3(z: float, n: int = 3) -> PhaseFunction:
@@ -224,4 +203,20 @@ def integral_extra_3(z: float, n: int = 3) -> PhaseFunction:
     """
     if n < 3:
         raise ValueError("I3 needs ambient dimension >= 3")
-    return PhaseFunction.keyed(n, _i_three, (z,), ("I(3)", n), "I(3)")
+    z = float(z)
+
+    def fn(q, p):
+        q12 = q[0] * q[0]
+        q22 = q[1] * q[1]
+        t1 = (
+            0.5
+            * sinhc(z * q12)
+            * dual.exp(z * q12)
+            * dual.exp(2.0 * z * q22)
+            * p[0]
+            * p[0]
+        )
+        t2 = 0.5 * sinhc(z * q22) * dual.exp(z * q22) * p[1] * p[1]
+        return t1 + t2
+
+    return PhaseFunction(n, fn, "I(3)")

@@ -52,9 +52,10 @@ def gradient(f: PhaseFunction, x: PhasePoint) -> PhaseGradient:
 def gradient_lists(f: PhaseFunction, q: list, p: list):
     """Gradient on raw coordinate lists; hot-loop variant of :func:`gradient`.
 
-    The gradient over all 2n coordinates, (dq, dp), is one reverse pass the
-    first time; later calls on floats run the code compiled from that pass
-    (:class:`zgeoflow.dual.CompiledGradient`, kept with ``f``)."""
+    The gradient over all 2n coordinates, (dq, dp), is one recorded reverse
+    pass the first time, which runs compiled code at once when its shape
+    compiled already; later calls on floats run the code compiled from that
+    pass (:class:`zgeoflow.dual.CompiledGradient`, kept with ``f``)."""
     n = len(q)
     grad = f._gradient(lambda qp: f.fn(qp[:n], qp[n:]), [*q, *p])
     return grad[:n], grad[n:]

@@ -593,35 +593,21 @@ _guard_r = _guard("sin(l1 r)/l1")
 _guard_theta = _guard("sin(l2 theta)/l2")
 
 
-# Parameter forms of the polar systems (see PhaseFunction.keyed): one
-# family each, whatever z and kappa2.
-
-
-def _c_two(q, p):
-    return p[2] * p[2]
-
-
-def _c_three(q, p, kappa2):
-    ks_t = _guard_theta(kappa_sin(kappa2, q[1]))
-    return p[1] * p[1] + p[2] * p[2] / (ks_t * ks_t)
-
-
 def _polar_casimirs(kappa2: float) -> dict:
     """C(2) = p_phi^2 and C(3) = p_theta^2 + p_phi^2 / ks(kappa2, theta)^2,
     shared by both polar systems."""
+
+    def c_two(q, p):
+        return p[2] * p[2]
+
+    def c_three(q, p):
+        ks_t = _guard_theta(kappa_sin(kappa2, q[1]))
+        return p[1] * p[1] + p[2] * p[2] / (ks_t * ks_t)
+
     return {
-        "C(2)": PhaseFunction.keyed(3, _c_two, (), ("C(2)p",), "C(2)p"),
-        "C(3)": PhaseFunction.keyed(3, _c_three, (kappa2,), ("C(3)p",), "C(3)p"),
+        "C(2)": PhaseFunction(3, c_two, "C(2)p"),
+        "C(3)": PhaseFunction(3, c_three, "C(3)p"),
     }
-
-
-def _h_polar_int(q, p, z, kappa2):
-    rho, theta = q[0], q[1]
-    ks_r = _guard_rho(kappa_sin(-z, rho))
-    ks_t = _guard_theta(kappa_sin(kappa2, theta))
-    kc_r = kappa_cos(-z, rho)
-    angular = p[1] * p[1] + p[2] * p[2] / (ks_t * ks_t)
-    return 0.5 * kc_r * (p[0] * p[0] + angular / (kappa2 * ks_r * ks_r))
 
 
 def integrable_polar_system(z: float, kappa2: float) -> PolarSystem:
@@ -634,51 +620,22 @@ def integrable_polar_system(z: float, kappa2: float) -> PolarSystem:
     """
     z = float(z)
     kappa2 = float(kappa2)
+
+    def ham(q, p):
+        rho, theta = q[0], q[1]
+        ks_r = _guard_rho(kappa_sin(-z, rho))
+        ks_t = _guard_theta(kappa_sin(kappa2, theta))
+        kc_r = kappa_cos(-z, rho)
+        angular = p[1] * p[1] + p[2] * p[2] / (ks_t * ks_t)
+        return 0.5 * kc_r * (p[0] * p[0] + angular / (kappa2 * ks_r * ks_r))
+
     return PolarSystem(
-        hamiltonian=PhaseFunction.keyed(
-            3, _h_polar_int, (z, kappa2), ("H_polar_int",), "H_polar_int"
-        ),
+        hamiltonian=PhaseFunction(3, ham, "H_polar_int"),
         constants=_polar_casimirs(kappa2),
         chart="rho",
         z=z,
         kappa2=kappa2,
     )
-
-
-def _h_polar_sup(q, p, z, kappa2):
-    r, theta = q[0], q[1]
-    ks_r = _guard_r(kappa_sin(z, r))
-    ks_t = _guard_theta(kappa_sin(kappa2, theta))
-    angular = p[1] * p[1] + p[2] * p[2] / (ks_t * ks_t)
-    return 0.5 * (p[0] * p[0] + angular / (kappa2 * ks_r * ks_r))
-
-
-def _i_two_polar(q, p, z, kappa2):
-    r, theta, phi = q
-    ks_r = _guard_r(kappa_sin(z, r))
-    ks_t = _guard_theta(kappa_sin(kappa2, theta))
-    kc_r = kappa_cos(z, r)
-    kc_t = kappa_cos(kappa2, theta)
-    sphi = dual.sin(phi)
-    cot_r = kc_r / ks_r
-    lin = (
-        kappa2 * ks_t * sphi * p[0]
-        + kc_t * sphi * cot_r * p[1]
-        + dual.cos(phi) * cot_r / ks_t * p[2]
-    )
-    return lin * lin
-
-
-def _i_three_polar(q, p, z, kappa2):
-    r, theta = q[0], q[1]
-    ks_r = _guard_r(kappa_sin(z, r))
-    ks_t = _guard_theta(kappa_sin(kappa2, theta))
-    kc_r = kappa_cos(z, r)
-    kc_t = kappa_cos(kappa2, theta)
-    cot_r = kc_r / ks_r
-    lin = kappa2 * ks_t * p[0] + kc_t * cot_r * p[1]
-    coeff = z * kappa2 + (cot_r / ks_t) * (cot_r / ks_t)
-    return lin * lin + coeff * p[2] * p[2]
 
 
 def superintegrable_polar_system(z: float, kappa2: float) -> PolarSystem:
@@ -690,13 +647,46 @@ def superintegrable_polar_system(z: float, kappa2: float) -> PolarSystem:
     """
     z = float(z)
     kappa2 = float(kappa2)
-    params = (z, kappa2)
+
+    def ham(q, p):
+        r, theta = q[0], q[1]
+        ks_r = _guard_r(kappa_sin(z, r))
+        ks_t = _guard_theta(kappa_sin(kappa2, theta))
+        angular = p[1] * p[1] + p[2] * p[2] / (ks_t * ks_t)
+        return 0.5 * (p[0] * p[0] + angular / (kappa2 * ks_r * ks_r))
+
+    def i_two(q, p):
+        r, theta, phi = q
+        ks_r = _guard_r(kappa_sin(z, r))
+        ks_t = _guard_theta(kappa_sin(kappa2, theta))
+        kc_r = kappa_cos(z, r)
+        kc_t = kappa_cos(kappa2, theta)
+        sphi = dual.sin(phi)
+        cot_r = kc_r / ks_r
+        lin = (
+            kappa2 * ks_t * sphi * p[0]
+            + kc_t * sphi * cot_r * p[1]
+            + dual.cos(phi) * cot_r / ks_t * p[2]
+        )
+        return lin * lin
+
+    def i_three(q, p):
+        r, theta = q[0], q[1]
+        ks_r = _guard_r(kappa_sin(z, r))
+        ks_t = _guard_theta(kappa_sin(kappa2, theta))
+        kc_r = kappa_cos(z, r)
+        kc_t = kappa_cos(kappa2, theta)
+        cot_r = kc_r / ks_r
+        lin = kappa2 * ks_t * p[0] + kc_t * cot_r * p[1]
+        coeff = z * kappa2 + (cot_r / ks_t) * (cot_r / ks_t)
+        return lin * lin + coeff * p[2] * p[2]
+
     return PolarSystem(
-        hamiltonian=PhaseFunction.keyed(3, _h_polar_sup, params, ("H_polar_sup",), "H_polar_sup"),
+        hamiltonian=PhaseFunction(3, ham, "H_polar_sup"),
         constants={
             **_polar_casimirs(kappa2),
-            "I(2)": PhaseFunction.keyed(3, _i_two_polar, params, ("I(2)p",), "I(2)p"),
-            "I(3)": PhaseFunction.keyed(3, _i_three_polar, params, ("I(3)p",), "I(3)p"),
+            "I(2)": PhaseFunction(3, i_two, "I(2)p"),
+            "I(3)": PhaseFunction(3, i_three, "I(3)p"),
         },
         chart="r",
         z=z,

@@ -35,29 +35,16 @@ Griewank & Walther ch. 6 and 13; :class:`CompiledGradient`): at order 1
 the forward values and then the adjoint sweep, at order 2 the value, the
 gradient and the packed Hessian part by part.  The code is cached on the
 order and the operation skeleton, so a shape compiles once per process
-whatever its constants.  Every value, partial and part is computed as the
+whatever its constants, and a new function of a known shape (a Hamiltonian
+or metric component at another z or kappa2, whose parameters are lifted
+constants) runs the cached code from its first call on its own record's
+constants.  Every value, partial and part is computed as the
 ``Rev`` (order 1) or ``Jet`` (order 2) operators compute it, in the same
 order, so compiled code equals the per-call pass bit for bit; that pass
 stays the per-call path and the oracle.  Fallback rule: a pass that read a
 node's value through :func:`primal` may branch on it, so its function
 never compiles, and a call with a non-float argument takes the per-call
 pass.  A compiled call evaluates no number type and draws no tag.
-
-Keyed families.  A function built as ``form(args, *params)`` from float
-parameters (z, kappa2) under a structural key is recorded with the
-parameters as inputs (Frostig, Johnson & Leary, "Compiling machine
-learning programs via high-level tracing", SysML 2018: values are traced
-arguments, not baked-in constants).  A slot computed from the parameters
-alone is a constant slot: its operation is one plain float line, with no
-adjoint and no parts, and an operation with one constant operand takes the
-form a plain-number operand gets, so keyed code does the float operations
-of a per-call pass with the parameters as floats.  The code and its lifted
-literals are cached on (key, order) once the family's first member has
-compiled and checked them; every later member runs them from its first
-call, which compares the code's value with one float evaluation.
-Unkeyed, each function compiles its own record: combinations of phase
-functions, user-supplied ``hamiltonian_family`` Hamiltonians, bracket
-functions and chart maps.
 
 Nesting rule.  Jet and reverse passes are outermost: their inputs are plain
 floats or complex numbers.  Forward dual passes may run inside a reverse
@@ -364,10 +351,8 @@ class _Tape(list):
 
 
 # operator codes of a tape's forward operations; the ``*C`` codes and
-# _RSUB/_RDIV take one constant operand, lifted into the tape's consts.
-# _DIVC, x / c of a node and a constant slot, only compiled code computes
-# (see _operations)
-_ADD, _ADDC, _SUB, _SUBC, _RSUB, _NEG, _MUL, _MULC, _DIV, _RDIV, _POW, _DIVC = range(12)
+# _RSUB/_RDIV take one constant operand, lifted into the tape's consts
+_ADD, _ADDC, _SUB, _SUBC, _RSUB, _NEG, _MUL, _MULC, _DIV, _RDIV, _POW = range(11)
 
 
 class Rev:
@@ -662,18 +647,6 @@ def derivative(f, x):
 _SKELETONS = {}
 MAX_SKELETONS = 256
 
-#: (key, order) -> (compiled code, lifted literals) of a function family
-#: whose first member compiled; bounded like _SKELETONS
-_KEYED = {}
-
-
-def _put(cache, key, value):
-    """Store ``value`` under ``key``, first dropping the oldest entry of a
-    full cache."""
-    if len(cache) >= MAX_SKELETONS:
-        del cache[next(iter(cache))]
-    cache[key] = value
-
 
 #: a chain rule's first partial and Hessian part (see _FORMS), with
 #: f' = g{j} and f'' = h{j}
@@ -706,45 +679,18 @@ _FORMS = {
     _POW: (["{v} = {x} ** {p}", "g{j} = {p} * {x} ** ({p} - 1)"], ["g{j}"], *_CHAIN,
            ["{v} = {x} ** {p}", "g{j} = {p} * {x} ** ({p} - 1)",
             "h{j} = {p} * ({p} - 1) * {x} ** ({p} - 2)"]),
-    # x * (1 / c), as ``Rev`` and ``Jet`` operators divide by a plain number
-    _DIVC: (["i{j} = 1.0 / {c}", "{v} = {x} * i{j}"], ["i{j}"], "{a} * i{j}", "{a} * i{j}"),
 }
 _ENTRY_FORM = (["{v} = R{e}({x})", "g{j} = D{e}({x}, {v})"], ["g{j}"], *_CHAIN,
                ["{v} = R{e}({x})", "g{j} = D{e}({x}, {v})", "h{j} = E{e}({x}, {v}, g{j})"])
 _WITH_CONST = frozenset((_ADDC, _SUBC, _RSUB, _MULC, _RDIV))
 
-#: (operator, index of its constant operand) -> the operator with that
-#: operand as its constant {c}; a node's operators given a plain number
-#: compute exactly these
-_ONE_CONSTANT = {
-    (_ADD, 0): _ADDC, (_ADD, 1): _ADDC, (_SUB, 0): _RSUB, (_SUB, 1): _SUBC,
-    (_MUL, 0): _MULC, (_MUL, 1): _MULC, (_DIV, 0): _RDIV, (_DIV, 1): _DIVC,
-}
 
-#: the value line of an operation on constant slots alone, as plain float
-#: arithmetic computes it (x / y is a true division there)
-_CONSTANT_LINE = {
-    _ADD: "{v} = {x} + {y}", _ADDC: "{v} = {x} + {c}", _SUB: "{v} = {x} - {y}",
-    _SUBC: "{v} = {x} - {c}", _RSUB: "{v} = {c} - {x}", _NEG: "{v} = -{x}",
-    _MUL: "{v} = {x} * {y}", _MULC: "{v} = {x} * {c}", _DIV: "{v} = {x} / {y}",
-    _RDIV: "{v} = {c} / {x}", _POW: "{v} = {x} ** {p}",
-}
-
-
-def _operations(n, npar, ops, entries):
-    """(operator code, operand slots, format names, constant) of each
-    operation past the n inputs and npar parameters of ``ops``; the lifted
-    constants are c0, c1, ... in order and ``entries`` numbers the table
-    entries.
-
-    The parameter slots, and every slot computed from them alone, are
-    constant.  An operation on constant slots alone is ``constant``; a
-    binary operation with one constant operand comes out as the operator
-    with that operand's variable as its constant {c}, its node operand as
-    {x} and its slots as [node]."""
+def _operations(n, ops, entries):
+    """(operator code, operand slots, format names) of each operation past
+    the n inputs of ``ops``; the lifted constants are c0, c1, ... in order
+    and ``entries`` numbers the table entries."""
     nc = 0
-    const = [False] * n + [True] * npar
-    for j in range(n + npar, len(ops)):
+    for j in range(n, len(ops)):
         code, *slots = ops[j]
         names = {"j": j, "v": f"v{j}", "x": f"v{slots[0]}", "c": f"c{nc}"}
         if code == _POW:
@@ -754,41 +700,23 @@ def _operations(n, npar, ops, entries):
         elif code not in _FORMS:
             names["e"] = entries.setdefault(code, len(entries))
         nc += code in _WITH_CONST
-        flags = [const[s] for s in slots]
-        const.append(all(flags))
-        if len(slots) == 2 and flags[0] != flags[1]:
-            c = flags.index(True)
-            code = _ONE_CONSTANT[code, c]
-            names["c"], names["x"] = f"v{slots[c]}", f"v{slots[1 - c]}"
-            slots = [slots[1 - c]]
-        yield code, slots, names, const[-1]
+        yield code, slots, names
 
 
-def _constant_line(code, names):
-    return _CONSTANT_LINE.get(code, "{v} = R{e}({x})").format(**names)
-
-
-def _emit(n, npar, ops, out, entries):
-    """Body lines and return value (the value, then the gradient) of value
-    slot ``out`` of the forward operations ``ops`` (slots 0..n-1 are the
-    inputs, the next npar the parameters; see :func:`_operations`).
+def _emit(n, ops, out, entries):
+    """Body lines and return value of the gradient of value slot ``out`` of
+    the forward operations ``ops`` (slots 0..n-1 are the inputs).
 
     Every value and local partial is computed as the ``Rev`` operators
     compute it, in the same order, and the adjoints accumulate in the order
-    of :func:`_sweep`, so the result equals a reverse pass bit for bit, one
-    with the parameters as plain numbers included: a constant slot gets no
-    sweep index.  An adjoint starts at its first contribution instead of
-    0.0 + it, which can only change the sign of a zero; the returned
-    ``+ 0.0`` undoes that.
+    of :func:`_sweep`, so the result equals a reverse pass bit for bit.  An
+    adjoint starts at its first contribution instead of 0.0 + it, which can
+    only change the sign of a zero; the returned ``+ 0.0`` undoes that.
     """
     lines = []
-    kof = list(range(n)) + [None] * npar  # sweep index of each value slot
+    kof = list(range(n))  # sweep index of each value slot
     parents = [None] * n  # sweep index -> [(parent sweep index, partial)]
-    for code, slots, names, const in _operations(n, npar, ops, entries):
-        if const:
-            lines.append(_constant_line(code, names))
-            kof.append(None)
-            continue
+    for code, slots, names in _operations(n, ops, entries):
         form, partials = (_FORMS.get(code) or _ENTRY_FORM)[:2]
         lines += [line.format(**names) for line in form]
         if partials is None:
@@ -797,8 +725,6 @@ def _emit(n, npar, ops, out, entries):
         kof.append(len(parents))
         parents.append([(kof[a], d.format(**names)) for a, d in zip(slots, partials)])
     top = kof[out]
-    if top is None:  # a constant output
-        return lines, f"v{out}, [{', '.join(['0.0'] * n)}]"
     adj = {top: "1.0"}
     for k in range(top, n - 1, -1):
         ak = adj.get(k, "0.0")
@@ -818,32 +744,24 @@ def _emit(n, npar, ops, out, entries):
             lines.append(f"a{p} = {term}")
             adj[p] = f"a{p}"
     ret = [adj[i] if i == top else f"a{i} + 0.0" if i in adj else "0.0" for i in range(n)]
-    return lines, f"v{out}, [{', '.join(ret)}]"
+    return lines, f"[{', '.join(ret)}]"
 
 
-def _emit2(n, npar, ops, out, entries):
+def _emit2(n, ops, out, entries):
     """Body lines and return value of the (value, gradient, Hessian rows)
-    of value slot ``out`` of the forward operations ``ops`` (n inputs, then
-    npar parameters; see :func:`_operations`).
+    of value slot ``out`` of the forward operations ``ops``.
 
     Part k of slot j is d{j}_k, and the inputs' parts are the 1.0 and 0.0
     of a jet pass's seeds.  Every value and part is computed as the ``Jet``
     operators compute it, in the same order, so the result equals a jet pass
     bit for bit: no zero part is dropped, since its sign and a 0 * inf
-    reach the result.  A constant slot has no parts (a jet pass's plain
-    numbers); its zero parts are only returned, for a constant output.  A
-    part whose expression was computed already shares its variable.
+    reach the result.  A part whose expression was computed already shares
+    its variable.
     """
     hidx = _hidx(n)
     lines, seen = [], {}  # seen: expression -> the variable that holds it
-    zero = ["0.0"] * (n + len(hidx))
-    parts = [["1.0" if k == i else "0.0" for k in range(len(zero))] for i in range(n)]
-    parts += [zero] * npar
-    for code, slots, names, const in _operations(n, npar, ops, entries):
-        if const:
-            lines.append(_constant_line(code, names))
-            parts.append(zero)
-            continue
+    parts = [["1.0" if k == i else "0.0" for k in range(n + len(hidx))] for i in range(n)]
+    for code, slots, names in _operations(n, ops, entries):
         form = _FORMS.get(code) or _ENTRY_FORM
         lines += [line.format(**names) for line in (form[4] if len(form) > 4 else form[0])]
         a = parts[slots[0]]
@@ -869,28 +787,34 @@ def _emit2(n, npar, ops, out, entries):
     return lines, f"v{out}, [{', '.join(d[:n])}], [[{'], ['.join(rows)}]]"
 
 
-def _compile(tape, out, n, npar, order):
+def _skeleton(tape, out, n, order):
+    """The cache key of the compiled pass of the given order of the recorded
+    pass (``tape``, output ``out``): the operation skeleton, whatever the
+    constants."""
+    return (order, n, out.s, tuple(tape.ops[n:]))
+
+
+def _compile(tape, out, n, order):
     """The compiled pass of the given order of the recorded pass (``tape``,
-    output ``out``, n inputs then npar parameters), called as
-    ``code(args, params, consts)``; one compilation per order and operation
-    skeleton, whatever the parameters and constants."""
-    key = (order, n, npar, out.s, tuple(tape.ops[n + npar :]))
+    output ``out``), called as ``code(args, consts)``; one compilation per
+    order and operation skeleton, whatever the constants."""
+    key = _skeleton(tape, out, n, order)
     code = _SKELETONS.get(key)
     if code is None:
         entries = {}
-        lines, ret = (_emit if order == 1 else _emit2)(n, npar, tape.ops, out.s, entries)
+        lines, ret = (_emit if order == 1 else _emit2)(n, tape.ops, out.s, entries)
         head = [f"{', '.join(f'v{i}' for i in range(n))}, = x"]
-        if npar:
-            head.append(f"{', '.join(f'v{i}' for i in range(n, n + npar))}, = k")
         if tape.consts:
             head.append(f"{', '.join(f'c{i}' for i in range(len(tape.consts)))}, = c")
         body = "\n    ".join([*head, *lines, f"return {ret}"])
         names = {}
         for f, e in entries.items():
             names[f"R{e}"], names[f"D{e}"], names[f"E{e}"] = f.real, f.d1, f.d2
-        exec(compile(f"def code(x, k, c):\n    {body}\n", "<compiled pass>", "exec"), names)
+        exec(compile(f"def code(x, c):\n    {body}\n", "<compiled pass>", "exec"), names)
         code = names["code"]
-        _put(_SKELETONS, key, code)
+        if len(_SKELETONS) >= MAX_SKELETONS:
+            del _SKELETONS[next(iter(_SKELETONS))]
+        _SKELETONS[key] = code
     return code
 
 
@@ -900,102 +824,73 @@ class CompiledGradient:
     the gradient of :func:`gradient` (``order=1``) or the value, gradient
     and Hessian of :func:`taylor2` (``order=2``).
 
-    The first call is that pass plus one recorded reverse pass, the record
-    (at order 1 without a key the pass is the record).  It compiles the
-    record (or finds its skeleton compiled already) and checks the code
-    against the pass's result bit for bit; later calls run the code, which
-    draws no tag: it evaluates no number type.  A record that read a node's
-    value (see :func:`primal`) may take another sequence at another input,
-    so its function stays on the per-call pass, as does one whose record
-    raises where its pass answers, and so do calls with a non-float
-    argument.  (A function that catches the exceptions of its own
-    arithmetic could branch unseen; none in this package does.)
-
-    Keyed functions.  ``f`` may be one member of a family: ``f(args)`` is
-    ``form(args, *params)`` for float parameters ``params``, and ``key``
-    names the family, fixing its operation sequence.  The record then reads
-    the parameters as inputs, so its code takes them as arguments and
-    serves the whole family: the first member to compile stores it under
-    (key, order).  A later member runs that code from its first call; that
-    call also compares the code's value with one float evaluation of ``f``
-    to 1e-12 relative (not bit for bit, since a record divides by a
-    parameter as a multiplication by its inverse), and on a mismatch the
-    member stays on the per-call pass.
+    The first call records ``f`` (one recorded reverse pass).  When that
+    record's skeleton compiled already, for any earlier function with the
+    same operation sequence, the call runs that code on the record's
+    constants: the code was checked against a pass when it compiled, and
+    it does the float operations the record did, so it equals this
+    function's pass too.  Otherwise the first call is also the pass (at
+    order 1 the record's sweep, at order 2 one jet pass), and the second
+    compiles the record, checks the code against the first call's result,
+    and runs it; so do all later calls.  The code draws no tag: it
+    evaluates no number type.  A record that read a node's value (see
+    :func:`primal`) may take another sequence at another input, so its
+    function stays on the per-call pass, as does one whose record raises
+    where its jet pass answers, and so do calls with a non-float argument.
+    (A function that catches the exceptions of its own arithmetic could
+    branch unseen; none in this package does.)
     """
 
-    __slots__ = ("order", "code", "consts", "opaque", "key", "form", "params")
+    __slots__ = ("order", "code", "consts", "first", "opaque")
 
-    def __init__(self, order=1, key=None, form=None, params=()):
+    def __init__(self, order=1):
         self.order = order
-        self.code = self.consts = None
+        self.code = self.consts = self.first = None
         self.opaque = False
-        self.key, self.form, self.params = key, form, tuple(params)
 
     def __call__(self, f, args):
         floats = _FLOAT.issuperset(map(type, args))
         code = self.code
         if code is not None and floats:
-            out = code(args, self.params, self.consts)
-            return out if self.order == 2 else out[1]
+            return code(args, self.consts)
         run = gradient if self.order == 1 else taylor2
         if self.opaque or not floats:
             return run(f, args)
-        if self.key is not None:
-            known = _KEYED.get((self.key, self.order))
-            if known is not None:
-                return self._join(f, args, run, *known)
-        if self.order == 1 and self.key is None:
-            tape, out = _record(f, args)
-            result = _sweep(tape, out, len(args))
-        else:
-            result = run(f, args)
+        n = len(args)
+        if self.first is None:
             try:
-                tape, out = self._record(f, args)
+                tape, out = _record(f, args)
             except (ArithmeticError, TypeError, ValueError):
-                tape = None  # the pass answers; the record cannot
-        if tape is not None and not tape.opaque and type(out) is Rev:
-            self._compile(tape, out, args, result)
-        self.opaque = self.code is None
-        return result
-
-    def _record(self, f, args):
-        """The record of ``f`` at ``args``, with the parameters as inputs
-        after ``args`` for a keyed function."""
-        if self.key is None:
-            return _record(f, args)
-        n, form = len(args), self.form
-        return _record(lambda xs: form(xs[:n], *xs[n:]), [*args, *self.params])
-
-    def _compile(self, tape, out, args, result):
-        """Take the code of the record (``tape``, ``out``) if it gives the
-        pass's ``result`` at ``args`` bit for bit."""
-        code = _compile(tape, out, len(args), len(self.params), self.order)
-        consts = tuple(tape.consts)
+                if self.order == 1:
+                    raise  # as the reverse pass would
+                result = run(f, args)  # raises too, or answers where the record cannot
+                self.opaque = True
+                return result
+            if tape.opaque or type(out) is not Rev:
+                self.opaque = True
+                return _sweep(tape, out, n) if self.order == 1 else run(f, args)
+            code = _SKELETONS.get(_skeleton(tape, out, n, self.order))
+            if code is not None:
+                consts = tuple(tape.consts)
+                self.consts = consts  # before the code: a call that sees the code sees them
+                self.code = code
+                return code(args, consts)
+            result = _sweep(tape, out, n) if self.order == 1 else run(f, args)
+            self.first = (list(args), result, tape, out)
+            return result
+        args0, result0, tape, out = self.first
+        self.first = None
+        code, consts = _compile(tape, out, n, self.order), tuple(tape.consts)
         try:
-            got = code(args, self.params, consts)
+            agrees = code(args0, consts) == result0
         except (ArithmeticError, TypeError, ValueError):
-            return
-        if (got if self.order == 2 else got[1]) == result:
-            if self.key is not None:
-                _put(_KEYED, (self.key, self.order), (code, consts))
-            self.consts = consts  # before the code: a call that sees the code sees them
-            self.code = code
-
-    def _join(self, f, args, run, code, consts):
-        """The first call of a later member of a compiled family: its code,
-        once its value agrees with a float evaluation of ``f`` (the per-call
-        pass ``run`` otherwise)."""
-        try:
-            out = code(args, self.params, consts)
-        except (ArithmeticError, TypeError, ValueError):
-            return run(f, args)  # raises, or answers
-        want = f(args)
-        if not abs(out[0] - want) <= 1e-12 * abs(want):
+            agrees = False
+        if not agrees:
             self.opaque = True
             return run(f, args)
-        self.consts = consts
+        self.consts = consts  # before the code: a call that sees the code sees them
         self.code = code
-        return out if self.order == 2 else out[1]
+        return code(args, consts)
 
 
 _FLOAT = frozenset((float,))

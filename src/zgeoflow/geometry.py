@@ -46,10 +46,9 @@ class DiagonalMetric:
 
     ``components[i]`` maps a length-N sequence of generic scalars to g_ii.
     Instances are immutable, apart from the state that caches the compiled
-    (value, gradient, Hessian) code of each component.  A component made by
-    :func:`keyed_component` is a member of a family whose code compiles
-    once per process (see :class:`zgeoflow.dual.CompiledGradient`); the
-    components of a metric from a keyed Hamiltonian are.
+    (value, gradient, Hessian) code of each component.  A component whose
+    operation sequence compiled earlier in the process (the same Hamiltonian
+    builder at another z or kappa2) runs that code from its first point.
     """
 
     dim: int
@@ -60,10 +59,7 @@ class DiagonalMetric:
     _jets: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        jets = tuple(
-            dual.CompiledGradient(2, *c.family) if hasattr(c, "family") else dual.CompiledGradient(2)
-            for c in self.components
-        )
+        jets = tuple(dual.CompiledGradient(2) for _ in self.components)
         object.__setattr__(self, "_jets", jets)
 
     def values(self, q) -> np.ndarray:
@@ -79,28 +75,10 @@ class DiagonalMetric:
         return tuple(int(np.sign(v)) for v in self.values(q))
 
     def rescaled(self, factor: float) -> "DiagonalMetric":
-        def scale(c):
-            if not hasattr(c, "family"):
-                return lambda qq: factor * c(qq)
-            key, form, params = c.family
-            return keyed_component(
-                lambda q, *k: factor * form(q, *k), params, (*key, factor)
-            )
-
-        comps = tuple(scale(c) for c in self.components)
+        comps = tuple(
+            (lambda c: (lambda qq: factor * c(qq)))(c) for c in self.components
+        )
         return DiagonalMetric(self.dim, comps, f"{factor}*{self.label}")
-
-
-def keyed_component(form, params, key):
-    """The metric component ``form(q, *params)`` of the family ``key``,
-    with ``family`` = (key, form, params) (see
-    :meth:`zgeoflow.phase.PhaseFunction.keyed`)."""
-
-    def component(q):
-        return form(q, *params)
-
-    component.family = (key, form, params)
-    return component
 
 
 def _worst(values):
@@ -125,8 +103,7 @@ def metric_from_hamiltonian(
     H = (1/2) sum a_i(q) p_i^2 the definition equals g_ii(q) = 1 / (2 h(q, e_i))
     at the unit momentum e_i, which is how each component evaluates: one
     plain evaluation of h, with no momentum duals under the position passes
-    of the curvature.  The components of a keyed h are keyed
-    ("g", h.key, i) with h's parameters.
+    of the curvature.
     """
     if h.arity != n:
         raise ValueError("Hamiltonian arity does not match requested dimension")
@@ -153,16 +130,11 @@ def metric_from_hamiltonian(
     def make_component(i):
         unit = [0.0] * n
         unit[i] = 1.0
-        if h.key is None:
 
-            def g_ii(q):
-                return 1.0 / (2.0 * h.raw(list(q), unit))
+        def g_ii(q):
+            return 1.0 / (2.0 * h.raw(list(q), unit))
 
-            return g_ii
-        form = h.form
-        return keyed_component(
-            lambda q, *k: 1.0 / (2.0 * form(list(q), unit, *k)), h.params, ("g", h.key, i)
-        )
+        return g_ii
 
     comps = tuple(make_component(i) for i in range(n))
     return DiagonalMetric(n, comps, f"g[{h.label}]")
@@ -179,7 +151,8 @@ def _component_derivatives(g: DiagonalMetric, q):
     """Float lists of the metric values g_kk and their partials d1[k][i] =
     d_i g_kk and d2[k][i][j] = d_i d_j g_kk: each component's (value,
     gradient, Hessian) triple from its :class:`zgeoflow.dual.CompiledGradient`
-    state (a jet pass at the first point, compiled code at the later ones)."""
+    state (at the first point a record, plus a jet pass unless the record's
+    shape compiled already; compiled code at the later ones)."""
     q = [float(v) for v in q]
     gval, d1, d2 = zip(*(jet(c, q) for jet, c in zip(g._jets, g.components)))
     return g._nondegenerate(gval, q), d1, d2

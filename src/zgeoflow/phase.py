@@ -73,44 +73,18 @@ class PhaseFunction:
     dual, jet or reverse pass) and must be built from the generic math in
     :mod:`zgeoflow.dual` so that exact derivatives are available.  Instances
     are immutable, apart from the gradient state that caches the compiled
-    gradient of ``fn``, and safe to evaluate concurrently.
-
-    A member of a family (see :meth:`keyed`) also carries the family's
-    ``key``, its parameter ``form`` and its float ``params``, with
-    ``fn(q, p) = form(q, p, *params)``: its gradient runs the family's
-    compiled code from its first call (:class:`zgeoflow.dual.CompiledGradient`).
-    Any other function, a combination or a wrapper of ``fn`` included, is
-    unkeyed and compiles on its own.
+    gradient of ``fn``, and safe to evaluate concurrently.  A function whose
+    operation sequence compiled earlier in the process (the same builder at
+    another z or kappa2) runs that code from its first float gradient.
     """
 
     arity: int
     fn: Callable = field(repr=False)
     label: str = ""
-    key: tuple | None = field(default=None, repr=False, compare=False)
-    form: Callable | None = field(default=None, repr=False, compare=False)
-    params: tuple = field(default=(), repr=False, compare=False)
     #: the gradient state of ``fn`` (see :func:`zgeoflow.brackets.gradient_lists`)
-    _gradient: dual.CompiledGradient = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        n, form = self.arity, self.form
-        state = (
-            dual.CompiledGradient()
-            if self.key is None
-            else dual.CompiledGradient(
-                1, self.key, lambda qp, *k: form(qp[:n], qp[n:], *k), self.params
-            )
-        )
-        object.__setattr__(self, "_gradient", state)
-
-    @classmethod
-    def keyed(cls, arity, form, params, key, label=""):
-        """The member ``form(q, p, *params)`` of the family ``key``: ``key``
-        must fix the operation sequence of ``form`` (the structure: sizes,
-        branches), and ``params`` are the floats it reads, z or (z, kappa2).
-        A form calls other forms, never another function's ``fn``."""
-        params = tuple(float(v) for v in params)
-        return cls(arity, lambda q, p: form(q, p, *params), label, key, form, params)
+    _gradient: dual.CompiledGradient = field(
+        default_factory=dual.CompiledGradient, init=False, repr=False, compare=False
+    )
 
     def raw(self, q, p):
         """Evaluate on generic scalar sequences (dual/complex capable)."""

@@ -108,7 +108,7 @@ def test_a_function_that_reads_a_value_does_not_compile():
             want = [dual.cos(q) * 1.5 * 1.5, 2.0 * dual.sin(q) * 1.5]
         assert [*dq, *dp] == pytest.approx(want, rel=1e-15, abs=0.0)
     state = h._gradient
-    assert state.opaque and state.code is None
+    assert state.opaque and state.code is None and state.first is None
 
 
 def test_one_compilation_per_shape_and_no_state_outlives_its_function():
@@ -132,16 +132,14 @@ def test_one_compilation_per_shape_and_no_state_outlives_its_function():
 
 
 def test_the_skeleton_cache_is_bounded(monkeypatch):
-    # and so is the cache of compiled families, which shares the bound
     monkeypatch.setattr(dual, "_SKELETONS", {})
-    monkeypatch.setattr(dual, "_KEYED", {})
     monkeypatch.setattr(dual, "MAX_SKELETONS", 3)
     for n in range(1, 7):
         h = hamiltonian_integrable(n, 0.2)
         for q in ([0.1] * n, [0.2] * n):
             gradient_lists(h, q, [0.3] * n)
         assert h._gradient.code is not None
-        assert len(dual._SKELETONS) == len(dual._KEYED) == min(n, 3)
+        assert len(dual._SKELETONS) == min(n, 3)
 
 
 def test_compiled_code_raises_what_the_reverse_pass_raises():
@@ -344,7 +342,7 @@ def test_a_component_that_reads_a_value_stays_on_the_jet_pass():
         assert _triple_bits((value, grad, hess)) == _triple_bits(dual.taylor2(comp, [x, y]))
         geometry.christoffel(g, [x, y])
     state = g._jets[0]
-    assert state.opaque and state.code is None
+    assert state.opaque and state.code is None and state.first is None
     assert g._jets[1].code is not None  # the other component compiles
 
 
@@ -401,12 +399,27 @@ def test_a_record_that_fails_where_the_jet_pass_does_not_keeps_the_jet_pass():
     assert _triple_bits(state(f, [2.0, 1.0])) == _triple_bits(dual.taylor2(f, [2.0, 1.0]))
 
 
+def test_a_first_point_where_both_passes_raise_does_not_stop_compiling():
+    # the record and the jet pass both raise at x = 0: the error is the
+    # jet pass's, and the next points still record and compile
+    def f(q):
+        return 1.0 / q[0] + q[1] * q[1]
+
+    state = dual.CompiledGradient(2)
+    with pytest.raises(ZeroDivisionError):
+        state(f, [0.0, 1.0])
+    assert not state.opaque
+    for q in ([0.5, 1.0], [-2.0, 0.25], [3.0, -1.0]):
+        assert _triple_bits(state(f, q)) == _triple_bits(dual.taylor2(f, q))
+    assert state.code is not None
+
+
 def test_curvature_at_the_polar_boundary_is_unchanged(tmp_path, capsys, monkeypatch):
     # the grid meets theta = 0 at its fourth point, inside compiled code: the
     # exit code and the message of the jet-pass program, frozen; first in a
-    # process that has compiled no metric family yet, then in a warm one
+    # process that has compiled no metric shape yet, then in a warm one
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(dual, "_KEYED", {})
+    monkeypatch.setattr(dual, "_SKELETONS", {})
     tags = []
     fresh_tag = dual.fresh_tag
 
@@ -416,7 +429,7 @@ def test_curvature_at_the_polar_boundary_is_unchanged(tmp_path, capsys, monkeypa
 
     monkeypatch.setattr(dual, "fresh_tag", counted)
     for metric, passes in (("integrable", 1 + 2 * 3), ("superintegrable", 1 + 2 * 3),
-                           ("integrable", 1), ("superintegrable", 1)):
+                           ("integrable", 1 + 3), ("superintegrable", 1 + 3)):
         tags.clear()
         argv = ["curvature", "--chart=polar", "--n=3", "--z=0.3", f"--metric={metric}",
                 "--grid-min=-0.6", "--grid-max=0.6", "--grid-points=3", "--output=c.csv"]
@@ -425,14 +438,14 @@ def test_curvature_at_the_polar_boundary_is_unchanged(tmp_path, capsys, monkeypa
             "error: metric not usable on the grid: "
             "chart-boundary singularity: sin(l2 theta)/l2 = 0\n"
         )
-        # the kinetic check, then one point's passes while the family is new
+        # the kinetic check, then one record per component and, while the
+        # shape is new, one jet pass each
         assert len(tags) == passes
         assert not (tmp_path / "c.csv").exists()
 
 
 def test_the_skeleton_bound_is_shared_by_both_orders(monkeypatch):
     monkeypatch.setattr(dual, "_SKELETONS", {})
-    monkeypatch.setattr(dual, "_KEYED", {})
     monkeypatch.setattr(dual, "MAX_SKELETONS", 3)
     orders = []
     for n in range(1, 4):
@@ -457,36 +470,37 @@ def test_the_skeleton_bound_is_shared_by_both_orders(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# keyed families: parameters as inputs, one compilation per key
+# a new function of a compiled shape: its record finds the code
 # ---------------------------------------------------------------------------
 
-_KEY_Z = (-1.0, -1e-9, 0.0, 1e-9, 0.3, 2.0)
+_Z = (-1.0, -1e-9, 0.0, 1e-9, 0.3, 2.0)
 
 
-def _family_functions(z, kappa2):
-    """Every keyed function of the builders at (z, kappa2): phase functions
-    and metric components, as (key, order, state, f, point sampler)."""
+def _builders(z, kappa2):
+    """Every builder's functions at (z, kappa2), as (name, order, state,
+    function, point sampler): phase functions and metric components."""
     for n in (1, 2, 3, 5):
         cart = lambda rng, n=n: [rng.uniform(-0.6, 0.6) for _ in range(2 * n)]  # noqa: E731
         funcs = [*algebra.realize_generators(n, z).as_tuple(), algebra.casimir_one(z, n),
-                 algebra.hamiltonian_integrable(n, z), algebra.hamiltonian_superintegrable(n, z)]
+                 hamiltonian_integrable(n, z), hamiltonian_superintegrable(n, z)]
         funcs += [algebra.casimir_m(m, n, z) for m in range(2, n + 1)]
         funcs += [algebra.integral_extra_2(z, n)] if n >= 2 else []
         funcs += [algebra.integral_extra_3(z, n)] if n >= 3 else []
+        funcs += [hamiltonian_family(n, z, *cli.FAMILY_REGISTRY[k]) for k in ("exp", "one-plus")]
         for h in funcs:
-            yield h.key, 1, h._gradient, _flat(h), cart
+            yield (h.label, n), 1, h._gradient, _flat(h), cart
     polar = lambda rng: [rng.uniform(0.3, 1.0), rng.uniform(0.3, 1.3), rng.uniform(0.1, 1.3),  # noqa: E731
                          *[rng.uniform(-0.5, 0.5) for _ in range(3)]]
     systems = (charts.integrable_polar_system(z, kappa2), charts.superintegrable_polar_system(z, kappa2))
     for system in systems:
         for h in (system.hamiltonian, *system.constants.values()):
-            yield h.key, 1, h._gradient, _flat(h), polar
+            yield (h.label, 3), 1, h._gradient, _flat(h), polar
     metrics = [geometry.line_element_from_hamiltonian(family(n, z), n, [])
                for n in (2, 3) for family in (hamiltonian_integrable, hamiltonian_superintegrable)]
     metrics += [geometry.metric_from_hamiltonian(s.hamiltonian, 3, []) for s in systems]
     for g in metrics:
-        for comp, state in zip(g.components, g._jets):
-            yield comp.family[0], 2, state, comp, lambda rng, n=g.dim: polar(rng)[:n]
+        for i, (comp, state) in enumerate(zip(g.components, g._jets)):
+            yield (g.label, i), 2, state, comp, lambda rng, n=g.dim: polar(rng)[:n]
 
 
 def _flat(h):
@@ -494,124 +508,90 @@ def _flat(h):
     return lambda qp: h.fn(qp[:n], qp[n:])
 
 
-def test_every_keyed_builder_records_one_skeleton_per_key():
-    # the key fixes the operation sequence: one skeleton and the same lifted
-    # literals whatever z and kappa2, z = 0 and |z| = 1e-9 included
+def test_every_builder_records_one_skeleton_whatever_z_and_kappa2():
+    # z and kappa2 are lifted constants of the record, so a new z or kappa2
+    # (z = 0 and |z| = 1e-9 included) finds the code its shape compiled
     rng = random.Random(3)
-    records, points = {}, {}
-    for z in _KEY_Z:
+    skeletons, points = {}, {}
+    for z in _Z:
         for kappa2 in (1.0, -1.0):
-            for key, order, state, f, sample in _family_functions(z, kappa2):
-                args = points.setdefault(key, sample(rng))
-                tape, out = state._record(f, args)
-                n, npar = len(args), len(state.params)
-                assert not tape.opaque and type(out) is dual.Rev, key
-                skeleton = (n, npar, out.s, tuple(tape.ops[n + npar:]))
-                records.setdefault(key, set()).add((skeleton, tuple(tape.consts)))
-    # Cartesian phase functions at n = 1, 2, 3, 5 (36), the polar ones (6),
+            for name, order, state, f, sample in _builders(z, kappa2):
+                args = points.setdefault(name, sample(rng))
+                tape, out = dual._record(f, args)
+                assert not tape.opaque and type(out) is dual.Rev, name
+                skeletons.setdefault(name, set()).add(dual._skeleton(tape, out, len(args), order))
+    # Cartesian phase functions at n = 1, 2, 3, 5 (44), the polar ones (6),
     # the components of four Cartesian and two polar metrics (16)
-    assert len(records) == 36 + 6 + 16
-    for key, seen in records.items():
-        assert len(seen) == 1, key
+    assert len(skeletons) == 44 + 6 + 16
+    for name, seen in skeletons.items():
+        assert len(seen) == 1, name
 
 
-def test_keyed_code_equals_a_fresh_pass_bit_for_bit():
-    # a later member runs the code its family's first member compiled, with
-    # its own parameters, and still equals a per-call pass of its own fn
+def test_a_new_function_of_a_compiled_shape_runs_its_code_from_the_first_call():
+    # its first call is one record, whose constants the cached code takes;
+    # every call equals a per-call pass of its own function bit for bit
     rng = random.Random(13)
-    for key, order, state, f, sample in _family_functions(0.41, 1.0):
-        state(f, sample(rng))  # the family's first member compiles
-        assert state.code is dual._KEYED[key, order][0], key
+    codes = {}
+    for name, order, state, f, sample in _builders(0.41, 1.0):
+        for _ in range(2):  # a jet pass or a sweep, then the compilation
+            state(f, sample(rng))
+        codes[name] = state.code
+        assert state.code is not None, name
     for _ in range(3):
         z, kappa2 = rng.uniform(-1.5, 1.5), rng.choice((1.0, -1.0))
-        for key, order, state, f, sample in _family_functions(z, kappa2):
-            for k in range(4):
+        for name, order, state, f, sample in _builders(z, kappa2):
+            for k in range(3):
                 args = sample(rng)
+                tags = dual.fresh_tag()
                 got = state(f, args)
-                if k == 0:
-                    assert state.code is dual._KEYED[key, order][0], key
+                assert dual.fresh_tag() - tags == (2 if k == 0 else 1), name  # one record
+                assert state.code is codes[name], name
                 if order == 1:
-                    assert _bits(got) == _bits(dual.gradient(f, args)), (key, z, args)
+                    assert _bits(got) == _bits(dual.gradient(f, args)), (name, z, args)
                 else:
-                    assert _triple_bits(got) == _triple_bits(dual.taylor2(f, args)), (key, z, args)
+                    assert _triple_bits(got) == _triple_bits(dual.taylor2(f, args)), (name, z, args)
 
 
-def _with_parameters(q, p, z, k):
-    # each operator with a parameter operand on either side, and operations
-    # on parameters alone; no parameter is divided by a literal (a record
-    # takes x / c as x * (1 / c), a float evaluation as a true division)
-    x, y = q[0], q[1]
-    a = (z + x) * (y + k) - (z - y) * (x - k) + (z * x) * (y * k) - x / z + k / y - -z * x
-    b = (z / k) * x + (2.0 * z - k) * y + (z * k + 1.5) * x * y + z ** 2 * x + (3.0 / z) * y
-    c = dual.exp(z * x) + dual.sin(k * y) + kernels.sinhc(z) * x + dual.exp(z - k) * y
-    return a * b - c / (1.0 + x * y + z * z) + p[0] * p[0] * (x - z) + p[1] * (y / (k + 0.5))
+def test_records_that_differ_only_in_the_output_do_not_share_code():
+    # the same operations, returning another node: the output slot is part
+    # of the skeleton, so the second function's first call cannot find the
+    # first one's code
+    def inner(q):
+        a = q[0] * q[1]
+        b = a * a
+        return a, b
+
+    functions = (lambda q: inner(q)[1], lambda q: inner(q)[0])
+    for order, run, bits in ((1, dual.gradient, _bits), (2, dual.taylor2, _triple_bits)):
+        first, second = (dual.CompiledGradient(order) for _ in functions)
+        for q in ([0.3, 0.7], [1.5, -0.5]):
+            first(functions[0], q)
+        assert first.code is not None
+        for q in ([0.3, 0.7], [1.5, -0.5], [2.0, 0.25]):
+            assert bits(second(functions[1], q)) == bits(run(functions[1], q))
+        assert second.code is not first.code
 
 
-def test_every_operator_with_a_parameter_compiles_as_the_passes_compute():
-    rng = random.Random(29)
-    members = [PhaseFunction.keyed(2, _with_parameters, (rng.uniform(0.2, 1.5) * rng.choice((1, -1)),
-                                                         rng.uniform(0.2, 1.5)), ("operators",))
-               for _ in range(12)]
-    for h in members:
-        f = _flat(h)
-        comp = geometry.keyed_component(lambda q, z, k: _with_parameters(q, [0.3, -0.7], z, k),
-                                        h.params, ("operators-g",))
-        state = dual.CompiledGradient(2, *comp.family)
-        for _ in range(4):
-            args = [rng.uniform(0.2, 1.5) * rng.choice((1, -1)) for _ in range(4)]
-            assert _bits(h._gradient(f, args)) == _bits(dual.gradient(f, args)), (h.params, args)
-            got = state(comp, args[:2])
-            assert _triple_bits(got) == _triple_bits(dual.taylor2(comp, args[:2])), (h.params, args)
-        assert h._gradient.code is dual._KEYED[("operators",), 1][0]
-        assert state.code is dual._KEYED[("operators-g",), 2][0]
-
-
-def test_a_wrapper_of_a_keyed_function_is_unkeyed():
-    # a tracer may rebuild J+ around its fn: the wrapper compiles on its own
-    # and differentiates as the keyed function does
+def test_a_wrapper_of_a_builder_function_shares_its_code():
+    # a tracer may rebuild J+ around its fn: the wrapper records the same
+    # operations, so it runs J+'s code from its first call
     jp = algebra.realize_generators(3, 0.3).j_plus
-    wrapped = PhaseFunction(jp.arity, lambda q, p: jp.fn(q, p), jp.label)
-    assert wrapped.key is None and wrapped._gradient.key is None
     rng = random.Random(17)
-    for _ in range(5):
-        q, p = [rng.uniform(-0.6, 0.6) for _ in range(3)], [rng.uniform(-1, 1) for _ in range(3)]
-        want = _reverse(jp, q, p)
-        assert _bits([*sum(gradient_lists(wrapped, q, p), [])]) == _bits(want)
-        assert _bits([*sum(gradient_lists(jp, q, p), [])]) == _bits(want)
-    assert wrapped._gradient.code is not None
-    assert wrapped._gradient.code is not jp._gradient.code
+    states = [([rng.uniform(-0.6, 0.6) for _ in range(3)], [rng.uniform(-1, 1) for _ in range(3)])
+              for _ in range(5)]
+    for q, p in states[:2]:
+        gradient_lists(jp, q, p)
+    wrapped = PhaseFunction(jp.arity, lambda q, p: jp.fn(q, p), jp.label)
+    for q, p in states:
+        assert _bits([*sum(gradient_lists(wrapped, q, p), [])]) == _bits(_reverse(jp, q, p))
+        assert wrapped._gradient.code is jp._gradient.code
 
 
-def test_a_member_whose_value_disagrees_stays_on_the_per_call_pass():
-    # two forms that wrongly share a key: the second member's first call
-    # finds the first member's code, whose value is not its own
-    first = PhaseFunction.keyed(1, lambda q, p, z: z * q[0] * p[0], (0.5,), ("mislabelled",))
-    other = PhaseFunction.keyed(1, lambda q, p, z: z * q[0] * p[0] * p[0], (0.5,), ("mislabelled",))
-    gradient_lists(first, [0.3], [0.7])
-    assert first._gradient.code is not None
-    for q, p in ((0.3, 0.7), (0.2, -1.5)):
-        assert gradient_lists(other, [q], [p]) == ([0.5 * p * p], [2 * 0.5 * q * p])
-    assert other._gradient.opaque and other._gradient.code is None
-
-
-def test_a_first_member_whose_code_differs_stores_no_code():
-    # z / 3.0 is recorded as z * (1 / 3.0), one bit off at this z: the
-    # check against the pass keeps the member on it, and no later member
-    # finds code under the key
-    z = 0.1 * 3
-    assert z / 3.0 != z * (1.0 / 3.0)
-    for _ in range(2):
-        h = PhaseFunction.keyed(1, lambda q, p, z: (z / 3.0) * q[0] * p[0], (z,), ("by-a-literal",))
-        for q, p in ((0.5, 0.7), (0.25, -1.5)):
-            assert _bits([*sum(gradient_lists(h, [q], [p]), [])]) == _bits(_reverse(h, [q], [p]))
-        assert h._gradient.opaque and h._gradient.code is None
-    assert (("by-a-literal",), 1) not in dual._KEYED
-
-
-def test_warm_units_take_no_pass_but_the_kinetic_check(tmp_path, monkeypatch):
+def test_warm_units_take_one_record_per_function(tmp_path, monkeypatch):
     # in a process that ran a unit of each kind, a curvature grid unit takes
-    # one pass (the kinetic check's jet) and a simulate unit of a keyed
-    # system none; a family:f Hamiltonian is user code, so it records
+    # the kinetic check's jet pass and one record per metric component, and
+    # a simulate unit one record of its Hamiltonian: no jet pass, sweep or
+    # compilation
     monkeypatch.chdir(tmp_path)
     tags = []
     fresh_tag = dual.fresh_tag
@@ -621,13 +601,13 @@ def test_warm_units_take_no_pass_but_the_kinetic_check(tmp_path, monkeypatch):
         return fresh_tag()
 
     units = [
-        (["curvature", "--n=3", "--metric=superintegrable", "--grid-points=2"], 1),
-        (["curvature", "--n=2", "--metric=integrable", "--grid-points=3"], 1),
-        (["curvature", "--chart=polar", "--metric=integrable", "--kappa2=-1", "--grid-points=2"], 1),
+        (["curvature", "--n=3", "--metric=superintegrable", "--grid-points=2"], 1 + 3),
+        (["curvature", "--n=2", "--metric=integrable", "--grid-points=3"], 1 + 2),
+        (["curvature", "--chart=polar", "--metric=integrable", "--kappa2=-1", "--grid-points=2"], 1 + 3),
         (["simulate", "--hamiltonian=superintegrable", "--q=0.1,0.2,0.3", "--p=0.05,0,0.01",
-          "--t-end=0.01"], 0),
+          "--t-end=0.01"], 1),
         (["simulate", "--chart=polar", "--hamiltonian=integrable", "--q=0.6,0.7,0.4",
-          "--p=0.05,0,0.01", "--t-end=0.01"], 0),
+          "--p=0.05,0,0.01", "--t-end=0.01"], 1),
         (["simulate", "--hamiltonian=family:exp", "--q=0.1,0.2,0.3", "--p=0.05,0,0.01",
           "--t-end=0.01"], 1),
     ]

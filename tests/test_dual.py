@@ -13,7 +13,7 @@ from zgeoflow import algebra, charts, dual, kernels
 from zgeoflow.algebra import hamiltonian_superintegrable, realize_generators
 from zgeoflow.brackets import gradient, gradient_fd, gradient_lists, sample_points
 from zgeoflow.dual import Dual, derivative, partial, primal
-from zgeoflow.phase import PhaseFunction, PhasePoint
+from zgeoflow.phase import PhasePoint
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -645,30 +645,21 @@ def test_nested_reverse_passes_raise():
         dual.gradient(lambda a: a[0], [Dual(dual.fresh_tag(), 1.0, 1.0)])
 
 
-def test_one_gradient_draws_one_tag(monkeypatch):
+def test_one_gradient_draws_one_tag():
     # one reverse pass per gradient; a function's later float gradients run
-    # compiled code, which evaluates no number type and draws no tag.  The
-    # first call of a keyed family's first member also records the family
-    # (its parameters as inputs) and compiles it; later members draw no
-    # tag, and a wrapper of one is unkeyed
-    monkeypatch.setattr(dual, "_KEYED", {})
+    # compiled code, which evaluates no number type and draws no tag
     x = PhasePoint([0.3, -0.2, 0.5, 0.1], [0.7, 0.1, -0.4, 0.2])
-    for take, passes in ((lambda h: dual.gradient(_flat(h), [*x.q.tolist(), *x.p.tolist()]), 1),
-                         (lambda h: gradient_lists(h, x.q.tolist(), x.p.tolist()), 2),
-                         (lambda h: gradient(h, x), 0)):
+    for take in (lambda h: dual.gradient(_flat(h), [*x.q.tolist(), *x.p.tolist()]),
+                 lambda h: gradient_lists(h, x.q.tolist(), x.p.tolist()),
+                 lambda h: gradient(h, x)):
         h = hamiltonian_superintegrable(4, 0.3)
         tags = dual.fresh_tag()
         take(h)
-        assert dual.fresh_tag() - tags == 1 + passes
+        assert dual.fresh_tag() - tags == 2
     for _ in range(2):
         tags = dual.fresh_tag()
         gradient(h, x)
         assert dual.fresh_tag() - tags == 1
-    for h, passes in ((hamiltonian_superintegrable(4, -0.7), 0),
-                      (PhaseFunction(4, h.fn, "wrapped"), 1)):
-        tags = dual.fresh_tag()
-        gradient(h, x)
-        assert dual.fresh_tag() - tags == 1 + passes
 
 
 def test_only_dual_reads_the_number_types():

@@ -224,12 +224,12 @@ def test_christoffel_symmetry_and_fd_oracle():
 
 def test_curvature_passes_per_point(monkeypatch):
     # christoffel, riemann and curvature_summary take one (value, gradient,
-    # Hessian) triple per component: at the first point of a metric family's
-    # first metric one jet pass plus one recorded reverse pass, after that
-    # compiled code, which draws no tag; so does every later metric of the
-    # family from its first point.  Metric components evaluate h at unit
-    # momenta: no momentum passes.
-    monkeypatch.setattr(dual, "_KEYED", {})
+    # Hessian) triple per component: at a metric's first point one recorded
+    # reverse pass, plus one jet pass while the metric's shape is new, after
+    # that compiled code, which draws no tag; a later metric of the shape,
+    # at another z, runs that code from its first point.  Metric components
+    # evaluate h at unit momenta: no momentum passes.
+    monkeypatch.setattr(dual, "_SKELETONS", {})
     tags = []
     fresh_tag = dual.fresh_tag
 
@@ -239,13 +239,13 @@ def test_curvature_passes_per_point(monkeypatch):
 
     monkeypatch.setattr(dual, "fresh_tag", counted)
     first = 6
-    for fn in (geo.christoffel, geo.riemann, geo.curvature_summary):
-        g = integrable_line_element(3, 0.3 if first else -0.45)
+    for fn, z in ((geo.christoffel, 0.3), (geo.riemann, -0.45), (geo.curvature_summary, 0.3)):
+        g = integrable_line_element(3, z)
         for q, expected in (([0.2, -0.4, 0.5], first), ([0.1, 0.3, -0.2], 0), ([0.2, -0.4, 0.5], 0)):
             tags.clear()
             fn(g, q)
             assert len(tags) == expected, fn.__name__
-        first = 0
+        first = 3
 
 
 def test_riemann_against_fd_christoffel_oracle():

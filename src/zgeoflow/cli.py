@@ -1,5 +1,9 @@
 """Command-line interface: verify, simulate, curvature, transform.
 
+Flags take ``--name value`` or ``--name=value``.  Write a value that starts
+with ``-`` as ``--name=value``: in ``--p -0.05,0.04,0.06`` the vector reads
+as an option, and the command exits 1 with "expected one argument".
+
 Exit codes: 0 success, 1 configuration error (bad flags, config file or
 output path), 2 numerical/verification failure (including overflow and
 domain errors from the evaluation).  Identical configuration (seed
@@ -86,7 +90,22 @@ FAMILY_REGISTRY = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant whose configuration errors exit with code 1."""
+    """argparse variant whose configuration errors exit with code 1.
+
+    ``options`` maps each option string to the Action that ``add_argument``
+    returned for it, in declaration order; help and ``--version`` (default
+    SUPPRESS) are left out.  It is the table ``_read_plain`` reads.
+    """
+
+    def __init__(self, **kwargs):
+        self.options = {}
+        super().__init__(**kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.default is not argparse.SUPPRESS:
+            self.options.update(dict.fromkeys(action.option_strings, action))
+        return action
 
     def error(self, message):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
@@ -154,12 +173,19 @@ def _has_type(key, val) -> bool:
     return isinstance(val, str)
 
 
+def _finite(val) -> bool:
+    try:
+        return math.isfinite(val)
+    except OverflowError:  # an int beyond float range, from a config file
+        return False
+
+
 def _resolve(args, parser_defaults):
     """Merge precedence: explicit flags > config file > built-in defaults.
 
     Returns None, after printing the error, when the file cannot be read or
-    holds no JSON object, a setting has the wrong type, z or kappa2 is not a
-    finite number, or kappa2 is zero.
+    holds no JSON object, a setting has the wrong type, a number setting
+    (``_NUMBER_KEYS``) is not finite, or kappa2 is zero.
     """
     cfg = vars(args).copy()
     path = cfg.pop("config", None)
@@ -184,9 +210,8 @@ def _resolve(args, parser_defaults):
         if not _has_type(key, val):
             print(f"error: {key} has the wrong type: {val!r}", file=sys.stderr)
             return None
-    for key in ("z", "kappa2"):
-        val = cfg.get(key, 0.0)  # verify has no kappa2
-        if not math.isfinite(val):
+    for key, val in cfg.items():
+        if key in _NUMBER_KEYS and val is not None and not _finite(val):
             print(f"error: {key} must be a finite number, got {val!r}", file=sys.stderr)
             return None
     if cfg.get("kappa2") == 0:
@@ -646,10 +671,14 @@ def cmd_transform(cfg) -> int:
 
 @functools.cache
 def build_parser() -> _Parser:
-    """The argument parser, built once per process (parsing does not change it)."""
+    """The argument parser, built once per process (parsing does not change it).
+
+    ``parser.subcommands`` is its subparsers Action, which ``_read_plain``
+    reads with each subcommand's ``options`` table.
+    """
     parser = _Parser(prog="zgeoflow", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.subcommands = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
         p.add_argument("--config", help="JSON config file (flags override it)")
@@ -704,6 +733,53 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _read_plain(argv):
+    """The Namespace ``build_parser().parse_args(argv)`` gives, or None.
+
+    It reads a subcommand followed only by its exact option strings as
+    ``--name=value``, ``--name value`` (value not starting with ``-``) or a
+    bare ``--flag``, each value through its option's type and choices.  Any
+    other argv (help, ``--version``, an abbreviation, ``--``, a positional,
+    ``--flag=value``, a bad value) gives None, for argparse to parse with
+    its own messages.  The tables hold only one-value store options
+    (``nargs`` None) and ``store_const`` flags (``nargs`` 0), none required.
+    """
+    commands = build_parser().subcommands
+    sub = commands.choices.get(argv[0]) if argv else None
+    if sub is None:
+        return None
+    options = sub.options
+    found = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, text = token.partition("=")
+        action = options.get(name)
+        if action is None:
+            return None
+        if action.nargs == 0:
+            if eq:
+                return None
+            found[action.dest] = action.const
+            continue
+        if not eq:
+            text = next(tokens, "-")  # a missing value reads as one turned down
+            if text.startswith("-"):
+                return None
+        elif text == "--":  # argparse drops a '--' value
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        found[action.dest] = value
+    ns = argparse.Namespace(**{commands.dest: argv[0]})
+    for a in options.values():
+        setattr(ns, a.dest, found.get(a.dest, a.default))
+    return ns
+
+
 _DEFAULTS = {
     "verify": VERIFY_DEFAULTS,
     "simulate": SIMULATE_DEFAULTS,
@@ -720,11 +796,14 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_plain(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     command = args.command
     cfg = _resolve(args, _DEFAULTS[command])
     if cfg is None:

@@ -6,7 +6,9 @@ import dataclasses
 import io
 import json
 import math
+import shlex
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -185,6 +187,12 @@ def test_unknown_flag_values_exit_one():
         ["verify", "--n", "2", "--samples", "2", "--z=-inf"],
         ["curvature", "--n", "2", "--kappa2", "nan"],
         ["simulate", "--q", "0.1,0.2,0.3", "--p", "0,0,0", "--z", "inf"],
+        # every number setting is checked, not only z and kappa2
+        ["simulate", "--q=0.1,0.2,0.3", "--p=0,0,0", "--t-end=inf"],
+        ["simulate", "--q=0.1,0.2,0.3", "--p=0,0,0", "--dt=nan"],
+        ["curvature", "--grid-min=nan", "--grid-points=1"],
+        ["curvature", "--grid-max=inf", "--grid-points=2"],
+        ["verify", "--n=2", "--samples=2", "--threshold=nan"],
     ],
 )
 def test_non_finite_or_zero_parameters_exit_one(argv, tmp_path, capsys):
@@ -210,6 +218,8 @@ def test_non_finite_or_zero_parameters_exit_one(argv, tmp_path, capsys):
         (["curvature", "--n", "2", "--grid-points", "2", "--output", "MISSING"],
          None, 1),
         (["transform", "--q", "0.5,0.4,0.6", "--output", "MISSING"], None, 1),
+        (["simulate", "--q", "0.1,0.2,0.3", "--p", "0,0,0"], {"dt": math.inf}, 1),
+        (["verify", "--samples", "2"], {"z": 10**400}, 1),  # beyond float range
     ],
 )
 def test_contract_errors_exit_without_traceback(argv, config, code, tmp_path, capsys):
@@ -845,6 +855,126 @@ def test_cli_fuzz_keeps_the_exit_code_contract(argv, tmp_path_factory):
     assert "Traceback" not in text and "Warning" not in text, text
     if code == 0:
         assert "nan" not in out.read_text().lower()
+
+
+# --------------------------------------------------------------------------
+# argv reading: the plain reader against argparse
+# --------------------------------------------------------------------------
+
+#: token groups spliced into an argv; each is read exactly as argparse reads
+#: it, or makes the plain reader turn the argv down
+_SPLICES = (
+    ["--with-r=1"], ["-h"], ["--help"], ["--version"], ["--"], ["stray"],
+    ["--n=x"], ["--n=2.5"], ["--n"], ["--seed", "7"], ["--metric=bogus"],
+    ["--chart=polar"], ["--format", "xml"], ["--q=1,x"], ["--p="],
+    ["--output=--"], ["--output", "-"], ["--z", "-0.5"], ["--z", "0.5"],
+    ["--kappa2=-1"], ["--samples", ""], ["--canonicity"], ["verify"],
+)
+
+
+@st.composite
+def _maybe_mutated_argv(draw):
+    """(argv, mutated): a ``_cli_argv`` draw, perhaps with one change: an
+    option in the ``--name value`` form, abbreviated or repeated, or a
+    ``_SPLICES`` group inserted anywhere."""
+    argv = draw(_cli_argv()) + ["--output=out"]
+    kind = draw(st.sampled_from((None, "split", "abbreviate", "repeat", "splice")))
+    k = draw(st.integers(1, len(argv) - 1))
+    name, eq, value = argv[k].partition("=")
+    if kind == "split":
+        argv[k : k + 1] = [name, value] if eq else [name]
+    elif kind == "abbreviate":
+        argv[k] = name[: draw(st.integers(2, len(name)))] + eq + value
+    elif kind == "repeat":
+        argv.insert(draw(st.integers(1, len(argv))), argv[k])
+    elif kind == "splice":
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at] = draw(st.sampled_from(_SPLICES))
+    return argv, kind is not None
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=_maybe_mutated_argv())
+def test_plain_reader_reads_as_argparse_or_turns_down(case):
+    argv, mutated = case
+    ns = cli._read_plain(argv)
+    if not mutated:
+        assert ns is not None, argv
+    if ns is not None:
+        ref = cli.build_parser().parse_args(argv)
+        assert list(vars(ns).items()) == list(vars(ref).items()), argv
+
+
+def test_plain_reader_table_is_every_declared_option():
+    # each subcommand's table holds the Actions add_argument returned, for
+    # every option string but help's, and only of the kinds the reader reads
+    for sub in cli.build_parser().subcommands.choices.values():
+        assert set(sub.options) | {"-h", "--help"} == set(sub._option_string_actions)
+        for option, action in sub.options.items():
+            assert type(action).__name__ in ("_StoreAction", "_StoreConstAction"), option
+            assert not action.required, option
+
+
+def _readme_examples():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("zgeoflow ")]
+
+
+def test_plain_argv_never_reaches_argparse(tmp_path, monkeypatch):
+    def refuse(self, args=None, namespace=None):
+        raise AssertionError(f"argparse parsed {args}")
+
+    monkeypatch.setattr(cli._Parser, "parse_args", refuse)
+    monkeypatch.chdir(tmp_path)
+    examples = _readme_examples()
+    assert len(examples) == 4
+    for argv in [*([*u, "--output=out"] for u in _UNITS.values()), *examples]:
+        assert main(argv) == 0, argv
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["-h"], 0, ""),
+        (["--version"], 0, ""),
+        (["curvature", "-h"], 0, ""),
+        ([], 1, "zgeoflow: error: the following arguments are required: command"),
+        (["bogus"], 1, "zgeoflow: error: argument command: invalid choice: 'bogus' "
+                       "(choose from 'verify', 'simulate', 'curvature', 'transform')"),
+        (["curvature", "--n=2", "--grid-p=1", "--output=out"], 0, ""),
+        (["curvature", "--n=2", "--grid-points=1", "--", "--z=0.5"], 1,
+         "zgeoflow: error: unrecognized arguments: -- --z=0.5"),
+        (["curvature", "--n=2", "--grid-points=1", "stray"], 1,
+         "zgeoflow: error: unrecognized arguments: stray"),
+        (["transform", "--q=0.5,0.4,0.6", "--with-r=1"], 1,
+         "zgeoflow transform: error: argument --with-r: ignored explicit argument '1'"),
+        (["curvature", "--n=2", "--grid-points=1", "--z", "-0.5", "--output=out"], 0, ""),
+        (["simulate", "--q=0.1,0.2,0.3", "--p", "-0.05,0.04,0.06"], 1,
+         "zgeoflow simulate: error: argument --p: expected one argument"),
+        (["curvature", "--grid-points=x"], 1,
+         "zgeoflow curvature: error: argument --grid-points: invalid int value: 'x'"),
+        (["curvature", "--metric=bogus"], 1,
+         "zgeoflow curvature: error: argument --metric: invalid choice: 'bogus' "
+         "(choose from 'integrable', 'superintegrable')"),
+        (["transform", "--q=0.5,x,0.6"], 1,
+         "zgeoflow transform: error: argument --q: bad vector '0.5,x,0.6'"),
+        (["curvature", "--output=out", "--n"], 1,
+         "zgeoflow curvature: error: argument --n: expected one argument"),
+        (["curvature", "--output=--"], 1, "error: output has the wrong type: []"),
+        (["curvature", "--n=2", "--grid-points=1", "--output", "-"], 0, ""),
+        (["verify", "--n=2", "--format", "json", "--format=xml"], 1,
+         "zgeoflow verify: error: argument --format: invalid choice: 'xml' "
+         "(choose from 'text', 'json')"),
+    ],
+)
+def test_turned_down_argv_keeps_its_argparse_result(argv, code, err, tmp_path, monkeypatch, capsys):
+    # argparse parses these as before: the exit code and the whole stderr
+    monkeypatch.chdir(tmp_path)
+    assert cli._read_plain(argv) is None
+    assert main(argv) == code
+    assert capsys.readouterr().err == (err + "\n" if err else "")
 
 
 _UNITS = {

@@ -3,6 +3,9 @@
 Flags take ``--name value`` or ``--name=value``.  Write a value that starts
 with ``-`` as ``--name=value``: in ``--p -0.05,0.04,0.06`` the vector reads
 as an option, and the command exits 1 with "expected one argument".
+``--config file.json`` supplies settings that flags override; each value in
+it is checked as its flag is (type, choices, a finite number), or the
+command exits 1.
 
 Exit codes: 0 success, 1 configuration error (bad flags, config file or
 output path), 2 numerical/verification failure (including overflow and
@@ -94,17 +97,23 @@ class _Parser(argparse.ArgumentParser):
 
     ``options`` maps each option string to the Action that ``add_argument``
     returned for it, in declaration order; help and ``--version`` (default
-    SUPPRESS) are left out.  It is the table ``_read_plain`` reads.
+    SUPPRESS) are left out.  It is the table ``_read_plain`` reads and
+    ``_resolve`` checks every setting against.  ``builtin`` maps each of
+    those options' dest to its built-in default, the ``builtin=`` keyword of
+    ``add_argument`` (None: the setting may stay unset).  argparse's own
+    default stays None, which is how ``_resolve`` tells an option not given.
     """
 
     def __init__(self, **kwargs):
         self.options = {}
+        self.builtin = {}
         super().__init__(**kwargs)
 
-    def add_argument(self, *args, **kwargs):
+    def add_argument(self, *args, builtin=None, **kwargs):
         action = super().add_argument(*args, **kwargs)
         if action.default is not argparse.SUPPRESS:
             self.options.update(dict.fromkeys(action.option_strings, action))
+            self.builtin[action.dest] = builtin
         return action
 
     def error(self, message):
@@ -148,28 +157,22 @@ def _csv(header, rows, config):
     return "\n".join(lines) + "\n"
 
 
-#: config keys by the JSON type they must resolve to; every other key is text
-_NUMBER_KEYS = {"z", "kappa2", "threshold", "t_end", "dt", "grid_min", "grid_max"}
-_INTEGER_KEYS = {"n", "samples", "seed", "keep_every", "grid_points"}
-_VECTOR_KEYS = {"q", "p"}
-_FLAG_KEYS = {"with_r", "roundtrip", "canonicity"}
-
-
 def _is_number(val) -> bool:
     return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
-def _has_type(key, val) -> bool:
-    if val is None:  # optional setting left unset
-        return True
-    if key in _NUMBER_KEYS:
-        return _is_number(val)
-    if key in _INTEGER_KEYS:
-        return isinstance(val, int) and not isinstance(val, bool)
-    if key in _VECTOR_KEYS:
-        return isinstance(val, list) and all(_is_number(v) for v in val)
-    if key in _FLAG_KEYS:
+def _fits(action, val) -> bool:
+    """Whether ``val`` has the JSON type of ``action``'s setting: bool for a
+    ``store_const`` flag, else by the option's type (float: a number, int:
+    an integer, ``_vector``: a list of numbers, none: text)."""
+    if action.nargs == 0:
         return isinstance(val, bool)
+    if action.type is float:
+        return _is_number(val)
+    if action.type is int:
+        return isinstance(val, int) and not isinstance(val, bool)
+    if action.type is _vector:
+        return isinstance(val, list) and all(_is_number(v) for v in val)
     return isinstance(val, str)
 
 
@@ -180,18 +183,20 @@ def _finite(val) -> bool:
         return False
 
 
-def _resolve(args, parser_defaults):
+def _resolve(args, sub):
     """Merge precedence: explicit flags > config file > built-in defaults.
 
-    Returns None, after printing the error, when the file cannot be read or
-    holds no JSON object, a setting has the wrong type, a number setting
-    (``_NUMBER_KEYS``) is not finite, or kappa2 is zero.
+    ``sub`` is the subcommand's parser.  Each setting its ``options`` table
+    declares, from a flag or the config file, is checked against its option
+    as a flag is; one left unset takes its ``sub.builtin`` default.  Returns
+    None, after printing the error, when the file cannot be read or holds no
+    JSON object, a setting has the wrong type (``_fits``) or a value outside
+    its option's choices, a float setting is not finite, or kappa2 is zero.
     """
     cfg = vars(args).copy()
-    path = cfg.pop("config", None)
-    if path:
+    if cfg["config"]:
         try:
-            with open(path) as fh:
+            with open(cfg["config"]) as fh:
                 file_cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as err:
             print(f"error: cannot read config file: {err}", file=sys.stderr)
@@ -203,31 +208,33 @@ def _resolve(args, parser_defaults):
             key = key.replace("-", "_")
             if key in cfg and cfg[key] is None:
                 cfg[key] = val
-    for key, val in parser_defaults.items():
-        if cfg.get(key) is None:
-            cfg[key] = val
-    for key, val in cfg.items():
-        if not _has_type(key, val):
+    for action in sub.options.values():
+        key = action.dest
+        val = cfg[key]
+        if val is None:
+            val = cfg[key] = sub.builtin[key]
+            if val is None:  # optional setting left unset
+                continue
+        if not _fits(action, val):
             print(f"error: {key} has the wrong type: {val!r}", file=sys.stderr)
             return None
-    for key, val in cfg.items():
-        if key in _NUMBER_KEYS and val is not None and not _finite(val):
+        if action.choices is not None and val not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            print(f"error: {key} must be one of {choices}, got {val!r}", file=sys.stderr)
+            return None
+        if action.type is float and not _finite(val):
             print(f"error: {key} must be a finite number, got {val!r}", file=sys.stderr)
             return None
     if cfg.get("kappa2") == 0:
         print("error: kappa2 must be nonzero", file=sys.stderr)
         return None
+    del cfg["config"]
     return cfg
 
 
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
-
-VERIFY_DEFAULTS = dict(
-    n=3, z=0.3, samples=200, seed=0, output=None, format="text", threshold=1e-9
-)
-
 
 def cmd_verify(cfg) -> int:
     n, z = cfg["n"], cfg["z"]
@@ -331,23 +338,6 @@ def cmd_verify(cfg) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-SIMULATE_DEFAULTS = dict(
-    n=3,
-    z=0.3,
-    kappa2=1.0,
-    hamiltonian="integrable",
-    chart="cartesian",
-    q=None,
-    p=None,
-    t_end=10.0,
-    dt=1e-3,
-    method="implicit-midpoint",
-    keep_every=1,
-    output="trajectory.csv",
-    metadata=None,
-)
-
-
 def _build_system(cfg):
     """Returns (hamiltonian, monitored dict) for the selected system."""
     n, z = cfg["n"], cfg["z"]
@@ -400,9 +390,6 @@ def cmd_simulate(cfg) -> int:
         return EXIT_CONFIG
     if cfg["dt"] <= 0 or cfg["t_end"] <= 0:
         print("error: dt and t-end must be positive", file=sys.stderr)
-        return EXIT_CONFIG
-    if cfg["method"] not in METHODS:
-        print(f"error: unknown method {cfg['method']}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         x0 = PhasePoint(cfg["q"], cfg["p"])
@@ -463,36 +450,20 @@ def cmd_simulate(cfg) -> int:
 # curvature
 # ---------------------------------------------------------------------------
 
-CURVATURE_DEFAULTS = dict(
-    n=3,
-    z=0.3,
-    kappa2=1.0,
-    metric="integrable",
-    chart="cartesian",
-    grid_min=None,
-    grid_max=None,
-    grid_points=5,
-    output="curvature.csv",
-)
-
-
 def cmd_curvature(cfg) -> int:
     n, z = cfg["n"], cfg["z"]
     chart = cfg["chart"]
     if n not in (2, 3):
         print("error: curvature grids support n = 2 or 3", file=sys.stderr)
         return EXIT_CONFIG
-    if chart not in ("cartesian", "polar"):
-        print("error: chart must be cartesian or polar", file=sys.stderr)
-        return EXIT_CONFIG
-    if cfg["metric"] not in ("integrable", "superintegrable"):
-        print("error: metric must be integrable or superintegrable", file=sys.stderr)
-        return EXIT_CONFIG
     if cfg["grid_points"] < 1:
         print("error: grid-points must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
     lo = cfg["grid_min"] if cfg["grid_min"] is not None else (0.3 if chart == "polar" else -1.0)
     hi = cfg["grid_max"] if cfg["grid_max"] is not None else (1.1 if chart == "polar" else 1.0)
+    if not math.isfinite(hi - lo):
+        print("error: the grid span grid-max - grid-min is not finite", file=sys.stderr)
+        return EXIT_CONFIG
     cfg["grid_min"], cfg["grid_max"] = lo, hi
 
     check = [
@@ -566,20 +537,6 @@ def cmd_curvature(cfg) -> int:
 # transform
 # ---------------------------------------------------------------------------
 
-TRANSFORM_DEFAULTS = dict(
-    z=0.3,
-    kappa2=1.0,
-    q=None,
-    p=None,
-    direction="to-polar",
-    normalization="canonical",
-    with_r=False,
-    roundtrip=False,
-    canonicity=False,
-    output=None,
-)
-
-
 def cmd_transform(cfg) -> int:
     z, kappa2 = cfg["z"], cfg["kappa2"]
     if cfg["q"] is None:
@@ -590,9 +547,6 @@ def cmd_transform(cfg) -> int:
         return EXIT_CONFIG
     if cfg["p"] is not None and len(cfg["p"]) != 3:
         print("error: p must have three components, like q", file=sys.stderr)
-        return EXIT_CONFIG
-    if cfg["direction"] not in ("to-polar", "to-cartesian"):
-        print("error: direction must be to-polar or to-cartesian", file=sys.stderr)
         return EXIT_CONFIG
     to_polar = cfg["direction"] == "to-polar"
     norm = cfg["normalization"]
@@ -680,56 +634,58 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.subcommands = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, output=None):
         p.add_argument("--config", help="JSON config file (flags override it)")
-        p.add_argument("--z", type=float, help="deformation parameter")
-        p.add_argument("--output", help="output path ('-' for stdout)")
+        p.add_argument("--z", type=float, builtin=0.3, help="deformation parameter")
+        p.add_argument("--output", builtin=output, help="output path ('-' for stdout)")
 
     pv = sub.add_parser("verify", help="run the algebraic identity suite")
     add_common(pv)
-    pv.add_argument("--n", type=int, help="phase-space dimension")
-    pv.add_argument("--samples", type=int, help="random sample count")
-    pv.add_argument("--seed", type=int, help="sampling seed")
-    pv.add_argument("--threshold", type=float, help="residual threshold")
-    pv.add_argument("--format", choices=("text", "json"), help="report format")
+    pv.add_argument("--n", type=int, builtin=3, help="phase-space dimension")
+    pv.add_argument("--samples", type=int, builtin=200, help="random sample count")
+    pv.add_argument("--seed", type=int, builtin=0, help="sampling seed")
+    pv.add_argument("--threshold", type=float, builtin=1e-9, help="residual threshold")
+    pv.add_argument("--format", choices=("text", "json"), builtin="text", help="report format")
 
     ps = sub.add_parser("simulate", help="integrate a geodesic flow")
-    add_common(ps)
-    ps.add_argument("--n", type=int)
-    ps.add_argument("--kappa2", type=float)
+    add_common(ps, "trajectory.csv")
+    ps.add_argument("--n", type=int, builtin=3)
+    ps.add_argument("--kappa2", type=float, builtin=1.0)
     ps.add_argument(
         "--hamiltonian",
+        builtin="integrable",
         help="integrable | superintegrable | family:<one|exp|one-plus>",
     )
-    ps.add_argument("--chart", choices=("cartesian", "polar"))
+    ps.add_argument("--chart", choices=("cartesian", "polar"), builtin="cartesian")
     ps.add_argument("--q", type=_vector, help="initial positions, comma separated")
     ps.add_argument("--p", type=_vector, help="initial momenta, comma separated")
-    ps.add_argument("--t-end", dest="t_end", type=float)
-    ps.add_argument("--dt", type=float)
-    ps.add_argument("--method", choices=METHODS)
-    ps.add_argument("--keep-every", dest="keep_every", type=int)
+    ps.add_argument("--t-end", dest="t_end", type=float, builtin=10.0)
+    ps.add_argument("--dt", type=float, builtin=1e-3)
+    ps.add_argument("--method", choices=METHODS, builtin="implicit-midpoint")
+    ps.add_argument("--keep-every", dest="keep_every", type=int, builtin=1)
     ps.add_argument("--metadata", help="also write a JSON metadata file here")
 
     pc = sub.add_parser("curvature", help="curvature values on a grid")
-    add_common(pc)
-    pc.add_argument("--n", type=int)
-    pc.add_argument("--kappa2", type=float)
-    pc.add_argument("--metric", choices=("integrable", "superintegrable"))
-    pc.add_argument("--chart", choices=("cartesian", "polar"))
+    add_common(pc, "curvature.csv")
+    pc.add_argument("--n", type=int, builtin=3)
+    pc.add_argument("--kappa2", type=float, builtin=1.0)
+    pc.add_argument("--metric", choices=("integrable", "superintegrable"), builtin="integrable")
+    pc.add_argument("--chart", choices=("cartesian", "polar"), builtin="cartesian")
+    # unset, the grid bounds depend on the chart: cmd_curvature fills them
     pc.add_argument("--grid-min", dest="grid_min", type=float)
     pc.add_argument("--grid-max", dest="grid_max", type=float)
-    pc.add_argument("--grid-points", dest="grid_points", type=int)
+    pc.add_argument("--grid-points", dest="grid_points", type=int, builtin=5)
 
     pt = sub.add_parser("transform", help="map a phase point between charts")
     add_common(pt)
-    pt.add_argument("--kappa2", type=float)
+    pt.add_argument("--kappa2", type=float, builtin=1.0)
     pt.add_argument("--q", type=_vector, help="source-chart positions")
     pt.add_argument("--p", type=_vector, help="source-chart momenta")
-    pt.add_argument("--direction", choices=("to-polar", "to-cartesian"))
-    pt.add_argument("--normalization", choices=("canonical", "chart"))
-    pt.add_argument("--with-r", dest="with_r", action="store_const", const=True)
-    pt.add_argument("--roundtrip", action="store_const", const=True)
-    pt.add_argument("--canonicity", action="store_const", const=True)
+    pt.add_argument("--direction", choices=("to-polar", "to-cartesian"), builtin="to-polar")
+    pt.add_argument("--normalization", choices=("canonical", "chart"), builtin="canonical")
+    pt.add_argument("--with-r", dest="with_r", action="store_const", const=True, builtin=False)
+    pt.add_argument("--roundtrip", action="store_const", const=True, builtin=False)
+    pt.add_argument("--canonicity", action="store_const", const=True, builtin=False)
     return parser
 
 
@@ -780,13 +736,6 @@ def _read_plain(argv):
     return ns
 
 
-_DEFAULTS = {
-    "verify": VERIFY_DEFAULTS,
-    "simulate": SIMULATE_DEFAULTS,
-    "curvature": CURVATURE_DEFAULTS,
-    "transform": TRANSFORM_DEFAULTS,
-}
-
 _COMMANDS = {
     "verify": cmd_verify,
     "simulate": cmd_simulate,
@@ -805,7 +754,7 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
     command = args.command
-    cfg = _resolve(args, _DEFAULTS[command])
+    cfg = _resolve(args, build_parser().subcommands.choices[command])
     if cfg is None:
         return EXIT_CONFIG
     cfg.pop("command", None)

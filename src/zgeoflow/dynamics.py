@@ -222,6 +222,8 @@ def integrate(
         raise ValueError(f"unknown method {method!r}, choose from {METHODS}")
     if keep_every < 1:
         raise ValueError("keep_every must be >= 1")
+    if not isfinite(t_end / dt):
+        raise ValueError(f"the step count t_end / dt = {t_end!r} / {dt!r} is not finite")
     n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
         raise ValueError("t_end must be an integer multiple of dt")

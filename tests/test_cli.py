@@ -193,11 +193,17 @@ def test_unknown_flag_values_exit_one():
         ["curvature", "--grid-min=nan", "--grid-points=1"],
         ["curvature", "--grid-max=inf", "--grid-points=2"],
         ["verify", "--n=2", "--samples=2", "--threshold=nan"],
+        # finite settings whose span or step count is not
+        ["curvature", "--grid-min=-1e308", "--grid-max=1e308", "--grid-points=3"],
+        ["simulate", "--q=0.1,0.2,0.3", "--p=0,0,0", "--t-end=1e300", "--dt=1e-300"],
     ],
 )
 def test_non_finite_or_zero_parameters_exit_one(argv, tmp_path, capsys):
     out = tmp_path / "out"
-    assert run(argv + ["--output", str(out)]) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv + ["--output", str(out)]) == 1
+    assert not caught, [str(w.message) for w in caught]
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
@@ -752,6 +758,74 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert doc["config"]["z"] == 0.25  # flag wins
     assert doc["config"]["n"] == 2  # from file
     assert doc["config"]["samples"] == 12
+
+
+#: each command's required flags, and a small run of it
+_REQUIRED = {
+    "verify": [],
+    "simulate": ["--q=0.1,0.2,0.3", "--p=0,0,0"],
+    "curvature": [],
+    "transform": ["--q=0.5,0.4,0.6"],
+}
+_SMALL = {
+    "verify": ["--n=2", "--samples=1"],
+    "simulate": ["--t-end=0.01"],
+    "curvature": ["--n=2", "--grid-points=1"],
+    "transform": [],
+}
+
+
+@pytest.mark.parametrize(
+    "command, key, choices",
+    [
+        pytest.param(command, action.dest, action.choices, id=f"{command}-{action.dest}")
+        for command, sub in cli.build_parser().subcommands.choices.items()
+        for action in sub.options.values()
+        if action.choices is not None
+    ],
+)
+def test_config_value_outside_choices_exits_one(command, key, choices, tmp_path, capsys):
+    # a config file is checked against each option's choices, as a flag is
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: "bogus"}))
+    out = tmp_path / "out"
+    argv = [command, *_REQUIRED[command], *_SMALL[command], f"--config={cfg}", f"--output={out}"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be one of ") and err.endswith(", got 'bogus'\n")
+    assert all(repr(c) in err for c in choices)
+    assert not out.exists()
+
+
+#: the config each command resolves from its required flags alone
+_BUILTIN_CONFIGS = {
+    "verify": {"command": "verify", "format": "text", "n": 3, "output": None,
+               "samples": 200, "seed": 0, "threshold": 1e-9, "z": 0.3},
+    "simulate": {"chart": "cartesian", "command": "simulate", "dt": 0.001,
+                 "hamiltonian": "integrable", "kappa2": 1.0, "keep_every": 1,
+                 "metadata": None, "method": "implicit-midpoint", "n": 3,
+                 "output": "trajectory.csv", "p": [0.0, 0.0, 0.0], "q": [0.1, 0.2, 0.3],
+                 "t_end": 10.0, "z": 0.3},
+    # the grid bounds stay unset here: cmd_curvature fills them by chart
+    "curvature": {"chart": "cartesian", "command": "curvature", "grid_max": None,
+                  "grid_min": None, "grid_points": 5, "kappa2": 1.0,
+                  "metric": "integrable", "n": 3, "output": "curvature.csv", "z": 0.3},
+    "transform": {"canonicity": False, "command": "transform", "direction": "to-polar",
+                  "kappa2": 1.0, "normalization": "canonical", "output": None,
+                  "p": None, "q": [0.5, 0.4, 0.6], "roundtrip": False, "with_r": False,
+                  "z": 0.3},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_BUILTIN_CONFIGS))
+def test_builtin_config_of_each_command(command, monkeypatch):
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, command, lambda cfg: seen.append(cfg) or 0)
+    assert run([command, *_REQUIRED[command]]) == 0
+    # compared as embedded, so that 1.0 and 1 differ
+    assert [json.dumps(cfg, sort_keys=True) for cfg in seen] == [
+        json.dumps(_BUILTIN_CONFIGS[command], sort_keys=True)
+    ]
 
 
 def test_bad_config_file(tmp_path, capsys):

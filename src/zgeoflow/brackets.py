@@ -2,19 +2,25 @@
 
 Gradients are one reverse pass of :mod:`zgeoflow.dual` (machine precision);
 a central finite-difference path exists purely as an independent
-cross-check oracle and is never used by the bracket itself.
+cross-check oracle and is never used by the bracket itself.  A gradient is
+a tuple of Python scalars; the verification suites (the seeded sample
+draws, the bracket residual tables, the rank's SVD) import numpy in their
+bodies, so only ``verify`` loads it.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
+import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
-from . import dual
 from .algebra import realize_generators, sinhc
 from .phase import EvaluationDomainError, PhaseFunction, PhasePoint
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: default relative tolerance on singular values for the numerical rank
 RANK_TOLERANCE = 1e-8
@@ -22,31 +28,32 @@ RANK_TOLERANCE = 1e-8
 
 @dataclass(frozen=True)
 class PhaseGradient:
-    """Partial derivatives of a phase function at a point."""
+    """Partial derivatives of a phase function at a point, as tuples."""
 
-    dq: np.ndarray
-    dp: np.ndarray
+    dq: tuple
+    dp: tuple
 
-    def flat(self) -> np.ndarray:
-        return np.concatenate([self.dq, self.dp])
+    def flat(self) -> tuple:
+        return self.dq + self.dp
 
 
-@np.errstate(all="ignore")
 def gradient(f: PhaseFunction, x: PhasePoint) -> PhaseGradient:
     """Machine-precision gradient of ``f`` at ``x`` from one reverse pass.
 
-    A non-finite gradient raises EvaluationDomainError; numpy's warnings on
-    the way there (complex points carry numpy scalars) are silenced.
+    The entries are complex at a complex point, floats otherwise.  A
+    non-finite gradient raises EvaluationDomainError.
     """
     if f.arity != x.dim:
         raise ValueError("arity mismatch between function and point")
     dq, dp = gradient_lists(f, *x.scalars())
-    dtype = complex if np.iscomplexobj(x.q) or np.iscomplexobj(x.p) else float
-    dq = np.array(dq, dtype=dtype)
-    dp = np.array(dp, dtype=dtype)
-    if not (np.all(np.isfinite(dq)) and np.all(np.isfinite(dp))):
+    if isinstance(x.q[0], complex) or isinstance(x.p[0], complex):
+        kind, finite = complex, cmath.isfinite
+    else:
+        kind, finite = float, math.isfinite
+    grad = [kind(v) for v in (*dq, *dp)]
+    if not all(map(finite, grad)):
         raise EvaluationDomainError(f"gradient of {f.label} not finite at {x}")
-    return PhaseGradient(dq, dp)
+    return PhaseGradient(tuple(grad[: x.dim]), tuple(grad[x.dim :]))
 
 
 def gradient_lists(f: PhaseFunction, q: list, p: list):
@@ -64,9 +71,9 @@ def gradient_lists(f: PhaseFunction, q: list, p: list):
 def gradient_fd(f: PhaseFunction, x: PhasePoint) -> PhaseGradient:
     """Central finite-difference gradient; independent test oracle only."""
     n = x.dim
-    base = x.flat()
-    cbrt_eps = float(np.finfo(float).eps) ** (1.0 / 3.0)
-    out = np.zeros(2 * n, dtype=base.dtype)
+    base = list(x.flat())
+    cbrt_eps = sys.float_info.epsilon ** (1.0 / 3.0)
+    out = []
     for i in range(2 * n):
         h = cbrt_eps * max(1.0, abs(base[i]))
         up = base.copy()
@@ -75,11 +82,10 @@ def gradient_fd(f: PhaseFunction, x: PhasePoint) -> PhaseGradient:
         dn[i] -= h
         fu = f(PhasePoint.from_flat(up))
         fd = f(PhasePoint.from_flat(dn))
-        out[i] = (fu - fd) / (2.0 * h)
-    return PhaseGradient(out[:n], out[n:])
+        out.append((fu - fd) / (2.0 * h))
+    return PhaseGradient(tuple(out[:n]), tuple(out[n:]))
 
 
-@np.errstate(all="ignore")
 def bracket_matrix(funcs, x: PhasePoint):
     """All brackets {f_a, f_b} among ``funcs`` at ``x``, from one gradient each.
 
@@ -88,6 +94,8 @@ def bracket_matrix(funcs, x: PhasePoint):
     finite gradients overflow to inf and nan here without a warning; the
     non-finite entries fail every residual check that reads them.
     """
+    import numpy as np
+
     if len({f.arity for f in funcs}) > 1:
         raise ValueError("arity mismatch between bracket arguments")
     grads = [gradient(f, x) for f in funcs]
@@ -96,24 +104,28 @@ def bracket_matrix(funcs, x: PhasePoint):
     )
 
 
-@np.errstate(all="ignore")
 def gradient_brackets(dq, dp):
     """(vals, scales) of :func:`bracket_matrix` from the gradient rows
     ``dq[a] = d f_a / dq`` and ``dp[a] = d f_a / dp``, however obtained."""
-    cross, size = dq @ dp.T, np.abs(dq) @ np.abs(dp).T
-    return cross - cross.T, size + size.T
+    import numpy as np
+
+    with np.errstate(all="ignore"):
+        cross, size = dq @ dp.T, np.abs(dq) @ np.abs(dp).T
+        return cross - cross.T, size + size.T
 
 
-@np.errstate(all="ignore")
 def _scaled_residual(vals, scales, target=0.0):
     """|vals - target| / max(1, |target|, scales), elementwise."""
-    return np.abs(vals - target) / np.maximum(np.maximum(1.0, np.abs(target)), scales)
+    import numpy as np
+
+    with np.errstate(all="ignore"):
+        return np.abs(vals - target) / np.maximum(np.maximum(1.0, np.abs(target)), scales)
 
 
 def poisson_bracket(f: PhaseFunction, g: PhaseFunction, x: PhasePoint):
     """Canonical bracket {f, g} = sum_i df/dq_i dg/dp_i - df/dp_i dg/dq_i."""
     val = bracket_matrix((f, g), x)[0][0, 1]
-    return val if np.iscomplexobj(val) else float(val)
+    return val if isinstance(val, complex) else float(val)
 
 
 def bracket_residual(f: PhaseFunction, g: PhaseFunction, x: PhasePoint, target=0.0):
@@ -134,6 +146,8 @@ def sample_points(n: int, samples: int, seed: int, scale: float = 2.0):
     Each point is drawn from a generator seeded by (seed, index), so the
     sample is independent of evaluation order.
     """
+    import numpy as np
+
     pts = []
     for k in range(samples):
         rng = np.random.default_rng([seed, k])
@@ -158,6 +172,8 @@ class AlgebraReport:
     @property
     def max_residual(self) -> float:
         """The largest residual; nan if any residual is nan, so it fails."""
+        import numpy as np
+
         worst = np.array(
             [self.residual_j3_jplus, self.residual_j3_jminus, self.residual_jminus_jplus]
         )
@@ -182,7 +198,6 @@ class AlgebraReport:
         return "\n".join(lines)
 
 
-@np.errstate(all="ignore")
 def check_algebra(n: int, z: float, samples: int = 200, seed: int = 0) -> AlgebraReport:
     """Verify the three defining brackets of the realization at random points.
 
@@ -191,20 +206,23 @@ def check_algebra(n: int, z: float, samples: int = 200, seed: int = 0) -> Algebr
         {J3, J-} + 2 J- sinhc(z J-)        (equals -2 sinh(zJ-)/z, z = 0 safe)
         {J-, J+} - 4 J3
     """
+    import numpy as np
+
     if samples < 1:
         raise ValueError("need at least one sample")
     gen = realize_generators(n, z)
     jm, jp, j3 = gen.as_tuple()
     pairs = ([2, 2, 0], [1, 0, 1])  # {J3, J+}, {J3, J-}, {J-, J+} in (J-, J+, J3)
     worst = np.zeros(3)
-    for x in sample_points(n, samples, seed):
-        jm_v, jp_v, j3_v = (float(f(x)) for f in (jm, jp, j3))
-        target = np.array(
-            [2.0 * jp_v * np.cosh(z * jm_v), -2.0 * jm_v * sinhc(z * jm_v), 4.0 * j3_v]
-        )
-        vals, scales = bracket_matrix((jm, jp, j3), x)
-        res = _scaled_residual(vals[pairs], scales[pairs], target)
-        worst = np.maximum(worst, res)
+    with np.errstate(all="ignore"):
+        for x in sample_points(n, samples, seed):
+            jm_v, jp_v, j3_v = (float(f(x)) for f in (jm, jp, j3))
+            target = np.array(
+                [2.0 * jp_v * np.cosh(z * jm_v), -2.0 * jm_v * sinhc(z * jm_v), 4.0 * j3_v]
+            )
+            vals, scales = bracket_matrix((jm, jp, j3), x)
+            res = _scaled_residual(vals[pairs], scales[pairs], target)
+            worst = np.maximum(worst, res)
     r1, r2, r3 = (float(r) for r in worst)
     return AlgebraReport(n, float(z), samples, seed, r1, r2, r3)
 
@@ -221,7 +239,7 @@ class InvolutionReport:
 
     @property
     def max_residual(self) -> float:
-        return float(np.max(self.residuals))
+        return float(self.residuals.max())
 
     @property
     def passed(self) -> bool:
@@ -249,6 +267,8 @@ def check_involution(
     arities = {f.arity for f in funcs}
     if len(arities) != 1:
         raise ValueError("all functions must share the same arity")
+    import numpy as np
+
     n = arities.pop()
     res = np.zeros((len(funcs), len(funcs)))
     for x in sample_points(n, samples, seed):
@@ -280,6 +300,8 @@ def independence_rank(
     at n = 8) as dependence.  Singular values above ``tolerance`` times the
     largest one then count.
     """
+    import numpy as np
+
     mat = np.asarray([gradient(f, x).flat() for f in funcs])
     scale = np.max(np.abs(mat), axis=1, initial=0.0)
     mat = mat / np.where(scale > 0.0, scale, 1.0)[:, None]

@@ -45,14 +45,13 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import dual
 from .kernels import SERIES_CUTOFF, sin_kernel
 from .kernels import cos_kernel as _cos_kernel
-from .phase import EvaluationDomainError, PhaseFunction, PhasePoint
+from .phase import EvaluationDomainError, PhaseFunction, PhasePoint, scalar_vector
 
 #: chart momenta are this multiple of canonical ones
 CHART_MOMENTUM_FACTOR = 2.0
@@ -193,13 +192,13 @@ def _cart_to_polar_generic(q, z: float, kappa2: float):
     if ratio_phi is not None and _real(ratio_phi) < -1e-12:
         raise OutOfChartError("tan^2(phi) < 0 (wrong relativistic octant)", relation=4)
     theta = kappa_asin(kappa2, dual.sqrt(ks2))
-    phi = np.pi / 2 if ratio_phi is None else dual.atan(dual.sqrt(ratio_phi))
+    phi = math.pi / 2 if ratio_phi is None else dual.atan(dual.sqrt(ratio_phi))
     return [rho, theta, phi]
 
 
 def _polar_to_cart_generic(x, z: float, kappa2: float):
     rho, theta, phi = x
-    if -z * _real(rho) ** 2 >= (np.pi / 2) ** 2:
+    if -z * _real(rho) ** 2 >= (math.pi / 2) ** 2:
         raise OutOfChartError("rho outside the principal branch for z < 0", relation=1)
     sin_phi = dual.sin(phi)
     s = kappa_sin(-z, rho) ** 2                 # sinh^2(l1 rho)/z
@@ -230,46 +229,44 @@ def _polar_to_cart_generic(x, z: float, kappa2: float):
     return out
 
 
-def _image(f, args, what):
-    """The array of ``f(*args)``, or OutOfChartError if the map overflowed:
-    to inf or nan on numpy scalars, with an OverflowError on Python ones."""
-    try:
-        x = np.array(f(*args))
-        finite = np.all(np.isfinite(x))
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise OutOfChartError(f"{what} coordinates not finite (overflow)")
-    return x
-
-
-# at a huge |z| the arguments 2 (z q_i^2) overflow to inf; the non-finite
-# image is reported as out of chart, without the warnings of the numpy
-# scalars a complex-octant q arrives as
-@np.errstate(all="ignore")
-def cart_to_polar(q, z: float, kappa2: float = 1.0) -> np.ndarray:
-    """Solve the chart relations for (rho, theta, phi) on the principal branch."""
-    q = list(np.asarray(q))
-    if len(q) != 3:
+def _image(f, x, z, kappa2, what):
+    """``f(x, z, kappa2)`` on the Python scalars of ``x``, returned as
+    Python scalars (all complex if one is: see
+    :func:`~zgeoflow.phase.scalar_vector`), or OutOfChartError if the map
+    overflowed: to inf or nan, or with an OverflowError or
+    ZeroDivisionError."""
+    x = scalar_vector(x)
+    if len(x) != 3:
         raise ValueError("the geodesic polar chart is three-dimensional")
-    return _image(_cart_to_polar_generic, (q, float(z), float(kappa2)), "polar")
+    try:
+        image = f(x, float(z), float(kappa2))
+    except (OverflowError, ZeroDivisionError):
+        image = [math.nan]
+    if not all(map(cmath.isfinite, image)):
+        raise OutOfChartError(f"{what} coordinates not finite (overflow)")
+    return scalar_vector(image)
 
 
-def polar_to_cart(x, z: float, kappa2: float = 1.0) -> np.ndarray:
+def cart_to_polar(q, z: float, kappa2: float = 1.0) -> list:
+    """Solve the chart relations for (rho, theta, phi) on the principal
+    branch, on Python scalars: complex ones for a complex-octant q.  At a
+    huge |z| the arguments 2 (z q_i^2) overflow; that image is out of chart."""
+    return _image(_cart_to_polar_generic, q, z, kappa2, "polar")
+
+
+def polar_to_cart(x, z: float, kappa2: float = 1.0) -> list:
     """Positive-octant Cartesian preimage of a polar point, on Python scalars.
 
     For kappa2 < 0 the first two components are pure imaginary (complex
     octant); the squared coordinates remain real.
     """
-    x = np.asarray(x).tolist()
-    if len(x) != 3:
-        raise ValueError("the geodesic polar chart is three-dimensional")
-    return _image(_polar_to_cart_generic, (x, float(z), float(kappa2)), "Cartesian")
+    return _image(_polar_to_cart_generic, x, z, kappa2, "Cartesian")
 
 
-def chart_relation_residuals(q, x, z: float, kappa2: float) -> np.ndarray:
+def chart_relation_residuals(q, x, z: float, kappa2: float) -> list:
     """Absolute residuals of the four chart relations at matched (q, x),
     evaluated on Python complex scalars."""
+    z, kappa2 = float(z), float(kappa2)
     rho, theta, phi = (complex(v) for v in x)
     e = [cmath.exp(2.0 * (z * complex(qi) ** 2)) for qi in q]
     a = z * kappa_sin(-z, rho) ** 2
@@ -277,7 +274,7 @@ def chart_relation_residuals(q, x, z: float, kappa2: float) -> np.ndarray:
     c2 = kappa_cos(kappa2, theta) ** 2
     lhs = (kappa_cos(-z, rho) ** 2, a * c2, a * t * cmath.cos(phi) ** 2, a * t * cmath.sin(phi) ** 2)
     rhs = (e[0] * e[1] * e[2], e[0] * e[1] * (e[2] - 1.0), e[0] * (e[1] - 1.0), e[0] - 1.0)
-    return np.array([abs(u - v) for u, v in zip(lhs, rhs)])
+    return [abs(u - v) for u, v in zip(lhs, rhs)]
 
 
 _SINGULAR = "singular Jacobian (chart boundary)"
@@ -361,11 +358,11 @@ class ChartPass:
         return self._parts[1]
 
 
-def position_jacobian(x, z: float, kappa2: float) -> np.ndarray:
+def position_jacobian(x, z: float, kappa2: float) -> list:
     """Exact Jacobian d(cartesian)/d(polar) of :func:`polar_to_cart` at x,
-    the :class:`ChartPass` at x as an array; OutOfChartError where it is
+    the rows of the :class:`ChartPass` at x; OutOfChartError where it is
     singular."""
-    return np.array(ChartPass(x, z, kappa2).jacobian)
+    return ChartPass(x, z, kappa2).jacobian
 
 
 @dataclass(frozen=True)
@@ -379,11 +376,11 @@ class PolarPoint:
     p_theta: float
     p_phi: float
 
-    def position(self) -> np.ndarray:
-        return np.array([self.rho, self.theta, self.phi])
+    def position(self) -> list:
+        return scalar_vector([self.rho, self.theta, self.phi])
 
-    def momentum(self) -> np.ndarray:
-        return np.array([self.p_rho, self.p_theta, self.p_phi])
+    def momentum(self) -> list:
+        return scalar_vector([self.p_rho, self.p_theta, self.p_phi])
 
     def as_phase_point(self) -> PhasePoint:
         return PhasePoint(self.position(), self.momentum())
@@ -446,11 +443,11 @@ def transform_to_cartesian(
     _check_normalization(normalization)
     x = polar.position()
     q = polar_to_cart(x, z, kappa2)
-    mom = polar.momentum().tolist()
+    mom = polar.momentum()
     if normalization == "chart":
         mom = [v / CHART_MOMENTUM_FACTOR for v in mom]
     if not any(mom):  # only an exactly zero momentum skips the pass
-        return PhasePoint(q, np.zeros_like(q))
+        return PhasePoint(q, [0j if isinstance(q[0], complex) else 0.0] * 3)
     if chart is None:
         chart = ChartPass(x, z, kappa2)
     return PhasePoint(q, _solve_transposed(chart.jacobian, mom))
@@ -486,11 +483,9 @@ def polar_chart_functions(z: float, kappa2: float):
     return tuple(PhaseFunction(3, f, n) for f, n in zip(fns, names))
 
 
-# a complex point's scalars are numpy complex, whose overflow would warn
-@np.errstate(all="ignore")
 def fundamental_bracket_residuals(
     point: PhasePoint, z: float, kappa2: float, chart: ChartPass | None = None
-) -> np.ndarray:
+) -> list:
     """|{u_a, u_b} - canonical| for the six polar chart variables at a point.
 
     Two jet passes give all six gradients.  Its own first-order pass of the
@@ -502,7 +497,8 @@ def fundamental_bracket_residuals(
     with M = sum_i p_i T_i, and the brackets of those rows (as in
     :func:`zgeoflow.brackets.bracket_matrix`) come in three blocks:
     {x, x} = 0, {x_a, P_b} = (AJ)_ab and {P_a, P_b} = (MAJ)_ab - (MAJ)_ba.
-    Returned as the 6x6 array of residuals against the symplectic form.
+    Returned as the 6x6 residuals against the symplectic form, a list of
+    rows of Python floats.
     """
     if point.dim != 3:
         raise ValueError("the geodesic polar chart is three-dimensional")
@@ -520,11 +516,11 @@ def fundamental_bracket_residuals(
     if not all(cmath.isfinite(v) for rows in (a, ma) for row in rows for v in row):
         raise EvaluationDomainError(f"polar chart Jacobian not finite at {point}")
     aj, maj = _matmul(a, jac), _matmul(ma, jac)
-    res = np.zeros((6, 6))
+    res = [[0.0] * 6 for _ in range(6)]
     for r in range(3):
         for c in range(3):
-            res[r, 3 + c] = res[3 + c, r] = abs(aj[r][c] - (1.0 if r == c else 0.0))
-            res[3 + r, 3 + c] = abs(maj[r][c] - maj[c][r])
+            res[r][3 + c] = res[3 + c][r] = abs(aj[r][c] - (1.0 if r == c else 0.0))
+            res[3 + r][3 + c] = abs(maj[r][c] - maj[c][r])
     return res
 
 
@@ -543,7 +539,7 @@ def rho_to_r(rho: float, z: float) -> float:
     rho, z = float(rho), float(z)
     if rho < 0:
         raise OutOfChartError("rho must be nonnegative")
-    if -z * rho * rho >= (np.pi / 2) ** 2:
+    if -z * rho * rho >= (math.pi / 2) ** 2:
         raise OutOfChartError("rho outside the principal branch for z < 0")
     return 2.0 * kappa_atan(z, kappa_tan(-z, 0.5 * rho))
 
@@ -553,7 +549,7 @@ def r_to_rho(r: float, z: float) -> float:
     r, z = float(r), float(z)
     if r < 0:
         raise OutOfChartError("r must be nonnegative")
-    if z * r * r >= (np.pi / 2) ** 2:
+    if z * r * r >= (math.pi / 2) ** 2:
         raise OutOfChartError("r outside the principal branch for z > 0")
     return 2.0 * kappa_atan(-z, kappa_tan(z, 0.5 * r))
 

@@ -19,11 +19,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
-
-import numpy as np
 
 from . import __version__, dual, jsontext
 from .algebra import (
@@ -67,6 +66,7 @@ from .dynamics import (
 )
 from .geometry import (
     MetricDegenerateError,
+    _worst,
     curvature_summary,
     gaussian_curvature_variable_2d,
     line_element_from_hamiltonian,
@@ -131,6 +131,33 @@ def _vector(text):
         raise argparse.ArgumentTypeError(f"bad vector {text!r}") from err
 
 
+def _linspace(lo, hi, k):
+    """``k >= 1`` evenly spaced floats from lo to hi, bit for bit numpy's
+    ``linspace``: i * step + lo, the last point hi; when the step underflows
+    to zero, (i / (k - 1)) * (hi - lo) + lo."""
+    lo, hi = float(lo), float(hi)
+    delta, div = hi - lo, k - 1
+    if div == 0:
+        return [0.0 * delta + lo]
+    step = delta / div
+    if step == 0.0:
+        points = [i / div * delta + lo for i in range(k)]
+    else:
+        points = [i * step + lo for i in range(k)]
+    points[-1] = hi
+    return points
+
+
+def _json_vector(v):
+    """A vector for a JSON report: a complex one as strings, one per entry."""
+    return [str(x) for x in v] if isinstance(v[0], complex) else list(v)
+
+
+def _max_distance(a, b):
+    """max_i |a_i - b_i|, or nan if any distance is nan."""
+    return _worst([abs(u - v) for u, v in zip(a, b)])
+
+
 def _write(path, content):
     if path in (None, "-"):
         sys.stdout.write(content)
@@ -190,8 +217,9 @@ def _resolve(args, sub):
     declares, from a flag or the config file, is checked against its option
     as a flag is; one left unset takes its ``sub.builtin`` default.  Returns
     None, after printing the error, when the file cannot be read or holds no
-    JSON object, a setting has the wrong type (``_fits``) or a value outside
-    its option's choices, a float setting is not finite, or kappa2 is zero.
+    JSON object, names a key that is no setting of the subcommand, a setting
+    has the wrong type (``_fits``) or a value outside its option's choices,
+    a float setting is not finite, or kappa2 is zero.
     """
     cfg = vars(args).copy()
     if cfg["config"]:
@@ -204,9 +232,12 @@ def _resolve(args, sub):
         if not isinstance(file_cfg, dict):
             print("error: config file must hold a JSON object", file=sys.stderr)
             return None
-        for key, val in file_cfg.items():
-            key = key.replace("-", "_")
-            if key in cfg and cfg[key] is None:
+        for name, val in file_cfg.items():
+            key = name.replace("-", "_")
+            if key not in cfg:  # as argparse turns down an unknown flag
+                print(f"error: unknown config key {name!r}", file=sys.stderr)
+                return None
+            if cfg[key] is None:
                 cfg[key] = val
     for action in sub.options.values():
         key = action.dest
@@ -261,7 +292,7 @@ def cmd_verify(cfg) -> int:
 
     pts = sample_points(n, min(samples, 50), seed)
     c1 = casimir_one(z, n)
-    c1_max = float(np.max([abs(float(c1(x))) for x in pts]))
+    c1_max = _worst([abs(float(c1(x))) for x in pts])
     results["casimir_one"] = c1_max
     if not (c1_max < 1e-12):
         failures.append(f"1-site Casimir not zero ({c1_max:.3e})")
@@ -279,13 +310,13 @@ def cmd_verify(cfg) -> int:
         i2, i3 = integral_extra_2(z, n), integral_extra_3(z, n)
         fns += [h_sup, i2, i3]
     res = check_involution(fns, min(samples, 50), seed, threshold).residuals
-    # np.max keeps a NaN, and every gate is written to fail on one
-    centrality = float(np.max(res[3 : n + 2, :3], initial=0.0))
+    # the array max and _worst keep a NaN, and every gate is written to fail on one
+    centrality = float(res[3 : n + 2, :3].max(initial=0.0))
     results["casimir_centrality"] = centrality
     if n >= 2 and not (centrality < threshold):
         failures.append(f"Casimir centrality ({centrality:.3e})")
 
-    tower_res = float(np.max(res[3 : n + 3, 3 : n + 3]))
+    tower_res = float(res[3 : n + 3, 3 : n + 3].max())
     results["integrable_involution"] = tower_res
     if not (tower_res < threshold):
         failures.append(f"integrable involution ({tower_res:.3e})")
@@ -297,7 +328,7 @@ def cmd_verify(cfg) -> int:
         # are mutually in involution (all five together cannot be).  The two
         # triple blocks hold H's row against C2, C3, I2 and I3.
         h = n + 3
-        sup_res = float(np.max([res[np.ix_(t, t)] for t in ([h, 3, 4], [h, h + 1, h + 2])]))
+        sup_res = _worst([float(res[t][:, t].max()) for t in ([h, 3, 4], [h, h + 1, h + 2])])
         results["superintegrable_involution"] = sup_res
         worst.append(sup_res)
         if not (sup_res < threshold):
@@ -313,7 +344,7 @@ def cmd_verify(cfg) -> int:
 
     passed = not failures
     results["passed"] = passed
-    residuals = {"max": float(np.max(worst)), "threshold": threshold}
+    residuals = {"max": _worst(worst), "threshold": threshold}
     if cfg["format"] == "json":
         content = _json_report(cfg, results, residuals)
     else:
@@ -490,7 +521,7 @@ def cmd_curvature(cfg) -> int:
         )
         g = metric_from_hamiltonian(system.hamiltonian, 3, check)
 
-    axes = [np.linspace(lo, hi, cfg["grid_points"]) for _ in range(n)]
+    axis = _linspace(lo, hi, cfg["grid_points"])
     names = ["q1", "q2", "q3"][:n] if chart == "cartesian" else ["rho", "theta", "phi"]
     pair_names = {(0, 1): "K12", (0, 2): "K13", (1, 2): "K23"}
     header = list(names)
@@ -504,10 +535,9 @@ def cmd_curvature(cfg) -> int:
 
     rows = []
     try:
-        for idx in np.ndindex(*(len(a) for a in axes)):
-            q = [float(axes[d][i]) for d, i in enumerate(idx)]
+        for q in map(list, itertools.product(axis, repeat=n)):
             ks, scal = curvature_summary(g, q)
-            row = list(q) + [ks[p] for p in pairs] + [scal]
+            row = q + [ks[p] for p in pairs] + [scal]
             if with_ref:
                 if cfg["metric"] == "superintegrable":
                     ref = {p: z for p in pairs}
@@ -566,8 +596,8 @@ def cmd_transform(cfg) -> int:
             polar = PolarPoint(*cfg["q"], *p)
             point = transform_to_cartesian(polar, z, kappa2, norm)
             results["cartesian"] = {
-                "q": [str(v) for v in point.q] if np.iscomplexobj(point.q) else list(point.q),
-                "p": [str(v) for v in point.p] if np.iscomplexobj(point.p) else list(point.p),
+                "q": _json_vector(point.q),
+                "p": _json_vector(point.p),
             }
             if cfg["roundtrip"] or cfg["canonicity"]:
                 chart = ChartPass(cart_to_polar(point.q, z, kappa2), z, kappa2, order)
@@ -577,27 +607,24 @@ def cmd_transform(cfg) -> int:
         if cfg["roundtrip"]:
             if to_polar:
                 back = transform_to_cartesian(polar, z, kappa2, norm, chart)
-                err = max(
-                    np.max(np.abs(back.q - point.q)), np.max(np.abs(back.p - point.p))
-                )
+                err = _max_distance(back.flat(), point.flat())
             else:
                 back = transform_to_polar(point, z, kappa2, norm, chart)
                 # at rho = 0 the angles are undetermined: compare positions
                 # by their Cartesian images there
                 pos = (
-                    polar_to_cart(back.position(), z, kappa2) - point.q
+                    (polar_to_cart(back.position(), z, kappa2), point.q)
                     if polar.rho == 0.0
-                    else back.position() - polar.position()
+                    else (back.position(), polar.position())
                 )
-                err = max(
-                    np.max(np.abs(pos)),
-                    np.max(np.abs(back.momentum() - polar.momentum())),
+                err = _worst(
+                    [_max_distance(*pos), _max_distance(back.momentum(), polar.momentum())]
                 )
             results["roundtrip_error"] = float(err)
         residuals = {"chart_relations": [float(r) for r in resid]}
         if cfg["canonicity"]:
             mat = fundamental_bracket_residuals(point, z, kappa2, chart)
-            residuals["canonicity_max"] = float(mat.max())
+            residuals["canonicity_max"] = _worst([v for row in mat for v in row])
     except OutOfChartError as err:
         rel = f" (relation {err.relation})" if err.relation else ""
         print(f"error: out of chart{rel}: {err}", file=sys.stderr)

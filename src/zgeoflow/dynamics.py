@@ -7,21 +7,18 @@ fixed-point solved); a fourth-order Gauss-Legendre collocation method and a
 non-symplectic RK4 reference are also provided.
 
 Inside the steppers a phase-space vector is a list of 2N Python floats, q
-then p, not an ndarray: at the few-site sizes of a geodesic run, numpy's
-per-operation overhead on a 6-element array costs more than the arithmetic,
-and the gradient core takes and returns lists anyway.  Every element-wise
-expression keeps the operation order of its vector form, so each state,
-slope and update is bit for bit what the ndarray arithmetic gives.  Stored
-states are :class:`PhasePoint` s, and each monitored function is evaluated
-once per stored state, for the trajectory table and the drift report alike.
+then p: at the few-site sizes of a geodesic run an array's per-operation
+overhead costs more than the arithmetic, and the gradient core takes and
+returns lists anyway.  Every element-wise expression keeps the operation
+order of its vector form.  Stored states are :class:`PhasePoint` s, and each
+monitored function is evaluated once per stored state, for the trajectory
+table and the drift report alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isfinite, sqrt
-
-import numpy as np
 
 from .brackets import gradient_lists
 from .phase import EvaluationDomainError, PhaseFunction, PhasePoint
@@ -65,9 +62,10 @@ class SolverStats:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniform-step solution of Hamilton's equations."""
+    """Uniform-step solution of Hamilton's equations; ``times`` is a tuple
+    of floats."""
 
-    times: np.ndarray
+    times: tuple
     states: tuple
     hamiltonian: str
     method: str
@@ -78,9 +76,11 @@ class Trajectory:
     _monitored: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.times) != len(self.states):
+        times = tuple(self.times)
+        object.__setattr__(self, "times", times)
+        if len(times) != len(self.states):
             raise ValueError("times and states length mismatch")
-        if np.any(np.diff(self.times) <= 0):
+        if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("times must be strictly increasing")
 
     def __len__(self):
@@ -111,9 +111,9 @@ def _rhs_flat(h, vec):
 
 
 def _update_norm(new, old):
-    """max |new_i - old_i|; NaN when any difference is NaN, as np.max gives
-    (Python's max keeps a NaN only in the first place), so that a NaN
-    update never passes the convergence test."""
+    """max |new_i - old_i|; NaN when any difference is NaN (Python's max
+    keeps a NaN only in the first place), so that a NaN update never passes
+    the convergence test."""
     diffs = [abs(a - b) for a, b in zip(new, old)]
     total = sum(diffs)
     return total if total != total else max(diffs)
@@ -230,7 +230,7 @@ def integrate(
     step = _STEPPERS[method]
     times = [0.0]
     states = [x0]
-    y = x0.flat().astype(float).tolist()
+    y = list(x0.flat())
     n_rhs = 0
     iterations = {}
     max_update, max_update_step = 0.0, 0
@@ -243,7 +243,7 @@ def integrate(
 
     def build(truncated):
         return Trajectory(
-            np.array(times),
+            times,
             tuple(states),
             h.label,
             method,

@@ -3,7 +3,8 @@
 Metric components are position functions built on :mod:`zgeoflow.dual`
 primitives; each one's value, gradient and Hessian come from compiled float
 code.  Christoffel symbols and Riemann entries are one formula on those float
-lists, so a curvature point runs no numpy; only the tensor getters build arrays.
+lists, so a curvature point runs no numpy; only the tensor getters
+(:func:`christoffel`, :func:`riemann`) import it, to build arrays.
 
 Sign conventions are fixed so that the round unit 2-sphere has sectional
 curvature +1.  Lorentzian signatures are supported throughout: nothing
@@ -21,12 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from . import dual
 from .phase import EvaluationDomainError, PhaseFunction, PhasePoint
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: metric components with magnitude below this are treated as degenerate
 DEGENERACY_CUTOFF = 1e-12
@@ -62,8 +64,8 @@ class DiagonalMetric:
         jets = tuple(dual.CompiledGradient(2) for _ in self.components)
         object.__setattr__(self, "_jets", jets)
 
-    def values(self, q) -> np.ndarray:
-        return np.array(self._nondegenerate([float(c(list(q))) for c in self.components], q))
+    def values(self, q) -> list:
+        return self._nondegenerate([float(c(list(q))) for c in self.components], q)
 
     def _nondegenerate(self, gval, q):
         """``gval``, or MetricDegenerateError if an entry vanishes."""
@@ -72,7 +74,7 @@ class DiagonalMetric:
         return gval
 
     def signature(self, q) -> tuple:
-        return tuple(int(np.sign(v)) for v in self.values(q))
+        return tuple(1 if v > 0 else -1 for v in self.values(q))
 
     def rescaled(self, factor: float) -> "DiagonalMetric":
         comps = tuple(
@@ -198,12 +200,16 @@ def _finite(values, g: DiagonalMetric, q):
 def christoffel(g: DiagonalMetric, q) -> np.ndarray:
     """Levi-Civita connection Gamma^k_{ij} of a diagonal metric, indexed
     [k, i, j]: the lists of :func:`_connection` as an array."""
+    import numpy as np
+
     return np.array(_connection(*_component_derivatives(g, q)[:2]))
 
 
 def riemann(g: DiagonalMetric, q) -> np.ndarray:
     """Riemann tensor R^l_{kij}, indexed [l, k, i, j]: every entry of
     :func:`_riemann_entry` as an array."""
+    import numpy as np
+
     gval, d1, d2 = _component_derivatives(g, q)
     gamma = _connection(gval, d1)
     riem = [_riemann_entry(gval, d1, d2, gamma, *idx) for idx in np.ndindex((g.dim,) * 4)]
@@ -265,7 +271,7 @@ def variable_curvature_sectionals(z: float, q) -> dict:
     """
     q1, q2, q3 = (float(v) for v in q)
     qq = q1 * q1 + q2 * q2 + q3 * q3
-    e = np.exp
+    e = math.exp
     k12 = z / 4.0 * e(-z * qq) * (1.0 + e(2 * z * q3 * q3) - 2.0 * e(2 * z * qq))
     k13 = (
         z
@@ -284,16 +290,16 @@ def variable_curvature_sectionals(z: float, q) -> dict:
         * e(-z * qq)
         * (2.0 - e(2 * z * q2 * q2) * e(2 * z * q3 * q3) - e(2 * z * qq))
     )
-    return {(0, 1): float(k12), (0, 2): float(k13), (1, 2): float(k23)}
+    return {(0, 1): k12, (0, 2): k13, (1, 2): k23}
 
 
 def variable_curvature_scalar(z: float, q) -> float:
     """Closed-form scalar curvature K = -5 z sinh(z |q|^2) of the same family."""
-    qq = float(np.dot(q, q))
-    return float(-5.0 * z * np.sinh(z * qq))
+    q1, q2, q3 = (float(v) for v in q)
+    return -5.0 * z * math.sinh(z * (q1 * q1 + q2 * q2 + q3 * q3))
 
 
 def gaussian_curvature_variable_2d(z: float, q) -> float:
     """Closed-form Gaussian curvature -z sinh(z (q1^2 + q2^2)) in 2D."""
     qq = float(q[0]) ** 2 + float(q[1]) ** 2
-    return float(-z * np.sinh(z * qq))
+    return -z * math.sinh(z * qq)

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from typing import Callable
-
-import numpy as np
 
 from . import dual
 
@@ -15,51 +14,59 @@ class EvaluationDomainError(ValueError):
     """A function was evaluated outside its domain (non-finite result)."""
 
 
+def scalar_vector(x) -> list:
+    """The entries of ``x`` as Python scalars: all complex if any entry is
+    complex (numpy's complex128 included), floats otherwise."""
+    vals = list(x)
+    if any(isinstance(v, complex) for v in vals):
+        return [complex(v) for v in vals]
+    return [float(v) for v in vals]
+
+
 def _as_vector(x, name):
-    arr = np.asarray(x)
-    if arr.ndim != 1 or arr.size < 1:
+    try:
+        vals = scalar_vector(x)
+    except TypeError:
+        vals = []
+    if not vals:
         raise ValueError(f"{name} must be a 1D vector of length >= 1")
-    if not np.issubdtype(arr.dtype, np.complexfloating):
-        arr = arr.astype(float)
-    if not np.all(np.isfinite(arr)):
+    finite = cmath.isfinite if isinstance(vals[0], complex) else math.isfinite
+    if not all(map(finite, vals)):
         raise ValueError(f"{name} must have finite entries")
-    arr.flags.writeable = False
-    return arr
+    return tuple(vals)
 
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """Position vector q and conjugate momentum vector p of equal length."""
+    """Position vector q and conjugate momentum vector p of equal length.
 
-    q: np.ndarray
-    p: np.ndarray
+    Each is a tuple of Python scalars: floats, or complex numbers throughout
+    a vector with one complex entry (the complex octant of kappa2 < 0)."""
+
+    q: tuple
+    p: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "q", _as_vector(self.q, "q"))
         object.__setattr__(self, "p", _as_vector(self.p, "p"))
-        if self.q.shape != self.p.shape:
+        if len(self.q) != len(self.p):
             raise ValueError("q and p must have identical length")
 
     @property
     def dim(self) -> int:
-        return self.q.size
+        return len(self.q)
 
     def scalars(self) -> tuple:
-        """(q, p) as lists for the generic scalar code: Python floats for a
-        real vector, which that code runs on fastest and without numpy's
-        overflow warnings; numpy complex scalars for a complex one, whose
-        arithmetic the complex-octant chart results are computed with."""
-        return tuple(
-            v.tolist() if v.dtype == float else list(v) for v in (self.q, self.p)
-        )
+        """(q, p) as lists, for the generic scalar code."""
+        return list(self.q), list(self.p)
 
-    def flat(self) -> np.ndarray:
-        return np.concatenate([self.q, self.p])
+    def flat(self) -> tuple:
+        return self.q + self.p
 
     @staticmethod
     def from_flat(x) -> "PhasePoint":
-        x = np.asarray(x)
-        n = x.size // 2
+        x = list(x)
+        n = len(x) // 2
         return PhasePoint(x[:n], x[n:])
 
 

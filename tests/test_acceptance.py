@@ -5,6 +5,7 @@ criterion.  Expected values used as oracles are independent transcriptions
 of the closed forms (evaluated in-line) or high-precision frozen constants.
 """
 
+import dataclasses
 import json
 import math
 
@@ -268,9 +269,9 @@ def test_criterion_6_coordinate_transform():
         for point in cart_interior_samples(5, seed=60):
             x = charts.cart_to_polar(point.q, z, 1.0)
             back = charts.polar_to_cart(x, z, 1.0)
-            worst_round = max(worst_round, float(np.max(np.abs(back - point.q))))
+            worst_round = max(worst_round, float(np.max(np.abs(np.subtract(back, point.q)))))
             res = charts.fundamental_bracket_residuals(point, z, 1.0)
-            worst_canon = max(worst_canon, float(res.max()))
+            worst_canon = max(worst_canon, float(np.max(res)))
             state = charts.transform_to_polar(point, z, 1.0, "chart").as_phase_point()
             hv = float(h_cart(point))
             worst_match = max(
@@ -286,11 +287,11 @@ def test_criterion_6_coordinate_transform():
             back = charts.transform_to_polar(cart, z, -1.0, "chart")
             worst_round = max(
                 worst_round,
-                float(np.max(np.abs(back.position() - pp.position()))),
-                float(np.max(np.abs(back.momentum() - pp.momentum()))),
+                float(np.max(np.abs(np.subtract(back.position(), pp.position())))),
+                float(np.max(np.abs(np.subtract(back.momentum(), pp.momentum())))),
             )
             res = charts.fundamental_bracket_residuals(cart, z, -1.0)
-            worst_canon = max(worst_canon, float(res.max()))
+            worst_canon = max(worst_canon, float(np.max(res)))
             hv = complex(h_cart.raw(list(cart.q), list(cart.p)))
             c2v = complex(c2_cart.raw(list(cart.q), list(cart.p)))
             c3v = complex(c3_cart.raw(list(cart.q), list(cart.p)))
@@ -310,6 +311,53 @@ def test_criterion_6_coordinate_transform():
         f"PASS criterion 6: round trip {worst_round:.2e}, canonicity "
         f"{worst_canon:.2e}, matched-point equalities {worst_match:.2e}"
     )
+
+
+def _agree(got, want, floor=0.0):
+    """Entry by entry, |got - want| <= 1e-13 max(floor, |got|, |want|)."""
+    return all(
+        abs(complex(u) - complex(v)) <= 1e-13 * max(floor, abs(u), abs(v))
+        for u, v in zip(got, want, strict=True)
+    )
+
+
+class _NumpyComplexPoint:
+    """A complex phase point whose scalars are numpy complex128, as
+    PhasePoint handed them to the chart code before it held Python scalars."""
+
+    dim = 3
+
+    def __init__(self, point):
+        self.q, self.p = point.q, point.p
+
+    def scalars(self):
+        return [np.complex128(v) for v in self.q], [np.complex128(v) for v in self.p]
+
+
+def test_criterion_6_complex_octant_matches_numpy_complex():
+    # the kappa2 < 0 chart results on Python complex scalars agree with the
+    # same code run on numpy complex128 ones, at criterion 6's points
+    for z in (0.3, 0.7):
+        for pp in relativistic_polar_samples(5, seed=61):
+            x = pp.position()
+            assert _agree(
+                charts._polar_to_cart_generic([complex(v) for v in x], z, -1.0),
+                charts._polar_to_cart_generic([np.complex128(v) for v in x], z, -1.0),
+            )
+            cart = charts.transform_to_cartesian(pp, z, -1.0, "chart")
+            from_numpy = charts.transform_to_cartesian(
+                charts.PolarPoint(*map(np.complex128, dataclasses.astuple(pp))), z, -1.0, "chart"
+            )
+            assert _agree(cart.flat(), from_numpy.flat())
+            assert _agree(
+                charts._cart_to_polar_generic(list(cart.q), z, -1.0),
+                charts._cart_to_polar_generic([np.complex128(v) for v in cart.q], z, -1.0),
+            )
+            assert _agree(
+                sum(charts.fundamental_bracket_residuals(cart, z, -1.0), []),
+                sum(charts.fundamental_bracket_residuals(_NumpyComplexPoint(cart), z, -1.0), []),
+                floor=1.0,  # residuals of brackets whose canonical values are 0 and 1
+            )
 
 
 def test_criterion_7_radial_reparametrization():

@@ -709,6 +709,24 @@ def test_transform_with_r_near_the_origin_at_small_z(tmp_path):
     assert results["r"] == pytest.approx(results["polar"]["rho"], rel=1e-15)
 
 
+def test_grid_axis_is_numpy_linspace_bit_for_bit():
+    import numpy as np
+
+    rng = np.random.default_rng(19)
+    cases = [(-0.0, 1.0, 1), (-0.0, -1.0, 1), (0.0, 5e-324, 3), (0.0, 1.5e-323, 11),
+             (1.0, 1.0, 4), (1.0, -1.0, 5), (3, 7, 2)]
+    for _ in range(2000):
+        lo, hi = rng.uniform(-2.0, 2.0, 2) * 10.0 ** rng.integers(-310, 300, 2)
+        cases.append((float(lo), float(hi), int(rng.integers(1, 12))))
+    for lo, hi, k in cases:
+        if not math.isfinite(hi - lo):
+            continue
+        got = cli._linspace(lo, hi, k)
+        assert all(type(v) is float for v in got)
+        want = np.linspace(lo, hi, k).tolist()
+        assert [v.hex() for v in got] == [v.hex() for v in want], (lo, hi, k)
+
+
 def test_simulate_metadata_has_solver_stats(tmp_path):
     meta = tmp_path / "m.json"
     args = ["simulate", "--n", "3", "--z", "0.3", "--q", "0.25,0.15,0.35",
@@ -795,6 +813,34 @@ def test_config_value_outside_choices_exits_one(command, key, choices, tmp_path,
     assert err.startswith(f"error: {key} must be one of ") and err.endswith(", got 'bogus'\n")
     assert all(repr(c) in err for c in choices)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [*((c, "grid_pionts") for c in sorted(_REQUIRED)), ("curvature", "samples"),
+     ("verify", "grid-points")],
+)
+def test_unknown_config_key_exits_one(command, key, tmp_path, capsys):
+    # a config key that names no setting of the subcommand is turned down,
+    # as a misspelt flag is, and nothing is written
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 9}))
+    out = tmp_path / "out"
+    argv = [command, *_REQUIRED[command], *_SMALL[command], f"--config={cfg}", f"--output={out}"]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: unknown config key {key!r}\n"
+    assert not out.exists()
+
+
+def test_embedded_config_reads_back_as_config_file(tmp_path):
+    # the resolved configuration an output embeds ("command" included) is a
+    # valid config file for the same command
+    out, again = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(["verify", "--n=2", "--samples=3", "--format=json", f"--output={out}"]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(json.loads(read(out))["config"]))
+    assert run(["verify", f"--config={cfg}", f"--output={again}"]) == 0
+    assert json.loads(read(again))["results"] == json.loads(read(out))["results"]
 
 
 #: the config each command resolves from its required flags alone

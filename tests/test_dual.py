@@ -649,8 +649,8 @@ def test_one_gradient_draws_one_tag():
     # one reverse pass per gradient; a function's later float gradients run
     # compiled code, which evaluates no number type and draws no tag
     x = PhasePoint([0.3, -0.2, 0.5, 0.1], [0.7, 0.1, -0.4, 0.2])
-    for take in (lambda h: dual.gradient(_flat(h), [*x.q.tolist(), *x.p.tolist()]),
-                 lambda h: gradient_lists(h, x.q.tolist(), x.p.tolist()),
+    for take in (lambda h: dual.gradient(_flat(h), [*x.q, *x.p]),
+                 lambda h: gradient_lists(h, list(x.q), list(x.p)),
                  lambda h: gradient(h, x)):
         h = hamiltonian_superintegrable(4, 0.3)
         tags = dual.fresh_tag()

@@ -117,7 +117,7 @@ def test_superintegrable_metric_is_conformal_to_integrable():
     gs = superintegrable_line_element(3, z)
     q = [0.5, -0.3, 0.8]
     factor = math.exp(-z * float(np.dot(q, q)))
-    assert gs.values(q) == pytest.approx(gi.values(q) * factor, rel=1e-12)
+    assert gs.values(q) == pytest.approx(np.array(gi.values(q)) * factor, rel=1e-12)
 
 
 def test_non_diagonal_hamiltonian_rejected():
@@ -283,7 +283,7 @@ def test_riemann_symmetries_and_bianchi():
     for _ in range(3):
         q = rng.uniform(-1, 1, 3)
         up = geo.riemann(g, q)
-        low = g.values(q)[:, None, None, None] * up  # R_{lkij} = g_ll R^l_{kij}
+        low = np.array(g.values(q))[:, None, None, None] * up  # R_{lkij} = g_ll R^l_{kij}
         assert np.max(np.abs(low + np.swapaxes(low, 0, 1))) < 1e-7
         assert np.max(np.abs(low + np.swapaxes(low, 2, 3))) < 1e-7
         assert np.max(np.abs(low - np.transpose(low, (2, 3, 0, 1)))) < 1e-7

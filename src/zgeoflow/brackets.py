@@ -263,12 +263,12 @@ def check_involution(
     funcs, samples: int = 50, seed: int = 0, threshold: float = 1e-9
 ) -> InvolutionReport:
     """Pairwise scaled bracket residual matrix for a list of phase functions."""
+    import numpy as np
+
     funcs = list(funcs)
     arities = {f.arity for f in funcs}
     if len(arities) != 1:
         raise ValueError("all functions must share the same arity")
-    import numpy as np
-
     n = arities.pop()
     res = np.zeros((len(funcs), len(funcs)))
     for x in sample_points(n, samples, seed):

@@ -306,7 +306,8 @@ def test_bracket_matrix_matches_pair_formula(case):
     assert np.array_equal(scales, scales.T)
     for a, fa in enumerate(funcs):
         for b, fb in enumerate(funcs):
-            (aq, ap), (bq, bp) = (map(np.array, (g.dq, g.dp)) for g in (gradient(fa, x), gradient(fb, x)))
+            ga, gb = gradient(fa, x), gradient(fb, x)
+            aq, ap, bq, bp = (np.array(v) for v in (ga.dq, ga.dp, gb.dq, gb.dp))
             val = np.dot(aq, bp) - np.dot(ap, bq)
             scale = np.sum(np.abs(aq * bp)) + np.sum(np.abs(ap * bq))
             assert abs(vals[a, b] - val) <= 1e-15 * scale

@@ -9,9 +9,11 @@ command exits 1.
 
 Exit codes: 0 success, 1 configuration error (bad flags, config file or
 output path), 2 numerical/verification failure (including overflow and
-domain errors from the evaluation).  Identical configuration (seed
-included) produces byte-identical output files; every output embeds the
-fully resolved configuration.
+domain errors from the evaluation).  Each error is raised where it is
+found, and ``main`` alone reports it, as ``error: <message>`` on stderr,
+and returns its exit code.  Identical configuration (seed included)
+produces byte-identical output files; every output embeds the fully
+resolved configuration.
 """
 
 from __future__ import annotations
@@ -90,6 +92,16 @@ FAMILY_REGISTRY = {
     "exp": (dual.exp, "exp"),
     "one-plus": (lambda x: 1.0 + x, "1+x"),
 }
+
+
+class _Error(Exception):
+    """An error found by ``_resolve`` or a command: ``main`` prints
+    ``error: <message>`` and returns ``code``.  It is no ValueError, which
+    ``main`` reports as a numerical failure."""
+
+    def __init__(self, message, code=EXIT_CONFIG):
+        super().__init__(message)
+        self.code = code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -215,28 +227,27 @@ def _resolve(args, sub):
 
     ``sub`` is the subcommand's parser.  Each setting its ``options`` table
     declares, from a flag or the config file, is checked against its option
-    as a flag is; one left unset takes its ``sub.builtin`` default.  Returns
-    None, after printing the error, when the file cannot be read or holds no
-    JSON object, names a key that is no setting of the subcommand, a setting
-    has the wrong type (``_fits``) or a value outside its option's choices,
-    a float setting is not finite, or kappa2 is zero.
+    as a flag is, and a number from the file is stored as its flag's type
+    would store it (an integer for a float setting as a float); one left
+    unset takes its ``sub.builtin`` default.  Raises ``_Error`` when the
+    file cannot be read or holds no JSON object, names a key that is no
+    setting of the subcommand, a setting has the wrong type (``_fits``) or
+    a value outside its option's choices, a float setting is not finite, or
+    kappa2 is zero.
     """
     cfg = vars(args).copy()
     if cfg["config"]:
         try:
             with open(cfg["config"]) as fh:
                 file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
-            print(f"error: cannot read config file: {err}", file=sys.stderr)
-            return None
+        except (OSError, ValueError) as err:  # ValueError: not JSON, or not UTF-8
+            raise _Error(f"cannot read config file: {err}") from err
         if not isinstance(file_cfg, dict):
-            print("error: config file must hold a JSON object", file=sys.stderr)
-            return None
+            raise _Error("config file must hold a JSON object")
         for name, val in file_cfg.items():
             key = name.replace("-", "_")
             if key not in cfg:  # as argparse turns down an unknown flag
-                print(f"error: unknown config key {name!r}", file=sys.stderr)
-                return None
+                raise _Error(f"unknown config key {name!r}")
             if cfg[key] is None:
                 cfg[key] = val
     for action in sub.options.values():
@@ -247,18 +258,18 @@ def _resolve(args, sub):
             if val is None:  # optional setting left unset
                 continue
         if not _fits(action, val):
-            print(f"error: {key} has the wrong type: {val!r}", file=sys.stderr)
-            return None
+            raise _Error(f"{key} has the wrong type: {val!r}")
         if action.choices is not None and val not in action.choices:
             choices = ", ".join(map(repr, action.choices))
-            print(f"error: {key} must be one of {choices}, got {val!r}", file=sys.stderr)
-            return None
-        if action.type is float and not _finite(val):
-            print(f"error: {key} must be a finite number, got {val!r}", file=sys.stderr)
-            return None
+            raise _Error(f"{key} must be one of {choices}, got {val!r}")
+        if action.type is float:
+            if not _finite(val):
+                raise _Error(f"{key} must be a finite number, got {val!r}")
+            cfg[key] = float(val)
+        elif action.type is _vector:
+            cfg[key] = [float(v) for v in val]
     if cfg.get("kappa2") == 0:
-        print("error: kappa2 must be nonzero", file=sys.stderr)
-        return None
+        raise _Error("kappa2 must be nonzero")
     del cfg["config"]
     return cfg
 
@@ -272,11 +283,9 @@ def cmd_verify(cfg) -> int:
     samples, seed = cfg["samples"], cfg["seed"]
     threshold = cfg["threshold"]
     if n < 1:
-        print("error: dimension must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
+        raise _Error("dimension must be >= 1")
     if samples < 1:
-        print("error: need at least one sample", file=sys.stderr)
-        return EXIT_CONFIG
+        raise _Error("need at least one sample")
 
     failures = []
     results = {}
@@ -287,7 +296,7 @@ def cmd_verify(cfg) -> int:
         "j3_jminus": algebra.residual_j3_jminus,
         "jminus_jplus": algebra.residual_jminus_jplus,
     }
-    if not algebra.passed:
+    if not (algebra.max_residual < threshold):
         failures.append(f"bracket relations (max {algebra.max_residual:.3e})")
 
     pts = sample_points(n, min(samples, 50), seed)
@@ -389,16 +398,9 @@ def _build_system(cfg):
         h = hamiltonian_integrable(n, z)
     elif selector == "superintegrable":
         h = hamiltonian_superintegrable(n, z)
-    elif selector.startswith("family:"):
-        key = selector.split(":", 1)[1]
-        if key not in FAMILY_REGISTRY:
-            raise ValueError(
-                f"unknown family {key!r}; registered: {sorted(FAMILY_REGISTRY)}"
-            )
-        fn, label = FAMILY_REGISTRY[key]
+    else:  # family:<key>, a key of FAMILY_REGISTRY (the option's choices)
+        fn, label = FAMILY_REGISTRY[selector.split(":", 1)[1]]
         h = hamiltonian_family(n, z, fn, label)
-    else:
-        raise ValueError(f"unknown hamiltonian selector {selector!r}")
     monitored = {"H": h}
     for m in range(2, min(n, 3) + 1):
         monitored[f"C({m})"] = casimir_m(m, n, z)
@@ -413,23 +415,15 @@ def _build_system(cfg):
 def cmd_simulate(cfg) -> int:
     try:
         h, monitored = _build_system(cfg)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    if cfg["q"] is None or cfg["p"] is None:
-        print("error: simulate needs --q and --p", file=sys.stderr)
-        return EXIT_CONFIG
-    if cfg["dt"] <= 0 or cfg["t_end"] <= 0:
-        print("error: dt and t-end must be positive", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
+        if cfg["q"] is None or cfg["p"] is None:
+            raise _Error("simulate needs --q and --p")
+        if cfg["dt"] <= 0 or cfg["t_end"] <= 0:
+            raise _Error("dt and t-end must be positive")
         x0 = PhasePoint(cfg["q"], cfg["p"])
-        if x0.dim != cfg["n"]:
-            print("error: initial state dimension mismatch", file=sys.stderr)
-            return EXIT_CONFIG
     except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise _Error(str(err)) from err
+    if x0.dim != cfg["n"]:
+        raise _Error("initial state dimension mismatch")
 
     truncated = False
     message = None
@@ -442,11 +436,9 @@ def cmd_simulate(cfg) -> int:
         truncated = True
         message = str(err)
     except (EvaluationDomainError, OutOfChartError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise _Error(str(err), EXIT_NUMERICAL) from err
     except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise _Error(str(err)) from err
 
     header, rows = trajectory_table(traj, monitored)
     content = _csv(header, rows, cfg)
@@ -472,8 +464,7 @@ def cmd_simulate(cfg) -> int:
     if cfg["metadata"]:
         _write(cfg["metadata"], meta)
     if truncated:
-        print(f"error: {message}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise _Error(message, EXIT_NUMERICAL)
     return EXIT_OK
 
 
@@ -485,16 +476,13 @@ def cmd_curvature(cfg) -> int:
     n, z = cfg["n"], cfg["z"]
     chart = cfg["chart"]
     if n not in (2, 3):
-        print("error: curvature grids support n = 2 or 3", file=sys.stderr)
-        return EXIT_CONFIG
+        raise _Error("curvature grids support n = 2 or 3")
     if cfg["grid_points"] < 1:
-        print("error: grid-points must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
+        raise _Error("grid-points must be >= 1")
     lo = cfg["grid_min"] if cfg["grid_min"] is not None else (0.3 if chart == "polar" else -1.0)
     hi = cfg["grid_max"] if cfg["grid_max"] is not None else (1.1 if chart == "polar" else 1.0)
     if not math.isfinite(hi - lo):
-        print("error: the grid span grid-max - grid-min is not finite", file=sys.stderr)
-        return EXIT_CONFIG
+        raise _Error("the grid span grid-max - grid-min is not finite")
     cfg["grid_min"], cfg["grid_max"] = lo, hi
 
     check = [
@@ -512,8 +500,7 @@ def cmd_curvature(cfg) -> int:
         g = line_element_from_hamiltonian(h, n, check)
     else:
         if n != 3:
-            print("error: polar charts are three-dimensional", file=sys.stderr)
-            return EXIT_CONFIG
+            raise _Error("polar charts are three-dimensional")
         system = (
             integrable_polar_system(z, cfg["kappa2"])
             if cfg["metric"] == "integrable"
@@ -557,8 +544,7 @@ def cmd_curvature(cfg) -> int:
         ZeroDivisionError,
         OverflowError,
     ) as err:
-        print(f"error: metric not usable on the grid: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise _Error(f"metric not usable on the grid: {err}", EXIT_NUMERICAL) from err
     _write(cfg["output"], _csv(header, rows, cfg))
     return EXIT_OK
 
@@ -570,14 +556,11 @@ def cmd_curvature(cfg) -> int:
 def cmd_transform(cfg) -> int:
     z, kappa2 = cfg["z"], cfg["kappa2"]
     if cfg["q"] is None:
-        print("error: transform needs --q", file=sys.stderr)
-        return EXIT_CONFIG
+        raise _Error("transform needs --q")
     if len(cfg["q"]) != 3:
-        print("error: the polar chart is three-dimensional", file=sys.stderr)
-        return EXIT_CONFIG
+        raise _Error("the polar chart is three-dimensional")
     if cfg["p"] is not None and len(cfg["p"]) != 3:
-        print("error: p must have three components, like q", file=sys.stderr)
-        return EXIT_CONFIG
+        raise _Error("p must have three components, like q")
     to_polar = cfg["direction"] == "to-polar"
     norm = cfg["normalization"]
     p = cfg["p"] if cfg["p"] is not None else [0.0, 0.0, 0.0]
@@ -627,8 +610,7 @@ def cmd_transform(cfg) -> int:
             residuals["canonicity_max"] = _worst([v for row in mat for v in row])
     except OutOfChartError as err:
         rel = f" (relation {err.relation})" if err.relation else ""
-        print(f"error: out of chart{rel}: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise _Error(f"out of chart{rel}: {err}", EXIT_NUMERICAL) from err
     _write(cfg["output"], _json_report(cfg, results, residuals))
     # written as not (x < tol), so that a nan residual fails too
     failures = [
@@ -640,8 +622,7 @@ def cmd_transform(cfg) -> int:
         if value is not None and not value < tol
     ]
     if failures:
-        print("error: " + "; ".join(failures), file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise _Error("; ".join(failures), EXIT_NUMERICAL)
     return EXIT_OK
 
 
@@ -680,8 +661,8 @@ def build_parser() -> _Parser:
     ps.add_argument("--kappa2", type=float, builtin=1.0)
     ps.add_argument(
         "--hamiltonian",
+        choices=("integrable", "superintegrable", *(f"family:{k}" for k in FAMILY_REGISTRY)),
         builtin="integrable",
-        help="integrable | superintegrable | family:<one|exp|one-plus>",
     )
     ps.add_argument("--chart", choices=("cartesian", "polar"), builtin="cartesian")
     ps.add_argument("--q", type=_vector, help="initial positions, comma separated")
@@ -781,13 +762,14 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
     command = args.command
-    cfg = _resolve(args, build_parser().subcommands.choices[command])
-    if cfg is None:
-        return EXIT_CONFIG
-    cfg.pop("command", None)
-    cfg["command"] = command
     try:
+        cfg = _resolve(args, build_parser().subcommands.choices[command])
+        cfg.pop("command", None)
+        cfg["command"] = command
         return _COMMANDS[command](cfg)
+    except _Error as err:
+        print(f"error: {err}", file=sys.stderr)
+        return err.code
     except BrokenPipeError:
         return EXIT_OK
     except OSError as err:

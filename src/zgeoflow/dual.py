@@ -642,8 +642,8 @@ def derivative(f, x):
 # compiled passes: a recorded reverse pass as straight-line float code
 # ---------------------------------------------------------------------------
 
-#: (order, operation skeleton) -> compiled code; the oldest goes first once
-#: MAX_SKELETONS are held
+#: (order, operation skeleton) -> compiled code that passed its check
+#: against a recorded pass; the oldest goes first once MAX_SKELETONS are held
 _SKELETONS = {}
 MAX_SKELETONS = 256
 
@@ -796,26 +796,19 @@ def _skeleton(tape, out, n, order):
 
 def _compile(tape, out, n, order):
     """The compiled pass of the given order of the recorded pass (``tape``,
-    output ``out``), called as ``code(args, consts)``; one compilation per
-    order and operation skeleton, whatever the constants."""
-    key = _skeleton(tape, out, n, order)
-    code = _SKELETONS.get(key)
-    if code is None:
-        entries = {}
-        lines, ret = (_emit if order == 1 else _emit2)(n, tape.ops, out.s, entries)
-        head = [f"{', '.join(f'v{i}' for i in range(n))}, = x"]
-        if tape.consts:
-            head.append(f"{', '.join(f'c{i}' for i in range(len(tape.consts)))}, = c")
-        body = "\n    ".join([*head, *lines, f"return {ret}"])
-        names = {}
-        for f, e in entries.items():
-            names[f"R{e}"], names[f"D{e}"], names[f"E{e}"] = f.real, f.d1, f.d2
-        exec(compile(f"def code(x, c):\n    {body}\n", "<compiled pass>", "exec"), names)
-        code = names["code"]
-        if len(_SKELETONS) >= MAX_SKELETONS:
-            del _SKELETONS[next(iter(_SKELETONS))]
-        _SKELETONS[key] = code
-    return code
+    output ``out``), called as ``code(args, consts)``, whatever the
+    constants."""
+    entries = {}
+    lines, ret = (_emit if order == 1 else _emit2)(n, tape.ops, out.s, entries)
+    head = [f"{', '.join(f'v{i}' for i in range(n))}, = x"]
+    if tape.consts:
+        head.append(f"{', '.join(f'c{i}' for i in range(len(tape.consts)))}, = c")
+    body = "\n    ".join([*head, *lines, f"return {ret}"])
+    names = {}
+    for f, e in entries.items():
+        names[f"R{e}"], names[f"D{e}"], names[f"E{e}"] = f.real, f.d1, f.d2
+    exec(compile(f"def code(x, c):\n    {body}\n", "<compiled pass>", "exec"), names)
+    return names["code"]
 
 
 class CompiledGradient:
@@ -824,19 +817,20 @@ class CompiledGradient:
     the gradient of :func:`gradient` (``order=1``) or the value, gradient
     and Hessian of :func:`taylor2` (``order=2``).
 
-    The first call records ``f`` (one recorded reverse pass).  When that
-    record's skeleton compiled already, for any earlier function with the
-    same operation sequence, the call runs that code on the record's
-    constants: the code was checked against a pass when it compiled, and
-    it does the float operations the record did, so it equals this
+    The first call records ``f`` (one recorded reverse pass).  When code
+    for that record's skeleton is cached already, from any earlier function
+    with the same operation sequence, the call runs that code on the
+    record's constants: the cache holds only code that agreed with a pass,
+    and it does the float operations the record did, so it equals this
     function's pass too.  Otherwise the first call is also the pass (at
     order 1 the record's sweep, at order 2 one jet pass), and the second
-    compiles the record, checks the code against the first call's result,
-    and runs it; so do all later calls.  The code draws no tag: it
-    evaluates no number type.  A record that read a node's value (see
-    :func:`primal`) may take another sequence at another input, so its
-    function stays on the per-call pass, as does one whose record raises
-    where its jet pass answers, and so do calls with a non-float argument.
+    compiles the record, checks the code against the first call's result
+    and, if they agree, caches the code for the skeleton and runs it; so do
+    all later calls.  The code draws no tag: it evaluates no number type.
+    A record that read a node's value (see :func:`primal`) may take another
+    sequence at another input, so its function stays on the per-call pass,
+    as does one whose record raises where its jet pass answers, and so do
+    calls with a non-float argument.
     (A function that catches the exceptions of its own arithmetic could
     branch unseen; none in this package does.)
     """
@@ -880,7 +874,9 @@ class CompiledGradient:
             return result
         args0, result0, tape, out = self.first
         self.first = None
-        code, consts = _compile(tape, out, n, self.order), tuple(tape.consts)
+        key = _skeleton(tape, out, n, self.order)
+        code = _SKELETONS.get(key) or _compile(tape, out, n, self.order)
+        consts = tuple(tape.consts)
         try:
             agrees = code(args0, consts) == result0
         except (ArithmeticError, TypeError, ValueError):
@@ -888,6 +884,10 @@ class CompiledGradient:
         if not agrees:
             self.opaque = True
             return run(f, args)
+        if key not in _SKELETONS:
+            if len(_SKELETONS) >= MAX_SKELETONS:
+                del _SKELETONS[next(iter(_SKELETONS))]
+            _SKELETONS[key] = code
         self.consts = consts  # before the code: a call that sees the code sees them
         self.code = code
         return code(args, consts)

@@ -89,6 +89,18 @@ def test_verify_threshold_violation_is_numerical_failure(tmp_path):
     assert b"FAIL" in read(out)
 
 
+def test_verify_threshold_gates_the_bracket_relations(tmp_path, capsys):
+    # at n = 1 only the bracket relations can exceed a tiny threshold: the
+    # centrality check needs n >= 2, and the 1-site Casimir keeps its 1e-12
+    out = tmp_path / "report.json"
+    argv = ["verify", "--n=1", "--samples=4", "--threshold=1e-30", "--format=json"]
+    assert run(argv + [f"--output={out}"]) == 2
+    doc = json.loads(read(out))
+    assert doc["residuals"]["max"] > 1e-30 and doc["results"]["passed"] is False
+    err = capsys.readouterr().err
+    assert err.startswith("verification failed: ") and "bracket relations (max " in err
+
+
 def test_verify_takes_one_gradient_per_function_and_point(monkeypatch):
     calls = []
     counted = brackets.gradient
@@ -778,6 +790,36 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert doc["config"]["samples"] == 12
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curvature", "--n=2", "--grid-points=1"],
+        ["verify", "--n=2", "--samples=2", "--format=json"],
+        ["transform", "--roundtrip"],
+        ["simulate", "--t-end=0.002"],
+    ],
+)
+def test_config_file_numbers_are_embedded_as_their_flags_write_them(argv, tmp_path):
+    # one configuration writes one file: an integer in the config file for a
+    # float setting or a vector entry is embedded as the flag's float
+    options = cli.build_parser().subcommands.choices[argv[0]].options
+    values = {"z": 1, "kappa2": 2, "q": [1, 1, 1], "p": [0, 1, 0]}
+    values = {k: v for k, v in values.items() if f"--{k}" in options}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    flags = [f"--{k}={','.join(map(str, v)) if isinstance(v, list) else v}"
+             for k, v in values.items()]
+    out, meta = tmp_path / "out", tmp_path / "meta"
+    if argv[0] == "simulate":
+        argv = argv + [f"--metadata={meta}"]
+    outputs = []
+    for extra in [f"--config={cfg}"], flags:
+        assert run(argv + extra + [f"--output={out}"]) == 0
+        outputs.append([read(p) for p in (out, meta) if p.exists()])
+    assert outputs[0] == outputs[1]
+    assert b'"z": 1.0' in outputs[0][0]
+
+
 #: each command's required flags, and a small run of it
 _REQUIRED = {
     "verify": [],
@@ -876,9 +918,10 @@ def test_builtin_config_of_each_command(command, monkeypatch):
 
 def test_bad_config_file(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
-    cfg.write_text("{not json")
-    assert run(["verify", "--config", str(cfg)]) == 1
-    assert "config" in capsys.readouterr().err
+    for content in (b"{not json", b"\xff\xfe{}"):  # not JSON; not UTF-8
+        cfg.write_bytes(content)
+        assert run(["verify", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read config file: ")
 
 
 def test_family_hamiltonians_selectable(tmp_path):

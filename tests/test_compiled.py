@@ -142,6 +142,28 @@ def test_the_skeleton_cache_is_bounded(monkeypatch):
         assert len(dual._SKELETONS) == min(n, 3)
 
 
+def test_code_that_fails_its_check_is_not_cached(monkeypatch):
+    # code that disagrees with its record's pass falls back for its own
+    # function and is not shared: a later function of the same shape is
+    # checked again, and never runs it unchecked
+    monkeypatch.setattr(dual, "_SKELETONS", {})
+    emit = dual._emit
+
+    def off_by_one(*args):
+        lines, ret = emit(*args)
+        return lines, ret.replace("[", "[1.0 + ", 1)
+
+    monkeypatch.setattr(dual, "_emit", off_by_one)
+    for factor in (3.0, 5.0):
+        f = lambda a: a[0] * a[1] * factor  # noqa: E731
+        state = dual.CompiledGradient(1)
+        for x in ([1.0, 2.0], [2.0, 3.0]):
+            assert state(f, x) == dual.gradient(f, x)
+        assert state.opaque and state.code is None
+    assert dual.gradient(f, [2.0, 3.0]) == [15.0, 10.0]
+    assert not dual._SKELETONS
+
+
 def test_compiled_code_raises_what_the_reverse_pass_raises():
     # a guard inside compiled code: theta = 0 is the polar chart boundary
     h = charts.integrable_polar_system(0.3, 1.0).hamiltonian

@@ -228,8 +228,8 @@ def _resolve(args, sub):
     ``sub`` is the subcommand's parser.  Each setting its ``options`` table
     declares, from a flag or the config file, is checked against its option
     as a flag is, and a number from the file is stored as its flag's type
-    would store it (an integer for a float setting as a float); one left
-    unset takes its ``sub.builtin`` default.  Raises ``_Error`` when the
+    would store it (an integer as a float in a float or vector setting);
+    one left unset takes its ``sub.builtin`` default.  Raises ``_Error`` when the
     file cannot be read or holds no JSON object, names a key that is no
     setting of the subcommand, a setting has the wrong type (``_fits``) or
     a value outside its option's choices, a float setting is not finite, or

@@ -33,6 +33,7 @@ from .brackets import (
     check_involution,
     gradient,
     gradient_fd,
+    gradient_rows,
     independence_rank,
     poisson_bracket,
 )
@@ -85,6 +86,7 @@ __all__ = [
     "gaussian_curvature_2d",
     "gradient",
     "gradient_fd",
+    "gradient_rows",
     "hamiltonian_family",
     "hamiltonian_integrable",
     "hamiltonian_superintegrable",

@@ -3,9 +3,11 @@
 Gradients are one reverse pass of :mod:`zgeoflow.dual` (machine precision);
 a central finite-difference path exists purely as an independent
 cross-check oracle and is never used by the bracket itself.  A gradient is
-a tuple of Python scalars; the verification suites (the seeded sample
-draws, the bracket residual tables, the rank's SVD) import numpy in their
-bodies, so only ``verify`` loads it.
+a tuple of Python scalars.  :func:`gradient_rows` stacks them into the
+one table of gradient rows that the algebra, involution and rank checks
+read; they differentiate nothing themselves.  The verification suites (the
+seeded sample draws, the row table, the bracket residual tables, the rank's
+SVD) import numpy in their bodies, so only ``verify`` loads it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from .algebra import realize_generators, sinhc
+from .algebra import sinhc
+# perfbench/tracing.py binds this name in this module; keep it
+from .algebra import realize_generators
 from .phase import EvaluationDomainError, PhaseFunction, PhasePoint
 
 if TYPE_CHECKING:
@@ -86,6 +90,24 @@ def gradient_fd(f: PhaseFunction, x: PhasePoint) -> PhaseGradient:
     return PhaseGradient(tuple(out[:n]), tuple(out[n:]))
 
 
+def gradient_rows(funcs, points):
+    """Gradient rows (dq, dp) of ``funcs`` at ``points``: arrays indexed
+    [point, function, coordinate], with ``dq[k, a] = d f_a / dq`` at
+    ``points[k]``.  The one place the bracket, algebra, involution and rank
+    checks differentiate: one :func:`gradient` per function and point."""
+    import numpy as np
+
+    arities = {f.arity for f in funcs}
+    if len(arities) != 1:
+        raise ValueError("arity mismatch between bracket arguments")
+    grads = [gradient(f, x) for x in points for f in funcs]
+    shape = (len(points), len(funcs), arities.pop())
+    return (
+        np.array([g.dq for g in grads]).reshape(shape),
+        np.array([g.dp for g in grads]).reshape(shape),
+    )
+
+
 def bracket_matrix(funcs, x: PhasePoint):
     """All brackets {f_a, f_b} among ``funcs`` at ``x``, from one gradient each.
 
@@ -94,14 +116,8 @@ def bracket_matrix(funcs, x: PhasePoint):
     finite gradients overflow to inf and nan here without a warning; the
     non-finite entries fail every residual check that reads them.
     """
-    import numpy as np
-
-    if len({f.arity for f in funcs}) > 1:
-        raise ValueError("arity mismatch between bracket arguments")
-    grads = [gradient(f, x) for f in funcs]
-    return gradient_brackets(
-        np.array([g.dq for g in grads]), np.array([g.dp for g in grads])
-    )
+    dq, dp = gradient_rows(funcs, [x])
+    return gradient_brackets(dq[0], dp[0])
 
 
 def gradient_brackets(dq, dp):
@@ -160,14 +176,9 @@ def sample_points(n: int, samples: int, seed: int, scale: float = 2.0):
 class AlgebraReport:
     """Max residuals of the three defining bracket relations over a sample."""
 
-    n_sites: int
-    z: float
-    samples: int
-    seed: int
     residual_j3_jplus: float
     residual_j3_jminus: float
     residual_jminus_jplus: float
-    threshold: float = 1e-9
 
     @property
     def max_residual(self) -> float:
@@ -179,103 +190,54 @@ class AlgebraReport:
         )
         return float(worst.max())
 
-    @property
-    def passed(self) -> bool:
-        return self.max_residual < self.threshold
 
-    def to_text(self) -> str:
-        lines = [
-            f"n_sites = {self.n_sites}",
-            f"z = {self.z:.17g}",
-            f"samples = {self.samples}",
-            f"seed = {self.seed}",
-            f"residual_j3_jplus = {self.residual_j3_jplus:.17g}",
-            f"residual_j3_jminus = {self.residual_j3_jminus:.17g}",
-            f"residual_jminus_jplus = {self.residual_jminus_jplus:.17g}",
-            f"threshold = {self.threshold:.17g}",
-            f"passed = {self.passed}",
-        ]
-        return "\n".join(lines)
+def check_algebra(z: float, values, dq, dp) -> AlgebraReport:
+    """Verify the three defining brackets of the realization at sample points.
 
-
-def check_algebra(n: int, z: float, samples: int = 200, seed: int = 0) -> AlgebraReport:
-    """Verify the three defining brackets of the realization at random points.
-
-    Scaled residuals (see :func:`bracket_residual`) of:
+    ``values[k]`` holds (J-, J+, J3) at point k and ``dq[k]``, ``dp[k]``
+    their gradient rows (:func:`gradient_rows`).  Scaled residuals (see
+    :func:`bracket_residual`) of:
         {J3, J+} - 2 J+ cosh(z J-)
         {J3, J-} + 2 J- sinhc(z J-)        (equals -2 sinh(zJ-)/z, z = 0 safe)
         {J-, J+} - 4 J3
     """
     import numpy as np
 
-    if samples < 1:
+    if len(values) < 1:
         raise ValueError("need at least one sample")
-    gen = realize_generators(n, z)
-    jm, jp, j3 = gen.as_tuple()
     pairs = ([2, 2, 0], [1, 0, 1])  # {J3, J+}, {J3, J-}, {J-, J+} in (J-, J+, J3)
     worst = np.zeros(3)
     with np.errstate(all="ignore"):
-        for x in sample_points(n, samples, seed):
-            jm_v, jp_v, j3_v = (float(f(x)) for f in (jm, jp, j3))
+        for (jm_v, jp_v, j3_v), q, p in zip(values, dq, dp):
             target = np.array(
                 [2.0 * jp_v * np.cosh(z * jm_v), -2.0 * jm_v * sinhc(z * jm_v), 4.0 * j3_v]
             )
-            vals, scales = bracket_matrix((jm, jp, j3), x)
+            vals, scales = gradient_brackets(q, p)
             res = _scaled_residual(vals[pairs], scales[pairs], target)
             worst = np.maximum(worst, res)
-    r1, r2, r3 = (float(r) for r in worst)
-    return AlgebraReport(n, float(z), samples, seed, r1, r2, r3)
+    return AlgebraReport(*(float(r) for r in worst))
 
 
 @dataclass(frozen=True)
 class InvolutionReport:
     """Pairwise max |{f_i, f_j}| over a sample of phase points."""
 
-    labels: tuple
     residuals: np.ndarray
-    samples: int
-    seed: int
-    threshold: float = 1e-9
 
     @property
     def max_residual(self) -> float:
         return float(self.residuals.max())
 
-    @property
-    def passed(self) -> bool:
-        return self.max_residual < self.threshold
 
-    def to_text(self) -> str:
-        lines = [
-            f"functions = {', '.join(self.labels)}",
-            f"samples = {self.samples}",
-            f"seed = {self.seed}",
-            f"threshold = {self.threshold:.17g}",
-            f"passed = {self.passed}",
-            "residual_matrix:",
-        ]
-        for row in self.residuals:
-            lines.append("  " + " ".join(f"{v:.10e}" for v in row))
-        return "\n".join(lines)
-
-
-def check_involution(
-    funcs, samples: int = 50, seed: int = 0, threshold: float = 1e-9
-) -> InvolutionReport:
-    """Pairwise scaled bracket residual matrix for a list of phase functions."""
+def check_involution(dq, dp) -> InvolutionReport:
+    """Pairwise scaled bracket residual matrix of the functions whose
+    gradient rows (:func:`gradient_rows`) are ``dq``, ``dp``."""
     import numpy as np
 
-    funcs = list(funcs)
-    arities = {f.arity for f in funcs}
-    if len(arities) != 1:
-        raise ValueError("all functions must share the same arity")
-    n = arities.pop()
-    res = np.zeros((len(funcs), len(funcs)))
-    for x in sample_points(n, samples, seed):
-        res = np.maximum(res, _scaled_residual(*bracket_matrix(funcs, x)))
-    return InvolutionReport(
-        tuple(f.label for f in funcs), res, samples, seed, threshold
-    )
+    res = np.zeros((dq.shape[1], dq.shape[1]))
+    for q, p in zip(dq, dp):
+        res = np.maximum(res, _scaled_residual(*gradient_brackets(q, p)))
+    return InvolutionReport(res)
 
 
 class IndependenceRank(NamedTuple):
@@ -288,10 +250,9 @@ class IndependenceRank(NamedTuple):
     margin: float
 
 
-def independence_rank(
-    funcs, x: PhasePoint, tolerance: float = RANK_TOLERANCE
-) -> IndependenceRank:
-    """Numerical rank of the stacked gradients of ``funcs`` at ``x``.
+def independence_rank(dq, dp, tolerance: float = RANK_TOLERANCE) -> IndependenceRank:
+    """Numerical rank of one point's gradient rows ``dq``, ``dp`` (indexed
+    [function, coordinate]), each row the gradient (dq, dp) of one function.
 
     Each gradient row is first divided by its largest entry in magnitude
     (which cannot overflow, unlike its length).  Row scaling leaves the
@@ -302,7 +263,7 @@ def independence_rank(
     """
     import numpy as np
 
-    mat = np.asarray([gradient(f, x).flat() for f in funcs])
+    mat = np.concatenate([dq, dp], axis=1)
     scale = np.max(np.abs(mat), axis=1, initial=0.0)
     mat = mat / np.where(scale > 0.0, scale, 1.0)[:, None]
     svals = np.linalg.svd(mat, compute_uv=False)

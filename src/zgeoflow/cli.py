@@ -4,7 +4,7 @@ Flags take ``--name value`` or ``--name=value``.  Write a value that starts
 with ``-`` as ``--name=value``: in ``--p -0.05,0.04,0.06`` the vector reads
 as an option, and the command exits 1 with "expected one argument".
 ``--config file.json`` supplies settings that flags override; each value in
-it is checked as its flag is (type, choices, a finite number), or the
+it is checked as its flag is (type, choices, finite numbers), or the
 command exits 1.
 
 Exit codes: 0 success, 1 configuration error (bad flags, config file or
@@ -37,6 +37,7 @@ from .algebra import (
     integral_extra_3,
     realize_generators,
 )
+from .brackets import gradient_rows
 # perfbench/tracing.py binds each of these names in this module; keep them
 from .brackets import (
     bracket_residual,
@@ -232,8 +233,8 @@ def _resolve(args, sub):
     one left unset takes its ``sub.builtin`` default.  Raises ``_Error`` when the
     file cannot be read or holds no JSON object, names a key that is no
     setting of the subcommand, a setting has the wrong type (``_fits``) or
-    a value outside its option's choices, a float setting is not finite, or
-    kappa2 is zero.
+    a value outside its option's choices, a float setting or a vector entry
+    is not finite, or kappa2 is zero.
     """
     cfg = vars(args).copy()
     if cfg["config"]:
@@ -267,6 +268,8 @@ def _resolve(args, sub):
                 raise _Error(f"{key} must be a finite number, got {val!r}")
             cfg[key] = float(val)
         elif action.type is _vector:
+            if not all(map(_finite, val)):
+                raise _Error(f"{key} must have finite entries, got {val!r}")
             cfg[key] = [float(v) for v in val]
     if cfg.get("kappa2") == 0:
         raise _Error("kappa2 must be nonzero")
@@ -287,10 +290,21 @@ def cmd_verify(cfg) -> int:
     if samples < 1:
         raise _Error("need at least one sample")
 
+    import numpy as np
+
     failures = []
     results = {}
 
-    algebra = check_algebra(n, z, samples, seed)
+    # each function is differentiated once, into one table of gradient rows:
+    # the generators at every sample point, and the other functions of
+    # [J-, J+, J3, C(2..n), H_int] + [H_sup, I(2), I(3)] (n >= 3) at the
+    # first min(samples, 50), which puts C(m) at index m + 1, H_int at
+    # n + 2 and H_sup at n + 3; every check reads its rows from the table
+    pts = sample_points(n, samples, seed)
+    gens = realize_generators(n, z).as_tuple()
+    values = [[float(f(x)) for f in gens] for x in pts]
+    gen_q, gen_p = gradient_rows(gens, pts)
+    algebra = check_algebra(z, values, gen_q, gen_p)
     results["bracket_relations"] = {
         "j3_jplus": algebra.residual_j3_jplus,
         "j3_jminus": algebra.residual_j3_jminus,
@@ -299,26 +313,20 @@ def cmd_verify(cfg) -> int:
     if not (algebra.max_residual < threshold):
         failures.append(f"bracket relations (max {algebra.max_residual:.3e})")
 
-    pts = sample_points(n, min(samples, 50), seed)
+    pts = pts[:50]
     c1 = casimir_one(z, n)
     c1_max = _worst([abs(float(c1(x))) for x in pts])
     results["casimir_one"] = c1_max
     if not (c1_max < 1e-12):
         failures.append(f"1-site Casimir not zero ({c1_max:.3e})")
 
-    # every bracket check reads a block of one residual table over
-    # [J-, J+, J3, C(2..n), H_int] + [H_sup, I(2), I(3)] (n >= 3), which
-    # puts C(m) at index m + 1, H_int at n + 2 and H_sup at n + 3
-    gen = realize_generators(n, z)
-    casimirs = [casimir_m(m, n, z) for m in range(2, n + 1)]
-    h_int = hamiltonian_integrable(n, z)
-    tower = [h_int, *casimirs]
-    fns = [*gen.as_tuple(), *casimirs, h_int]
+    rest = [*(casimir_m(m, n, z) for m in range(2, n + 1)), hamiltonian_integrable(n, z)]
     if n >= 3:
-        h_sup = hamiltonian_superintegrable(n, z)
-        i2, i3 = integral_extra_2(z, n), integral_extra_3(z, n)
-        fns += [h_sup, i2, i3]
-    res = check_involution(fns, min(samples, 50), seed, threshold).residuals
+        rest += [hamiltonian_superintegrable(n, z), integral_extra_2(z, n), integral_extra_3(z, n)]
+    rest_q, rest_p = gradient_rows(rest, pts)
+    dq = np.concatenate([gen_q[:50], rest_q], axis=1)
+    dp = np.concatenate([gen_p[:50], rest_p], axis=1)
+    res = check_involution(dq, dp).residuals
     # the array max and _worst keep a NaN, and every gate is written to fail on one
     centrality = float(res[3 : n + 2, :3].max(initial=0.0))
     results["casimir_centrality"] = centrality
@@ -332,7 +340,6 @@ def cmd_verify(cfg) -> int:
     worst = [algebra.max_residual, centrality, tower_res]
 
     if n >= 3:
-        sup_set = [h_sup, casimirs[0], casimirs[1], i2, i3]
         # each constant commutes with H; the triples {H,C2,C3} and {H,I2,I3}
         # are mutually in involution (all five together cannot be).  The two
         # triple blocks hold H's row against C2, C3, I2 and I3.
@@ -342,10 +349,13 @@ def cmd_verify(cfg) -> int:
         worst.append(sup_res)
         if not (sup_res < threshold):
             failures.append(f"superintegrable involution ({sup_res:.3e})")
-        # rank per point, and its margin: the smallest kept singular-value
-        # ratio, how far the rank decision was from the tolerance
-        for key, funcs, want in (("superintegrable", sup_set, 5), ("integrable", tower, n)):
-            ranks = [independence_rank(funcs, x) for x in pts[: min(10, len(pts))]]
+        # rank per point of [H_sup, C2, C3, I2, I3] and [H_int, C(2..n)],
+        # and its margin: the smallest kept singular-value ratio, how far
+        # the rank decision was from the tolerance
+        sets = (("superintegrable", [h, 3, 4, h + 1, h + 2], 5),
+                ("integrable", [n + 2, *range(3, n + 2)], n))
+        for key, rows, want in sets:
+            ranks = [independence_rank(q[rows], p[rows]) for q, p in zip(dq[:10], dp[:10])]
             results[f"{key}_rank"] = [r.rank for r in ranks]
             results[f"{key}_rank_margin"] = [r.margin for r in ranks]
             if any(r.rank != want for r in ranks):

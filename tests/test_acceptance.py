@@ -29,6 +29,7 @@ from zgeoflow.brackets import (
     check_algebra,
     check_involution,
     gradient_fd,
+    gradient_rows,
     independence_rank,
     sample_points,
 )
@@ -98,12 +99,14 @@ def test_criterion_1_algebra_realization():
     worst = 0.0
     for n in range(1, 6):
         for z in Z_GRID_ALGEBRA:
-            report = check_algebra(n, z, samples=200, seed=42)
-            worst = max(worst, report.max_residual)
-            assert report.passed, f"N={n} z={z}: {report.to_text()}"
-            # FD oracle spot check on the three defining brackets
             gen = realize_generators(n, z)
             jm, jp, j3 = gen.as_tuple()
+            pts = sample_points(n, 200, seed=42)
+            values = [[float(f(x)) for f in (jm, jp, j3)] for x in pts]
+            report = check_algebra(z, values, *gradient_rows((jm, jp, j3), pts))
+            worst = max(worst, report.max_residual)
+            assert report.max_residual < 1e-9, f"N={n} z={z}: {report}"
+            # FD oracle spot check on the three defining brackets
             for x in sample_points(n, 3, seed=7):
                 for f, g in ((j3, jp), (j3, jm), (jm, jp)):
                     gf, gg = gradient_fd(f, x), gradient_fd(g, x)
@@ -147,7 +150,7 @@ def test_criterion_2_casimir_hierarchy():
             for g in gen.as_tuple():
                 for x in pts:
                     central_worst = max(central_worst, bracket_residual(c, g, x))
-        rep = check_involution(cas, samples=25, seed=91)
+        rep = check_involution(*gradient_rows(cas, pts))
         central_worst = max(central_worst, rep.max_residual)
     assert central_worst < 1e-9
     print(
@@ -164,20 +167,23 @@ def test_criterion_3_integrability_and_superintegrability():
     c2, c3 = casimir_m(2, 3, z), casimir_m(3, 3, z)
     i2, i3 = integral_extra_2(z, 3), integral_extra_3(z, 3)
 
-    rep = check_involution([h_int, c2, c3], samples=40, seed=6)
-    assert rep.passed, rep.to_text()
+    pts = sample_points(3, 40, seed=6)
+    rep = check_involution(*gradient_rows([h_int, c2, c3], pts))
+    assert rep.max_residual < 1e-9, rep
     worst = rep.max_residual
     for c in (c2, c3, i2, i3):
-        for x in sample_points(3, 40, seed=6):
+        for x in pts:
             worst = max(worst, bracket_residual(h_sup, c, x))
     for triple in ([h_sup, c2, c3], [h_sup, i2, i3]):
-        rep = check_involution(triple, samples=40, seed=6)
+        rep = check_involution(*gradient_rows(triple, pts))
         worst = max(worst, rep.max_residual)
     assert worst < 1e-9
 
     pts = sample_points(3, 10, seed=33)
-    ranks_int = [independence_rank([h_int, c2, c3], x).rank for x in pts]
-    ranks_sup = [independence_rank([h_sup, c2, c3, i2, i3], x).rank for x in pts]
+    int_q, int_p = gradient_rows([h_int, c2, c3], pts)
+    sup_q, sup_p = gradient_rows([h_sup, c2, c3, i2, i3], pts)
+    ranks_int = [independence_rank(q, p).rank for q, p in zip(int_q, int_p)]
+    ranks_sup = [independence_rank(q, p).rank for q, p in zip(sup_q, sup_p)]
     assert all(r == 3 for r in ranks_int), ranks_int
     assert all(r == 5 for r in ranks_sup), ranks_sup
     print(

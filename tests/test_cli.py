@@ -10,6 +10,7 @@ import shlex
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,8 +23,17 @@ from zgeoflow.algebra import (
     integral_extra_2,
     integral_extra_3,
     realize_generators,
+    sinhc,
 )
-from zgeoflow.brackets import bracket_residual, check_involution, sample_points
+from zgeoflow.brackets import (
+    bracket_matrix,
+    bracket_residual,
+    check_involution,
+    gradient,
+    gradient_rows,
+    independence_rank,
+    sample_points,
+)
 from zgeoflow.cli import main
 from zgeoflow.phase import PhaseFunction
 
@@ -109,28 +119,39 @@ def test_verify_takes_one_gradient_per_function_and_point(monkeypatch):
         calls.append(f.label)
         return counted(f, x)
 
+    tags = []
+    drawn = dual.fresh_tag
+
+    def counting_tags():
+        tags.append(None)
+        return drawn()
+
     monkeypatch.setattr(brackets, "gradient", counting)
+    monkeypatch.setattr(dual, "fresh_tag", counting_tags)
     with contextlib.redirect_stdout(io.StringIO()):
         assert run(["verify", "--n=3", "--samples=4", "--output=-"]) == 0
-    # per point: the algebra's 3, the table's 9 (J-, J+, J3, C2, C3, H_int,
-    # H_sup, I2, I3) and the two ranks' 5 + 3
-    assert len(calls) <= 4 * (3 + 9 + 8)
+    # per point, one gradient of each of J-, J+, J3, C2, C3, H_int, H_sup,
+    # I2 and I3, and each function built once: one recorded pass each, its
+    # later gradients run the compiled code, which draws no tag
+    assert len(calls) == 4 * 9
+    assert len(tags) == 9
 
 
 @pytest.mark.parametrize(
     "pair, check, key",
     [
-        (("C(2)", "J+(3)"), "Casimir centrality", "casimir_centrality"),
-        (("H_int(3)", "C(3)"), "integrable involution", "integrable_involution"),
-        (("H_sup(3)", "I(3)"), "superintegrable involution", "superintegrable_involution"),
+        # rows of [J-, J+, J3, C2, C3, H_int, H_sup, I2, I3] at n = 3
+        ((3, 1), "Casimir centrality", "casimir_centrality"),
+        ((5, 4), "integrable involution", "integrable_involution"),
+        ((6, 8), "superintegrable involution", "superintegrable_involution"),
     ],
 )
 def test_verify_fails_on_a_nan_bracket(pair, check, key, tmp_path, monkeypatch, capsys):
     table = cli.check_involution
 
-    def with_nan(funcs, *args):
-        report = table(funcs, *args)
-        a, b = ([f.label for f in funcs].index(label) for label in pair)
+    def with_nan(dq, dp):
+        report = table(dq, dp)
+        a, b = pair
         report.residuals[a, b] = report.residuals[b, a] = math.nan
         return report
 
@@ -146,28 +167,48 @@ def test_verify_fails_on_a_nan_bracket(pair, check, key, tmp_path, monkeypatch, 
     assert math.isnan(json.loads(read(out))["residuals"]["max"])
 
 
+def _rank(funcs, x):
+    """independence_rank of the rows of one ``gradient`` per function at ``x``."""
+    grads = [gradient(f, x) for f in funcs]
+    return independence_rank(np.array([g.dq for g in grads]), np.array([g.dp for g in grads]))
+
+
 def _per_pair_brackets(n, z, samples, seed):
-    """verify's bracket checks as per-pair loops and separate tables."""
+    """verify's checks per function: the bracket relations from bracket_matrix
+    on fresh generators, per-pair loops and separate tables, and ranks from
+    per-point gradient rows."""
     pts = sample_points(n, min(samples, 50), seed)
+    gens = jm, jp, j3 = realize_generators(n, z).as_tuple()
+    worst = [0.0, 0.0, 0.0]
+    for x in sample_points(n, samples, seed):
+        vals, scales = bracket_matrix(gens, x)
+        m, p, t = (float(f(x)) for f in gens)
+        targets = (2.0 * p * np.cosh(z * m), -2.0 * m * sinhc(z * m), 4.0 * t)
+        for k, ((a, b), target) in enumerate(zip(((2, 1), (2, 0), (0, 1)), targets)):
+            res = abs(vals[a, b] - target) / max(1.0, abs(target), scales[a, b])
+            worst[k] = max(worst[k], float(res))
     casimirs = [casimir_m(m, n, z) for m in range(2, n + 1)]
-    gens = realize_generators(n, z).as_tuple()
+    tower = [hamiltonian_integrable(n, z), *casimirs]
     out = {
+        "bracket_relations": dict(zip(("j3_jplus", "j3_jminus", "jminus_jplus"), worst)),
         "casimir_centrality": max(
             [bracket_residual(c, g, x) for c in casimirs for g in gens for x in pts]
         ),
-        "integrable_involution": check_involution(
-            [hamiltonian_integrable(n, z), *casimirs], min(samples, 50), seed
-        ).max_residual,
+        "integrable_involution": check_involution(*gradient_rows(tower, pts)).max_residual,
     }
     if n >= 3:
         h = hamiltonian_superintegrable(n, z)
         extra = [integral_extra_2(z, n), integral_extra_3(z, n)]
         pairs = [bracket_residual(h, c, x) for c in casimirs[:2] + extra for x in pts]
         triples = [
-            check_involution(t, min(samples, 50), seed).max_residual
+            check_involution(*gradient_rows(t, pts)).max_residual
             for t in ([h, *casimirs[:2]], [h, *extra])
         ]
         out["superintegrable_involution"] = max(pairs + triples)
+        for key, funcs in (("superintegrable", [h, *casimirs[:2], *extra]), ("integrable", tower)):
+            ranks = [_rank(funcs, x) for x in pts[:10]]
+            out[f"{key}_rank"] = [r.rank for r in ranks]
+            out[f"{key}_rank_margin"] = [r.margin for r in ranks]
     return out
 
 
@@ -219,6 +260,24 @@ def test_non_finite_or_zero_parameters_exit_one(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["transform"], ["simulate", "--p=0,0,0", "--t-end=0.01"],
+])
+@pytest.mark.parametrize("flag, config", [
+    ("--q=inf,0,0", None),
+    (None, '{"q": [1e400, 0, 0]}'),
+    (None, '{"q": [1' + 400 * "0" + ', 0, 0]}'),  # an int beyond float range
+])
+def test_non_finite_vector_entries_exit_one(command, flag, config, tmp_path, capsys):
+    # a vector entry that is no finite float is a configuration error, as for a number
+    argv = [*command, flag or f"--config={tmp_path / 'cfg.json'}", f"--output={tmp_path / 'out'}"]
+    if config:
+        (tmp_path / "cfg.json").write_text(config)
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("error: q must have finite entries, got [")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -33,18 +33,25 @@ a function does not depend on its input, that record is emitted once as
 straight-line Python and run on plain floats (source transformation,
 Griewank & Walther ch. 6 and 13; :class:`CompiledGradient`): at order 1
 the forward values and then the adjoint sweep, at order 2 the value, the
-gradient and the packed Hessian part by part.  The code is cached on the
-order and the operation skeleton, so a shape compiles once per process
-whatever its constants, and a new function of a known shape (a Hamiltonian
-or metric component at another z or kappa2, whose parameters are lifted
-constants) runs the cached code from its first call on its own record's
-constants.  Every value, partial and part is computed as the
-``Rev`` (order 1) or ``Jet`` (order 2) operators compute it, in the same
-order, so compiled code equals the per-call pass bit for bit; that pass
-stays the per-call path and the oracle.  Fallback rule: a pass that read a
-node's value through :func:`primal` may branch on it, so its function
-never compiles, and a call with a non-float argument takes the per-call
-pass.  A compiled call evaluates no number type and draws no tag.
+gradient and the packed Hessian part by part, of one output or of each of
+a list of them.  Order-2 code is value-numbered (ibid., ch. 6): an
+operation that repeats an earlier one on the same operands and an equal
+constant is computed once, which is exact in forward mode, so the outputs
+of one record share what they have in common (all components of a metric
+share their site coefficients).  The code is cached on the order and the
+operation skeleton, at order 2 together with which constants are equal, so
+a shape compiles once per process whatever its constants' values, and a
+new function of a known shape (a Hamiltonian or metric at another z or
+kappa2, whose parameters are lifted constants) runs the cached code from
+its first call on its own record's constants.  Every value, partial and
+part is computed as the ``Rev`` (order 1) or ``Jet`` (order 2) operators
+compute it, in the same order, so compiled code equals the per-call pass
+bit for bit; that pass stays the per-call path and the oracle.  Fallback
+rule: a pass that read a node's value through :func:`primal` may branch on
+it, so its function never compiles, and a call with a non-float argument
+takes the per-call pass.  A compiled call evaluates no number type and
+draws no tag.  :func:`compiled_values` emits a record's forward values
+alone, for float formulas that are not differentiated.
 
 Nesting rule.  Jet and reverse passes are outermost: their inputs are plain
 floats or complex numbers.  Forward dual passes may run inside a reverse
@@ -56,9 +63,10 @@ raises ``ValueError``.
 
 The helpers :func:`partial`, :func:`gradient`, :func:`second_partial`,
 :func:`jet`, :func:`taylor2`, :func:`hessian`, the one-variable
-:func:`derivative` and :class:`CompiledGradient` (gradients at order 1,
-value-gradient-Hessian triples at order 2) are the only code in the
-package that creates tags, seeds inputs and extracts derivative parts, and
+:func:`derivative`, :class:`CompiledGradient` (gradients at order 1,
+value-gradient-Hessian triples at order 2) and :func:`compiled_values` are
+the only code in the package that creates tags, seeds inputs and extracts
+derivative parts, and
 the builder is the only code outside the number types that reads their
 parts; every other module differentiates through them.  Each call of ``f``
 is one pass and draws its own tags: a first partial is one dual pass, a
@@ -622,8 +630,13 @@ def jet(f, args, order=2):
 
 def taylor2(f, args):
     """Float value, gradient and symmetric Hessian (list of rows) of ``f``,
-    all from the one jet pass of :func:`jet`."""
-    value, grad, hess = jet(f, args)
+    all from the one jet pass of :func:`jet`; a list-valued ``f`` gives one
+    such triple per component."""
+    out = jet(f, args)
+    return [_floats(*y) for y in out] if isinstance(out, list) else _floats(*out)
+
+
+def _floats(value, grad, hess):
     return float(value), [float(v) for v in grad], [[float(v) for v in row] for row in hess]
 
 
@@ -685,22 +698,65 @@ _ENTRY_FORM = (["{v} = R{e}({x})", "g{j} = D{e}({x}, {v})"], ["g{j}"], *_CHAIN,
 _WITH_CONST = frozenset((_ADDC, _SUBC, _RSUB, _MULC, _RDIV))
 
 
-def _operations(n, ops, entries):
+#: each operator's float operation as plain Python computes it, for
+#: forward-only code (a table entry's is R{e}({x}))
+_VALUES = {
+    _ADD: "{x} + {y}", _ADDC: "{x} + {c}", _SUB: "{x} - {y}", _SUBC: "{x} - {c}",
+    _RSUB: "{c} - {x}", _NEG: "-{x}", _MUL: "{x} * {y}", _MULC: "{x} * {c}",
+    _DIV: "{x} / {y}", _RDIV: "{c} / {x}", _POW: "{x} ** {p}",
+}
+
+
+def _operations(n, ops, entries, canon=None):
     """(operator code, operand slots, format names) of each operation past
     the n inputs of ``ops``; the lifted constants are c0, c1, ... in order
-    and ``entries`` numbers the table entries."""
+    and ``entries`` numbers the table entries.  ``canon`` (see
+    :func:`_value_numbers`) maps each operand to the slot that holds its
+    value."""
     nc = 0
     for j in range(n, len(ops)):
         code, *slots = ops[j]
-        names = {"j": j, "v": f"v{j}", "x": f"v{slots[0]}", "c": f"c{nc}"}
+        names = {"j": j, "v": f"v{j}", "c": f"c{nc}"}
         if code == _POW:
             names["p"] = slots.pop()
-        elif len(slots) == 2:
+        if canon is not None:
+            slots = [canon[s] for s in slots]
+        names["x"] = f"v{slots[0]}"
+        if len(slots) == 2:
             names["y"] = f"v{slots[1]}"
         elif code not in _FORMS:
             names["e"] = entries.setdefault(code, len(entries))
         nc += code in _WITH_CONST
         yield code, slots, names
+
+
+def _classes(consts):
+    """For each lifted constant, the index of the first one with the same
+    repr, which tells numbers apart by bits and type (-0.0 is not 0.0, nor
+    1.0 1); a nan, whose repr hides its bits, is in a class of its own."""
+    first = {}
+    classes = tuple(map(first.setdefault, map(repr, consts), count()))
+    if not any("nan" in key for key in first):
+        return classes
+    return tuple(k if c != c else m for k, (c, m) in enumerate(zip(consts, classes)))
+
+
+def _value_numbers(n, ops, classes):
+    """The slot whose value each value slot of ``ops`` takes: that of the
+    first operation with the same operator or table entry, the same operands
+    (as numbered), the same power and a lifted constant of the same class
+    (``classes``, see :func:`_classes`), or its own.  Such operations compute
+    the same bits in forward mode, so code that computes the first once
+    equals the pass (Griewank & Walther ch. 6)."""
+    canon, first, nc = list(range(n)), {}, 0
+    for j in range(n, len(ops)):
+        code, *slots = ops[j]
+        power = slots.pop() if code == _POW else None
+        const = classes[nc] if code in _WITH_CONST else None
+        nc += code in _WITH_CONST
+        key = (code, power, const, *[canon[s] for s in slots])
+        canon.append(first.setdefault(key, j))
+    return canon
 
 
 def _emit(n, ops, out, entries):
@@ -747,21 +803,27 @@ def _emit(n, ops, out, entries):
     return lines, f"[{', '.join(ret)}]"
 
 
-def _emit2(n, ops, out, entries):
+def _emit2(n, ops, out, entries, canon):
     """Body lines and return value of the (value, gradient, Hessian rows)
-    of value slot ``out`` of the forward operations ``ops``.
+    of value slot ``out`` of the forward operations ``ops``, or the list of
+    those triples for a tuple of slots ``out``.
 
     Part k of slot j is d{j}_k, and the inputs' parts are the 1.0 and 0.0
     of a jet pass's seeds.  Every value and part is computed as the ``Jet``
     operators compute it, in the same order, so the result equals a jet pass
     bit for bit: no zero part is dropped, since its sign and a 0 * inf
-    reach the result.  A part whose expression was computed already shares
-    its variable.
+    reach the result.  An operation that ``canon`` (see
+    :func:`_value_numbers`) numbers as an earlier one shares that one's
+    variables, and so does a part whose expression was computed already.
     """
     hidx = _hidx(n)
     lines, seen = [], {}  # seen: expression -> the variable that holds it
     parts = [["1.0" if k == i else "0.0" for k in range(n + len(hidx))] for i in range(n)]
-    for code, slots, names in _operations(n, ops, entries):
+    for code, slots, names in _operations(n, ops, entries, canon):
+        j = names["j"]
+        if canon[j] != j:
+            parts.append(parts[canon[j]])
+            continue
         form = _FORMS.get(code) or _ENTRY_FORM
         lines += [line.format(**names) for line in (form[4] if len(form) > 4 else form[0])]
         a = parts[slots[0]]
@@ -777,45 +839,76 @@ def _emit2(n, ops, out, entries):
                 pair = {"ai": a[i], "aj": a[m], "bi": b[i], "bj": b[m], "gi": d[i], "gj": d[m]}
                 expr = form[3].format(a=a[k], b=b[k], **pair, **names)
             if expr not in seen:
-                seen[expr] = f"d{names['j']}_{k}"
+                seen[expr] = f"d{j}_{k}"
                 lines.append(f"{seen[expr]} = {expr}")
             d.append(seen[expr])
         parts.append(d)
-    d = parts[out]
     at = {(i, m): k for k, i, m in hidx}
-    rows = [", ".join(d[at[min(i, m), max(i, m)]] for m in range(n)) for i in range(n)]
-    return lines, f"v{out}, [{', '.join(d[:n])}], [[{'], ['.join(rows)}]]"
+
+    def triple(s):
+        d = parts[s]
+        rows = [", ".join(d[at[min(i, m), max(i, m)]] for m in range(n)) for i in range(n)]
+        return f"v{canon[s]}, [{', '.join(d[:n])}], [[{'], ['.join(rows)}]]"
+
+    if type(out) is int:
+        return lines, triple(out)
+    return lines, f"[{', '.join(f'({triple(s)})' for s in out)}]"
+
+
+def _slots(out):
+    """The value slot of a pass output, or the tuple of them of a list."""
+    return tuple(y.s for y in out) if type(out) is list else out.s
 
 
 def _skeleton(tape, out, n, order):
     """The cache key of the compiled pass of the given order of the recorded
     pass (``tape``, output ``out``): the operation skeleton, whatever the
-    constants."""
-    return (order, n, out.s, tuple(tape.ops[n:]))
+    constants, and at order 2, whose code is value-numbered, which of the
+    constants are equal."""
+    key = (order, n, _slots(out), tuple(tape.ops[n:]))
+    return key if order == 1 else (*key, _classes(tape.consts))
+
+
+def _define(head, lines, ret, entries, names):
+    """The function ``code`` of the given head, body lines and return
+    value, with the table entries' R{e}, D{e} and E{e} and ``names`` as its
+    globals."""
+    for f, e in entries.items():
+        names[f"R{e}"], names[f"D{e}"], names[f"E{e}"] = f.real, f.d1, f.d2
+    body = "\n    ".join([*lines, f"return {ret}"])
+    exec(compile(f"def {head}:\n    {body}\n", "<compiled pass>", "exec"), names)
+    return names["code"]
 
 
 def _compile(tape, out, n, order):
     """The compiled pass of the given order of the recorded pass (``tape``,
     output ``out``), called as ``code(args, consts)``, whatever the
-    constants."""
+    constants (at order 2, whatever constants of the record's classes)."""
     entries = {}
-    lines, ret = (_emit if order == 1 else _emit2)(n, tape.ops, out.s, entries)
+    if order == 1:
+        lines, ret = _emit(n, tape.ops, out.s, entries)
+    else:
+        canon = _value_numbers(n, tape.ops, _classes(tape.consts))
+        lines, ret = _emit2(n, tape.ops, _slots(out), entries, canon)
     head = [f"{', '.join(f'v{i}' for i in range(n))}, = x"]
     if tape.consts:
         head.append(f"{', '.join(f'c{i}' for i in range(len(tape.consts)))}, = c")
-    body = "\n    ".join([*head, *lines, f"return {ret}"])
-    names = {}
-    for f, e in entries.items():
-        names[f"R{e}"], names[f"D{e}"], names[f"E{e}"] = f.real, f.d1, f.d2
-    exec(compile(f"def code(x, c):\n    {body}\n", "<compiled pass>", "exec"), names)
-    return names["code"]
+    return _define("code(x, c)", [*head, *lines], ret, entries, {})
+
+
+def _compiles(tape, out, order):
+    """Whether a record can compile: it read no value, and its output is a
+    node of its own tape, or at order 2 a list of them."""
+    outs = out if order == 2 and type(out) is list else [out]
+    return not tape.opaque and all(type(y) is Rev and y.t is tape for y in outs)
 
 
 class CompiledGradient:
-    """The derivatives of one scalar function ``f`` of float arguments, run
-    as compiled straight-line code once the operation sequence is known:
-    the gradient of :func:`gradient` (``order=1``) or the value, gradient
-    and Hessian of :func:`taylor2` (``order=2``).
+    """The derivatives of one function ``f`` of float arguments, run as
+    compiled straight-line code once the operation sequence is known: the
+    gradient of :func:`gradient` (``order=1``, a scalar ``f``) or the value,
+    gradient and Hessian of :func:`taylor2` (``order=2``; a list-valued
+    ``f`` gives one triple per component, from one record and one code).
 
     The first call records ``f`` (one recorded reverse pass).  When code
     for that record's skeleton is cached already, from any earlier function
@@ -860,7 +953,7 @@ class CompiledGradient:
                 result = run(f, args)  # raises too, or answers where the record cannot
                 self.opaque = True
                 return result
-            if tape.opaque or type(out) is not Rev:
+            if not _compiles(tape, out, self.order):
                 self.opaque = True
                 return _sweep(tape, out, n) if self.order == 1 else run(f, args)
             code = _SKELETONS.get(_skeleton(tape, out, n, self.order))
@@ -894,6 +987,57 @@ class CompiledGradient:
 
 
 _FLOAT = frozenset((float,))
+
+
+def compiled_values(f, args):
+    """Forward-only compiled code of a list-valued ``f``, called as
+    ``code(x)`` with x nested as ``args`` (lists and tuples of floats, read
+    by ``f`` in that nesting), or None where it cannot serve.
+
+    ``f`` is recorded once at ``args`` and the record's float operations are
+    emitted in their order, value-numbered, with its constants bound: each
+    operation as plain Python computes it, apart from a division of a value
+    by a plain number, which a record keeps as a product with the inverse.
+    The code is kept only if the record read no value and the code's
+    results equal those of ``f`` on the floats of ``args`` bit for bit.
+    """
+    flat = list(_leaves(args))
+    tape, out = _record(lambda xs: f(_nested(args, iter(xs))), flat)
+    if not (_compiles(tape, out, 2) and type(out) is list):
+        return None
+    n, entries = len(flat), {}
+    canon = _value_numbers(n, tape.ops, _classes(tape.consts))
+    target = _nested(args, iter(f"v{i}" for i in range(n)), lambda t: f"[{', '.join(t)}]")
+    lines = [f"{target} = x"]
+    for op, _, names in _operations(n, tape.ops, entries, canon):
+        if canon[names["j"]] == names["j"]:
+            lines.append(f"{names['v']} = {_VALUES.get(op, 'R{e}({x})').format(**names)}")
+    ret = f"[{', '.join(f'v{canon[y.s]}' for y in out)}]"
+    consts = {f"c{k}": c for k, c in enumerate(tape.consts)}
+    code = _define("code(x)", lines, ret, entries, consts)
+    try:
+        agrees = list(map(repr, code(args))) == list(map(repr, f(args)))
+    except (ArithmeticError, TypeError, ValueError):
+        agrees = False
+    return code if agrees else None
+
+
+def _leaves(x):
+    """The scalars of nested lists and tuples ``x``, in order."""
+    if isinstance(x, (list, tuple)):
+        for y in x:
+            yield from _leaves(y)
+    else:
+        yield x
+
+
+def _nested(like, leaves, join=list):
+    """``leaves`` (an iterator) nested as ``like``, each list or tuple of
+    ``like`` made by ``join`` from its items (a list, or the text of an
+    assignment target that unpacks such a value)."""
+    if isinstance(like, (list, tuple)):
+        return join(_nested(y, leaves, join) for y in like)
+    return next(leaves)
 
 
 # ---------------------------------------------------------------------------

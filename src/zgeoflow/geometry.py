@@ -1,10 +1,13 @@
 """Diagonal metrics, Christoffel symbols, Riemann tensor, curvatures.
 
 Metric components are position functions built on :mod:`zgeoflow.dual`
-primitives; each one's value, gradient and Hessian come from compiled float
-code.  Christoffel symbols and Riemann entries are one formula on those float
-lists, so a curvature point runs no numpy; only the tensor getters
-(:func:`christoffel`, :func:`riemann`) import it, to build arrays.
+primitives; the values, gradients and Hessians of all of a metric's
+components come from one compiled float code.  Christoffel symbols and
+Riemann entries are one formula on those float lists: the tensor getters
+(:func:`christoffel`, :func:`riemann`) run it in loops and import numpy only
+to build arrays, and :func:`curvature_summary` runs forward-only code
+recorded off it once per dimension, so a curvature point is two compiled
+calls and runs no numpy.
 
 Sign conventions are fixed so that the round unit 2-sphere has sectional
 curvature +1.  Lorentzian signatures are supported throughout: nothing
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import count
 from typing import TYPE_CHECKING, Sequence
 
 from . import dual
@@ -48,21 +52,24 @@ class DiagonalMetric:
 
     ``components[i]`` maps a length-N sequence of generic scalars to g_ii.
     Instances are immutable, apart from the state that caches the compiled
-    (value, gradient, Hessian) code of each component.  A component whose
-    operation sequence compiled earlier in the process (the same Hamiltonian
-    builder at another z or kappa2) runs that code from its first point.
+    (value, gradient, Hessian) code of all components at once.  A metric
+    whose operation sequence compiled earlier in the process (the same
+    Hamiltonian builder at another z or kappa2) runs that code from its
+    first point.
     """
 
     dim: int
     components: tuple
     label: str = ""
-    #: the (value, gradient, Hessian) state of each component (see
+    #: the state of q -> [g_11(q), ..., g_NN(q)] (see
     #: :func:`_component_derivatives`)
-    _jets: tuple = field(init=False, repr=False, compare=False)
+    _state: dual.CompiledGradient = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        jets = tuple(dual.CompiledGradient(2) for _ in self.components)
-        object.__setattr__(self, "_jets", jets)
+        object.__setattr__(self, "_state", dual.CompiledGradient(2))
+
+    def _all(self, q) -> list:
+        return [c(q) for c in self.components]
 
     def values(self, q) -> list:
         return self._nondegenerate([float(c(list(q))) for c in self.components], q)
@@ -150,14 +157,16 @@ def line_element_from_hamiltonian(
 
 
 def _component_derivatives(g: DiagonalMetric, q):
-    """Float lists of the metric values g_kk and their partials d1[k][i] =
-    d_i g_kk and d2[k][i][j] = d_i d_j g_kk: each component's (value,
-    gradient, Hessian) triple from its :class:`zgeoflow.dual.CompiledGradient`
-    state (at the first point a record, plus a jet pass unless the record's
-    shape compiled already; compiled code at the later ones)."""
+    """The (value, gradient, Hessian) triple of each metric component at q,
+    as float lists: d_i g_kk is triple k's gradient entry i, and d_i d_j g_kk
+    its Hessian entry [i][j].  One call of the metric's
+    :class:`zgeoflow.dual.CompiledGradient` state (at the first point a
+    record, plus a jet pass unless the record's shape compiled already;
+    compiled code at the later ones)."""
     q = [float(v) for v in q]
-    gval, d1, d2 = zip(*(jet(c, q) for jet, c in zip(g._jets, g.components)))
-    return g._nondegenerate(gval, q), d1, d2
+    triples = g._state(g._all, q)
+    g._nondegenerate([t[0] for t in triples], q)
+    return triples
 
 
 def _connection(gval, d1):
@@ -202,7 +211,8 @@ def christoffel(g: DiagonalMetric, q) -> np.ndarray:
     [k, i, j]: the lists of :func:`_connection` as an array."""
     import numpy as np
 
-    return np.array(_connection(*_component_derivatives(g, q)[:2]))
+    gval, d1, _ = zip(*_component_derivatives(g, q))
+    return np.array(_connection(gval, d1))
 
 
 def riemann(g: DiagonalMetric, q) -> np.ndarray:
@@ -210,7 +220,7 @@ def riemann(g: DiagonalMetric, q) -> np.ndarray:
     :func:`_riemann_entry` as an array."""
     import numpy as np
 
-    gval, d1, d2 = _component_derivatives(g, q)
+    gval, d1, d2 = zip(*_component_derivatives(g, q))
     gamma = _connection(gval, d1)
     riem = [_riemann_entry(gval, d1, d2, gamma, *idx) for idx in np.ndindex((g.dim,) * 4)]
     return np.reshape(_finite(riem, g, q), (g.dim,) * 4)
@@ -218,23 +228,51 @@ def riemann(g: DiagonalMetric, q) -> np.ndarray:
 
 def curvature_summary(g: DiagonalMetric, q):
     """All sectional curvatures and the scalar, on Python floats, from the
-    entries R^l_{klk} (l != k) of :func:`_riemann_entry` alone.
+    entries R^l_{klk} (l != k) of :func:`_riemann_entry` alone (see
+    :func:`_summary`), by the forward-only code recorded off that formula
+    for the metric's dimension.
 
     K_ij = R^i_{jij} / g_jj for i < j (the unit 2-sphere gives +1).  The Ricci
     scalar K = g^{ab} R_ab sums R^l_{klk} / g_kk over both orderings of each
     pair: it equals 2 * sum K_ij, but is not computed from the K_ij.
     """
-    gval, d1, d2 = _component_derivatives(g, q)
-    gamma = _connection(gval, d1)
+    triples = _component_derivatives(g, q)
     n = g.dim
+    code = _SUMMARIES.get(n)
+    if code is None:
+        code = _SUMMARIES[n] = dual.compiled_values(_summary, _probe(n)) or _summary
+    *sect, scal = _finite(code(triples), g, q)
+    return dict(zip(((i, j) for i in range(n) for j in range(i + 1, n)), sect)), scal
+
+
+def _summary(triples):
+    """[K_ij for i < j, row by row, then K] of the metric triples of
+    :func:`_component_derivatives`: each R^l_{klk} / g_kk once."""
+    gval, d1, d2 = zip(*triples)
+    n = len(gval)
+    gamma = _connection(gval, d1)
     ratio = {
         (l, k): _riemann_entry(gval, d1, d2, gamma, l, k, l, k) / gval[k]
         for l in range(n) for k in range(n) if l != k
     }
-    sect = {(i, j): ratio[i, j] for i in range(n) for j in range(i + 1, n)}
-    scal = sum(ratio.values())
-    _finite([*sect.values(), scal], g, q)
-    return sect, scal
+    return [*(ratio[i, j] for i in range(n) for j in range(i + 1, n)), sum(ratio.values())]
+
+
+#: dimension -> the forward-only code of :func:`_summary` (the function
+#: itself where it does not compile)
+_SUMMARIES = {}
+
+
+def _probe(n):
+    """Metric triples of dimension n to record :func:`_summary` at: its
+    operations depend on n alone, and these values are distinct and nonzero,
+    so the code is checked on every entry it reads."""
+    values = count(1)
+    return [
+        (1.0 + next(values) / 64.0, [next(values) / 64.0 for _ in range(n)],
+         [[next(values) / 64.0 for _ in range(n)] for _ in range(n)])
+        for _ in range(n)
+    ]
 
 
 def sectional_curvature(g: DiagonalMetric, q, i: int, j: int) -> float:

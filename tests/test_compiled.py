@@ -235,15 +235,18 @@ def test_simulate_running_into_the_boundary_matches_the_reverse_pass(
 
 
 def _metrics(z):
-    """The six metric shapes of ``curvature``, built as it builds them (no
-    kinetic check), each with a point sampler and whether it is Cartesian."""
+    """The metrics of ``curvature``, built as it builds them (no kinetic
+    check), each with a point sampler and whether it is Cartesian: four
+    Cartesian ones, and the two polar ones at kappa2 = 1 and -1."""
     for n in (2, 3):
         cart = lambda rng, n=n: [rng.uniform(-1.0, 1.0) for _ in range(n)]  # noqa: E731
         for family in (hamiltonian_integrable, hamiltonian_superintegrable):
             yield geometry.line_element_from_hamiltonian(family(n, z), n, []), cart, True
     polar = lambda rng: [rng.uniform(0.3, 1.1) for _ in range(3)]  # noqa: E731
-    for system in (charts.integrable_polar_system, charts.superintegrable_polar_system):
-        yield geometry.metric_from_hamiltonian(system(z, 1.0).hamiltonian, 3, []), polar, False
+    for kappa2 in (1.0, -1.0):
+        for system in (charts.integrable_polar_system, charts.superintegrable_polar_system):
+            h = system(z, kappa2).hamiltonian
+            yield geometry.metric_from_hamiltonian(h, 3, []), polar, False
 
 
 def _triple_bits(triple):
@@ -251,11 +254,12 @@ def _triple_bits(triple):
     return _bits([value, *grad, *(v for row in hess for v in row)])
 
 
-def _compiled_state(g, i, points):
-    """The state of component i of ``g`` after a jet pass and a compilation."""
-    state = g._jets[i]
+def _compiled_state(g, points):
+    """The state of all components of ``g`` after a jet pass and a
+    compilation."""
+    state = g._state
     for q in points:
-        state(g.components[i], q)
+        state(g._all, q)
     assert state.code is not None, g.label
     return state
 
@@ -270,19 +274,32 @@ def test_compiled_jets_equal_the_jet_pass_bit_for_bit(z):
         scale = abs(z) if cartesian else max(abs(z), 1.0)
         tiny = 0.5 * (kernels.SERIES_CUTOFF / scale) ** 0.5
         points = [sample(rng) for _ in range(24)]
-        if cartesian:  # the grid's q = 0, and sinhc's series
-            points += [[0.0] * n, [tiny] * n, [-tiny, *[0.5] * (n - 1)], [0.0, *[-tiny] * (n - 1)]]
-        else:  # polar: the kernels' series at small rho, theta and r
-            points += [[tiny, 0.7, 0.4], [0.6, tiny, 0.4], [tiny, tiny, 0.9]]
+        if cartesian:  # the grid's q = 0, signed zeros, and sinhc's series
+            points += [[0.0] * n, [-0.0] * n, [0.0, *[-0.0] * (n - 1)], [tiny] * n,
+                       [-tiny, *[0.5] * (n - 1)], [0.0, *[-tiny] * (n - 1)]]
+        else:  # polar: the kernels' series at small rho, theta and r, and phi = 0
+            points += [[tiny, 0.7, 0.4], [0.6, tiny, 0.4], [tiny, tiny, 0.9],
+                       [0.6, 0.7, 0.0], [0.6, tiny, -0.0]]
         assert all(scale * min(abs(v) for v in q) ** 2 < kernels.SERIES_CUTOFF
                    for q in points[24:])
-        for i, comp in enumerate(g.components):
-            state = _compiled_state(g, i, points[:2])
-            for q in points:
+        # all components from one compiled call, each bit for bit its own
+        # component's jet pass
+        state = _compiled_state(g, points[:2])
+        for q in points:
+            got = state(g._all, q)
+            assert len(got) == n
+            for i, comp in enumerate(g.components):
                 want = dual.taylor2(comp, q)
-                got = state(comp, q)
-                assert len(_triple_bits(got)) == 1 + n + n * n
-                assert _triple_bits(got) == _triple_bits(want), (g.label, i, q)
+                assert len(_triple_bits(got[i])) == 1 + n + n * n
+                assert _triple_bits(got[i]) == _triple_bits(want), (g.label, i, q)
+
+
+def test_constant_classes_compare_bits():
+    # value numbering merges operations on constants of one class: -0.0 and
+    # 0.0, or 1 and 1.0, are not one, and a nan is in none, not even its own
+    nan = float("nan")
+    consts = [0.0, -0.0, 0.0, nan, nan, 1, 1.0, 1.0, -0.0]
+    assert dual._classes(consts) == (0, 1, 0, 3, 4, 5, 6, 6, 1)
 
 
 def test_every_operator_compiles_as_the_jet_pass_computes():
@@ -320,10 +337,11 @@ def test_compiled_jets_keep_the_jet_pass_sign_of_zero():
         assert _triple_bits(state(f, q)) == _triple_bits(dual.taylor2(f, q)), q
 
 
-def test_one_skeleton_per_metric_shape_and_no_state_outlives_its_metric():
+def test_one_skeleton_per_metric_shape_and_no_state_outlives_its_metric(monkeypatch):
+    monkeypatch.setattr(dual, "_SKELETONS", {})
     g = geometry.line_element_from_hamiltonian(hamiltonian_integrable(3, 0.1), 3, [])
-    _compiled_state(g, 0, ([0.1, 0.2, 0.3], [0.3, 0.2, 0.1]))
-    before = set(dual._SKELETONS)
+    _compiled_state(g, ([0.1, 0.2, 0.3], [0.3, 0.2, 0.1]))
+    assert len(dual._SKELETONS) == 1
     rng = random.Random(11)
     refs, codes = [], set()
     for i in range(1000):
@@ -331,14 +349,19 @@ def test_one_skeleton_per_metric_shape_and_no_state_outlives_its_metric():
         g = geometry.line_element_from_hamiltonian(hamiltonian_integrable(3, z), 3, [])
         for _ in range(2):
             geometry.curvature_summary(g, [rng.uniform(-0.9, 0.9) for _ in range(3)])
-        codes.update(state.code for state in g._jets)
+        codes.add(g._state.code)
         refs.append(weakref.ref(g))
     del g
     gc.collect()
-    # the three components share the shape: g_ii evaluates h at the unit
-    # momentum e_i, whose entries are lifted constants
-    assert len(codes) == 1 and None not in codes
-    assert len(set(dual._SKELETONS) - before) == 0
+    # one code for all three components (g_ii evaluates h at the unit
+    # momentum e_i, whose entries are lifted constants), whatever z, apart
+    # from the two z of the sequence that equal another constant of the
+    # record bit for bit, 0.5 and 1.0: value numbering may merge operations
+    # on equal constants, so each compiles a code of its own
+    coinciding = {z for i in range(1000) if (z := (-1) ** i * (0.05 + i * 1e-3)) in (0.5, 1.0)}
+    assert coinciding == {0.5, 1.0}
+    assert len(codes) == 3 and None not in codes
+    assert len(dual._SKELETONS) == 1 + 2
     assert sum(r() is not None for r in refs) == 0
 
 
@@ -351,7 +374,7 @@ def test_a_component_that_reads_a_value_stays_on_the_jet_pass():
     g = geometry.DiagonalMetric(2, (comp, lambda q: 1.0 + q[1] * q[1]))
     for x in (0.5, -0.5, 0.25, -0.25, 0.75, -0.75):
         y = 1.5
-        value, grad, hess = g._jets[0](comp, [x, y])
+        (value, grad, hess), other = g._state(g._all, [x, y])
         if x > 0:
             want = (x * x * y, [2.0 * x * y, x * x], [[2.0 * y, 2.0 * x], [2.0 * x, 0.0]])
         else:
@@ -362,34 +385,36 @@ def test_a_component_that_reads_a_value_stays_on_the_jet_pass():
         assert grad == pytest.approx(want[1], rel=1e-15, abs=0.0)
         assert np.array(hess) == pytest.approx(np.array(want[2]), rel=1e-15, abs=0.0)
         assert _triple_bits((value, grad, hess)) == _triple_bits(dual.taylor2(comp, [x, y]))
+        assert _triple_bits(other) == _triple_bits(dual.taylor2(g.components[1], [x, y]))
         geometry.christoffel(g, [x, y])
-    state = g._jets[0]
+    # one state serves all components, so the other one's triples come from
+    # the jet pass too
+    state = g._state
     assert state.opaque and state.code is None and state.first is None
-    assert g._jets[1].code is not None  # the other component compiles
 
 
 def test_non_float_arguments_take_the_jet_pass():
     g = geometry.line_element_from_hamiltonian(hamiltonian_superintegrable(3, 0.3), 3, [])
-    state = _compiled_state(g, 1, ([0.2, 0.3, 0.4], [0.4, 0.3, 0.2]))
-    comp = g.components[1]
+    state = _compiled_state(g, ([0.2, 0.3, 0.4], [0.4, 0.3, 0.2]))
     for q in ([np.float64(0.3), 0.1, -0.2], [1, 0, 2], [0.5, np.float32(0.25), 0.125]):
         tags = dual.fresh_tag()
-        got = state(comp, q)
+        got = state(g._all, q)
         assert dual.fresh_tag() - tags == 2  # one jet pass
-        assert _triple_bits(got) == _triple_bits(dual.taylor2(comp, q))
+        for triple, comp in zip(got, g.components):
+            assert _triple_bits(triple) == _triple_bits(dual.taylor2(comp, q))
     tags = dual.fresh_tag()
-    state(comp, [0.3, 0.1, -0.2])
+    state(g._all, [0.3, 0.1, -0.2])
     assert dual.fresh_tag() - tags == 1  # compiled: no pass
 
 
 def test_compiled_jets_raise_what_the_jet_pass_raises():
     g = geometry.metric_from_hamiltonian(charts.integrable_polar_system(0.3, 1.0).hamiltonian, 3, [])
-    state = _compiled_state(g, 2, ([0.8, 0.4, 0.5], [0.7, 0.6, 0.5]))
+    state = _compiled_state(g, ([0.8, 0.4, 0.5], [0.7, 0.6, 0.5]))
     edge = [0.8, 0.0, 0.5]
     with pytest.raises(EvaluationDomainError) as want:
-        dual.taylor2(g.components[2], edge)
+        dual.taylor2(g._all, edge)
     with pytest.raises(EvaluationDomainError) as got:
-        state(g.components[2], edge)
+        state(g._all, edge)
     assert str(got.value) == str(want.value) == "chart-boundary singularity: sin(l2 theta)/l2 = 0"
 
     def f(q):
@@ -442,6 +467,7 @@ def test_curvature_at_the_polar_boundary_is_unchanged(tmp_path, capsys, monkeypa
     # process that has compiled no metric shape yet, then in a warm one
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(dual, "_SKELETONS", {})
+    monkeypatch.setattr(geometry, "_SUMMARIES", {})
     tags = []
     fresh_tag = dual.fresh_tag
 
@@ -450,8 +476,8 @@ def test_curvature_at_the_polar_boundary_is_unchanged(tmp_path, capsys, monkeypa
         return fresh_tag()
 
     monkeypatch.setattr(dual, "fresh_tag", counted)
-    for metric, passes in (("integrable", 1 + 2 * 3), ("superintegrable", 1 + 2 * 3),
-                           ("integrable", 1 + 3), ("superintegrable", 1 + 3)):
+    for metric, passes in (("integrable", 1 + 2 + 1), ("superintegrable", 1 + 2),
+                           ("integrable", 1 + 1), ("superintegrable", 1 + 1)):
         tags.clear()
         argv = ["curvature", "--chart=polar", "--n=3", "--z=0.3", f"--metric={metric}",
                 "--grid-min=-0.6", "--grid-max=0.6", "--grid-points=3", "--output=c.csv"]
@@ -460,8 +486,9 @@ def test_curvature_at_the_polar_boundary_is_unchanged(tmp_path, capsys, monkeypa
             "error: metric not usable on the grid: "
             "chart-boundary singularity: sin(l2 theta)/l2 = 0\n"
         )
-        # the kinetic check, then one record per component and, while the
-        # shape is new, one jet pass each
+        # the kinetic check, then one record of all components and, while
+        # the shape is new, one jet pass; the process's first curvature
+        # point also records the curvature formula
         assert len(tags) == passes
         assert not (tmp_path / "c.csv").exists()
 
@@ -475,7 +502,7 @@ def test_the_skeleton_bound_is_shared_by_both_orders(monkeypatch):
         for q in ([0.1] * n, [0.2] * n):
             gradient_lists(h, q, [0.3] * n)
         g = geometry.line_element_from_hamiltonian(h, n, [])
-        _compiled_state(g, 0, ([0.1] * n, [0.2] * n))
+        _compiled_state(g, ([0.1] * n, [0.2] * n))
         orders += [1, 2]
         assert [key[0] for key in dual._SKELETONS] == orders[-3:]
     # one function at both orders: one skeleton, two entries, two passes
@@ -521,8 +548,7 @@ def _builders(z, kappa2):
                for n in (2, 3) for family in (hamiltonian_integrable, hamiltonian_superintegrable)]
     metrics += [geometry.metric_from_hamiltonian(s.hamiltonian, 3, []) for s in systems]
     for g in metrics:
-        for i, (comp, state) in enumerate(zip(g.components, g._jets)):
-            yield (g.label, i), 2, state, comp, lambda rng, n=g.dim: polar(rng)[:n]
+        yield (g.label, g.dim), 2, g._state, g._all, lambda rng, n=g.dim: polar(rng)[:n]
 
 
 def _flat(h):
@@ -532,33 +558,48 @@ def _flat(h):
 
 def test_every_builder_records_one_skeleton_whatever_z_and_kappa2():
     # z and kappa2 are lifted constants of the record, so a new z or kappa2
-    # (z = 0 and |z| = 1e-9 included) finds the code its shape compiled
+    # (z = 0 and |z| = 1e-9 included) records the operations its shape
+    # compiled
     rng = random.Random(3)
-    skeletons, points = {}, {}
+    skeletons, classes, points = {}, {}, {}
     for z in _Z:
         for kappa2 in (1.0, -1.0):
             for name, order, state, f, sample in _builders(z, kappa2):
                 args = points.setdefault(name, sample(rng))
                 tape, out = dual._record(f, args)
-                assert not tape.opaque and type(out) is dual.Rev, name
-                skeletons.setdefault(name, set()).add(dual._skeleton(tape, out, len(args), order))
+                outs = out if order == 2 else [out]
+                assert not tape.opaque and {type(y) for y in outs} == {dual.Rev}, name
+                key = dual._skeleton(tape, out, len(args), order)
+                skeletons.setdefault(name, set()).add(key[:4])
+                if order == 2 and z in (-1e-9, 1e-9, 0.3):
+                    classes.setdefault((name, kappa2), set()).add(key[4:])
     # Cartesian phase functions at n = 1, 2, 3, 5 (44), the polar ones (6),
-    # the components of four Cartesian and two polar metrics (16)
-    assert len(skeletons) == 44 + 6 + 16
+    # four Cartesian and two polar metrics (6), all components at once
+    assert len(skeletons) == 44 + 6 + 6
     for name, seen in skeletons.items():
         assert len(seen) == 1, name
+    # the order-2 key also says which constants are equal, since its code is
+    # value-numbered: one class pattern per metric and kappa2 at every z
+    # that equals no other constant of the record; a polar metric has one
+    # per sign of kappa2, since kappa2 = 1 equals its unit momentum's 1.0
+    for key, seen in classes.items():
+        assert len(seen) == 1, key
+    for name in {name for name, kappa2 in classes}:
+        assert (classes[name, 1.0] == classes[name, -1.0]) == ("polar" not in name[0]), name
 
 
 def test_a_new_function_of_a_compiled_shape_runs_its_code_from_the_first_call():
     # its first call is one record, whose constants the cached code takes;
     # every call equals a per-call pass of its own function bit for bit
+    # (a polar metric compiles once per sign of kappa2, see above)
     rng = random.Random(13)
     codes = {}
-    for name, order, state, f, sample in _builders(0.41, 1.0):
-        for _ in range(2):  # a jet pass or a sweep, then the compilation
-            state(f, sample(rng))
-        codes[name] = state.code
-        assert state.code is not None, name
+    for kappa2 in (1.0, -1.0):
+        for name, order, state, f, sample in _builders(0.41, kappa2):
+            for _ in range(2):  # a jet pass or a sweep, then the compilation
+                state(f, sample(rng))
+            codes[name, kappa2] = state.code
+            assert state.code is not None, name
     for _ in range(3):
         z, kappa2 = rng.uniform(-1.5, 1.5), rng.choice((1.0, -1.0))
         for name, order, state, f, sample in _builders(z, kappa2):
@@ -567,11 +608,12 @@ def test_a_new_function_of_a_compiled_shape_runs_its_code_from_the_first_call():
                 tags = dual.fresh_tag()
                 got = state(f, args)
                 assert dual.fresh_tag() - tags == (2 if k == 0 else 1), name  # one record
-                assert state.code is codes[name], name
+                assert state.code is codes[name, kappa2], name
                 if order == 1:
                     assert _bits(got) == _bits(dual.gradient(f, args)), (name, z, args)
                 else:
-                    assert _triple_bits(got) == _triple_bits(dual.taylor2(f, args)), (name, z, args)
+                    want = dual.taylor2(f, args)
+                    assert [*map(_triple_bits, got)] == [*map(_triple_bits, want)], (name, z, args)
 
 
 def test_records_that_differ_only_in_the_output_do_not_share_code():
@@ -611,7 +653,7 @@ def test_a_wrapper_of_a_builder_function_shares_its_code():
 
 def test_warm_units_take_one_record_per_function(tmp_path, monkeypatch):
     # in a process that ran a unit of each kind, a curvature grid unit takes
-    # the kinetic check's jet pass and one record per metric component, and
+    # the kinetic check's jet pass and one record of all metric components, and
     # a simulate unit one record of its Hamiltonian: no jet pass, sweep or
     # compilation
     monkeypatch.chdir(tmp_path)
@@ -623,9 +665,9 @@ def test_warm_units_take_one_record_per_function(tmp_path, monkeypatch):
         return fresh_tag()
 
     units = [
-        (["curvature", "--n=3", "--metric=superintegrable", "--grid-points=2"], 1 + 3),
-        (["curvature", "--n=2", "--metric=integrable", "--grid-points=3"], 1 + 2),
-        (["curvature", "--chart=polar", "--metric=integrable", "--kappa2=-1", "--grid-points=2"], 1 + 3),
+        (["curvature", "--n=3", "--metric=superintegrable", "--grid-points=2"], 1 + 1),
+        (["curvature", "--n=2", "--metric=integrable", "--grid-points=3"], 1 + 1),
+        (["curvature", "--chart=polar", "--metric=integrable", "--kappa2=-1", "--grid-points=2"], 1 + 1),
         (["simulate", "--hamiltonian=superintegrable", "--q=0.1,0.2,0.3", "--p=0.05,0,0.01",
           "--t-end=0.01"], 1),
         (["simulate", "--chart=polar", "--hamiltonian=integrable", "--q=0.6,0.7,0.4",

@@ -358,13 +358,6 @@ class ChartPass:
         return self._parts[1]
 
 
-def position_jacobian(x, z: float, kappa2: float) -> list:
-    """Exact Jacobian d(cartesian)/d(polar) of :func:`polar_to_cart` at x,
-    the rows of the :class:`ChartPass` at x; OutOfChartError where it is
-    singular."""
-    return ChartPass(x, z, kappa2).jacobian
-
-
 @dataclass(frozen=True)
 class PolarPoint:
     """A point of the polar chart with its conjugate momenta."""

@@ -320,16 +320,22 @@ class Jet:
         return self._chain(v, d1, -2.0 * d1 * inv)
 
     def __pow__(self, n):
-        if isinstance(n, int):
-            if n == 0:
-                return self.v**0
-            if n < 0:
-                return 1.0 / self.__pow__(-n)
-            if n == 1:
-                return self
-            x = self.v
-            return self._chain(x**n, n * x ** (n - 1), n * (n - 1) * x ** (n - 2))
-        return exp(n * log(self))
+        return _power(self, n, lambda x, n: self._chain(
+            x**n, n * x ** (n - 1), n * (n - 1) * x ** (n - 2)))
+
+
+def _power(x, n, parts):
+    """x ** n of a jet or reverse node x: x ** 0 is the value's, x ** 1 is x
+    and x ** -n is 1 / x ** n, so that one record serves both orders of
+    compiled code, and a non-integer power is exp(n log x).  ``parts(v, n)``
+    is x ** n from the value v of x for an integer n >= 2."""
+    if not isinstance(n, int):
+        return exp(n * log(x))
+    if n < 0:
+        return 1.0 / _power(x, -n, parts)
+    if n == 0:
+        return x.v**0
+    return x if n == 1 else parts(x.v, n)
 
 
 def _mixed_tapes():
@@ -367,10 +373,11 @@ class Rev:
     """A node of a reverse pass: value ``v``, index ``k`` on the tape ``t``
     and value slot ``s`` among the tape's forward operations.
 
-    Adding a constant records no sweep entry: x + c shares the index of x,
-    since its partial is 1, but it has a value slot of its own.  Arithmetic
-    with a plain number treats it as a constant; a ``Dual`` operand is left
-    to the dual's operators.
+    An operator states the node's value and local partials; :meth:`_chain`
+    and :meth:`_pair` write its record.  Adding a constant records no sweep
+    entry: x + c shares the index of x, since its partial is 1, but it has
+    a value slot of its own.  Arithmetic with a plain number treats it as a
+    constant; a ``Dual`` operand is left to the dual's operators.
     """
 
     __slots__ = ("v", "k", "t", "s")
@@ -387,32 +394,34 @@ class Rev:
     def __repr__(self):
         return f"Rev(v={self.v!r}, k={self.k})"
 
-    def _chain(self, v, d, op):
-        """The node f(self) from v = f(x) and d = f'(x) at x = self.v; ``op``
-        is its forward operation."""
+    def _chain(self, v, d, op, *const):
+        """The node f(self) of the forward operation ``op`` from v = f(x) and
+        d = f'(x) at x = self.v, with op's plain-number operand ``const``, if
+        any, lifted; with ``d=None`` (x + c, x - c) it shares x's sweep index."""
         t = self.t
+        t.consts += const
+        t.ops.append(op)
+        if d is None:
+            return Rev(v, self.k, t, len(t.ops) - 1)
         t.append((self.k, d))
-        ops = t.ops
-        ops.append(op)
-        return Rev(v, len(t) - 1, t, len(ops) - 1)
+        return Rev(v, len(t) - 1, t, len(t.ops) - 1)
 
-    # the operators record their entries inline: one call less per operation
+    def _pair(self, other, v, a, b, code):
+        """The node of value v of the operator ``code`` on self and the node
+        ``other``, with local partials a in self and b in other."""
+        t = self.t
+        if other.t is not t:
+            _mixed_tapes()
+        t.append((self.k, a, other.k, b))
+        t.ops.append((code, self.s, other.s))
+        return Rev(v, len(t) - 1, t, len(t.ops) - 1)
 
     def __add__(self, other):
-        t = self.t
-        ops = t.ops
         if type(other) is Rev:
-            if other.t is not t:
-                _mixed_tapes()
-            t.append((self.k, 1.0, other.k, 1.0))
-            ops.append((_ADD, self.s, other.s))
-            return Rev(self.v + other.v, len(t) - 1, t, len(ops) - 1)
+            return self._pair(other, self.v + other.v, 1.0, 1.0, _ADD)
         if type(other) is Dual:
             return NotImplemented
-        v = self.v + other
-        ops.append((_ADDC, self.s))
-        t.consts.append(other)
-        return Rev(v, self.k, t, len(ops) - 1)
+        return self._chain(self.v + other, None, (_ADDC, self.s), other)
 
     __radd__ = __add__
 
@@ -420,87 +429,43 @@ class Rev:
         return self._chain(-self.v, -1.0, (_NEG, self.s))
 
     def __sub__(self, other):
-        t = self.t
-        ops = t.ops
         if type(other) is Rev:
-            if other.t is not t:
-                _mixed_tapes()
-            t.append((self.k, 1.0, other.k, -1.0))
-            ops.append((_SUB, self.s, other.s))
-            return Rev(self.v - other.v, len(t) - 1, t, len(ops) - 1)
+            return self._pair(other, self.v - other.v, 1.0, -1.0, _SUB)
         if type(other) is Dual:
             return NotImplemented
-        v = self.v - other
-        ops.append((_SUBC, self.s))
-        t.consts.append(other)
-        return Rev(v, self.k, t, len(ops) - 1)
+        return self._chain(self.v - other, None, (_SUBC, self.s), other)
 
     def __rsub__(self, other):
-        v = other - self.v
-        self.t.consts.append(other)
-        return self._chain(v, -1.0, (_RSUB, self.s))
+        return self._chain(other - self.v, -1.0, (_RSUB, self.s), other)
 
     def __mul__(self, other):
-        t = self.t
-        ops = t.ops
         if type(other) is Rev:
-            if other.t is not t:
-                _mixed_tapes()
-            a, b = self.v, other.v
-            t.append((self.k, b, other.k, a))
-            ops.append((_MUL, self.s, other.s))
-            return Rev(a * b, len(t) - 1, t, len(ops) - 1)
+            return self._pair(other, self.v * other.v, other.v, self.v, _MUL)
         if type(other) is Dual:
             return NotImplemented
-        v = self.v * other
-        t.append((self.k, other))
-        ops.append((_MULC, self.s))
-        t.consts.append(other)
-        return Rev(v, len(t) - 1, t, len(ops) - 1)
+        return self._chain(self.v * other, other, (_MULC, self.s), other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        t = self.t
-        ops = t.ops
         if type(other) is Rev:
-            if other.t is not t:
-                _mixed_tapes()
             inv = 1.0 / other.v
             v = self.v * inv
-            t.append((self.k, inv, other.k, -v * inv))
-            ops.append((_DIV, self.s, other.s))
-            return Rev(v, len(t) - 1, t, len(ops) - 1)
+            return self._pair(other, v, inv, -v * inv, _DIV)
         if type(other) is Dual:
             return NotImplemented
         # x / c is x * (1 / c), in value, partial and record
         inv = 1.0 / other
-        v = self.v * inv
-        t.append((self.k, inv))
-        ops.append((_MULC, self.s))
-        t.consts.append(inv)
-        return Rev(v, len(t) - 1, t, len(ops) - 1)
+        return self._chain(self.v * inv, inv, (_MULC, self.s), inv)
 
     def __rtruediv__(self, other):
         inv = 1.0 / self.v
         v = other * inv
-        d = -v * inv
-        self.t.consts.append(other)
-        return self._chain(v, d, (_RDIV, self.s))
+        return self._chain(v, -v * inv, (_RDIV, self.s), other)
 
     def __pow__(self, n):
-        # x ** 1 is x and x ** -n is 1 / x ** n, as for jets and duals, so
-        # that one record serves both orders of compiled code
-        if isinstance(n, int):
-            if n == 0:
-                return self.v**0
-            if n < 0:
-                return 1.0 / self.__pow__(-n)
-            if n == 1:
-                return self
-            x = self.v
-            return self._chain(x**n, n * x ** (n - 1), (_POW, self.s, n))
-        return exp(n * log(self))
+        return _power(self, n, lambda x, n: self._chain(
+            x**n, n * x ** (n - 1), (_POW, self.s, n)))
 
 
 #: the package's number types, none of which a reverse pass takes as input
@@ -918,8 +883,9 @@ class CompiledGradient:
     function's pass too.  Otherwise the first call is also the pass (at
     order 1 the record's sweep, at order 2 one jet pass), and the second
     compiles the record, checks the code against the first call's result
-    and, if they agree, caches the code for the skeleton and runs it; so do
-    all later calls.  The code draws no tag: it evaluates no number type.
+    and, if they agree bit for bit (:func:`_agrees`; a nan agrees with
+    nothing), caches the code for the skeleton and runs it; so do all later
+    calls.  The code draws no tag: it evaluates no number type.
     A record that read a node's value (see :func:`primal`) may take another
     sequence at another input, so its function stays on the per-call pass,
     as does one whose record raises where its jet pass answers, and so do
@@ -971,7 +937,7 @@ class CompiledGradient:
         code = _SKELETONS.get(key) or _compile(tape, out, n, self.order)
         consts = tuple(tape.consts)
         try:
-            agrees = code(args0, consts) == result0
+            agrees = _agrees(code(args0, consts), result0)
         except (ArithmeticError, TypeError, ValueError):
             agrees = False
         if not agrees:
@@ -989,6 +955,14 @@ class CompiledGradient:
 _FLOAT = frozenset((float,))
 
 
+def _agrees(got, want):
+    """Whether compiled results ``got`` are a pass's ``want`` bit for bit:
+    each number of the nested lists and tuples has the same repr (-0.0 is
+    not 0.0), and none is a nan, whose repr hides its bits."""
+    got, want = list(map(repr, _leaves(got))), list(map(repr, _leaves(want)))
+    return got == want and not any("nan" in r for r in got)
+
+
 def compiled_values(f, args):
     """Forward-only compiled code of a list-valued ``f``, called as
     ``code(x)`` with x nested as ``args`` (lists and tuples of floats, read
@@ -999,7 +973,8 @@ def compiled_values(f, args):
     operation as plain Python computes it, apart from a division of a value
     by a plain number, which a record keeps as a product with the inverse.
     The code is kept only if the record read no value and the code's
-    results equal those of ``f`` on the floats of ``args`` bit for bit.
+    results equal those of ``f`` on the floats of ``args`` bit for bit
+    (:func:`_agrees`).
     """
     flat = list(_leaves(args))
     tape, out = _record(lambda xs: f(_nested(args, iter(xs))), flat)
@@ -1016,7 +991,7 @@ def compiled_values(f, args):
     consts = {f"c{k}": c for k, c in enumerate(tape.consts)}
     code = _define("code(x)", lines, ret, entries, consts)
     try:
-        agrees = list(map(repr, code(args))) == list(map(repr, f(args)))
+        agrees = _agrees(code(args), f(args))
     except (ArithmeticError, TypeError, ValueError):
         agrees = False
     return code if agrees else None
@@ -1051,10 +1026,12 @@ def _elementary(name, real, cplx, d1, d2):
     v = f(x) and g = f'(x).
 
     A plain float goes straight to ``real``, so evaluations and the float
-    parts of dual passes pay nothing for the dispatch below it; reverse
-    nodes, the hot case of every gradient, come next.  Each type's chain
-    rule is written once, here: the value recurses on ``f``, so a ``Dual``
-    wrapping older duals or reverse nodes gets f' on the generic types too.
+    parts of dual passes pay nothing for the dispatch below it.  Compiled
+    code calls ``real``, ``d1`` and ``d2`` directly, so a reverse node comes
+    here once per recorded operation; the generic hot path is the jets of
+    the chart passes.  Each type's chain rule is written once, here: the
+    value recurses on ``f``, so a ``Dual`` wrapping older duals or reverse
+    nodes gets f' on the generic types too.
     """
 
     def f(x):

@@ -8,6 +8,7 @@ raises.
 """
 
 import gc
+import operator
 import random
 import weakref
 
@@ -70,6 +71,51 @@ def test_compiled_gradients_keep_the_reverse_pass_sign_of_zero():
     for q, p in ((-1.5, -0.0), (0.0, -0.0), (2.0, 0.0), (-0.0, -0.0)):
         dq, dp = gradient_lists(h, [q], [p])
         assert _bits([*dq, *dp]) == _bits(_reverse(h, [q], [p])), (q, p)
+
+
+def test_every_operator_compiles_as_the_reverse_pass_computes():
+    # every way a reverse pass records an operation: node with node, a
+    # constant on either side (x / c is recorded as x * (1 / c)), x + c and
+    # x - c chains sharing the sweep index of x, unary minus, the integer
+    # powers (x ** 0 is a float, x ** 1 is x itself, x ** -p is
+    # 1.0 / x ** p), a non-integer power and table entries
+    def f(q):
+        x, y, w, u = q
+        a = (x + y) * (x - u) + x / y - u * w
+        b = (u + 2.0) * (2.0 + x) - (u - 0.5) * (2.0 - y) + u * 3.0 + 3.0 * w + u / 3.0 + 1.5 / w
+        c = (u + 1.0 - 2.0 + 0.5) * y - x**0 * u + u**1 * y**-2 + u**3 + w**2.5
+        e = dual.exp(u * x) + dual.log(y) + dual.sqrt(w) + kernels.sinhc(u)
+        return a * b - c / (1.0 + w * y) + -c * (e + dual.atan(u - w) * dual.sin(x))
+
+    tape, _ = dual._record(f, [0.7, 1.3, 0.9, 0.4])
+    assert set(dual._FORMS) <= {op[0] for op in tape.ops[4:]}
+    assert 1.0 / 3.0 in tape.consts  # u / 3.0 is recorded as u * (1 / 3.0)
+    assert len(tape) < len(tape.ops)  # x + c and x - c record no sweep entry
+    state = dual.CompiledGradient(1)
+    rng = random.Random(17)
+    points = [[rng.uniform(-1.5, 1.5), rng.uniform(0.2, 1.5), rng.uniform(0.2, 1.5),
+               rng.uniform(-1.5, 1.5)] for _ in range(40)]
+    points += [[0.0, 0.7, 0.9, 0.0], [-0.0, 0.7, 0.9, -0.0], [0.0, 1.1, 0.4, -0.0],
+               [-0.0, 0.5, 1.2, 0.0], [0.6, 0.5, 1.2, -0.0], [-0.0, 0.5, 1.2, 0.8]]
+    for q in points[:2]:
+        state(f, q)
+    assert state.code is not None
+    for q in points:
+        got = state(f, q)
+        assert _bits(got) == _bits(dual.gradient(f, q)), q
+        want = [dual.partial(f, q, i) for i in range(4)]
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-13), q
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_nodes_of_two_reverse_passes_do_not_mix_in_any_operator(op):
+    # a node of another pass on either side of each binary operator
+    inner = []
+    dual.gradient(lambda a: inner.append(a[0]) or a[0], [1.5])
+    with pytest.raises(ValueError, match="do not mix"):
+        dual.gradient(lambda a: op(a[0], inner[0]), [2.0])
+    with pytest.raises(ValueError, match="do not mix"):
+        dual.gradient(lambda a: op(inner[0], a[0]), [2.0])
 
 
 def test_compiled_calls_draw_no_tag_and_complex_points_stay_on_the_reverse_pass():
@@ -162,6 +208,36 @@ def test_code_that_fails_its_check_is_not_cached(monkeypatch):
         assert state.opaque and state.code is None
     assert dual.gradient(f, [2.0, 3.0]) == [15.0, 10.0]
     assert not dual._SKELETONS
+
+
+def test_code_that_flips_the_sign_of_a_zero_is_not_cached(monkeypatch):
+    # 0.0 == -0.0, but code is admitted only if it is its pass bit for bit
+    monkeypatch.setattr(dual, "_SKELETONS", {})
+    emit = dual._emit
+
+    def flip_zeros(*args):
+        lines, ret = emit(*args)
+        return lines, f"[-g if g == 0.0 else g for g in {ret}]"
+
+    monkeypatch.setattr(dual, "_emit", flip_zeros)
+    f = lambda q: q[0] * q[0] + 3.0  # noqa: E731
+    state = dual.CompiledGradient(1)
+    for x in ([0.9, 0.5], [0.7, 0.2]):
+        assert _bits(state(f, x)) == _bits(dual.gradient(f, x)) == _bits([2.0 * x[0], 0.0])
+    assert state.opaque and state.code is None
+    assert not dual._SKELETONS
+
+
+def test_compiled_results_agree_only_bit_for_bit():
+    nan = float("nan")
+    assert dual._agrees([1.8, 0.0], [1.8, 0.0])
+    assert dual._agrees((1.0, [0.5], [[-0.0]]), (1.0, [0.5], [[-0.0]]))
+    assert dual._agrees([(1.0, [0.5], [[2.0]])], [(1.0, [0.5], [[2.0]])])
+    assert not dual._agrees([1.8, -0.0], [1.8, 0.0])
+    assert not dual._agrees((1.0, [0.5], [[-0.0]]), (1.0, [0.5], [[0.0]]))
+    assert not dual._agrees([nan], [nan])
+    assert not dual._agrees([1], [1.0])
+    assert not dual._agrees([1.0, 2.0], [1.0])
 
 
 def test_compiled_code_raises_what_the_reverse_pass_raises():

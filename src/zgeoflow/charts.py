@@ -582,20 +582,19 @@ _guard_r = _guard("sin(l1 r)/l1")
 _guard_theta = _guard("sin(l2 theta)/l2")
 
 
+def _angular(q, p, kappa2):
+    """p_theta^2 + p_phi^2 / ks(kappa2, theta)^2: the polar C(3), and the
+    angular part of both polar Hamiltonians."""
+    ks_t = _guard_theta(kappa_sin(kappa2, q[1]))
+    return p[1] * p[1] + p[2] * p[2] / (ks_t * ks_t)
+
+
 def _polar_casimirs(kappa2: float) -> dict:
     """C(2) = p_phi^2 and C(3) = p_theta^2 + p_phi^2 / ks(kappa2, theta)^2,
     shared by both polar systems."""
-
-    def c_two(q, p):
-        return p[2] * p[2]
-
-    def c_three(q, p):
-        ks_t = _guard_theta(kappa_sin(kappa2, q[1]))
-        return p[1] * p[1] + p[2] * p[2] / (ks_t * ks_t)
-
     return {
-        "C(2)": PhaseFunction(3, c_two, "C(2)p"),
-        "C(3)": PhaseFunction(3, c_three, "C(3)p"),
+        "C(2)": PhaseFunction(3, lambda q, p: p[2] * p[2], "C(2)p"),
+        "C(3)": PhaseFunction(3, lambda q, p: _angular(q, p, kappa2), "C(3)p"),
     }
 
 
@@ -611,11 +610,9 @@ def integrable_polar_system(z: float, kappa2: float) -> PolarSystem:
     kappa2 = float(kappa2)
 
     def ham(q, p):
-        rho, theta = q[0], q[1]
-        ks_r = _guard_rho(kappa_sin(-z, rho))
-        ks_t = _guard_theta(kappa_sin(kappa2, theta))
-        kc_r = kappa_cos(-z, rho)
-        angular = p[1] * p[1] + p[2] * p[2] / (ks_t * ks_t)
+        ks_r = _guard_rho(kappa_sin(-z, q[0]))
+        angular = _angular(q, p, kappa2)
+        kc_r = kappa_cos(-z, q[0])
         return 0.5 * kc_r * (p[0] * p[0] + angular / (kappa2 * ks_r * ks_r))
 
     return PolarSystem(
@@ -638,34 +635,30 @@ def superintegrable_polar_system(z: float, kappa2: float) -> PolarSystem:
     kappa2 = float(kappa2)
 
     def ham(q, p):
-        r, theta = q[0], q[1]
-        ks_r = _guard_r(kappa_sin(z, r))
-        ks_t = _guard_theta(kappa_sin(kappa2, theta))
-        angular = p[1] * p[1] + p[2] * p[2] / (ks_t * ks_t)
-        return 0.5 * (p[0] * p[0] + angular / (kappa2 * ks_r * ks_r))
+        ks_r = _guard_r(kappa_sin(z, q[0]))
+        return 0.5 * (p[0] * p[0] + _angular(q, p, kappa2) / (kappa2 * ks_r * ks_r))
+
+    def integral_terms(q):
+        """ks(kappa2, theta), kc(kappa2, theta) and cot(r) = kc(z, r)/ks(z, r),
+        which I(2) and I(3) share."""
+        ks_r = _guard_r(kappa_sin(z, q[0]))
+        ks_t = _guard_theta(kappa_sin(kappa2, q[1]))
+        kc_r = kappa_cos(z, q[0])
+        kc_t = kappa_cos(kappa2, q[1])
+        return ks_t, kc_t, kc_r / ks_r
 
     def i_two(q, p):
-        r, theta, phi = q
-        ks_r = _guard_r(kappa_sin(z, r))
-        ks_t = _guard_theta(kappa_sin(kappa2, theta))
-        kc_r = kappa_cos(z, r)
-        kc_t = kappa_cos(kappa2, theta)
-        sphi = dual.sin(phi)
-        cot_r = kc_r / ks_r
+        ks_t, kc_t, cot_r = integral_terms(q)
+        sphi = dual.sin(q[2])
         lin = (
             kappa2 * ks_t * sphi * p[0]
             + kc_t * sphi * cot_r * p[1]
-            + dual.cos(phi) * cot_r / ks_t * p[2]
+            + dual.cos(q[2]) * cot_r / ks_t * p[2]
         )
         return lin * lin
 
     def i_three(q, p):
-        r, theta = q[0], q[1]
-        ks_r = _guard_r(kappa_sin(z, r))
-        ks_t = _guard_theta(kappa_sin(kappa2, theta))
-        kc_r = kappa_cos(z, r)
-        kc_t = kappa_cos(kappa2, theta)
-        cot_r = kc_r / ks_r
+        ks_t, kc_t, cot_r = integral_terms(q)
         lin = kappa2 * ks_t * p[0] + kc_t * cot_r * p[1]
         coeff = z * kappa2 + (cot_r / ks_t) * (cot_r / ks_t)
         return lin * lin + coeff * p[2] * p[2]

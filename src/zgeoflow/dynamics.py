@@ -103,7 +103,10 @@ class ConservationReport:
 
 def _rhs_flat(h, vec):
     n = len(vec) // 2
-    dq, dp = gradient_lists(h, vec[:n], vec[n:])
+    try:
+        dq, dp = gradient_lists(h, vec[:n], vec[n:])
+    except OverflowError as err:
+        raise EvaluationDomainError(f"phase velocity of {h.label} overflows") from err
     out = [*dp, *[-v for v in dq]]
     if not all(map(isfinite, out)):
         raise EvaluationDomainError(f"phase velocity of {h.label} not finite")

@@ -103,7 +103,12 @@ class PhaseFunction:
                 f"{self.label or 'function'} expects dimension {self.arity}, "
                 f"got {point.dim}"
             )
-        val = self.fn(*point.scalars())
+        try:
+            val = self.fn(*point.scalars())
+        except OverflowError as err:
+            raise EvaluationDomainError(
+                f"{self.label or 'function'} overflows at {point}"
+            ) from err
         if not cmath.isfinite(val):
             raise EvaluationDomainError(
                 f"{self.label or 'function'} is not finite at {point}"

@@ -24,9 +24,13 @@ from zgeoflow.algebra import (
     realize_generators,
     sinhc,
 )
+from zgeoflow.brackets import gradient_lists
 from zgeoflow.phase import PhasePoint
 
 SINH_1 = 1.1752011936438014  # frozen: sinh(1)
+# frozen: the written-out I3 at z = 0.3, q = (0.7, -0.4, .), p = (1.1, 0.5, .),
+# the float inputs taken exactly
+FROZEN_I3 = 0.9053944754008048
 
 
 # --------------------------------------------------------------------------
@@ -237,6 +241,129 @@ def quadratic_site_generators(n, z):
     return j_plus, j_three
 
 
+def composed_generators(n, z):
+    """(J-, J+, J3) of the n-site realization as three closures, J+ and J3
+    each running the site sums of its own coefficients."""
+
+    def j_minus(q, p):
+        out = q[0] * q[0]
+        for i in range(1, n):
+            out = out + q[i] * q[i]
+        return out
+
+    def coefficients(q):
+        zw = [z * (qi * qi) for qi in q]
+        above = [0.0] * n
+        for i in range(n - 1, 0, -1):
+            above[i - 1] = above[i] + zw[i]
+        out = []
+        below = 0.0
+        for i in range(n):
+            out.append(sinhc(zw[i]) * dual.exp(above[i] - below))
+            below = below + zw[i]
+        return out
+
+    def j_plus(q, p):
+        out = 0.0
+        for c, pi in zip(coefficients(q), p):
+            out = out + c * pi * pi
+        return out
+
+    def j_three(q, p):
+        out = 0.0
+        for c, qi, pi in zip(coefficients(q), q, p):
+            out = out + c * qi * pi
+        return out
+
+    return j_minus, j_plus, j_three
+
+
+def one_plus(s):
+    return 1.0 + s
+
+
+def composed_functions(n, z):
+    """label -> (q, p) function of every n-site builder, composed from
+    separately built generators: C(m) is the abstract Casimir of an m-site
+    realization on the first m pairs, and the Hamiltonians read J+ and J-
+    of the n-site one."""
+    cas = casimir_abstract(z)
+
+    def embedded(m):
+        jm, jp, j3 = composed_generators(m, z)
+        return lambda q, p: cas(jm(q[:m], p[:m]), jp(q[:m], p[:m]), j3(q[:m], p[:m]))
+
+    jm, jp, j3 = composed_generators(n, z)
+    return {
+        f"J-({n})": jm,
+        f"J+({n})": jp,
+        f"J3({n})": j3,
+        **{f"C({m})": embedded(m) for m in range(1, n + 1)},
+        f"H_int({n})": lambda q, p: 0.5 * jp(q, p),
+        f"H_sup({n})": lambda q, p: 0.5 * jp(q, p) * dual.exp(z * jm(q, p)),
+        f"H[1+x]({n})": lambda q, p: 0.5 * jp(q, p) * one_plus(z * jm(q, p)),
+    }
+
+
+def built_functions(n, z):
+    """Every n-site function the algebra builders make, by label."""
+    return {
+        f.label: f
+        for f in (
+            *realize_generators(n, z).as_tuple(),
+            casimir_one(z, n),
+            *(casimir_m(m, n, z) for m in range(2, n + 1)),
+            hamiltonian_integrable(n, z),
+            hamiltonian_superintegrable(n, z),
+            hamiltonian_family(n, z, one_plus, "1+x"),
+        )
+    }
+
+
+def casimir_term_scale(m, z, q, p):
+    """|d(j- sinhc(z j-) j+)| + |d(j3^2)| per slot: the size of the two
+    terms whose difference is each partial of C(m).  At z = -1 and n = 6
+    they cancel to 1.4e-12 of |g|, where both routes err by 2-4e-12 against
+    50-digit mpmath."""
+    jm, jp, j3 = composed_generators(m, z)
+    n = len(q)
+
+    def first(a):
+        qm, pm = a[:m], a[n : n + m]
+        return jm(qm, pm) * sinhc(z * jm(qm, pm)) * jp(qm, pm)
+
+    def second(a):
+        qm, pm = a[:m], a[n : n + m]
+        return j3(qm, pm) * j3(qm, pm)
+
+    grads = zip(dual.gradient(first, q + p), dual.gradient(second, q + p))
+    return [abs(a) + abs(b) for a, b in grads]
+
+
+@pytest.mark.parametrize("z", [0.0, 0.3, -0.3, 1.0, -1.0])
+def test_m_site_formula_matches_the_composed_builders(z):
+    # values bit for bit; gradients (a recorded pass at the first point,
+    # compiled code at the others) to 1e-13 x max(1, |g|), and for C(m) of
+    # the size of its two terms, since sharing the site coefficients of
+    # C(m) reorders its adjoint sums
+    for n in range(1, 9):
+        built = built_functions(n, z)
+        composed = composed_functions(n, z)
+        assert sorted(built) == sorted(composed)
+        for x in random_points(n, 3, seed=40 + n):
+            q, p = x.scalars()
+            for label, f in built.items():
+                assert repr(f.raw(q, p)) == repr(composed[label](q, p)), (n, label)
+                dq, dp = gradient_lists(f, q, p)
+                ref = dual.gradient(lambda a: composed[label](a[:n], a[n:]), q + p)
+                scale = [max(1.0, abs(r)) for r in ref]
+                if label.startswith("C("):
+                    terms = casimir_term_scale(int(label[2:-1]), z, q, p)
+                    scale = [max(s, t) for s, t in zip(scale, terms)]
+                for g, r, s in zip(dq + dp, ref, scale):
+                    assert abs(g - r) <= 1e-13 * s, (n, label)
+
+
 @pytest.mark.parametrize("z", [-0.4, 0.3])
 def test_running_site_sums_match_the_quadratic_formula(z):
     # the realization's running prefix and suffix sums against the per-site
@@ -366,6 +493,28 @@ def test_family_rejects_bad_normalization():
         hamiltonian_family(2, 0.3, lambda s: 2.0)
     with pytest.raises(ValueError):
         hamiltonian_family(2, 0.3, lambda s: 1.0 + 1e-9)
+    with pytest.raises(ValueError, match="f\\(0\\) = nan"):
+        hamiltonian_family(3, 0.3, lambda s: math.nan if s == 0.0 else 1.0, "bad")
+
+
+@pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda z: realize_generators(3, z),
+        casimir_abstract,
+        lambda z: casimir_m(2, 3, z),
+        casimir_one,
+        lambda z: hamiltonian_integrable(3, z),
+        lambda z: hamiltonian_superintegrable(3, z),
+        lambda z: hamiltonian_family(3, z, dual.exp, "exp"),
+        lambda z: integral_extra_2(z, 3),
+        lambda z: integral_extra_3(z, 3),
+    ],
+)
+def test_every_builder_rejects_a_non_finite_z(build, z):
+    with pytest.raises(ValueError, match="deformation parameter must be a finite real"):
+        build(z)
 
 
 # --------------------------------------------------------------------------
@@ -386,6 +535,42 @@ def test_extra_integral_frozen_value():
     x = PhasePoint([0.5, 0.0, 0.0], [1.0, 0.0, 0.0])
     # frozen: sinhc(0.075) e^{0.075} / 2 with mpmath at 50 digits
     assert float(i2(x)) == pytest.approx(0.5394474757609438, rel=1e-15)
+    i3 = integral_extra_3(0.3, 3)
+    x = PhasePoint([0.7, -0.4, 0.9], [1.1, 0.5, -0.2])
+    assert float(i3(x)) == pytest.approx(FROZEN_I3, rel=1e-15)
+
+
+def written_out_integrals(z):
+    """I(2) and I(3) written out term by term."""
+
+    def i_two(q, p):
+        q12 = q[0] * q[0]
+        return 0.5 * sinhc(z * q12) * dual.exp(z * q12) * p[0] * p[0]
+
+    def i_three(q, p):
+        q12 = q[0] * q[0]
+        q22 = q[1] * q[1]
+        t1 = 0.5 * sinhc(z * q12) * dual.exp(z * q12) * dual.exp(2.0 * z * q22) * p[0] * p[0]
+        t2 = 0.5 * sinhc(z * q22) * dual.exp(z * q22) * p[1] * p[1]
+        return t1 + t2
+
+    return i_two, i_three
+
+
+@pytest.mark.parametrize("z", [0.0, 0.3, -0.3, 1.0, -1.0])
+def test_extra_integrals_are_the_superintegrable_hamiltonian_of_fewer_sites(z):
+    # I(2) = H_sup of site 1 and I(3) = H_sup of sites 1-2 round differently
+    # from the written-out forms: values within 4 ulp, gradients 1e-13
+    i2, i3 = integral_extra_2(z, 3), integral_extra_3(z, 3)
+    for x in random_points(3, 10, seed=17):
+        q, p = x.scalars()
+        for f, ref in zip((i2, i3), written_out_integrals(z)):
+            want = ref(q, p)
+            assert abs(f(x) - want) <= 4 * math.ulp(want), f.label
+            dq, dp = gradient_lists(f, q, p)
+            slow = dual.gradient(lambda a: ref(a[:3], a[3:]), q + p)
+            for g, r in zip(dq + dp, slow):
+                assert abs(g - r) <= 1e-13 * max(1.0, abs(r)), f.label
 
 
 def test_extra_integrals_vanish_at_zero_momentum():

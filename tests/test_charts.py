@@ -668,6 +668,85 @@ def test_polar_chart_boundary_guard():
         system.hamiltonian(PhasePoint([0.0, 0.5, 0.3], [0.1, 0.1, 0.1]))
 
 
+def written_out_polar_functions(z, k2):
+    """Both polar Hamiltonians, C(3), I(2) and I(3), each with its own
+    angular term and radial factors."""
+    ks, kc = charts.kappa_sin, charts.kappa_cos
+
+    def h_int(q, p):
+        rho, theta = q[0], q[1]
+        ks_r = charts._guard_rho(ks(-z, rho))
+        ks_t = charts._guard_theta(ks(k2, theta))
+        kc_r = kc(-z, rho)
+        angular = p[1] * p[1] + p[2] * p[2] / (ks_t * ks_t)
+        return 0.5 * kc_r * (p[0] * p[0] + angular / (k2 * ks_r * ks_r))
+
+    def h_sup(q, p):
+        r, theta = q[0], q[1]
+        ks_r = charts._guard_r(ks(z, r))
+        ks_t = charts._guard_theta(ks(k2, theta))
+        angular = p[1] * p[1] + p[2] * p[2] / (ks_t * ks_t)
+        return 0.5 * (p[0] * p[0] + angular / (k2 * ks_r * ks_r))
+
+    def c_three(q, p):
+        ks_t = charts._guard_theta(ks(k2, q[1]))
+        return p[1] * p[1] + p[2] * p[2] / (ks_t * ks_t)
+
+    def i_two(q, p):
+        r, theta, phi = q
+        ks_r = charts._guard_r(ks(z, r))
+        ks_t = charts._guard_theta(ks(k2, theta))
+        kc_r = kc(z, r)
+        kc_t = kc(k2, theta)
+        sphi = dual.sin(phi)
+        cot_r = kc_r / ks_r
+        lin = (
+            k2 * ks_t * sphi * p[0]
+            + kc_t * sphi * cot_r * p[1]
+            + dual.cos(phi) * cot_r / ks_t * p[2]
+        )
+        return lin * lin
+
+    def i_three(q, p):
+        r, theta = q[0], q[1]
+        ks_r = charts._guard_r(ks(z, r))
+        ks_t = charts._guard_theta(ks(k2, theta))
+        kc_r = kc(z, r)
+        kc_t = kc(k2, theta)
+        cot_r = kc_r / ks_r
+        lin = k2 * ks_t * p[0] + kc_t * cot_r * p[1]
+        coeff = z * k2 + (cot_r / ks_t) * (cot_r / ks_t)
+        return lin * lin + coeff * p[2] * p[2]
+
+    return h_int, h_sup, c_three, i_two, i_three
+
+
+@pytest.mark.parametrize("z", [0.3, -0.3, 0.0])
+@pytest.mark.parametrize("k2", [1.0, -1.0])
+def test_polar_functions_match_the_written_out_forms(z, k2):
+    # one angular term and one set of radial factors change no bit of any
+    # value or gradient
+    integrable = charts.integrable_polar_system(z, k2)
+    sup = charts.superintegrable_polar_system(z, k2)
+    h_int, h_sup, c_three, i_two, i_three = written_out_polar_functions(z, k2)
+    pairs = (
+        (integrable.hamiltonian, h_int),
+        (sup.hamiltonian, h_sup),
+        (integrable.constants["C(3)"], c_three),
+        (sup.constants["C(3)"], c_three),
+        (sup.constants["I(2)"], i_two),
+        (sup.constants["I(3)"], i_three),
+    )
+    for pp in relativistic_samples(8, seed=21):
+        x = pp.as_phase_point()
+        q, p = x.scalars()
+        for f, ref in pairs:
+            assert repr(f(x)) == repr(ref(q, p)), f.label
+            got = dual.gradient(lambda a: f.fn(a[:3], a[3:]), q + p)
+            want = dual.gradient(lambda a: ref(a[:3], a[3:]), q + p)
+            assert repr(got) == repr(want), f.label
+
+
 # --------------------------------------------------------------------------
 # polar metrics and curvature through the transform
 # --------------------------------------------------------------------------

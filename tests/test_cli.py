@@ -311,17 +311,25 @@ def test_contract_errors_exit_without_traceback(argv, config, code, tmp_path, ca
     assert "error: " in err and "Traceback" not in err
 
 
+#: (argv, what its message names): the function or chart relation that overflowed
+OVERFLOW_CASES = [
+    (["verify", "--z=800", "--n=2", "--samples=2"], "error: J+(2) is not finite at "),
+    (["verify", "--n=8", "--z=50", "--samples=1"], "error: gradient of C(4) not finite"),
+    (["transform", "--z=1e308", "--q=0,0,1"], "error: out of chart (relation 1)"),
+    (["curvature", "--z=-22", "--metric=superintegrable", "--grid-points=2",
+      "--grid-min=0", "--grid-max=2"], "curvature of 2.0*g[H_sup(3)] not finite"),
+    (["verify", "--n=3", "--z=1e308", "--samples=1"], "error: J+(3) overflows at Phase"),
+    (["simulate", "--hamiltonian=superintegrable", "--z=400", "--q=1,1,1",
+      "--p=0.1,0.1,0.1", "--t-end=0.01", "--dt=0.001"],
+     "error: phase velocity of H_sup(3) overflows at t = 0.001"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify", "--z=800", "--n=2", "--samples=2"],
-        ["verify", "--n=8", "--z=50", "--samples=1"],
-        ["transform", "--z=1e308", "--q=0,0,1"],
-        ["curvature", "--z=-22", "--metric=superintegrable", "--grid-points=2",
-         "--grid-min=0", "--grid-max=2"],
-    ],
+    "argv, names",
+    [pytest.param(argv, names, id=f"argv{i}") for i, (argv, names) in enumerate(OVERFLOW_CASES)],
 )
-def test_overflow_is_exit_two_without_warnings(argv, tmp_path, capsys):
+def test_overflow_is_exit_two_without_warnings(argv, names, tmp_path, capsys):
     out = tmp_path / "out"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -329,6 +337,7 @@ def test_overflow_is_exit_two_without_warnings(argv, tmp_path, capsys):
     assert not caught, [str(w.message) for w in caught]
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Warning" not in err and "Traceback" not in err
+    assert names in err
 
 
 def test_transform_origin_at_huge_z_is_finite(tmp_path):

@@ -64,9 +64,9 @@ def gradient_lists(f: PhaseFunction, q: list, p: list):
     """Gradient on raw coordinate lists; hot-loop variant of :func:`gradient`.
 
     The gradient over all 2n coordinates, (dq, dp), is one recorded reverse
-    pass the first time, which runs compiled code at once when its shape
-    compiled already; later calls on floats run the code compiled from that
-    pass (:class:`zgeoflow.dual.CompiledGradient`, kept with ``f``)."""
+    pass, run by the compile rule, until the rule gives ``f`` compiled code;
+    later calls on floats run that code alone
+    (:class:`zgeoflow.dual.CompiledGradient`, kept with ``f``)."""
     n = len(q)
     grad = f._gradient(lambda qp: f.fn(qp[:n], qp[n:]), [*q, *p])
     return grad[:n], grad[n:]
@@ -174,11 +174,14 @@ def sample_points(n: int, samples: int, seed: int, scale: float = 2.0):
 
 @dataclass(frozen=True)
 class AlgebraReport:
-    """Max residuals of the three defining bracket relations over a sample."""
+    """Max residuals of the three defining bracket relations over a sample,
+    and the first nan residual's (sample index, a, b), where {f_a, f_b} is
+    its bracket of (J-, J+, J3), if any."""
 
     residual_j3_jplus: float
     residual_j3_jminus: float
     residual_jminus_jplus: float
+    first_nan: tuple | None = None
 
     @property
     def max_residual(self) -> float:
@@ -206,27 +209,46 @@ def check_algebra(z: float, values, dq, dp) -> AlgebraReport:
     if len(values) < 1:
         raise ValueError("need at least one sample")
     pairs = ([2, 2, 0], [1, 0, 1])  # {J3, J+}, {J3, J-}, {J-, J+} in (J-, J+, J3)
-    worst = np.zeros(3)
+    worst, first_nan = np.zeros(3), None
     with np.errstate(all="ignore"):
-        for (jm_v, jp_v, j3_v), q, p in zip(values, dq, dp):
+        for k, ((jm_v, jp_v, j3_v), q, p) in enumerate(zip(values, dq, dp)):
             target = np.array(
                 [2.0 * jp_v * np.cosh(z * jm_v), -2.0 * jm_v * sinhc(z * jm_v), 4.0 * j3_v]
             )
             vals, scales = gradient_brackets(q, p)
             res = _scaled_residual(vals[pairs], scales[pairs], target)
             worst = np.maximum(worst, res)
-    return AlgebraReport(*(float(r) for r in worst))
+            if first_nan is None and np.isnan(res).any():
+                r = int(np.argmax(np.isnan(res)))
+                first_nan = (k, pairs[0][r], pairs[1][r])
+    return AlgebraReport(*(float(r) for r in worst), first_nan)
 
 
 @dataclass(frozen=True)
 class InvolutionReport:
-    """Pairwise max |{f_i, f_j}| over a sample of phase points."""
+    """Pairwise max |{f_i, f_j}| over a sample of phase points, and each
+    point's residual matrix, indexed [point, i, j]."""
 
     residuals: np.ndarray
+    samples: np.ndarray
 
     @property
     def max_residual(self) -> float:
         return float(self.residuals.max())
+
+    def first_nan(self, *blocks):
+        """(point index, i, j) of the first nan residual in the blocks
+        (rows, columns), block by block, point by point and row by row; None
+        if there is none."""
+        import numpy as np
+
+        for rows, cols in blocks:
+            rows, cols = list(rows), list(cols)
+            hits = np.argwhere(np.isnan(self.samples[:, rows][:, :, cols]))
+            if len(hits):
+                k, a, b = hits[0]
+                return int(k), rows[a], cols[b]
+        return None
 
 
 def check_involution(dq, dp) -> InvolutionReport:
@@ -234,10 +256,10 @@ def check_involution(dq, dp) -> InvolutionReport:
     gradient rows (:func:`gradient_rows`) are ``dq``, ``dp``."""
     import numpy as np
 
-    res = np.zeros((dq.shape[1], dq.shape[1]))
-    for q, p in zip(dq, dp):
-        res = np.maximum(res, _scaled_residual(*gradient_brackets(q, p)))
-    return InvolutionReport(res)
+    samples = np.empty((len(dq), dq.shape[1], dq.shape[1]))
+    for k, (q, p) in enumerate(zip(dq, dp)):
+        samples[k] = _scaled_residual(*gradient_brackets(q, p))
+    return InvolutionReport(samples.max(axis=0, initial=0.0), samples)
 
 
 class IndependenceRank(NamedTuple):

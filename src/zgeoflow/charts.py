@@ -26,8 +26,9 @@ real input is rejected with the violated relation, while
 imaginary), under which every identity below still holds exactly.
 
 Momenta and canonicity at a polar point x read one :class:`ChartPass`: a
-single jet pass of the position map q(x) that gives J = dq/dx and, at
-order 2, the Hessians of the q_i.  The ``transform`` command shares it
+single Taylor pass of the position map q(x) (one record, run by the compile
+rule of :mod:`zgeoflow.dual`) that gives J = dq/dx and, at order 2, the
+Hessians of the q_i.  The ``transform`` command shares it
 between the momentum map, the round trip and the canonicity check, and the
 3x3 algebra on it (J^T p, det J, the transposed solve, the bracket blocks)
 runs on Python scalars.
@@ -280,11 +281,12 @@ def chart_relation_residuals(q, x, z: float, kappa2: float) -> list:
 _SINGULAR = "singular Jacobian (chart boundary)"
 
 
-def _chart_jet(f, args, order):
-    """``dual.jet`` of a chart map; a division by zero or an overflow in the
-    derivative parts (sqrt(w)' at w = 0, say) is the chart boundary."""
+def _chart_pass(f, args, order):
+    """``dual.compiled_jet`` of a chart map; a division by zero or an
+    overflow in the derivative parts (sqrt(w)' at w = 0, say) is the chart
+    boundary."""
     try:
-        return dual.jet(f, args, order)
+        return dual.compiled_jet(f, args, order)
     except (ZeroDivisionError, OverflowError) as err:
         raise OutOfChartError(_SINGULAR) from err
 
@@ -322,9 +324,10 @@ def _solve_transposed(m, b):
 
 
 class ChartPass:
-    """The chart pass at a polar point x: one jet pass of the position map
-    q(x) of :func:`polar_to_cart`, run on first use and then read by every
-    consumer of the point (momentum map, round trip, canonicity check).
+    """The chart pass at a polar point x: one Taylor pass of the position
+    map q(x) of :func:`polar_to_cart` (:func:`zgeoflow.dual.compiled_jet`),
+    run on first use and then read by every consumer of the point (momentum
+    map, round trip, canonicity check).
 
     ``jacobian`` is J = dq/dx as a list of rows (J[i][a] = dq_i/dx_a);
     ``hessians`` (``order=2`` only) are the symmetric T_i = d^2 q_i/dx^2.
@@ -341,7 +344,7 @@ class ChartPass:
     @functools.cached_property
     def _parts(self):
         z, kappa2 = self.z, self.kappa2
-        cart = _chart_jet(lambda xs: _polar_to_cart_generic(xs, z, kappa2), self.x, self.order)
+        cart = _chart_pass(lambda xs: _polar_to_cart_generic(xs, z, kappa2), self.x, self.order)
         jac = [g for _, g, _ in cart]
         if not all(cmath.isfinite(v) for row in jac for v in row) or abs(_det3(jac)) < 1e-12:
             raise OutOfChartError(_SINGULAR)
@@ -481,7 +484,7 @@ def fundamental_bracket_residuals(
 ) -> list:
     """|{u_a, u_b} - canonical| for the six polar chart variables at a point.
 
-    Two jet passes give all six gradients.  Its own first-order pass of the
+    Two chart passes give all six gradients.  Its own first-order pass of the
     chart map gives x(q) and A = dx/dq, an independent check of J; the
     second-order :class:`ChartPass` at x gives J = dq/dx and the Hessians
     T_i.  ``chart`` is that pass at x = cart_to_polar(q), shared with the
@@ -497,7 +500,7 @@ def fundamental_bracket_residuals(
         raise ValueError("the geodesic polar chart is three-dimensional")
     z, kappa2 = float(z), float(kappa2)
     q, p = point.scalars()
-    polar = _chart_jet(lambda qs: _cart_to_polar_generic(qs, z, kappa2), q, 1)
+    polar = _chart_pass(lambda qs: _cart_to_polar_generic(qs, z, kappa2), q, 1)
     if chart is None:
         chart = ChartPass([v for v, _, _ in polar], z, kappa2, order=2)
     a = [g for _, g, _ in polar]

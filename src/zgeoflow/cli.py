@@ -281,6 +281,15 @@ def _resolve(args, sub):
 # verify
 # ---------------------------------------------------------------------------
 
+def _origin(hit, funcs):
+    """The text that names the sample index k and the function pair (a, b)
+    of a check's first nan residual ``hit`` = (k, a, b), or "" for None."""
+    if hit is None:
+        return ""
+    k, a, b = hit
+    return f", first at sample {k} in {{{funcs[a].label}, {funcs[b].label}}}"
+
+
 def cmd_verify(cfg) -> int:
     n, z = cfg["n"], cfg["z"]
     samples, seed = cfg["samples"], cfg["seed"]
@@ -311,7 +320,8 @@ def cmd_verify(cfg) -> int:
         "jminus_jplus": algebra.residual_jminus_jplus,
     }
     if not (algebra.max_residual < threshold):
-        failures.append(f"bracket relations (max {algebra.max_residual:.3e})")
+        where = _origin(algebra.first_nan, gens)
+        failures.append(f"bracket relations (max {algebra.max_residual:.3e}{where})")
 
     pts = pts[:50]
     c1 = casimir_one(z, n)
@@ -326,17 +336,21 @@ def cmd_verify(cfg) -> int:
     rest_q, rest_p = gradient_rows(rest, pts)
     dq = np.concatenate([gen_q[:50], rest_q], axis=1)
     dp = np.concatenate([gen_p[:50], rest_p], axis=1)
-    res = check_involution(dq, dp).residuals
+    involution = check_involution(dq, dp)
+    res = involution.residuals
+    funcs = [*gens, *rest]
     # the array max and _worst keep a NaN, and every gate is written to fail on one
     centrality = float(res[3 : n + 2, :3].max(initial=0.0))
     results["casimir_centrality"] = centrality
     if n >= 2 and not (centrality < threshold):
-        failures.append(f"Casimir centrality ({centrality:.3e})")
+        where = _origin(involution.first_nan((range(3, n + 2), range(3))), funcs)
+        failures.append(f"Casimir centrality ({centrality:.3e}{where})")
 
     tower_res = float(res[3 : n + 3, 3 : n + 3].max())
     results["integrable_involution"] = tower_res
     if not (tower_res < threshold):
-        failures.append(f"integrable involution ({tower_res:.3e})")
+        where = _origin(involution.first_nan((range(3, n + 3), range(3, n + 3))), funcs)
+        failures.append(f"integrable involution ({tower_res:.3e}{where})")
     worst = [algebra.max_residual, centrality, tower_res]
 
     if n >= 3:
@@ -348,7 +362,9 @@ def cmd_verify(cfg) -> int:
         results["superintegrable_involution"] = sup_res
         worst.append(sup_res)
         if not (sup_res < threshold):
-            failures.append(f"superintegrable involution ({sup_res:.3e})")
+            blocks = ((t, t) for t in ([h, 3, 4], [h, h + 1, h + 2]))
+            where = _origin(involution.first_nan(*blocks), funcs)
+            failures.append(f"superintegrable involution ({sup_res:.3e}{where})")
         # rank per point of [H_sup, C2, C3, I2, I3] and [H_int, C(2..n)],
         # and its margin: the smallest kept singular-value ratio, how far
         # the rank decision was from the tolerance
@@ -388,29 +404,37 @@ def cmd_verify(cfg) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _build_system(cfg):
-    """Returns (hamiltonian, monitored dict) for the selected system."""
+def _hamiltonian(cfg, selector):
+    """The Hamiltonian that ``selector`` names on the configured chart, n,
+    z and kappa2, and the constants of motion of its polar system (None on
+    the Cartesian chart)."""
     n, z = cfg["n"], cfg["z"]
-    selector = cfg["hamiltonian"]
-    chart = cfg["chart"]
-    if chart == "polar":
+    if cfg["chart"] == "polar":
         if n != 3:
-            raise ValueError("polar charts are three-dimensional")
+            raise _Error("polar charts are three-dimensional")
         if selector == "integrable":
             system = integrable_polar_system(z, cfg["kappa2"])
         elif selector == "superintegrable":
             system = superintegrable_polar_system(z, cfg["kappa2"])
         else:
-            raise ValueError("polar chart supports integrable/superintegrable only")
-        monitored = {"H": system.hamiltonian, **system.constants}
-        return system.hamiltonian, monitored
+            raise _Error("polar chart supports integrable/superintegrable only")
+        return system.hamiltonian, system.constants
     if selector == "integrable":
-        h = hamiltonian_integrable(n, z)
-    elif selector == "superintegrable":
-        h = hamiltonian_superintegrable(n, z)
-    else:  # family:<key>, a key of FAMILY_REGISTRY (the option's choices)
-        fn, label = FAMILY_REGISTRY[selector.split(":", 1)[1]]
-        h = hamiltonian_family(n, z, fn, label)
+        return hamiltonian_integrable(n, z), None
+    if selector == "superintegrable":
+        return hamiltonian_superintegrable(n, z), None
+    # family:<key>, a key of FAMILY_REGISTRY (the option's choices)
+    fn, label = FAMILY_REGISTRY[selector.split(":", 1)[1]]
+    return hamiltonian_family(n, z, fn, label), None
+
+
+def _build_system(cfg):
+    """Returns (hamiltonian, monitored dict) for the selected system."""
+    n, z = cfg["n"], cfg["z"]
+    selector = cfg["hamiltonian"]
+    h, constants = _hamiltonian(cfg, selector)
+    if constants is not None:
+        return h, {"H": h, **constants}
     monitored = {"H": h}
     for m in range(2, min(n, 3) + 1):
         monitored[f"C({m})"] = casimir_m(m, n, z)
@@ -501,22 +525,11 @@ def cmd_curvature(cfg) -> int:
         else PhasePoint([0.71, 0.62, 0.53], [0.2, 0.3, 0.4])
     ]
     # a metric that cannot be built is a numerical failure, reported by main
+    h, _ = _hamiltonian(cfg, cfg["metric"])
     if chart == "cartesian":
-        h = (
-            hamiltonian_integrable(n, z)
-            if cfg["metric"] == "integrable"
-            else hamiltonian_superintegrable(n, z)
-        )
         g = line_element_from_hamiltonian(h, n, check)
     else:
-        if n != 3:
-            raise _Error("polar charts are three-dimensional")
-        system = (
-            integrable_polar_system(z, cfg["kappa2"])
-            if cfg["metric"] == "integrable"
-            else superintegrable_polar_system(z, cfg["kappa2"])
-        )
-        g = metric_from_hamiltonian(system.hamiltonian, 3, check)
+        g = metric_from_hamiltonian(h, 3, check)
 
     axis = _linspace(lo, hi, cfg["grid_points"])
     names = ["q1", "q2", "q3"][:n] if chart == "cartesian" else ["rho", "theta", "phi"]

@@ -1,77 +1,87 @@
-"""Dual numbers, jets and reverse passes: the package's one differentiation core.
+"""Dual numbers and reverse passes: the package's one differentiation core.
 
 Every quantity in this package that ever gets differentiated (generators,
 Hamiltonians, metric components, chart maps) is written against the generic
 scalar functions defined here, so the same code path evaluates on floats,
-complex numbers, ``Dual``, ``Jet`` and ``Rev`` values.  Nested derivatives
-(brackets of brackets, third partials) work because each forward dual pass
-carries a fresh tag: mixing duals from different passes treats the older
-one as a constant, which is exactly the perturbation-confusion-safe rule.
+complex numbers and the two number types, ``Dual`` and ``Rev``.  Nested
+derivatives (brackets of brackets, third partials) work because each
+forward dual pass carries a fresh tag: mixing duals from different passes
+treats the older one as a constant, which is exactly the
+perturbation-confusion-safe rule.
 
-Second order has its own number type, :class:`Jet`: a truncated Taylor
-expansion that carries the value, the gradient and the packed Hessian over
-all n input directions at once, so one evaluation of ``f`` (one pass) gives
-all three (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).
+A full gradient is one reverse pass (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., ch. 3-4): one evaluation of ``f`` on :class:`Rev`
+nodes records each operation's local partials on a tape, and one backward
+sweep over the tape accumulates the adjoints, at a cost independent of the
+number of inputs (Baur & Strassen 1983).
 
-A full gradient is one reverse pass (ibid., ch. 3-4): one evaluation of
-``f`` on :class:`Rev` nodes records each operation's local partials on a
-tape, and one backward sweep over the tape accumulates the adjoints, at a
-cost independent of the number of inputs (Baur & Strassen 1983).
+Second order is a sweep over the same record.  A reverse pass also records
+each forward operation (its table entry or operator, its operands' value
+slots, and its plain-number operands lifted into a constants vector), and
+:func:`_taylor` runs that record forward on values as a truncated Taylor
+expansion over all n input directions at once: each operation's value,
+gradient and packed Hessian from its operands' (ibid., ch. 13).  It
+computes them by the forms of the compiled order-2 code, so the two agree
+bit for bit; a division x / y of two nodes is x / y there, not the
+record's x * (1 / y).  At order 1 it carries no Hessian.
 
 Each elementary function is one table entry: its float and complex
 values and its f' and f'' as expressions in x, f(x) and f'(x).  One
-builder, :func:`_elementary`, applies each type's chain rule to them: a jet
-maps through (f, f', f'') at its value, a dual and a reverse node through
-f', all on the generic function of the value, so complex points work too.
-A new number type or kernel plugs in once, in the builder; the kernels of
-:mod:`zgeoflow.kernels` are entries too.
+builder, :func:`_elementary`, applies each number type's chain rule to
+them: a dual and a reverse node map through f' on the generic function of
+the value, so complex points work too; the Taylor sweep and compiled code
+call the entry's f, f' and f''.  A new kernel plugs in once, in the
+builder; the kernels of :mod:`zgeoflow.kernels` are entries too.
 
-Compiled passes.  A reverse pass also records each forward operation (its
-table entry or operator, its operands' value slots, and its plain-number
-operands lifted into a constants vector).  When the operation sequence of
-a function does not depend on its input, that record is emitted once as
-straight-line Python and run on plain floats (source transformation,
-Griewank & Walther ch. 6 and 13; :class:`CompiledGradient`): at order 1
-the forward values and then the adjoint sweep, at order 2 the value, the
-gradient and the packed Hessian part by part, of one output or of each of
-a list of them.  Order-2 code is value-numbered (ibid., ch. 6): an
-operation that repeats an earlier one on the same operands and an equal
-constant is computed once, which is exact in forward mode, so the outputs
-of one record share what they have in common (all components of a metric
-share their site coefficients).  The code is cached on the order and the
-operation skeleton, at order 2 together with which constants are equal, so
-a shape compiles once per process whatever its constants' values, and a
-new function of a known shape (a Hamiltonian or metric at another z or
-kappa2, whose parameters are lifted constants) runs the cached code from
-its first call on its own record's constants.  Every value, partial and
-part is computed as the ``Rev`` (order 1) or ``Jet`` (order 2) operators
-compute it, in the same order, so compiled code equals the per-call pass
-bit for bit; that pass stays the per-call path and the oracle.  Fallback
-rule: a pass that read a node's value through :func:`primal` may branch on
-it, so its function never compiles, and a call with a non-float argument
-takes the per-call pass.  A compiled call evaluates no number type and
-draws no tag.  :func:`compiled_values` emits a record's forward values
-alone, for float formulas that are not differentiated.
+Compiled passes.  A record is emitted as straight-line Python and run on
+its constants (source transformation, ibid., ch. 6 and 13): a gradient as
+the forward values and then the adjoint sweep, a Taylor pass as the value,
+the gradient and (at order 2) the packed Hessian part by part, of one
+output or of each of a list of them.  Taylor code is value-numbered (ibid.,
+ch. 6): an operation that repeats an earlier one on the same operands and
+an equal constant is computed once, which is exact in forward mode, so the
+outputs of one record share what they have in common (all components of a
+metric share their site coefficients).  Every value, partial and part is
+computed as the interpreted pass computes it (:func:`_sweep`, or
+:func:`_taylor`), in the same order, so compiled code equals it bit for
+bit; the interpreted passes stay the per-call path and the oracles.
 
-Nesting rule.  Jet and reverse passes are outermost: their inputs are plain
-floats or complex numbers.  Forward dual passes may run inside a reverse
-pass (a ``Dual`` then wraps reverse nodes; the nodes' operators return
-``NotImplemented`` for a ``Dual`` operand, so the dual stays the outer
-layer), but never inside a jet pass.  Nodes of two reverse passes, like
-jets of two jet passes, do not mix: a reverse pass inside a reverse pass
-raises ``ValueError``.
+The compile rule.  Every pass the package runs in production is one record
+of ``f`` and then one process-wide rule keyed by the record's operation
+skeleton (:func:`_skeleton`, whatever the constants' values): a record
+whose skeleton has cached code runs that code on its own constants; any
+other is interpreted, and on the skeleton's second sighting its code is
+compiled and cached if it equals that interpreted pass bit for bit
+(:func:`_agrees`).  So a shape compiles once per process, and a new
+function of a known shape (a Hamiltonian, metric or chart map at another z
+or kappa2, whose parameters are lifted constants) runs its code from its
+first call.  The rule is sound for every record, also for one whose
+function read a value through :func:`primal` and may branch on it: each
+call's own record fixes its operation sequence.  :class:`CompiledGradient`
+keeps the code of a function that read no value, so that its later float
+calls skip the record; :func:`compiled_jet` is the rule's Taylor pass.  A
+compiled call evaluates no number type and draws no tag.
+:func:`compiled_values` emits a record's forward values alone, for float
+formulas that are not differentiated.
+
+Nesting rule.  Reverse passes, and so Taylor passes, are outermost: their
+inputs are plain floats or complex numbers.  Forward dual passes may run
+inside a reverse pass (a ``Dual`` then wraps reverse nodes; the nodes'
+operators return ``NotImplemented`` for a ``Dual`` operand, so the dual
+stays the outer layer).  Nodes of two reverse passes do not mix: a reverse
+pass inside a reverse pass raises ``ValueError``.
 
 The helpers :func:`partial`, :func:`gradient`, :func:`second_partial`,
 :func:`jet`, :func:`taylor2`, :func:`hessian`, the one-variable
 :func:`derivative`, :class:`CompiledGradient` (gradients at order 1,
-value-gradient-Hessian triples at order 2) and :func:`compiled_values` are
-the only code in the package that creates tags, seeds inputs and extracts
-derivative parts, and
-the builder is the only code outside the number types that reads their
-parts; every other module differentiates through them.  Each call of ``f``
-is one pass and draws its own tags: a first partial is one dual pass, a
-gradient one reverse pass, a single second partial one nested dual pass,
-and a value-gradient-Hessian triple one jet pass.
+value-gradient-Hessian triples at order 2), :func:`compiled_jet` and
+:func:`compiled_values` are the only code in the package that creates
+tags, seeds inputs and extracts derivative parts, and the builder is the
+only code outside the number types that reads their parts; every other
+module differentiates through them.  Each call of ``f`` is one pass and
+draws its own tags: a first partial is one dual pass, a single second
+partial one nested dual pass, and a gradient or a value-gradient-Hessian
+triple one recorded pass.
 """
 
 from __future__ import annotations
@@ -172,170 +182,6 @@ class Dual:
                 out = out * self
             return out
         return exp(n * log(self))
-
-
-class _JetPass:
-    """What the jets of one pass share: the number n of input directions,
-    and for each packed Hessian entry k >= n of a jet's parts the pair
-    (i, j), i <= j, it belongs to (none for a first-order pass).  Jets tell
-    their passes apart by this object."""
-
-    __slots__ = ("n", "order", "hidx")
-
-    def __init__(self, n, order):
-        fresh_tag()  # jets need no tag, but every pass draws one: tags count passes
-        self.n = n
-        self.order = order
-        self.hidx = _hidx(n) if order == 2 else []
-
-    def parts(self, y):
-        """(value, gradient, Hessian rows or None) of a pass output ``y``;
-        an output that is no jet is a constant."""
-        n = self.n
-        if isinstance(y, Jet):
-            if y.ps is not self:
-                _mixed_passes()
-            value, d = y.v, y.d
-        else:
-            value, d = y, [0.0] * (n + len(self.hidx))
-        if self.order == 1:
-            return value, d[:n], None
-        hess = [[0.0] * n for _ in range(n)]
-        for k, i, j in self.hidx:
-            hess[i][j] = hess[j][i] = d[k]
-        return value, d[:n], hess
-
-
-def _hidx(n):
-    """(k, i, j) for each packed Hessian part k >= n of n inputs: the pairs
-    i <= j, row by row."""
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    return [(n + k, i, j) for k, (i, j) in enumerate(pairs)]
-
-
-def _mixed_passes():
-    raise ValueError("jets of two different passes do not mix")
-
-
-class Jet:
-    """A truncated second-order Taylor expansion over a pass's n inputs.
-
-    ``v`` is the value and ``d`` the list of derivative parts: the n first
-    partials, then the packed upper triangle of the Hessian (entry k >= n
-    is d^2 / dx_i dx_j for the pass's k-th (i, j)).  The lists are never
-    mutated, so jets share them.  Arithmetic with a plain number treats it
-    as a constant.
-    """
-
-    __slots__ = ("v", "d", "ps")
-
-    # numpy scalars on the left defer to the reflected operators
-    __array_ufunc__ = None
-
-    def __init__(self, v, d, ps):
-        self.v = v
-        self.d = d
-        self.ps = ps
-
-    def __repr__(self):
-        return f"Jet(v={self.v!r}, d={self.d!r})"
-
-    def _chain(self, v, d1, d2):
-        """f(self) from v = f(x), d1 = f'(x) and d2 = f''(x) at x = self.v."""
-        d, ps = self.d, self.ps
-        return Jet(
-            v,
-            [d1 * a for a in d[: ps.n]]
-            + [d1 * d[k] + d2 * d[i] * d[j] for k, i, j in ps.hidx],
-            ps,
-        )
-
-    def __add__(self, other):
-        if type(other) is Jet:
-            if other.ps is not self.ps:
-                _mixed_passes()
-            return Jet(self.v + other.v, [a + b for a, b in zip(self.d, other.d)], self.ps)
-        return Jet(self.v + other, self.d, self.ps)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet(-self.v, [-a for a in self.d], self.ps)
-
-    def __sub__(self, other):
-        if type(other) is Jet:
-            if other.ps is not self.ps:
-                _mixed_passes()
-            return Jet(self.v - other.v, [a - b for a, b in zip(self.d, other.d)], self.ps)
-        return Jet(self.v - other, self.d, self.ps)
-
-    def __rsub__(self, other):
-        return Jet(other - self.v, [-a for a in self.d], self.ps)
-
-    def __mul__(self, other):
-        if type(other) is Jet:
-            ps = self.ps
-            if other.ps is not ps:
-                _mixed_passes()
-            av, bv, ad, bd, n = self.v, other.v, self.d, other.d, ps.n
-            return Jet(
-                av * bv,
-                [av * b + bv * a for a, b in zip(ad[:n], bd[:n])]
-                + [
-                    av * bd[k] + bv * ad[k] + ad[i] * bd[j] + ad[j] * bd[i]
-                    for k, i, j in ps.hidx
-                ],
-                ps,
-            )
-        return Jet(self.v * other, [a * other for a in self.d], self.ps)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if type(other) is Jet:
-            ps = self.ps
-            if other.ps is not ps:
-                _mixed_passes()
-            # q = a / b from a = q b: q' = (a' - q b') / b and
-            # q'' = (a'' - q b'' - b' q'^T - q' b'^T) / b
-            inv = 1.0 / other.v
-            v, ad, bd, n = self.v / other.v, self.d, other.d, ps.n
-            g = [(a - v * b) * inv for a, b in zip(ad[:n], bd[:n])]
-            return Jet(
-                v,
-                g
-                + [
-                    (ad[k] - v * bd[k] - bd[i] * g[j] - bd[j] * g[i]) * inv
-                    for k, i, j in ps.hidx
-                ],
-                ps,
-            )
-        inv = 1.0 / other
-        return Jet(self.v * inv, [a * inv for a in self.d], self.ps)
-
-    def __rtruediv__(self, other):
-        inv = 1.0 / self.v
-        v = other * inv
-        d1 = -v * inv
-        return self._chain(v, d1, -2.0 * d1 * inv)
-
-    def __pow__(self, n):
-        return _power(self, n, lambda x, n: self._chain(
-            x**n, n * x ** (n - 1), n * (n - 1) * x ** (n - 2)))
-
-
-def _power(x, n, parts):
-    """x ** n of a jet or reverse node x: x ** 0 is the value's, x ** 1 is x
-    and x ** -n is 1 / x ** n, so that one record serves both orders of
-    compiled code, and a non-integer power is exp(n log x).  ``parts(v, n)``
-    is x ** n from the value v of x for an integer n >= 2."""
-    if not isinstance(n, int):
-        return exp(n * log(x))
-    if n < 0:
-        return 1.0 / _power(x, -n, parts)
-    if n == 0:
-        return x.v**0
-    return x if n == 1 else parts(x.v, n)
 
 
 def _mixed_tapes():
@@ -464,12 +310,23 @@ class Rev:
         return self._chain(v, -v * inv, (_RDIV, self.s), other)
 
     def __pow__(self, n):
-        return _power(self, n, lambda x, n: self._chain(
-            x**n, n * x ** (n - 1), (_POW, self.s, n)))
+        # x ** 0 is the value's, x ** 1 is x and x ** -n is 1 / x ** n, so
+        # that x ** n records only powers n >= 2; a non-integer power is
+        # exp(n log x)
+        if not isinstance(n, int):
+            return exp(n * log(self))
+        if n < 0:
+            return 1.0 / self ** -n
+        if n == 0:
+            return self.v**0
+        if n == 1:
+            return self
+        x = self.v
+        return self._chain(x**n, n * x ** (n - 1), (_POW, self.s, n))
 
 
 #: the package's number types, none of which a reverse pass takes as input
-_NUMBER_TYPES = frozenset((Dual, Jet, Rev))
+_NUMBER_TYPES = frozenset((Dual, Rev))
 
 
 def _sweep(tape, y, n):
@@ -493,7 +350,7 @@ def _sweep(tape, y, n):
 
 
 def primal(x):
-    """Strip all dual, jet or reverse layers and return the underlying float / complex.
+    """Strip all dual or reverse layers and return the underlying float / complex.
 
     Reading a node's value marks its tape opaque: the pass may branch on it.
     """
@@ -502,7 +359,7 @@ def primal(x):
     if type(x) is Rev:
         x.t.opaque = True
         return x.v
-    return x.v if type(x) is Jet else x
+    return x
 
 
 def dual_part(x, tag):
@@ -574,29 +431,30 @@ def second_partial(f, args, i, j):
 
 def jet(f, args, order=2):
     """Value, gradient and Hessian (symmetric list of rows) of ``f`` at
-    ``args`` from one jet pass: one evaluation of ``f`` and one tag.
+    ``args`` from one recorded pass (one evaluation of ``f`` and one tag)
+    and the Taylor sweep over its record (:func:`_taylor`).
 
     ``order=1`` carries no Hessian and returns ``None`` in its place.  A
     list-valued ``f`` gives one (value, gradient, Hessian) triple per
-    component.  The parts keep their scalar type (float or complex).
+    component.  The parts keep their scalar type (float or complex).  It is
+    the per-call oracle of :func:`compiled_jet`.
     """
-    n = len(args)
-    ps = _JetPass(n, order)
-    seeded = []
-    for i, x in enumerate(args):
-        parts = [0.0] * (n + len(ps.hidx))
-        parts[i] = 1.0
-        seeded.append(Jet(x, parts, ps))
-    out = f(seeded)
-    if isinstance(out, list):
-        return [ps.parts(y) for y in out]
-    return ps.parts(out)
+    return _taylor(*_record(f, args), args, order)
+
+
+def compiled_jet(f, args, order=2):
+    """What :func:`jet` returns, bit for bit, by the compile rule: one
+    recorded pass of ``f``, then the code cached for its skeleton, or the
+    Taylor sweep over the record (which compiles the skeleton on its second
+    sighting).  It raises what the record or the sweep raises."""
+    tape, out = _record(f, args)
+    return _run(tape, out, args, order)[0]
 
 
 def taylor2(f, args):
     """Float value, gradient and symmetric Hessian (list of rows) of ``f``,
-    all from the one jet pass of :func:`jet`; a list-valued ``f`` gives one
-    such triple per component."""
+    all from the one recorded pass of :func:`jet`; a list-valued ``f``
+    gives one such triple per component."""
     out = jet(f, args)
     return [_floats(*y) for y in out] if isinstance(out, list) else _floats(*out)
 
@@ -617,12 +475,14 @@ def derivative(f, x):
 
 
 # ---------------------------------------------------------------------------
-# compiled passes: a recorded reverse pass as straight-line float code
+# the Taylor sweep, compiled passes and the compile rule
 # ---------------------------------------------------------------------------
 
-#: (order, operation skeleton) -> compiled code that passed its check
-#: against a recorded pass; the oldest goes first once MAX_SKELETONS are held
+#: skeleton (see _skeleton) -> compiled code that agreed with an interpreted
+#: pass; and the skeletons seen once, which have no code yet.  Each table
+#: drops its oldest entry once it holds MAX_SKELETONS.
 _SKELETONS = {}
+_SIGHTED = {}
 MAX_SKELETONS = 256
 
 
@@ -633,11 +493,12 @@ _CHAIN = ("g{j} * {a}", "g{j} * {a} + h{j} * {ai} * {aj}")
 #: each operator's forms, in the value {v} of slot {j}, its operand values
 #: {x} and {y}, its constant {c} and integer power {p}: the forward lines
 #: and local partials (one per operand slot; "+" and "-" are 1 and -1) of
-#: the reverse pass, then a jet result's first partial and Hessian part k
-#: in the operands' parts {a} and {b} at k, theirs at the pair (i, j) of k
-#: ({ai}, {aj}, {bi}, {bj}) and the result's first partials {gi} and {gj},
-#: and the jet's forward lines where they are not the reverse pass's.  An
-#: operator without partials shares the sweep index and the parts of {x}.
+#: the reverse pass, then a Taylor result's first partial and Hessian part
+#: k in the operands' parts {a} and {b} at k, theirs at the pair (i, j) of
+#: k ({ai}, {aj}, {bi}, {bj}) and the result's first partials {gi} and
+#: {gj}, and the Taylor pass's forward lines where they are not the reverse
+#: pass's.  An operator without partials shares the sweep index and the
+#: parts of {x}.
 _FORMS = {
     _ADD: (["{v} = {x} + {y}"], ["+", "+"], "{a} + {b}", "{a} + {b}"),
     _ADDC: (["{v} = {x} + {c}"], None, None, None),
@@ -661,6 +522,85 @@ _FORMS = {
 _ENTRY_FORM = (["{v} = R{e}({x})", "g{j} = D{e}({x}, {v})"], ["g{j}"], *_CHAIN,
                ["{v} = R{e}({x})", "g{j} = D{e}({x}, {v})", "h{j} = E{e}({x}, {v}, g{j})"])
 _WITH_CONST = frozenset((_ADDC, _SUBC, _RSUB, _MULC, _RDIV))
+
+
+def _hidx(n):
+    """(k, i, j) for each packed Hessian part k >= n of n inputs: the pairs
+    i <= j, row by row."""
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    return [(n + k, i, j) for k, (i, j) in enumerate(pairs)]
+
+
+def _step(form):
+    """The Taylor operation of ``form`` on values, as a function of its
+    operand values x and y, constant c, integer power p, table entry f,
+    operand parts a and b, input count n and the Hessian pairs hidx (see
+    :func:`_hidx`): it returns the value and the parts of the result, each
+    computed by the form that compiled code computes it by."""
+    names = {"v": "v", "x": "x", "y": "y", "c": "c", "p": "p", "j": "_", "e": "",
+             "a": "a[k]", "b": "b[k]", "ai": "a[i]", "aj": "a[m]", "bi": "b[i]",
+             "bj": "b[m]", "gi": "d[i]", "gj": "d[m]"}
+    lines = ["R, D, E = f, f.d1, f.d2"] if form is _ENTRY_FORM else []
+    lines += form[4] if len(form) > 4 else form[0]
+    if form[2] is None:
+        lines.append("return v, a")
+    else:
+        lines += [f"d = [{form[2]} for k in range(n)]",
+                  f"return v, d + [{form[3]} for k, i, m in hidx]"]
+    body = "\n    ".join(line.format(**names) for line in lines)
+    scope = {}
+    exec(compile(f"def step(x, y, c, p, f, a, b, n, hidx):\n    {body}\n", "<taylor step>",
+                 "exec"), scope)
+    return scope["step"]
+
+
+#: the Taylor operation of each operator code, and of a table entry
+_STEPS = {code: _step(form) for code, form in _FORMS.items()}
+_ENTRY_STEP = _step(_ENTRY_FORM)
+
+
+def _taylor(tape, out, args, order):
+    """The (value, gradient, Hessian rows) of the pass output ``out`` of the
+    record ``tape`` at its inputs ``args``, or the list of those triples
+    for a list ``out``; at ``order=1`` the Hessian is None.
+
+    One forward sweep over the record's operations and constants, each
+    computed by :func:`_step` from its operands' values and parts, the
+    inputs' parts being the seeds 1.0 and 0.0: the Taylor pass that
+    compiled code (:func:`_emit2`) equals bit for bit.  No zero part is
+    dropped, since its sign and a 0 * inf reach the result.  An output that
+    is no node is a constant.
+    """
+    n = len(args)
+    hidx = _hidx(n) if order == 2 else []
+    width = n + len(hidx)
+    values = list(args)
+    parts = [[1.0 if k == i else 0.0 for k in range(width)] for i in range(n)]
+    consts = iter(tape.consts)
+    for code, *slots in tape.ops[n:]:
+        p = slots.pop() if code == _POW else None
+        c = next(consts) if code in _WITH_CONST else None
+        step = _STEPS.get(code, _ENTRY_STEP)
+        x, y, a, b = values[slots[0]], values[slots[-1]], parts[slots[0]], parts[slots[-1]]
+        v, d = step(x, y, c, p, code, a, b, n, hidx)
+        values.append(v)
+        parts.append(d)
+
+    def triple(y):
+        if type(y) is not Rev:
+            value, d = y, [0.0] * width
+        elif y.t is not tape:
+            _mixed_tapes()
+        else:
+            value, d = values[y.s], parts[y.s]
+        if order == 1:
+            return value, d[:n], None
+        hess = [[0.0] * n for _ in range(n)]
+        for k, i, j in hidx:
+            hess[i][j] = hess[j][i] = d[k]
+        return value, d[:n], hess
+
+    return [triple(y) for y in out] if isinstance(out, list) else triple(out)
 
 
 #: each operator's float operation as plain Python computes it, for
@@ -768,20 +708,21 @@ def _emit(n, ops, out, entries):
     return lines, f"[{', '.join(ret)}]"
 
 
-def _emit2(n, ops, out, entries, canon):
+def _emit2(n, ops, out, entries, canon, order):
     """Body lines and return value of the (value, gradient, Hessian rows)
     of value slot ``out`` of the forward operations ``ops``, or the list of
-    those triples for a tuple of slots ``out``.
+    those triples for a tuple of slots ``out``; at ``order=1`` the Hessian
+    is None.
 
-    Part k of slot j is d{j}_k, and the inputs' parts are the 1.0 and 0.0
-    of a jet pass's seeds.  Every value and part is computed as the ``Jet``
-    operators compute it, in the same order, so the result equals a jet pass
-    bit for bit: no zero part is dropped, since its sign and a 0 * inf
-    reach the result.  An operation that ``canon`` (see
-    :func:`_value_numbers`) numbers as an earlier one shares that one's
-    variables, and so does a part whose expression was computed already.
+    Part k of slot j is d{j}_k, and the inputs' parts are the seeds 1.0
+    and 0.0.  Every value and part is computed by the forms that
+    :func:`_taylor` computes it by, in the same order, so the result equals
+    the Taylor pass bit for bit: no zero part is dropped.  An operation
+    that ``canon`` (see :func:`_value_numbers`) numbers as an earlier one
+    shares that one's variables, and so does a part whose expression was
+    computed already.
     """
-    hidx = _hidx(n)
+    hidx = _hidx(n) if order == 2 else []
     lines, seen = [], {}  # seen: expression -> the variable that holds it
     parts = [["1.0" if k == i else "0.0" for k in range(n + len(hidx))] for i in range(n)]
     for code, slots, names in _operations(n, ops, entries, canon):
@@ -812,6 +753,8 @@ def _emit2(n, ops, out, entries, canon):
 
     def triple(s):
         d = parts[s]
+        if order == 1:
+            return f"v{canon[s]}, [{', '.join(d)}], None"
         rows = [", ".join(d[at[min(i, m), max(i, m)]] for m in range(n)) for i in range(n)]
         return f"v{canon[s]}, [{', '.join(d[:n])}], [[{'], ['.join(rows)}]]"
 
@@ -826,130 +769,131 @@ def _slots(out):
 
 
 def _skeleton(tape, out, n, order):
-    """The cache key of the compiled pass of the given order of the recorded
-    pass (``tape``, output ``out``): the operation skeleton, whatever the
-    constants, and at order 2, whose code is value-numbered, which of the
-    constants are equal."""
+    """The cache key of the recorded pass (``tape``, output ``out``) for a
+    gradient (``order`` None) or a Taylor pass of the given order: the
+    operation skeleton, whatever the constants, and for a Taylor pass, whose
+    code is value-numbered, which of the constants are equal."""
     key = (order, n, _slots(out), tuple(tape.ops[n:]))
-    return key if order == 1 else (*key, _classes(tape.consts))
+    return key if order is None else (*key, _classes(tape.consts))
 
 
-def _define(head, lines, ret, entries, names):
+def _define(head, lines, ret, entries, names, real=True):
     """The function ``code`` of the given head, body lines and return
     value, with the table entries' R{e}, D{e} and E{e} and ``names`` as its
-    globals."""
+    globals.  R{e} is the entry's float function, or with ``real=False``
+    the generic one, which takes complex values too."""
     for f, e in entries.items():
-        names[f"R{e}"], names[f"D{e}"], names[f"E{e}"] = f.real, f.d1, f.d2
+        names[f"R{e}"], names[f"D{e}"], names[f"E{e}"] = f.real if real else f, f.d1, f.d2
     body = "\n    ".join([*lines, f"return {ret}"])
     exec(compile(f"def {head}:\n    {body}\n", "<compiled pass>", "exec"), names)
     return names["code"]
 
 
 def _compile(tape, out, n, order):
-    """The compiled pass of the given order of the recorded pass (``tape``,
-    output ``out``), called as ``code(args, consts)``, whatever the
-    constants (at order 2, whatever constants of the record's classes)."""
+    """The compiled pass (see :func:`_skeleton` for ``order``) of the
+    recorded pass (``tape``, output ``out``), called as
+    ``code(args, consts)``, whatever the constants (for a Taylor pass,
+    whatever constants of the record's classes).  Taylor code calls the
+    generic table entries, since it also runs at complex points."""
     entries = {}
-    if order == 1:
+    if order is None:
         lines, ret = _emit(n, tape.ops, out.s, entries)
     else:
         canon = _value_numbers(n, tape.ops, _classes(tape.consts))
-        lines, ret = _emit2(n, tape.ops, _slots(out), entries, canon)
+        lines, ret = _emit2(n, tape.ops, _slots(out), entries, canon, order)
     head = [f"{', '.join(f'v{i}' for i in range(n))}, = x"]
     if tape.consts:
         head.append(f"{', '.join(f'c{i}' for i in range(len(tape.consts)))}, = c")
-    return _define("code(x, c)", [*head, *lines], ret, entries, {})
+    return _define("code(x, c)", [*head, *lines], ret, entries, {}, real=order is None)
 
 
 def _compiles(tape, out, order):
-    """Whether a record can compile: it read no value, and its output is a
-    node of its own tape, or at order 2 a list of them."""
-    outs = out if order == 2 and type(out) is list else [out]
-    return not tape.opaque and all(type(y) is Rev and y.t is tape for y in outs)
+    """Whether a record can compile: its output is a node of its own tape,
+    or for a Taylor pass a list of them."""
+    outs = out if order and type(out) is list else [out]
+    return all(type(y) is Rev and y.t is tape for y in outs)
+
+
+def _keep(table, key, value):
+    """Set ``table[key]``, first dropping the oldest entry of a full table."""
+    if len(table) >= MAX_SKELETONS:
+        del table[next(iter(table))]
+    table[key] = value
+
+
+def _run(tape, out, args, order):
+    """The compile rule: the result of the recorded pass (``tape``, output
+    ``out``) at its inputs ``args``, a gradient (``order`` None) or a Taylor
+    pass of the given order, and the cached code that gave it (None if the
+    record was interpreted).
+
+    A record whose skeleton (:func:`_skeleton`) has cached code runs that
+    code on its own constants.  Any other is interpreted (:func:`_sweep`
+    or :func:`_taylor`); on the skeleton's second sighting its code is
+    compiled, checked against that interpreted result and, if they agree
+    bit for bit (:func:`_agrees`; a nan agrees with nothing), cached.  The
+    rule holds for every record, also one whose function read a value and
+    may take another sequence at another input: the record of each call
+    fixes the operations that its code then does.
+    """
+    n = len(args)
+    key = _skeleton(tape, out, n, order) if _compiles(tape, out, order) else None
+    consts = tuple(tape.consts)
+    code = _SKELETONS.get(key)
+    if code is not None:
+        return code(args, consts), code
+    result = _sweep(tape, out, n) if order is None else _taylor(tape, out, args, order)
+    if key is None:
+        return result, None
+    if _SIGHTED.pop(key, None) is None:  # its first sighting
+        _keep(_SIGHTED, key, True)
+        return result, None
+    code = _compile(tape, out, n, order)
+    try:
+        agrees = _agrees(code(args, consts), result)
+    except (ArithmeticError, TypeError, ValueError):
+        agrees = False
+    if not agrees:
+        return result, None
+    _keep(_SKELETONS, key, code)
+    return result, code
 
 
 class CompiledGradient:
-    """The derivatives of one function ``f`` of float arguments, run as
-    compiled straight-line code once the operation sequence is known: the
+    """The derivatives of one function ``f`` of float arguments: the
     gradient of :func:`gradient` (``order=1``, a scalar ``f``) or the value,
     gradient and Hessian of :func:`taylor2` (``order=2``; a list-valued
     ``f`` gives one triple per component, from one record and one code).
 
-    The first call records ``f`` (one recorded reverse pass).  When code
-    for that record's skeleton is cached already, from any earlier function
-    with the same operation sequence, the call runs that code on the
-    record's constants: the cache holds only code that agreed with a pass,
-    and it does the float operations the record did, so it equals this
-    function's pass too.  Otherwise the first call is also the pass (at
-    order 1 the record's sweep, at order 2 one jet pass), and the second
-    compiles the record, checks the code against the first call's result
-    and, if they agree bit for bit (:func:`_agrees`; a nan agrees with
-    nothing), caches the code for the skeleton and runs it; so do all later
-    calls.  The code draws no tag: it evaluates no number type.
-    A record that read a node's value (see :func:`primal`) may take another
-    sequence at another input, so its function stays on the per-call pass,
-    as does one whose record raises where its jet pass answers, and so do
-    calls with a non-float argument.
+    Each call records ``f`` (one recorded pass) and runs the record by the
+    compile rule (:func:`_run`), until the rule gives it code for a record
+    that read no node's value (see :func:`primal`).  Such a function has
+    one operation sequence at every input, so the state keeps that code
+    and the record's constants, and its later calls on floats run the code
+    alone: no record, no tag.  A call with a non-float argument takes the
+    per-call pass.  A call raises what its record or pass raises.
     (A function that catches the exceptions of its own arithmetic could
     branch unseen; none in this package does.)
     """
 
-    __slots__ = ("order", "code", "consts", "first", "opaque")
+    __slots__ = ("order", "code", "consts")
 
     def __init__(self, order=1):
         self.order = order
-        self.code = self.consts = self.first = None
-        self.opaque = False
+        self.code = self.consts = None
 
     def __call__(self, f, args):
-        floats = _FLOAT.issuperset(map(type, args))
+        if not _FLOAT.issuperset(map(type, args)):
+            return gradient(f, args) if self.order == 1 else taylor2(f, args)
         code = self.code
-        if code is not None and floats:
+        if code is not None:
             return code(args, self.consts)
-        run = gradient if self.order == 1 else taylor2
-        if self.opaque or not floats:
-            return run(f, args)
-        n = len(args)
-        if self.first is None:
-            try:
-                tape, out = _record(f, args)
-            except (ArithmeticError, TypeError, ValueError):
-                if self.order == 1:
-                    raise  # as the reverse pass would
-                result = run(f, args)  # raises too, or answers where the record cannot
-                self.opaque = True
-                return result
-            if not _compiles(tape, out, self.order):
-                self.opaque = True
-                return _sweep(tape, out, n) if self.order == 1 else run(f, args)
-            code = _SKELETONS.get(_skeleton(tape, out, n, self.order))
-            if code is not None:
-                consts = tuple(tape.consts)
-                self.consts = consts  # before the code: a call that sees the code sees them
-                self.code = code
-                return code(args, consts)
-            result = _sweep(tape, out, n) if self.order == 1 else run(f, args)
-            self.first = (list(args), result, tape, out)
-            return result
-        args0, result0, tape, out = self.first
-        self.first = None
-        key = _skeleton(tape, out, n, self.order)
-        code = _SKELETONS.get(key) or _compile(tape, out, n, self.order)
-        consts = tuple(tape.consts)
-        try:
-            agrees = _agrees(code(args0, consts), result0)
-        except (ArithmeticError, TypeError, ValueError):
-            agrees = False
-        if not agrees:
-            self.opaque = True
-            return run(f, args)
-        if key not in _SKELETONS:
-            if len(_SKELETONS) >= MAX_SKELETONS:
-                del _SKELETONS[next(iter(_SKELETONS))]
-            _SKELETONS[key] = code
-        self.consts = consts  # before the code: a call that sees the code sees them
-        self.code = code
-        return code(args, consts)
+        tape, out = _record(f, args)
+        result, code = _run(tape, out, args, None if self.order == 1 else 2)
+        if code is not None and not tape.opaque:
+            self.consts = tuple(tape.consts)  # before the code: a call that sees the code sees them
+            self.code = code
+        return result
 
 
 _FLOAT = frozenset((float,))
@@ -978,7 +922,7 @@ def compiled_values(f, args):
     """
     flat = list(_leaves(args))
     tape, out = _record(lambda xs: f(_nested(args, iter(xs))), flat)
-    if not (_compiles(tape, out, 2) and type(out) is list):
+    if tape.opaque or type(out) is not list or not _compiles(tape, out, 2):
         return None
     n, entries = len(flat), {}
     canon = _value_numbers(n, tape.ops, _classes(tape.consts))
@@ -1026,12 +970,12 @@ def _elementary(name, real, cplx, d1, d2):
     v = f(x) and g = f'(x).
 
     A plain float goes straight to ``real``, so evaluations and the float
-    parts of dual passes pay nothing for the dispatch below it.  Compiled
+    parts of dual passes pay nothing for the dispatch below it.  Gradient
     code calls ``real``, ``d1`` and ``d2`` directly, so a reverse node comes
-    here once per recorded operation; the generic hot path is the jets of
-    the chart passes.  Each type's chain rule is written once, here: the
-    value recurses on ``f``, so a ``Dual`` wrapping older duals or reverse
-    nodes gets f' on the generic types too.
+    here once per recorded operation; the Taylor sweep and Taylor code call
+    ``f`` itself on the values, float or complex.  Each type's chain rule
+    is written once, here: the value recurses on ``f``, so a ``Dual``
+    wrapping older duals or reverse nodes gets f' on the generic types too.
     """
 
     def f(x):
@@ -1043,14 +987,10 @@ def _elementary(name, real, cplx, d1, d2):
         if isinstance(x, Dual):
             v = f(x.re)
             return Dual(x.tag, v, x.du * d1(x.re, v))
-        if isinstance(x, Jet):
-            v = f(x.v)
-            g = d1(x.v, v)
-            return x._chain(v, g, d2(x.v, v, g))
         return cplx(x) if isinstance(x, complex) else real(x)
 
     f.__name__ = f.__qualname__ = name
-    f.real, f.d1, f.d2 = real, d1, d2  # what compiled code calls on floats
+    f.real, f.d1, f.d2 = real, d1, d2  # what compiled code calls
     return f
 
 

@@ -51,7 +51,10 @@ class SolverStats:
     ``iterations`` maps a fixed-point iteration count to the number of steps
     that took it (0 for rk4-check).  ``max_update`` is the largest final
     fixed-point update (sup norm) over the steps, first reached at step
-    ``max_update_step``.
+    ``max_update_step``.  The final updates are at the level of roundoff,
+    so which step holds the largest moves with any reordering of float
+    arithmetic, even one that leaves the trajectory unchanged: compare the
+    metadata of two builds without ``max_update_step``.
     """
 
     rhs_evals: int = 0

@@ -118,7 +118,7 @@ def metric_from_hamiltonian(
         raise ValueError("Hamiltonian arity does not match requested dimension")
     for x in check_points:
         q, p = x.scalars()
-        hess = dual.hessian(lambda ps: h.raw(q, ps), p)
+        _, _, hess = dual.compiled_jet(lambda ps: h.raw(q, ps), p)
         diag = [hess[i][i] for i in range(n)]
         off = _worst([abs(v) for i, row in enumerate(hess) for j, v in enumerate(row) if i != j])
         off /= max(1.0, *map(abs, diag))
@@ -161,8 +161,7 @@ def _component_derivatives(g: DiagonalMetric, q):
     as float lists: d_i g_kk is triple k's gradient entry i, and d_i d_j g_kk
     its Hessian entry [i][j].  One call of the metric's
     :class:`zgeoflow.dual.CompiledGradient` state (at the first point a
-    record, plus a jet pass unless the record's shape compiled already;
-    compiled code at the later ones)."""
+    record, run by the compile rule; compiled code at the later ones)."""
     q = [float(v) for v in q]
     triples = g._state(g._all, q)
     g._nondegenerate([t[0] for t in triples], q)

@@ -5,10 +5,11 @@ derivatives ``S_k = d^k/du^k`` (:func:`sin_kernel`), and the cosine kernel
 ``cos(sqrt(u))`` (sinh and cosh branches for u < 0) are each one
 :func:`zgeoflow.dual._elementary` entry.  Each chooses between its Taylor
 series and its closed form inside its own float and complex value
-functions, so a reverse, dual or jet pass records one operation and reads
-no value to choose a formula: the passes through them have an operation
-sequence that does not depend on the input, which is what lets their
-gradients and jets compile (:class:`zgeoflow.dual.CompiledGradient`).
+functions, so a reverse or dual pass records one operation and reads no
+value to choose a formula: the passes through them have an operation
+sequence that does not depend on the input, which is what lets a
+function's gradients and Taylor passes run compiled code without a record
+(:class:`zgeoflow.dual.CompiledGradient`).
 
 Their f' and f'' are well conditioned.  The derivatives come from the
 S_k, which sum their series out to |u| = 4k + 1, where the closed forms

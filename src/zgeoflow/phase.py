@@ -75,10 +75,10 @@ class PhaseFunction:
     """A scalar function on 2N-dimensional phase space.
 
     ``fn(q, p)`` receives two sequences of N generic scalars (floats,
-    complex numbers, or the :class:`~zgeoflow.dual.Dual`,
-    :class:`~zgeoflow.dual.Jet` and :class:`~zgeoflow.dual.Rev` values of a
-    dual, jet or reverse pass) and must be built from the generic math in
-    :mod:`zgeoflow.dual` so that exact derivatives are available.  Instances
+    complex numbers, or the :class:`~zgeoflow.dual.Dual` and
+    :class:`~zgeoflow.dual.Rev` values of a dual or reverse pass) and must
+    be built from the generic math in :mod:`zgeoflow.dual` so that exact
+    derivatives are available.  Instances
     are immutable, apart from the gradient state that caches the compiled
     gradient of ``fn``, and safe to evaluate concurrently.  A function whose
     operation sequence compiled earlier in the process (the same builder at

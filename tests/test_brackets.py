@@ -353,7 +353,7 @@ def test_one_gradient_per_function_and_point(monkeypatch):
     z = 0.3
     point = PhasePoint([0.5, 0.4, 0.6], [0.2, -0.1, 0.3])
     charts.fundamental_bracket_residuals(point, z, 1.0)
-    assert len(calls) == 0  # two jet passes and the chain rule, no gradients
+    assert len(calls) == 0  # two chart passes and the chain rule, no gradients
     calls.clear()
     tower = [hamiltonian_integrable(3, z), casimir_m(2, 3, z), casimir_m(3, 3, z)]
     dq, dp = gradient_rows(tower, sample_points(3, 4, seed=1))
@@ -371,3 +371,21 @@ def test_algebra_report_with_a_nan_residual_fails():
     for res in ([float("nan"), 0.0, 0.0], [0.0, float("nan"), 0.0], [0.0, 0.0, float("nan")]):
         report = brackets.AlgebraReport(*res)
         assert np.isnan(report.max_residual) and not report.max_residual < 1e-9
+
+
+def test_reports_locate_their_first_nan():
+    # a nan in J3's row at sample 1 spreads over J3's row and column of that
+    # sample's bracket table: each report names its first nan residual
+    pts = sample_points(2, 3, seed=5)
+    gens = realize_generators(2, 0.3).as_tuple()
+    values = [[float(f(x)) for f in gens] for x in pts]
+    dq, dp = gradient_rows(gens, pts)
+    everything = (range(3), range(3))
+    assert check_algebra(0.3, values, dq, dp).first_nan is None
+    assert check_involution(dq, dp).first_nan(everything) is None
+    dq[1, 2, 0] = float("nan")
+    report = check_algebra(0.3, values, dq, dp)
+    assert np.isnan(report.max_residual) and report.first_nan == (1, 2, 1)  # {J3, J+}
+    involution = check_involution(dq, dp)
+    assert involution.first_nan(everything) == (1, 0, 2)  # row by row: {J-, J3}
+    assert involution.first_nan(([0, 1], [0, 1]), ([2], [0, 1, 2])) == (1, 2, 0)

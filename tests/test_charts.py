@@ -293,7 +293,7 @@ def test_canonicity_takes_two_jet_passes(monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# the chart pass: one jet of the position map per polar point
+# the chart pass: one Taylor pass of the position map per polar point
 # --------------------------------------------------------------------------
 
 EPS = np.finfo(float).eps
@@ -336,26 +336,78 @@ def test_chart_pass_matches_per_component_passes(z, kappa2):
 
 
 def test_chart_pass_runs_once_on_first_use(monkeypatch):
-    tags = []
-    fresh_tag = dual.fresh_tag
+    # one record of the position map (one tag), taken on first use and read
+    # by every consumer; the compile rule runs it
+    tags, records = [], []
+    fresh_tag, record = dual.fresh_tag, dual._record
 
     def counted():
         tags.append(None)
         return fresh_tag()
 
-    def no_reverse_pass(f, args):
-        raise AssertionError("a chart pass took a reverse pass")
+    def recorded(f, args):
+        records.append(list(args))
+        return record(f, args)
 
     monkeypatch.setattr(dual, "fresh_tag", counted)
-    monkeypatch.setattr(dual, "_record", no_reverse_pass)
+    monkeypatch.setattr(dual, "_record", recorded)
     chart = charts.ChartPass([0.7, 0.5, 0.6], 0.3, 1.0, order=2)
-    assert tags == []
+    assert tags == records == []
     jac, hess = chart.jacobian, chart.hessians
-    assert chart.jacobian is jac and len(tags) == 1
+    assert chart.jacobian is jac and len(tags) == 1 and records == [[0.7, 0.5, 0.6]]
     assert np.array_equal(charts.ChartPass([0.7, 0.5, 0.6], 0.3, 1.0).jacobian, jac)
-    assert len(tags) == 2 and len(hess) == 3
+    assert len(tags) == len(records) == 2 and len(hess) == 3
     with pytest.raises(ValueError, match="order 2"):
         charts.ChartPass([0.7, 0.5, 0.6], 0.3, 1.0).hessians
+
+
+def _leaf_bits(result):
+    return [repr(v) for v in dual._leaves(result)]
+
+
+@pytest.mark.parametrize("z", [0.0, 0.3, -0.3, 1e-7])
+@pytest.mark.parametrize("kappa2", [1.0, -1.0])
+def test_cached_chart_code_equals_the_taylor_sweep(monkeypatch, z, kappa2):
+    # a chart pass is one record run by the compile rule: the Taylor sweep at
+    # a skeleton's first two sightings, compiled on the second, and cached
+    # code from the third.  Each call equals the sweep over its own record bit
+    # for bit, for both maps at both orders, at real points and (kappa2 < 0)
+    # at complex-octant ones.  The maps read values to choose a kernel's
+    # series or closed form, so the points near the chart axes take other
+    # branches, and other skeletons, than the interior ones: no call runs the
+    # code of another branch.
+    monkeypatch.setattr(dual, "_SKELETONS", {})
+    monkeypatch.setattr(dual, "_SIGHTED", {})
+    sweeps = []
+    taylor = dual._taylor
+
+    def counted(*args):
+        sweeps.append(None)
+        return taylor(*args)
+
+    forward = lambda xs: charts._polar_to_cart_generic(xs, z, kappa2)  # noqa: E731
+    inverse = lambda qs: charts._cart_to_polar_generic(qs, z, kappa2)  # noqa: E731
+    cases = []
+    for x in CHART_PASS_POINTS:
+        q = charts.polar_to_cart(x, z, kappa2)
+        cases += [(forward, list(x)), (inverse, q)]
+        if kappa2 < 0:  # q is complex: so is the polar point it maps to
+            cases.append((forward, charts.cart_to_polar(q, z, kappa2)))
+    assert kappa2 > 0 or any(isinstance(v, complex) for _, args in cases for v in args)
+    for f, args in cases:
+        for order in (1, 2):
+            want = _leaf_bits(dual.jet(f, args, order))
+            monkeypatch.setattr(dual, "_taylor", counted)
+            for sighting in range(3):
+                sweeps.clear()
+                got = dual.compiled_jet(f, args, order)
+                assert _leaf_bits(got) == want, (f, args, order, sighting)
+                if sighting > 0:  # the skeleton's second sighting compiled it
+                    tape, out = dual._record(f, args)
+                    assert dual._skeleton(tape, out, 3, order) in dual._SKELETONS, (args, order)
+                if sighting == 2:
+                    assert sweeps == [], (args, order)
+            monkeypatch.setattr(dual, "_taylor", taylor)
 
 
 @pytest.mark.parametrize("x", [(0.0, 0.0, 0.0), (0.5, 0.0, 0.6), (0.0, 0.5, 0.6)])

@@ -137,6 +137,11 @@ def test_verify_takes_one_gradient_per_function_and_point(monkeypatch):
     assert len(tags) == 9
 
 
+#: the pair that a FAIL line names for a nan at each pair of the test below:
+#: the block's first nan, row by row
+_NAN_ORIGIN = {(3, 1): "C(2), J+(3)", (5, 4): "C(3), H_int(3)", (6, 8): "H_sup(3), I(3)"}
+
+
 @pytest.mark.parametrize(
     "pair, check, key",
     [
@@ -152,6 +157,7 @@ def test_verify_fails_on_a_nan_bracket(pair, check, key, tmp_path, monkeypatch, 
     def with_nan(dq, dp):
         report = table(dq, dp)
         a, b = pair
+        report.samples[1, a, b] = report.samples[1, b, a] = math.nan
         report.residuals[a, b] = report.residuals[b, a] = math.nan
         return report
 
@@ -159,12 +165,30 @@ def test_verify_fails_on_a_nan_bracket(pair, check, key, tmp_path, monkeypatch, 
     out = tmp_path / "report.txt"
     assert run(["verify", "--n=3", "--samples=2", f"--output={out}"]) == 2
     err = capsys.readouterr().err
-    assert f"{check} (nan)" in err and err.count("nan") == 1  # only its block
+    assert f"{check} (nan, first at sample 1 in {{{_NAN_ORIGIN[pair]}}})" in err
+    assert err.count("nan") == 1  # only its block
     lines = read(out).decode().splitlines()
     assert f"{key} = NaN" in lines and lines[-1] == "status = fail"
     out = tmp_path / "report.json"
     assert run(["verify", "--n=3", "--samples=2", "--format=json", f"--output={out}"]) == 2
     assert math.isnan(json.loads(read(out))["residuals"]["max"])
+
+
+def test_verify_names_where_an_overflowed_bracket_turns_nan(tmp_path, capsys):
+    # finite gradient rows up to 1.4e284 whose products overflow: inf - inf
+    # in the bracket table; the report keeps its keys, and each FAIL line
+    # names the sample and the first function pair of its block
+    out = tmp_path / "report.txt"
+    assert run(["verify", "--n=2", "--z=300", "--samples=1", f"--output={out}"]) == 2
+    fails = [
+        "Casimir centrality (nan, first at sample 0 in {C(2), J+(2)})",
+        "integrable involution (nan, first at sample 0 in {C(2), C(2)})",
+    ]
+    assert capsys.readouterr().err == f"verification failed: {'; '.join(fails)}\n"
+    lines = read(out).decode().splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [f"FAIL: {f}" for f in fails]
+    assert "casimir_centrality = NaN" in lines and "integrable_involution = NaN" in lines
+    assert lines[-1] == "status = fail"
 
 
 def _rank(funcs, x):
@@ -532,6 +556,18 @@ def test_curvature_polar_chart_grid(tmp_path):
     for row in lines[2:]:
         vals = [float(v) for v in row.split(",")]
         assert abs(vals[k_col] - 1.8) < 1e-7  # 6z
+
+
+@pytest.mark.parametrize("argv", [
+    ["curvature", "--chart=polar", "--n=2"],
+    ["simulate", "--chart=polar", "--n=2", "--q=0.5,0.6", "--p=0.1,0.2"],
+])
+def test_polar_charts_are_three_dimensional(argv, tmp_path, capsys):
+    # both commands choose their Hamiltonian through one selector
+    out = tmp_path / "out"
+    assert run([*argv, f"--output={out}"]) == 1
+    assert capsys.readouterr().err == "error: polar charts are three-dimensional\n"
+    assert not out.exists()
 
 
 def test_transform_relativistic_complex_output(tmp_path):

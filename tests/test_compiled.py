@@ -2,9 +2,9 @@
 
 The per-call passes are the oracles: a compiled gradient must equal the
 reverse pass (``dual.gradient``) and a compiled (value, gradient, Hessian)
-triple the jet pass (``dual.taylor2``) bit for bit, fall back to that pass
-wherever the operation sequence may depend on the input, and raise what it
-raises.
+triple the Taylor sweep over the record (``dual.taylor2``) bit for bit,
+follow each call's own record wherever the operation sequence may depend
+on the input, and raise what the record or the pass raises.
 """
 
 import gc
@@ -46,6 +46,12 @@ def _reverse(h, q, p):
 
 def _bits(values):
     return [float.hex(v) for v in values]
+
+
+def _fresh_rule(monkeypatch):
+    """Empty the compile rule's tables: no skeleton is cached or sighted."""
+    monkeypatch.setattr(dual, "_SKELETONS", {})
+    monkeypatch.setattr(dual, "_SIGHTED", {})
 
 
 @pytest.mark.parametrize("z", [0.47, -0.38])
@@ -135,26 +141,33 @@ def test_compiled_calls_draw_no_tag_and_complex_points_stay_on_the_reverse_pass(
     assert _bits([*gradient(h, x).flat()]) == _bits([*want.flat()])
 
 
-def test_a_function_that_reads_a_value_does_not_compile():
+def test_a_function_that_reads_a_value_does_not_compile(monkeypatch):
     # the branch is chosen by the value of q1: each side has another
-    # operation sequence, so compiled code from one side would be wrong on
-    # the other
+    # operation sequence, so the function keeps no code and records every
+    # call; each record runs the code of its own branch's skeleton once
+    # that has compiled, and never the other branch's
+    _fresh_rule(monkeypatch)
+
     def fn(q, p):
         if dual.primal(q[0]) > 0.0:
             return q[0] * q[0] * p[0]
         return dual.sin(q[0]) * p[0] * p[0]
 
     h = PhaseFunction(1, fn, "branchy")
-    points = [0.5, -0.5, 0.25, -0.25, 0.75, -0.75]
-    for q in points:
+    points = [0.5, -0.5, 0.25, -0.25, 0.75, -0.75, 1.5, -1.5]
+    for k, q in enumerate(points):
+        tags = dual.fresh_tag()
         dq, dp = gradient_lists(h, [q], [1.5])
+        assert dual.fresh_tag() - tags == 2  # one record per call
         if q > 0:
             want = [2.0 * q * 1.5, q * q]
         else:
             want = [dual.cos(q) * 1.5 * 1.5, 2.0 * dual.sin(q) * 1.5]
         assert [*dq, *dp] == pytest.approx(want, rel=1e-15, abs=0.0)
-    state = h._gradient
-    assert state.opaque and state.code is None and state.first is None
+        assert _bits([*dq, *dp]) == _bits(_reverse(h, [q], [1.5]))
+        # each branch compiles on its second sighting
+        assert len(dual._SKELETONS) == (0 if k < 2 else 1 if k < 3 else 2)
+    assert h._gradient.code is None
 
 
 def test_one_compilation_per_shape_and_no_state_outlives_its_function():
@@ -189,10 +202,10 @@ def test_the_skeleton_cache_is_bounded(monkeypatch):
 
 
 def test_code_that_fails_its_check_is_not_cached(monkeypatch):
-    # code that disagrees with its record's pass falls back for its own
-    # function and is not shared: a later function of the same shape is
+    # code that disagrees with its record's pass is not cached, and the
+    # call answers from the pass: a later function of the same shape is
     # checked again, and never runs it unchecked
-    monkeypatch.setattr(dual, "_SKELETONS", {})
+    _fresh_rule(monkeypatch)
     emit = dual._emit
 
     def off_by_one(*args):
@@ -205,14 +218,14 @@ def test_code_that_fails_its_check_is_not_cached(monkeypatch):
         state = dual.CompiledGradient(1)
         for x in ([1.0, 2.0], [2.0, 3.0]):
             assert state(f, x) == dual.gradient(f, x)
-        assert state.opaque and state.code is None
+        assert state.code is None
     assert dual.gradient(f, [2.0, 3.0]) == [15.0, 10.0]
     assert not dual._SKELETONS
 
 
 def test_code_that_flips_the_sign_of_a_zero_is_not_cached(monkeypatch):
     # 0.0 == -0.0, but code is admitted only if it is its pass bit for bit
-    monkeypatch.setattr(dual, "_SKELETONS", {})
+    _fresh_rule(monkeypatch)
     emit = dual._emit
 
     def flip_zeros(*args):
@@ -224,7 +237,7 @@ def test_code_that_flips_the_sign_of_a_zero_is_not_cached(monkeypatch):
     state = dual.CompiledGradient(1)
     for x in ([0.9, 0.5], [0.7, 0.2]):
         assert _bits(state(f, x)) == _bits(dual.gradient(f, x)) == _bits([2.0 * x[0], 0.0])
-    assert state.opaque and state.code is None
+    assert state.code is None
     assert not dual._SKELETONS
 
 
@@ -331,8 +344,8 @@ def _triple_bits(triple):
 
 
 def _compiled_state(g, points):
-    """The state of all components of ``g`` after a jet pass and a
-    compilation."""
+    """The state of all components of ``g`` after two records at
+    ``points``: the latest sees the skeleton's code compiled or cached."""
     state = g._state
     for q in points:
         state(g._all, q)
@@ -358,8 +371,8 @@ def test_compiled_jets_equal_the_jet_pass_bit_for_bit(z):
                        [0.6, 0.7, 0.0], [0.6, tiny, -0.0]]
         assert all(scale * min(abs(v) for v in q) ** 2 < kernels.SERIES_CUTOFF
                    for q in points[24:])
-        # all components from one compiled call, each bit for bit its own
-        # component's jet pass
+        # all components from one compiled call, each bit for bit the Taylor
+        # pass of its own component
         state = _compiled_state(g, points[:2])
         for q in points:
             got = state(g._all, q)
@@ -380,7 +393,7 @@ def test_constant_classes_compare_bits():
 
 def test_every_operator_compiles_as_the_jet_pass_computes():
     # each operator code and a few table entries, integer powers included
-    # (x ** 1 is x itself to a jet, x ** -p is 1.0 / x ** p)
+    # (x ** 1 is x itself to a record, x ** -p is 1.0 / x ** p)
     def f(q):
         x, y, w = q
         a = (x + y) * (x - 0.5) + (2.0 - y) * -w + x / y + y / 3.0 + 1.5 / w
@@ -401,7 +414,7 @@ def test_every_operator_compiles_as_the_jet_pass_computes():
 
 def test_compiled_jets_keep_the_jet_pass_sign_of_zero():
     # products with the seeds' 0.0 parts carry signs: -0.0 parts survive;
-    # and x ** 1 is x itself to a jet, also at x = 0
+    # and x ** 1 is x itself to a record, also at x = 0
     def f(q):
         return -2.0 * q[0] * q[1] - q[1] * 3.0 + q[0] ** 1 * q[1] ** 2
 
@@ -414,7 +427,7 @@ def test_compiled_jets_keep_the_jet_pass_sign_of_zero():
 
 
 def test_one_skeleton_per_metric_shape_and_no_state_outlives_its_metric(monkeypatch):
-    monkeypatch.setattr(dual, "_SKELETONS", {})
+    _fresh_rule(monkeypatch)
     g = geometry.line_element_from_hamiltonian(hamiltonian_integrable(3, 0.1), 3, [])
     _compiled_state(g, ([0.1, 0.2, 0.3], [0.3, 0.2, 0.1]))
     assert len(dual._SKELETONS) == 1
@@ -441,7 +454,11 @@ def test_one_skeleton_per_metric_shape_and_no_state_outlives_its_metric(monkeypa
     assert sum(r() is not None for r in refs) == 0
 
 
-def test_a_component_that_reads_a_value_stays_on_the_jet_pass():
+def test_a_component_that_reads_a_value_stays_on_the_jet_pass(monkeypatch):
+    # each branch's records compile to a code of their own skeleton, which
+    # only that branch's records run
+    _fresh_rule(monkeypatch)
+
     def comp(q):
         if dual.primal(q[0]) > 0.0:
             return q[0] * q[0] * q[1]
@@ -464,9 +481,9 @@ def test_a_component_that_reads_a_value_stays_on_the_jet_pass():
         assert _triple_bits(other) == _triple_bits(dual.taylor2(g.components[1], [x, y]))
         geometry.christoffel(g, [x, y])
     # one state serves all components, so the other one's triples come from
-    # the jet pass too
-    state = g._state
-    assert state.opaque and state.code is None and state.first is None
+    # each call's record too
+    assert g._state.code is None
+    assert len(dual._SKELETONS) == 2
 
 
 def test_non_float_arguments_take_the_jet_pass():
@@ -475,7 +492,7 @@ def test_non_float_arguments_take_the_jet_pass():
     for q in ([np.float64(0.3), 0.1, -0.2], [1, 0, 2], [0.5, np.float32(0.25), 0.125]):
         tags = dual.fresh_tag()
         got = state(g._all, q)
-        assert dual.fresh_tag() - tags == 2  # one jet pass
+        assert dual.fresh_tag() - tags == 2  # one per-call pass
         for triple, comp in zip(got, g.components):
             assert _triple_bits(triple) == _triple_bits(dual.taylor2(comp, q))
     tags = dual.fresh_tag()
@@ -508,30 +525,32 @@ def test_compiled_jets_raise_what_the_jet_pass_raises():
             state(f, q)
 
 
-def test_a_record_that_fails_where_the_jet_pass_does_not_keeps_the_jet_pass():
+def test_a_call_raises_what_its_record_raises():
     # a reverse pass takes x / y as x * (1 / y): at 49 / 49 that is
-    # 1 - 2^-53, so the log's argument is 0.0 on the record and 2^-53 on the
-    # jet pass, which answers
+    # 1 - 2^-53, so the log's argument is 0.0 on the record, which raises,
+    # though the Taylor sweep computes x / y, 1.0, and 2^-53 there; every
+    # second-order pass is one record, so each raises as the record does
     def f(q):
         return dual.log(q[0] / q[1] - 0.9999999999999999)
 
     state = dual.CompiledGradient(2)
-    got = state(f, [49.0, 49.0])
-    assert _triple_bits(got) == _triple_bits(dual.taylor2(f, [49.0, 49.0]))
-    assert state.opaque and state.code is None
-    assert _triple_bits(state(f, [2.0, 1.0])) == _triple_bits(dual.taylor2(f, [2.0, 1.0]))
+    for run in (state, dual.taylor2, dual.compiled_jet):
+        with pytest.raises(ValueError, match="math domain error"):
+            run(f, [49.0, 49.0])
+    for q in ([2.0, 1.0], [3.0, 2.0], [5.0, 4.0]):
+        assert _triple_bits(state(f, q)) == _triple_bits(dual.taylor2(f, q))
+    assert state.code is not None
 
 
 def test_a_first_point_where_both_passes_raise_does_not_stop_compiling():
-    # the record and the jet pass both raise at x = 0: the error is the
-    # jet pass's, and the next points still record and compile
+    # the record raises at x = 0, and so would the Taylor sweep: the next
+    # points still record and compile
     def f(q):
         return 1.0 / q[0] + q[1] * q[1]
 
     state = dual.CompiledGradient(2)
     with pytest.raises(ZeroDivisionError):
         state(f, [0.0, 1.0])
-    assert not state.opaque
     for q in ([0.5, 1.0], [-2.0, 0.25], [3.0, -1.0]):
         assert _triple_bits(state(f, q)) == _triple_bits(dual.taylor2(f, q))
     assert state.code is not None
@@ -542,7 +561,7 @@ def test_curvature_at_the_polar_boundary_is_unchanged(tmp_path, capsys, monkeypa
     # exit code and the message of the jet-pass program, frozen; first in a
     # process that has compiled no metric shape yet, then in a warm one
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(dual, "_SKELETONS", {})
+    _fresh_rule(monkeypatch)
     monkeypatch.setattr(geometry, "_SUMMARIES", {})
     tags = []
     fresh_tag = dual.fresh_tag
@@ -562,15 +581,17 @@ def test_curvature_at_the_polar_boundary_is_unchanged(tmp_path, capsys, monkeypa
             "error: metric not usable on the grid: "
             "chart-boundary singularity: sin(l2 theta)/l2 = 0\n"
         )
-        # the kinetic check, then one record of all components and, while
-        # the shape is new, one jet pass; the process's first curvature
-        # point also records the curvature formula
+        # one record for the kinetic check, then one record of all
+        # components per point until the metric's state holds code: at the
+        # first two points while the skeleton is new (its first sighting,
+        # then its compilation), at the first point once it is cached; the
+        # process's first curvature point also records the curvature formula
         assert len(tags) == passes
         assert not (tmp_path / "c.csv").exists()
 
 
 def test_the_skeleton_bound_is_shared_by_both_orders(monkeypatch):
-    monkeypatch.setattr(dual, "_SKELETONS", {})
+    _fresh_rule(monkeypatch)
     monkeypatch.setattr(dual, "MAX_SKELETONS", 3)
     orders = []
     for n in range(1, 4):
@@ -579,10 +600,11 @@ def test_the_skeleton_bound_is_shared_by_both_orders(monkeypatch):
             gradient_lists(h, q, [0.3] * n)
         g = geometry.line_element_from_hamiltonian(h, n, [])
         _compiled_state(g, ([0.1] * n, [0.2] * n))
-        orders += [1, 2]
+        orders += [None, 2]  # a gradient's key, then a Taylor pass's
         assert [key[0] for key in dual._SKELETONS] == orders[-3:]
+        assert len(dual._SIGHTED) <= 3
     # one function at both orders: one skeleton, two entries, two passes
-    monkeypatch.setattr(dual, "_SKELETONS", {})
+    _fresh_rule(monkeypatch)
     f = hamiltonian_integrable(2, 0.2).fn
     g = lambda q: f(q, [0.3, 0.4])  # noqa: E731
     states = dual.CompiledGradient(1), dual.CompiledGradient(2)
@@ -591,7 +613,7 @@ def test_the_skeleton_bound_is_shared_by_both_orders(monkeypatch):
     assert got[0] == dual.gradient(g, [0.3, -0.4])
     assert _triple_bits(got[1]) == _triple_bits(dual.taylor2(g, [0.3, -0.4]))
     assert None not in (states[0].code, states[1].code)
-    assert sorted(key[0] for key in dual._SKELETONS) == [1, 2]
+    assert [key[0] for key in dual._SKELETONS] == [None, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +694,7 @@ def test_a_new_function_of_a_compiled_shape_runs_its_code_from_the_first_call():
     codes = {}
     for kappa2 in (1.0, -1.0):
         for name, order, state, f, sample in _builders(0.41, kappa2):
-            for _ in range(2):  # a jet pass or a sweep, then the compilation
+            for _ in range(2):  # two sightings of the skeleton: then it is compiled
                 state(f, sample(rng))
             codes[name, kappa2] = state.code
             assert state.code is not None, name
@@ -729,8 +751,8 @@ def test_a_wrapper_of_a_builder_function_shares_its_code():
 
 def test_warm_units_take_one_record_per_function(tmp_path, monkeypatch):
     # in a process that ran a unit of each kind, a curvature grid unit takes
-    # the kinetic check's jet pass and one record of all metric components, and
-    # a simulate unit one record of its Hamiltonian: no jet pass, sweep or
+    # the kinetic check's record and one record of all metric components, and
+    # a simulate unit one record of its Hamiltonian: no interpreted pass or
     # compilation
     monkeypatch.chdir(tmp_path)
     tags = []

@@ -1,4 +1,4 @@
-"""Exactness and nesting of the dual numbers, jets and reverse passes."""
+"""Exactness and nesting of the dual numbers, reverse passes and Taylor sweeps."""
 
 import ast
 import cmath
@@ -318,7 +318,7 @@ def test_taylor2_value_gradient_hessian(f, args):
     n = len(args)
     tags = dual.fresh_tag()
     value, grad, hess = dual.taylor2(f, args)
-    assert dual.fresh_tag() - tags == 2  # one jet pass, one tag
+    assert dual.fresh_tag() - tags == 2  # one recorded pass, one tag
     for i in range(n):
         for j in range(i, n):
             want = float(primal(dual.second_partial(f, args, i, j)))
@@ -359,7 +359,7 @@ def test_gradient_matches_partial_slot_by_slot():
 
 
 # --------------------------------------------------------------------------
-# second-order jets
+# second order: the Taylor sweep over a record
 # --------------------------------------------------------------------------
 
 # table entries the package does not ship, from the same builder as its own:
@@ -411,7 +411,7 @@ def test_jet_elementary_functions_against_closed_forms(fn, d1, d2, x0, shift):
         assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
     if shift == 0.0:
         assert all(type(v) is float for v in (value, grad[0], hess[0][0]))
-    # one f' serves the dual, reverse and jet passes alike
+    # one f' serves the dual and reverse passes and the Taylor sweep alike
     assert derivative(fn, x) == dual.gradient(lambda a: fn(a[0]), [x])[0] == grad[0]
     # through a linear map of two inputs: f'' a a^T and f' a
     u = [0.3, -1.7]
@@ -436,6 +436,15 @@ def test_jet_arithmetic_against_closed_forms():
         for j in range(2):
             want = float(primal(dual.second_partial(f, [x, y], i, j)))
             assert hess[i][j] == pytest.approx(want, rel=1e-13)
+    # and against 40 digits: f is plain arithmetic, so mpmath evaluates it
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        at = (mpmath.mpf(x), mpmath.mpf(y))
+        parts = [(value, (0, 0)), (grad[0], (1, 0)), (grad[1], (0, 1)), (hess[0][0], (2, 0)),
+                 (hess[0][1], (1, 1)), (hess[1][1], (0, 2))]
+        for got, orders in parts:
+            ref = mpmath.diff(lambda a, b: f([a, b]), at, orders)
+            assert abs(mpmath.mpf(got) - ref) <= 1e-14 * max(1, abs(ref)), orders
 
 
 def test_jet_first_order_and_list_valued():
@@ -450,11 +459,35 @@ def test_jet_first_order_and_list_valued():
     assert hess == [[0.0, 1.0], [1.0, 0.0]]
 
 
-def test_jets_of_two_passes_do_not_mix():
-    inner = []
-    dual.jet(lambda a: inner.append(a[0]) or a[0], [1.0])
-    with pytest.raises(ValueError, match="different passes"):
-        dual.jet(lambda a: a[0] * inner[0], [2.0])
+#: the mpmath function of each entry of _JET_RULES
+_MPMATH = {"exp": "exp", "expm1": "expm1", "log": "log", "log1p": "log1p", "sqrt": "sqrt",
+           "sin": "sin", "cos": "cos", "tan": "tan", "sinh": "sinh", "cosh": "cosh",
+           "tanh": "tanh", "asin": "asin", "acos": "acos", "atan": "atan", "asinh": "asinh",
+           "acosh": "acosh"}
+
+
+@pytest.mark.parametrize("fn, d1, d2, x0", _JET_RULES, ids=[r[0].__name__ for r in _JET_RULES])
+@pytest.mark.parametrize("shift", [0.0, 0.2j], ids=["real", "complex"])
+def test_taylor_sweep_against_nested_duals_and_40_digits(fn, d1, d2, x0, shift):
+    # the sweep (dual.jet) against the two independent routes to second
+    # order: nested dual passes within 1e-13 of the Hessian's scale, and
+    # 40-digit mpmath, at the points of the closed-form test above
+    mpmath = pytest.importorskip("mpmath")
+    x, u = x0 + shift, [0.3, -1.7]
+    f = lambda a: fn(u[0] * a[0] + u[1] * a[1] + x)  # noqa: E731
+    value, grad, hess = dual.jet(f, [0.0, 0.0])
+    scale = max(abs(v) for row in hess for v in row)
+    for i in range(2):
+        for j in range(2):
+            assert abs(hess[i][j] - dual.second_partial(f, [0.0, 0.0], i, j)) <= 1e-13 * scale
+    with mpmath.workdps(40):
+        mfn = getattr(mpmath, _MPMATH[fn.__name__.lstrip("_")])
+        want = [mpmath.diff(mfn, mpmath.mpmathify(x), k) for k in range(3)]
+        got = [value, *(g / u[i] for i, g in enumerate(grad)),
+               *(hess[i][j] / (u[i] * u[j]) for i in range(2) for j in range(2))]
+        for k, v in enumerate(got):
+            ref = want[min(k, 1) if k < 3 else 2]
+            assert abs(mpmath.mpmathify(v) - ref) <= 1e-14 * max(1, abs(ref)), (k, v)
 
 
 # --------------------------------------------------------------------------
@@ -665,7 +698,7 @@ def test_one_gradient_draws_one_tag():
 def test_only_dual_reads_the_number_types():
     # every other module differentiates through the helpers and the generic
     # functions of dual: none names a number type or calls its chain rule
-    names = {"Dual", "Jet", "Rev", "_chain"}
+    names = {"Dual", "Rev", "_chain"}
     pkg = pathlib.Path(dual.__file__).parent
     for path in sorted(pkg.glob("*.py")):
         if path.name == "dual.py":
@@ -691,7 +724,7 @@ _KERNELS = {
 
 @pytest.mark.parametrize("name", sorted(_KERNELS))
 def test_kernel_entries_match_high_precision(name):
-    # f, f' and f'' from one jet pass, against 40 digits, for real and
+    # f, f' and f'' from one Taylor pass, against 40 digits, for real and
     # complex arguments with |u| from 1e-8 to 2, across the old 1e-4 cutoff
     # (where f'' of the closed forms lost up to ~1e9 eps)
     mpmath = pytest.importorskip("mpmath")

@@ -157,10 +157,11 @@ def test_nan_momentum_hessian_rejected(fn):
 
 
 def test_nan_mixed_momentum_entry_rejected(monkeypatch):
-    # a jet spreads a nan over the diagonal too, so the mixed-entry gate is
-    # fed its Hessian directly: only that gate can see this one
+    # a Taylor pass spreads a nan over the diagonal too, so the mixed-entry
+    # gate is fed its Hessian directly: only that gate can see this one
     h = PhaseFunction(2, lambda q, p: 0.5 * (p[0] * p[0] + p[1] * p[1]), "free")
-    monkeypatch.setattr(dual, "hessian", lambda f, p: [[1.0, math.nan], [math.nan, 1.0]])
+    hess = [[1.0, math.nan], [math.nan, 1.0]]
+    monkeypatch.setattr(dual, "compiled_jet", lambda f, p: (f(p), [0.0, 0.0], hess))
     with pytest.raises(geo.NonKineticHamiltonianError, match="mixed momentum"):
         geo.metric_from_hamiltonian(h, 2, check_points(2))
 
@@ -225,14 +226,15 @@ def test_christoffel_symmetry_and_fd_oracle():
 
 def test_curvature_passes_per_point(monkeypatch):
     # christoffel, riemann and curvature_summary take the (value, gradient,
-    # Hessian) triples of all components from one state: at a metric's first
-    # point one recorded reverse pass, plus one jet pass while the metric's
-    # shape is new, after that compiled code, which draws no tag; a later
-    # metric of the shape, at another z, runs that code from its first
-    # point.  Metric components evaluate h at unit momenta: no momentum
-    # passes.  The process's first curvature_summary at a dimension also
-    # records the curvature formula.
+    # Hessian) triples of all components from one state: one record per
+    # point until the state holds code, which draws no tag.  A new shape
+    # compiles on its second sighting, so a metric's first two points are
+    # records; a later metric of the shape, at another z, runs its code from
+    # the first point.  Metric components evaluate h at unit momenta: no
+    # momentum passes.  The process's first curvature_summary at a
+    # dimension also records the curvature formula.
     monkeypatch.setattr(dual, "_SKELETONS", {})
+    monkeypatch.setattr(dual, "_SIGHTED", {})
     monkeypatch.setattr(geo, "_SUMMARIES", {})
     tags = []
     fresh_tag = dual.fresh_tag
@@ -242,13 +244,14 @@ def test_curvature_passes_per_point(monkeypatch):
         return fresh_tag()
 
     monkeypatch.setattr(dual, "fresh_tag", counted)
-    for fn, z, first in ((geo.christoffel, 0.3, 2), (geo.riemann, -0.45, 1),
-                         (geo.curvature_summary, 0.3, 1 + 1)):
+    points = ([0.2, -0.4, 0.5], [0.1, 0.3, -0.2], [0.2, -0.4, 0.5])
+    for fn, z, expected in ((geo.christoffel, 0.3, [1, 1, 0]), (geo.riemann, -0.45, [1, 0, 0]),
+                            (geo.curvature_summary, 0.3, [1 + 1, 0, 0])):
         g = integrable_line_element(3, z)
-        for q, expected in (([0.2, -0.4, 0.5], first), ([0.1, 0.3, -0.2], 0), ([0.2, -0.4, 0.5], 0)):
+        for q, passes in zip(points, expected):
             tags.clear()
             fn(g, q)
-            assert len(tags) == expected, fn.__name__
+            assert len(tags) == passes, fn.__name__
 
 
 def test_riemann_against_fd_christoffel_oracle():
@@ -543,7 +546,7 @@ def test_curvature_matches_nested_pass_oracle(label, g, comps, box):
     [pytest.param(*case, id=case[0]) for case in (*_cartesian_cases(), *_polar_cases())],
 )
 def test_taylor2_matches_nested_passes(label, g, comps, box):
-    # the jet value, gradient and Hessian of every metric component against
+    # the Taylor value, gradient and Hessian of every metric component against
     # plain evaluation, first-order passes and one nested pass per pair.
     # Both routes take sinhc's f' and f'' from its well-conditioned kernel
     # derivatives, so the entries through sinh(u)/u at a small u = z q_k^2
@@ -722,6 +725,7 @@ def test_coinciding_constants_do_not_share_code_with_other_z(monkeypatch):
     # serve z = 0.3 or -0.45, where they differ: each metric, run after
     # those in one process, equals a fresh per-call jet pass
     monkeypatch.setattr(dual, "_SKELETONS", {})
+    monkeypatch.setattr(dual, "_SIGHTED", {})
     rng = random.Random(29)
 
     def twin(z):

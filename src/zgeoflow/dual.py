@@ -665,8 +665,9 @@ def _value_numbers(n, ops, classes):
 
 
 def _emit(n, ops, out, entries):
-    """Body lines and return value of the gradient of value slot ``out`` of
-    the forward operations ``ops`` (slots 0..n-1 are the inputs).
+    """Body lines and return value (a list display) of the gradient of
+    value slot ``out`` of the forward operations ``ops`` (slots 0..n-1 are
+    the inputs, v0..v{n-1}; the lifted constants are c0, c1, ...).
 
     Every value and local partial is computed as the ``Rev`` operators
     compute it, in the same order, and the adjoints accumulate in the order
@@ -771,10 +772,13 @@ def _slots(out):
 def _skeleton(tape, out, n, order):
     """The cache key of the recorded pass (``tape``, output ``out``) for a
     gradient (``order`` None) or a Taylor pass of the given order: the
-    operation skeleton, whatever the constants, and for a Taylor pass, whose
-    code is value-numbered, which of the constants are equal."""
+    operation skeleton, whatever the constants' values, and the constants'
+    types for a gradient or, for a Taylor pass, whose code is
+    value-numbered, which of the constants are equal (by bits and type)."""
     key = (order, n, _slots(out), tuple(tape.ops[n:]))
-    return key if order is None else (*key, _classes(tape.consts))
+    if order is None:  # float code runs the float entries: a complex constant needs its own
+        return (*key, tuple(map(type, tape.consts)))
+    return (*key, _classes(tape.consts))
 
 
 def _define(head, lines, ret, entries, names, real=True):
@@ -794,7 +798,10 @@ def _compile(tape, out, n, order):
     recorded pass (``tape``, output ``out``), called as
     ``code(args, consts)``, whatever the constants (for a Taylor pass,
     whatever constants of the record's classes).  Taylor code calls the
-    generic table entries, since it also runs at complex points."""
+    generic table entries, since it also runs at complex points.  Gradient
+    code keeps the body lines and return value of :func:`_emit` as
+    ``code.body``, for code emitted around it in ``code``'s globals (the
+    step kernels of :mod:`zgeoflow.dynamics`)."""
     entries = {}
     if order is None:
         lines, ret = _emit(n, tape.ops, out.s, entries)
@@ -804,7 +811,10 @@ def _compile(tape, out, n, order):
     head = [f"{', '.join(f'v{i}' for i in range(n))}, = x"]
     if tape.consts:
         head.append(f"{', '.join(f'c{i}' for i in range(len(tape.consts)))}, = c")
-    return _define("code(x, c)", [*head, *lines], ret, entries, {}, real=order is None)
+    code = _define("code(x, c)", [*head, *lines], ret, entries, {}, real=order is None)
+    if order is None:
+        code.body = lines, ret
+    return code
 
 
 def _compiles(tape, out, order):

@@ -13,6 +13,22 @@ returns lists anyway.  Every element-wise expression keeps the operation
 order of its vector form.  Stored states are :class:`PhasePoint` s, and each
 monitored function is evaluated once per stored state, for the trajectory
 table and the drift report alike.
+
+An implicit step is one call of a step kernel: straight-line code emitted
+around the body of the Hamiltonian's compiled gradient (source
+transformation, Griewank & Walther, *Evaluating Derivatives*, ch. 6), one
+per method and gradient code.  It holds the starting-slope extrapolation,
+the fixed-point loop with the gradient body inlined once per stage, the
+symplectic swap, the finiteness test, the update norm and the state update,
+each expression in the generic steppers' order, so that its states and
+solver statistics are theirs bit for bit.  A kernel enters the
+process-wide table only if its first step equals the generic step at the
+same inputs bit for bit.  The generic steppers stay the oracle and the
+path of rk4-check, of a Hamiltonian whose gradient holds no code (opaque,
+or not compiled yet: the kernel is looked up again before each step), and
+of every step that a kernel gives up (a non-finite slope, an arithmetic or
+domain error, no convergence): the generic stepper reruns it from the same
+inputs, so every message, partial trajectory and count is its own.
 """
 
 from __future__ import annotations
@@ -20,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import isfinite, sqrt
 
+from . import dual
 from .brackets import gradient_lists
 from .phase import EvaluationDomainError, PhaseFunction, PhasePoint
 
@@ -206,6 +223,111 @@ _STEPPERS = {
     "gauss4": _gauss4_step,
     "rk4-check": _rk4_step,
 }
+#: the RHS evaluations of one fixed-point iteration of an implicit method
+_STAGES = {"implicit-midpoint": 1, "gauss4": 2}
+
+#: (method, gradient code) -> the step kernel that agreed with the generic
+#: step, or None for one that did not; it drops its oldest entry once it
+#: holds dual.MAX_SKELETONS
+_KERNELS = {}
+
+
+def _kernel(method, grad, m):
+    """(kernel, admitted) of ``method`` for the gradient state ``grad`` of
+    a Hamiltonian on ``m`` phase coordinates, which holds code: the table's
+    entry, or a new kernel still to be checked against the generic step."""
+    key = (method, grad.code)
+    if key in _KERNELS:
+        return _KERNELS[key], True
+    scope = dict(grad.code.__globals__)  # the table entries the body calls
+    source = _kernel_source(method, m, *grad.code.body, len(grad.consts))
+    exec(compile(source, "<step kernel>", "exec"), scope)
+    return scope["kernel"], False
+
+
+def _names(prefix, count):
+    return ", ".join(f"{prefix}{i}" for i in range(count))
+
+
+def _kernel_source(method, m, body, grad, n_consts):
+    """Source of the step kernel of ``method`` around the body lines and
+    the gradient ``grad`` (a list display) of the compiled gradient code of
+    a Hamiltonian on ``m`` phase coordinates with ``n_consts`` lifted
+    constants (``code.body``, see :func:`zgeoflow.dual._compile`).
+
+    ``kernel(y, guess, dt, c)`` is the generic step from the state ``y``
+    and the starting slope ``_starting_slope(guess)`` (``guess`` a history
+    of one to three slopes), with the Hamiltonian's constants ``c``: it
+    returns what the stepper returns, bit for bit, or None where the
+    stepper would raise (a non-finite slope, no convergence) and where the
+    gradient raises an ArithmeticError or ValueError.  The body runs once
+    per stage and iteration, with v0..v{m-1} bound to the stage state.
+    Every expression is the generic code's, in its order
+    (:func:`_starting_slope`, :func:`_midpoint_step`, :func:`_gauss4_step`,
+    :func:`_rhs_flat`, :func:`_update_norm`).  The template's own names are
+    capitals other than R, D and E, and words, outside the body's names
+    (v/g/a/c/i and R/D/E with digits).
+    """
+    n = m // 2
+    stages = _STAGES[method]
+    width = m * stages  # the slope: one phase velocity per stage
+    new, old = ("W", "U") if stages == 1 else ("L", "K")
+    src = ["def kernel(y, guess, dt, c):", f"    {_names('Y', m)}, = y"]
+    if n_consts:
+        src.append(f"    {_names('c', n_consts)}, = c")
+    for test, history, form in (
+        ("if len(guess) == 3", "P, Q, T", "3.0 * P{i} - 3.0 * Q{i} + T{i}"),
+        ("elif len(guess) == 2", "P, Q", "2.0 * P{i} - Q{i}"),
+        ("else", "P", "P{i}"),
+    ):
+        src.append(f"    {test}:")
+        unpack = ", ".join(f"({_names(h, width)},)" for h in history.split(", "))
+        src.append(f"        {unpack}, = guess")
+        for i in range(width):
+            slope = form.format(i=i)
+            start = f"Y{i} + dt * ({slope})" if stages == 1 else slope
+            src.append(f"        {old}{i} = {start}")
+    sizes = ", ".join(f"abs(Y{i})" for i in range(m))
+    src.append(f"    tol = {FIXED_POINT_TOL!r} * max(1.0, {sizes})")
+    loop = []
+
+    def rhs(states, slope, at):
+        """The body at the stage ``states``, then its phase velocity into
+        ``slope``{at}.. and the velocity's finiteness test."""
+        loop.extend(f"v{i} = {state}" for i, state in enumerate(states))
+        loop.extend(body)
+        loop.append(f"{_names('G', m)}, = {grad}")
+        loop.extend(f"{slope}{at + j} = G{n + j}" for j in range(n))
+        loop.extend(f"{slope}{at + n + j} = -G{j}" for j in range(n))
+        zeros = " + ".join(f"{slope}{at + i} * 0.0" for i in range(m))
+        loop.append(f"if {zeros} != 0.0:  # nan: the velocity is not finite")
+        loop.append("    return None")
+
+    if stages == 1:
+        rhs([f"0.5 * (Y{i} + U{i})" for i in range(m)], "S", 0)
+        loop.extend(f"W{i} = Y{i} + dt * S{i}" for i in range(m))
+        done = f"[{_names('W', m)}], [{_names('S', m)}]"
+    else:
+        for at, (a1, a2) in zip((0, m), _GAUSS_A):
+            stage = [f"Y{i} + dt * (({a1!r}) * K{i} + ({a2!r}) * K{m + i})" for i in range(m)]
+            rhs(stage, "L", at)
+        y_next = ", ".join(f"Y{i} + w * (L{i} + L{m + i})" for i in range(m))
+        done = f"[{y_next}], [{_names('L', width)}]"
+    loop.extend(f"X{i} = abs({new}{i} - {old}{i})" for i in range(width))
+    loop.append(f"total = 0 + {' + '.join(f'X{i}' for i in range(width))}")
+    loop.append(f"update = total if total != total else max({_names('X', width)})")
+    loop.append("if update < tol:")
+    if stages == 2:
+        loop.append("    w = dt * 0.5")
+    loop.append(f"    return {done}, it, update")
+    loop.append(f"{_names(old, width)}, = {_names(new, width)},")
+    src.append("    try:")
+    src.append(f"        for it in range(1, {FIXED_POINT_MAX_ITER + 1}):")
+    src.extend(f"            {line}" for line in loop)
+    src.append("    except (ArithmeticError, ValueError):")
+    src.append("        pass")
+    src.append("    return None")
+    return "\n".join(src) + "\n"
 
 
 def integrate(
@@ -234,9 +356,12 @@ def integrate(
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
         raise ValueError("t_end must be an integer multiple of dt")
     step = _STEPPERS[method]
+    stages = _STAGES.get(method)
+    grad = h._gradient
     times = [0.0]
     states = [x0]
     y = list(x0.flat())
+    kernel, admitted = None, False
     n_rhs = 0
     iterations = {}
     max_update, max_update_step = 0.0, 0
@@ -261,7 +386,23 @@ def integrate(
     for k in range(1, n_steps + 1):
         t = k * dt
         try:
-            y, slope, its, update = step(rhs, y, dt, t, _starting_slope(history))
+            if history or stages is None:
+                guess = history
+            else:  # the first step's explicit Euler predictor, f(y) per stage
+                guess = [rhs(y) * stages]
+            if kernel is None and stages and grad.code is not None:
+                kernel, admitted = _kernel(method, grad, len(y))
+            out = None if kernel is None else kernel(y, guess, dt, grad.consts)
+            if out is not None and admitted:
+                n_rhs += out[2] * stages
+            else:  # the generic step, also where a kernel gives up
+                generic = step(rhs, y, dt, t, _starting_slope(guess))
+                if out is not None:  # a new kernel's first step admits it, or not
+                    admitted = dual._agrees(out, generic)
+                    kernel = kernel if admitted else None
+                    dual._keep(_KERNELS, (method, grad.code), kernel)
+                out = generic
+            y, slope, its, update = out
         except IntegrationError as err:
             err.partial = build(True)
             raise

@@ -241,6 +241,21 @@ def test_code_that_flips_the_sign_of_a_zero_is_not_cached(monkeypatch):
     assert not dual._SKELETONS
 
 
+def test_a_complex_constant_does_not_run_the_code_of_a_float_one():
+    # the gradient key holds each lifted constant's type: float code calls
+    # the float table entries, which take no complex value
+    real = dual.CompiledGradient(1)
+    for x in ([0.3], [0.4]):
+        real(lambda q: dual.exp(q[0] * 0.5), x)
+    assert real.code is not None
+    f = lambda q: dual.exp(q[0] * 0.5j)  # noqa: E731
+    state = dual.CompiledGradient(1)
+    for x in ([0.3], [0.3], [0.4]):
+        assert state(f, x) == dual.gradient(f, x)
+    assert state(f, [0.3])[0] == pytest.approx(-0.0747 + 0.4944j, abs=1e-4)
+    assert state.code is None
+
+
 def test_compiled_results_agree_only_bit_for_bit():
     nan = float("nan")
     assert dual._agrees([1.8, 0.0], [1.8, 0.0])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from zgeoflow import charts, dual, dynamics
+from zgeoflow import charts, cli, dual, dynamics
 from zgeoflow.algebra import (
     casimir_m,
     hamiltonian_integrable,
@@ -301,6 +301,11 @@ def test_warm_start_matches_cold_start_oracle(method):
         assert np.max(np.abs(got - ref)) < 1e-12, (label, np.max(np.abs(got - ref)))
 
 
+def generic_steps_only(monkeypatch):
+    """Run every implicit step by the generic stepper: no step kernel."""
+    monkeypatch.setattr(dynamics, "_kernel", lambda method, grad, m: (None, True))
+
+
 @pytest.mark.parametrize(
     "method, dt, bound",
     [
@@ -310,21 +315,18 @@ def test_warm_start_matches_cold_start_oracle(method):
     ],
 )
 def test_warm_start_rhs_count(method, dt, bound, monkeypatch):
-    calls = []
-    rhs = dynamics._rhs_flat
-
-    def counted(h, vec):
-        calls.append(1)
-        return rhs(h, vec)
-
-    monkeypatch.setattr(dynamics, "_rhs_flat", counted)
+    # the solver's own count: the step kernels evaluate the phase velocity
+    # inline, so the RHS calls are counted in SolverStats, not by a spy
     n_steps = 200
+    runs = {}
     for label, h, x0 in criterion_8_systems():
-        calls.clear()
         traj = dynamics.integrate(h, x0, n_steps * dt, dt, method)
-        assert len(calls) / n_steps <= bound, (label, len(calls) / n_steps)
-        assert traj.solver.rhs_evals == len(calls)
+        assert traj.solver.rhs_evals / n_steps <= bound, (label, traj.solver)
         assert sum(traj.solver.iterations.values()) == n_steps
+        runs[label] = traj.solver
+    generic_steps_only(monkeypatch)
+    for label, h, x0 in criterion_8_systems():
+        assert dynamics.integrate(h, x0, n_steps * dt, dt, method).solver == runs[label], label
 
 
 def parent_trajectory(h, x0, dt, n_steps, method):
@@ -500,3 +502,179 @@ def test_non_finite_phase_velocity_stops_the_run():
     with pytest.raises(dynamics.IntegrationError, match="not finite") as info:
         dynamics.integrate(h, PhasePoint([700.0], [1.0]), 0.01, 0.001)
     assert len(info.value.partial) == 1
+
+
+# --------------------------------------------------------------------------
+# step kernels: one compiled call per implicit step, the generic steppers
+# as their oracle and fallback
+# --------------------------------------------------------------------------
+
+#: the six systems of the geodesic benchmark, as (chart, selector)
+BENCH_SYSTEMS = [
+    ("cartesian", "integrable"),
+    ("cartesian", "superintegrable"),
+    ("cartesian", "family:exp"),
+    ("cartesian", "family:one-plus"),
+    ("polar", "integrable"),
+    ("polar", "superintegrable"),
+]
+
+
+def bench_system(chart, selector, z):
+    """A new Hamiltonian of a benchmark system and a start in its domain."""
+    h, _ = cli._hamiltonian({"n": 3, "z": z, "chart": chart, "kappa2": 1.0}, selector)
+    q = [0.25, -0.15, 0.35] if chart == "cartesian" else [0.6, 0.8, 0.7]
+    return h, PhasePoint(q, [0.05, -0.04, 0.06])
+
+
+def empty_tables(monkeypatch):
+    """The tables of a new process: no gradient code, no step kernel."""
+    monkeypatch.setattr(dual, "_SKELETONS", {})
+    monkeypatch.setattr(dual, "_SIGHTED", {})
+    monkeypatch.setattr(dynamics, "_KERNELS", {})
+
+
+def bits(traj):
+    return [repr(v) for s in traj.states for v in s.flat()], repr(traj.solver)
+
+
+def read(path):
+    with open(path) as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("z", [0.1, -0.1, 0.6, -0.6])
+@pytest.mark.parametrize("method", ["implicit-midpoint", "gauss4"])
+def test_step_kernels_equal_the_generic_steppers_bit_for_bit(method, z, monkeypatch):
+    n_steps, dt = 24, 1e-3
+    empty_tables(monkeypatch)
+    runs = {}
+    for system in BENCH_SYSTEMS:
+        # with empty tables (code from step 2 on), then from the cache
+        runs[system] = [dynamics.integrate(*bench_system(*system, z), n_steps * dt, dt, method)
+                        for _ in range(2)]
+        h, x0 = bench_system(*system, z)
+        ref_states, ref_stats = parent_trajectory(h, x0, dt, n_steps, method)
+        assert dynamics._KERNELS.get((method, h._gradient.code)) is not None, system
+        for traj in runs[system]:
+            assert [list(s.flat()) for s in traj.states] == [s.tolist() for s in ref_states]
+            assert traj.solver == ref_stats, system
+    generic_steps_only(monkeypatch)
+    for system, trajs in runs.items():
+        generic = dynamics.integrate(*bench_system(*system, z), n_steps * dt, dt, method)
+        for traj in trajs:
+            assert bits(traj) == bits(generic), system
+
+
+#: runs that stop: no convergence at the first step (the case of
+#: test_partial_trajectory_carries_solver_stats), polar runs that leave their
+#: chart after 100-odd steps, and an overflow at large z
+STOPPING_RUNS = [
+    ["--z=1.0", "--hamiltonian=superintegrable", "--q=1.5,-1.4,1.3", "--p=2.0,2.0,-2.0",
+     "--t-end=10", "--dt=5"],
+    *[[f"--z={z}", "--chart=polar", "--q=0.8,0.3,0.5", "--p=0.1,-3.0,0", "--t-end=2",
+       "--dt=0.01", f"--method={method}"]
+      for z in ("0.3", "-0.3") for method in ("implicit-midpoint", "gauss4")],
+    ["--z=40", "--q=0.3,0.2,0.1", "--p=3.0,2.0,1.0", "--t-end=1", "--dt=0.01"],
+    ["--z=60", "--hamiltonian=superintegrable", "--q=0.9,0.8,0.7", "--p=3.0,2.0,1.0",
+     "--t-end=1", "--dt=0.01", "--method=gauss4"],
+]
+
+
+@pytest.mark.parametrize("args", STOPPING_RUNS)
+def test_a_stopping_run_is_the_generic_steppers(args, tmp_path, monkeypatch, capsys):
+    # the step where a kernel gives up is rerun by the generic stepper: the
+    # message, exit code, partial CSV and solver statistics are its own
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", "--n=3", *args, "--output=run.csv", "--metadata=run.json"]
+
+    def outputs():
+        code = cli.main(argv)
+        return code, capsys.readouterr().err, read("run.csv"), read("run.json")
+
+    empty_tables(monkeypatch)
+    runs = [outputs(), outputs()]  # with empty tables, then from the cache
+    generic_steps_only(monkeypatch)
+    generic = outputs()
+    assert generic[0] == 2 and "# truncated" in generic[2]
+    assert runs == [generic, generic]
+
+
+def test_a_stopping_run_ran_its_steps_in_a_kernel(monkeypatch):
+    # the polar runs of STOPPING_RUNS stop only after their kernel took
+    # over: its steps are the ones compared above
+    calls = []
+    kernel = dynamics._kernel
+
+    def spy(method, grad, m):
+        found, admitted = kernel(method, grad, m)
+        return (found if found is None else lambda *a: calls.append(1) or found(*a)), admitted
+
+    monkeypatch.setattr(dynamics, "_kernel", spy)
+    h, x0 = bench_system("polar", "integrable", 0.3)
+    with pytest.raises(dynamics.IntegrationError, match="overflows at t = 1.22") as err:
+        dynamics.integrate(h, PhasePoint([0.8, 0.3, 0.5], [0.1, -3.0, 0.0]), 2.0, 0.01)
+    assert len(calls) >= 100 and len(err.value.partial) == 122
+
+
+@pytest.mark.parametrize(
+    "method, form, perturbed",
+    [
+        ("implicit-midpoint", "0.5 * (Y0 + U0)", "0.5 * (Y0 + U0) * (1.0 + 1e-9)"),
+        ("gauss4", "w = dt * 0.5", "w = dt * 0.5 * (1.0 + 1e-9)"),
+    ],
+)
+def test_a_kernel_whose_first_step_disagrees_is_never_cached(method, form, perturbed, monkeypatch):
+    empty_tables(monkeypatch)
+    source = dynamics._kernel_source
+
+    def perturb(*args):
+        text = source(*args)
+        assert form in text
+        return text.replace(form, perturbed)
+
+    monkeypatch.setattr(dynamics, "_kernel_source", perturb)
+
+    def run():
+        return bits(dynamics.integrate(*bench_system("cartesian", "integrable", 0.3), 0.024,
+                                       1e-3, method))
+
+    runs = [run() for _ in range(3)]
+    assert list(dynamics._KERNELS.values()) == [None]
+    generic_steps_only(monkeypatch)
+    assert runs == [run()] * 3
+
+
+def test_the_kernel_table_is_bounded(monkeypatch):
+    empty_tables(monkeypatch)
+    monkeypatch.setattr(dual, "MAX_SKELETONS", 3)
+    for system in BENCH_SYSTEMS:
+        for method in ("implicit-midpoint", "gauss4"):
+            for _ in range(2):
+                dynamics.integrate(*bench_system(*system, 0.3), 0.005, 1e-3, method)
+                assert len(dynamics._KERNELS) <= 3
+    assert len(dynamics._KERNELS) == 3
+
+
+@pytest.mark.parametrize("method", ["implicit-midpoint", "gauss4"])
+def test_kernel_template_names_stay_out_of_the_body_names(method):
+    # a template variable named like a body variable (a11 is an adjoint)
+    # would be overwritten by the inlined gradient body
+    import ast
+    import re
+
+    source = dynamics._kernel_source(method, 6, [], "[0.0, 0.0, 0.0, 0.0, 0.0, 0.0]", 2)
+    stored = {node.id for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    body_like = {name for name in stored if re.fullmatch(r"[vgaciRDE]\d+|d\d+_\d+", name)}
+    assert body_like == {f"v{i}" for i in range(6)} | {"c0", "c1"}
+
+
+def test_rk4_takes_the_generic_stepper(monkeypatch):
+    calls = []
+    monkeypatch.setattr(dynamics, "_kernel", lambda *a: calls.append(a) or (None, True))
+    h = hamiltonian_integrable(3, 0.3)
+    dynamics.integrate(h, X8, 0.005, 1e-3, "rk4-check")
+    assert calls == []
+    dynamics.integrate(h, X8, 0.005, 1e-3)
+    assert calls

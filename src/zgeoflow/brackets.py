@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .algebra import sinhc
 # perfbench/tracing.py binds this name in this module; keep it
 from .algebra import realize_generators
-from .phase import EvaluationDomainError, PhaseFunction, PhasePoint
+from .phase import EvaluationDomainError, PhaseFunction, PhasePoint, gradient_lists
 
 if TYPE_CHECKING:
     import numpy as np
@@ -58,18 +58,6 @@ def gradient(f: PhaseFunction, x: PhasePoint) -> PhaseGradient:
     if not all(map(finite, grad)):
         raise EvaluationDomainError(f"gradient of {f.label} not finite at {x}")
     return PhaseGradient(tuple(grad[: x.dim]), tuple(grad[x.dim :]))
-
-
-def gradient_lists(f: PhaseFunction, q: list, p: list):
-    """Gradient on raw coordinate lists; hot-loop variant of :func:`gradient`.
-
-    The gradient over all 2n coordinates, (dq, dp), is one recorded reverse
-    pass, run by the compile rule, until the rule gives ``f`` compiled code;
-    later calls on floats run that code alone
-    (:class:`zgeoflow.dual.CompiledGradient`, kept with ``f``)."""
-    n = len(q)
-    grad = f._gradient(lambda qp: f.fn(qp[:n], qp[n:]), [*q, *p])
-    return grad[:n], grad[n:]
 
 
 def gradient_fd(f: PhaseFunction, x: PhasePoint) -> PhaseGradient:

@@ -14,6 +14,12 @@ found, and ``main`` alone reports it, as ``error: <message>`` on stderr,
 and returns its exit code.  Identical configuration (seed included)
 produces byte-identical output files; every output embeds the fully
 resolved configuration.
+
+A process loads only what its command runs.  Importing this module loads
+the algebra and the charts, with the dual numbers, kernels and phase
+functions they import; each command then loads, on its first run, the one
+module it needs: verify the brackets and numpy, simulate the dynamics,
+curvature the geometry, and transform nothing more.
 """
 
 from __future__ import annotations
@@ -21,12 +27,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import importlib
 import itertools
 import json
 import math
 import sys
 
 from . import __version__, dual, jsontext
+# perfbench/tracing.py rebinds, in this module, names imported here and names
+# of _LAZY: the commands call each as a global of this module
 from .algebra import (
     casimir_m,
     casimir_one,
@@ -36,15 +45,6 @@ from .algebra import (
     integral_extra_2,
     integral_extra_3,
     realize_generators,
-)
-from .brackets import gradient_rows
-# perfbench/tracing.py binds each of these names in this module; keep them
-from .brackets import (
-    bracket_residual,
-    check_algebra,
-    check_involution,
-    independence_rank,
-    sample_points,
 )
 from .charts import (
     ChartPass,
@@ -60,24 +60,55 @@ from .charts import (
     transform_to_cartesian,
     transform_to_polar,
 )
-from .dynamics import (
-    METHODS,
-    IntegrationError,
-    conservation_report,
-    integrate,
-    trajectory_table,
-)
-from .geometry import (
-    MetricDegenerateError,
-    _worst,
-    curvature_summary,
-    gaussian_curvature_variable_2d,
-    line_element_from_hamiltonian,
-    metric_from_hamiltonian,
-    variable_curvature_scalar,
-    variable_curvature_sectionals,
-)
-from .phase import EvaluationDomainError, PhasePoint
+from .phase import METHODS, EvaluationDomainError, PhasePoint, _worst
+
+#: the names the commands call in the modules that one command alone needs.
+#: ``_load`` binds a module's names here, as this module's globals, when its
+#: command first runs or when one of them is first read from outside.
+_LAZY = {
+    "brackets": (
+        "bracket_residual",
+        "check_algebra",
+        "check_involution",
+        "gradient_rows",
+        "independence_rank",
+        "sample_points",
+    ),
+    "dynamics": ("IntegrationError", "conservation_report", "integrate", "trajectory_table"),
+    "geometry": (
+        "MetricDegenerateError",
+        "curvature_summary",
+        "gaussian_curvature_variable_2d",
+        "line_element_from_hamiltonian",
+        "metric_from_hamiltonian",
+        "variable_curvature_scalar",
+        "variable_curvature_sectionals",
+    ),
+}
+#: the module of _LAZY that each command needs
+_NEEDS = {"verify": "brackets", "simulate": "dynamics", "curvature": "geometry"}
+#: the modules of _LAZY whose names are bound
+_LOADED = set()
+
+
+def _load(module):
+    """Bind the names of ``module`` in ``_LAZY`` here.  A name that is bound
+    already, rebound from outside before the module loaded, keeps its value."""
+    source = importlib.import_module(f".{module}", __package__)
+    scope = globals()
+    for name in _LAZY[module]:
+        if name not in scope:
+            scope[name] = getattr(source, name)
+    _LOADED.add(module)
+
+
+def __getattr__(name):
+    for module, names in _LAZY.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -789,6 +820,9 @@ def main(argv=None) -> int:
         cfg = _resolve(args, build_parser().subcommands.choices[command])
         cfg.pop("command", None)
         cfg["command"] = command
+        module = _NEEDS.get(command)
+        if module is not None and module not in _LOADED:
+            _load(module)
         return _COMMANDS[command](cfg)
     except _Error as err:
         print(f"error: {err}", file=sys.stderr)

@@ -87,6 +87,7 @@ triple one recorded pass.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from itertools import count
 
@@ -554,9 +555,12 @@ def _step(form):
     return scope["step"]
 
 
-#: the Taylor operation of each operator code, and of a table entry
-_STEPS = {code: _step(form) for code, form in _FORMS.items()}
-_ENTRY_STEP = _step(_ENTRY_FORM)
+@functools.cache
+def _steps():
+    """The Taylor operation of each operator code, and of a table entry:
+    built on the first Taylor sweep in a process, so that a process that
+    runs none compiles none."""
+    return {code: _step(form) for code, form in _FORMS.items()}, _step(_ENTRY_FORM)
 
 
 def _taylor(tape, out, args, order):
@@ -577,10 +581,11 @@ def _taylor(tape, out, args, order):
     values = list(args)
     parts = [[1.0 if k == i else 0.0 for k in range(width)] for i in range(n)]
     consts = iter(tape.consts)
+    steps, entry_step = _steps()
     for code, *slots in tape.ops[n:]:
         p = slots.pop() if code == _POW else None
         c = next(consts) if code in _WITH_CONST else None
-        step = _STEPS.get(code, _ENTRY_STEP)
+        step = steps.get(code, entry_step)
         x, y, a, b = values[slots[0]], values[slots[-1]], parts[slots[0]], parts[slots[-1]]
         v, d = step(x, y, c, p, code, a, b, n, hidx)
         values.append(v)

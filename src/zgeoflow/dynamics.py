@@ -37,10 +37,8 @@ from dataclasses import dataclass, field
 from math import isfinite, sqrt
 
 from . import dual
-from .brackets import gradient_lists
-from .phase import EvaluationDomainError, PhaseFunction, PhasePoint
-
-METHODS = ("implicit-midpoint", "gauss4", "rk4-check")
+# perfbench/tracing.py binds gradient_lists in this module; keep it
+from .phase import METHODS, EvaluationDomainError, PhaseFunction, PhasePoint, gradient_lists
 
 #: fixed-point convergence threshold (relative sup norm of the update)
 FIXED_POINT_TOL = 1e-13
@@ -218,11 +216,7 @@ def _starting_slope(history):
     return history[0] if history else None
 
 
-_STEPPERS = {
-    "implicit-midpoint": _midpoint_step,
-    "gauss4": _gauss4_step,
-    "rk4-check": _rk4_step,
-}
+_STEPPERS = dict(zip(METHODS, (_midpoint_step, _gauss4_step, _rk4_step)))
 #: the RHS evaluations of one fixed-point iteration of an implicit method
 _STAGES = {"implicit-midpoint": 1, "gauss4": 2}
 
@@ -417,7 +411,7 @@ def integrate(
             raise IntegrationError("state left the domain", t, partial=build(True))
         if k % keep_every == 0 or k == n_steps:
             times.append(t)
-            states.append(PhasePoint.from_flat(y))
+            states.append(PhasePoint._from_checked(y))
     return build(False)
 
 

@@ -29,7 +29,7 @@ from itertools import count
 from typing import TYPE_CHECKING, Sequence
 
 from . import dual
-from .phase import EvaluationDomainError, PhaseFunction, PhasePoint
+from .phase import EvaluationDomainError, PhaseFunction, PhasePoint, _worst
 
 if TYPE_CHECKING:
     import numpy as np
@@ -88,12 +88,6 @@ class DiagonalMetric:
             (lambda c: (lambda qq: factor * c(qq)))(c) for c in self.components
         )
         return DiagonalMetric(self.dim, comps, f"{factor}*{self.label}")
-
-
-def _worst(values):
-    """The largest of ``values`` (0.0 for none), or nan if one is nan:
-    Python's max drops a nan that is not first."""
-    return math.nan if any(v != v for v in values) else max(values, default=0.0)
 
 
 def metric_from_hamiltonian(

@@ -10,8 +10,19 @@ from typing import Callable
 from . import dual
 
 
+#: the integration methods of :func:`zgeoflow.dynamics.integrate`, defined
+#: here so that the command line offers them without loading ``dynamics``
+METHODS = ("implicit-midpoint", "gauss4", "rk4-check")
+
+
 class EvaluationDomainError(ValueError):
     """A function was evaluated outside its domain (non-finite result)."""
+
+
+def _worst(values):
+    """The largest of ``values`` (0.0 for none), or nan if one is nan:
+    Python's max drops a nan that is not first."""
+    return math.nan if any(v != v for v in values) else max(values, default=0.0)
 
 
 def scalar_vector(x) -> list:
@@ -69,6 +80,17 @@ class PhasePoint:
         n = len(x) // 2
         return PhasePoint(x[:n], x[n:])
 
+    @staticmethod
+    def _from_checked(x: list) -> "PhasePoint":
+        """``from_flat(x)`` for a list of finite Python floats, taken as they
+        are, without the copy, scan and test: for states already checked
+        (the integrator's stored states)."""
+        n = len(x) // 2
+        point = object.__new__(PhasePoint)
+        object.__setattr__(point, "q", tuple(x[:n]))
+        object.__setattr__(point, "p", tuple(x[n:]))
+        return point
+
 
 @dataclass(frozen=True)
 class PhaseFunction:
@@ -88,7 +110,7 @@ class PhaseFunction:
     arity: int
     fn: Callable = field(repr=False)
     label: str = ""
-    #: the gradient state of ``fn`` (see :func:`zgeoflow.brackets.gradient_lists`)
+    #: the gradient state of ``fn`` (see :func:`gradient_lists`)
     _gradient: dual.CompiledGradient = field(
         default_factory=dual.CompiledGradient, init=False, repr=False, compare=False
     )
@@ -141,6 +163,19 @@ class PhaseFunction:
 
     def __rmul__(self, other):
         return self._combine(other, lambda a, b: b * a, "*")
+
+
+def gradient_lists(f: PhaseFunction, q: list, p: list):
+    """The gradient (dq, dp) of ``f`` on raw coordinate lists; the hot-loop
+    variant of :func:`zgeoflow.brackets.gradient`.
+
+    The gradient over all 2n coordinates is one recorded reverse pass, run
+    by the compile rule, until the rule gives ``f`` compiled code; later
+    calls on floats run that code alone (``f._gradient``, a
+    :class:`zgeoflow.dual.CompiledGradient`)."""
+    n = len(q)
+    grad = f._gradient(lambda qp: f.fn(qp[:n], qp[n:]), [*q, *p])
+    return grad[:n], grad[n:]
 
 
 def coordinate(arity: int, i: int) -> PhaseFunction:

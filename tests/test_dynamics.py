@@ -74,6 +74,23 @@ def test_flat_trajectory_is_straight_line():
     assert traj.times[0] == 0.0 and traj.times[-1] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("method", dynamics.METHODS)
+def test_stored_states_equal_the_validated_construction(method):
+    # integrate keeps its checked floats as they are; each stored state is
+    # what the validating PhasePoint.from_flat builds, in values and types
+    traj = dynamics.integrate(hamiltonian_superintegrable(3, 0.3), X0, 0.01, 1e-3, method, 3)
+    for x in traj.states[1:]:
+        ref = PhasePoint.from_flat(x.flat())
+        assert x == ref and hash(x) == hash(ref)
+        assert type(x.q) is tuple and type(x.p) is tuple
+        assert [(type(v), repr(v)) for v in x.flat()] == [(type(v), repr(v)) for v in ref.flat()]
+        assert all(type(v) is float for v in x.flat())
+    # the public constructions keep validating
+    for flat in ([0.1, float("nan")], [0.1, 0.2, 0.3], [0.1, complex(0.0, float("inf"))]):
+        with pytest.raises(ValueError):
+            PhasePoint.from_flat(flat)
+
+
 @pytest.mark.parametrize("method", ["implicit-midpoint", "gauss4"])
 def test_conservation_integrable(method):
     z = 0.3

@@ -54,39 +54,159 @@ FAILING_UNITS = [
 
 _SCRIPT = """
 import contextlib, io, json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("zgeoflow."))
 from zgeoflow.cli import main
+imported = loaded()
 codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stderr(io.StringIO()):
         codes.append(main(argv))
-print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules,
+                  "imported": imported, "loaded": loaded()}))
 """
+
+#: the modules that one command alone needs, which importing the CLI loads none of
+_COMMAND_MODULES = {"zgeoflow.brackets", "zgeoflow.dynamics", "zgeoflow.geometry"}
+
+
+def _fresh(script, *args):
+    """The JSON that ``script`` prints last, run with ``args`` in a fresh
+    process on this checkout's sources."""
+    env = dict(os.environ)
+    src = str(Path(zgeoflow.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def _run_fresh(argvs, tmp_path):
     """Exit codes of ``argvs`` run through ``main`` in one fresh process,
-    and whether that process imported numpy."""
-    env = dict(os.environ)
-    src = str(Path(zgeoflow.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    whether that process imported numpy, and the ``zgeoflow`` modules it
+    had loaded after importing the CLI and after the last run."""
     out = tmp_path / "unit.out"
     argvs = [[*a.split(), f"--output={out}"] for a in argvs]
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCRIPT, json.dumps(argvs)],
-        capture_output=True, text=True, env=env, timeout=120, check=True,
-    )
-    return json.loads(proc.stdout)
+    return _fresh(_SCRIPT, json.dumps(argvs))
 
 
 def test_simulate_curvature_and_transform_never_import_numpy(tmp_path):
     units = GEODESIC_UNITS + CURVATURE_UNITS + [argv for argv, _ in FAILING_UNITS]
     got = _run_fresh(units, tmp_path)
     want = [0] * (len(GEODESIC_UNITS) + len(CURVATURE_UNITS)) + [c for _, c in FAILING_UNITS]
-    assert got == {"codes": want, "numpy": False}
+    assert (got["codes"], got["numpy"]) == (want, False)
+    assert not _COMMAND_MODULES & set(got["imported"])
 
 
 def test_verify_imports_numpy(tmp_path):
-    assert _run_fresh(["verify --n=2 --samples=2"], tmp_path) == {"codes": [0], "numpy": True}
+    got = _run_fresh(["verify --n=2 --samples=2"], tmp_path)
+    assert (got["codes"], got["numpy"]) == ([0], True)
+    assert "zgeoflow.brackets" in got["loaded"]
+
+
+#: the module each command loads on its first run, and those it never loads
+_COMMAND_LOADS = {
+    "simulate": ("zgeoflow.dynamics", {"zgeoflow.geometry", "zgeoflow.brackets"}),
+    "curvature": ("zgeoflow.geometry", {"zgeoflow.dynamics", "zgeoflow.brackets"}),
+    "transform": (None, _COMMAND_MODULES),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_LOADS))
+def test_each_command_loads_only_its_own_module(command, tmp_path):
+    units = [
+        (argv, code)
+        for argv, code in [(u, 0) for u in GEODESIC_UNITS + CURVATURE_UNITS] + FAILING_UNITS
+        if argv.split()[0] == command
+    ]
+    got = _run_fresh([argv for argv, _ in units], tmp_path)
+    assert got["codes"] == [code for _, code in units]
+    assert not _COMMAND_MODULES & set(got["imported"])
+    own, idle = _COMMAND_LOADS[command]
+    assert not idle & set(got["loaded"])
+    assert own is None or own in got["loaded"]
+
+
+def test_package_exports_resolve_on_first_access():
+    got = _fresh("""
+import importlib, json, sys
+import zgeoflow
+before = sorted(m for m in sys.modules if m.startswith("zgeoflow."))
+homes = {name: home for home, names in zgeoflow._EXPORTS.items() for name in names}
+same = all(
+    getattr(zgeoflow, name) is getattr(importlib.import_module("zgeoflow." + homes[name]), name)
+    for name in zgeoflow.__all__[:-1]
+)
+scope = {}
+exec("from zgeoflow import *", scope)
+modules = all(getattr(zgeoflow, m) is sys.modules["zgeoflow." + m] for m in ("dual", *zgeoflow._EXPORTS))
+print(json.dumps({"before": before, "same": same, "star": sorted(set(scope) - {"__builtins__"}),
+                  "dir": dir(zgeoflow), "all": zgeoflow.__all__, "modules": modules}))
+""")
+    assert got["before"] == []  # importing the package loads none of its modules
+    assert got["same"] and got["modules"]
+    assert got["all"][-1] == "__version__" and got["all"][:-1] == sorted(got["all"][:-1])
+    assert got["star"] == sorted(got["all"])
+    assert set(got["all"]) <= set(got["dir"])
+    with pytest.raises(AttributeError):
+        zgeoflow.no_such_export
+
+
+_REBINDING = """
+import importlib, json, sys
+sys.path.insert(0, sys.argv[1])
+import tracing
+import zgeoflow.cli as cli
+
+targets = [(m, a) for m, a, _ in tracing.SPAN_TARGETS]
+targets += [(m, "realize_generators") for m in tracing.GENERATOR_BINDINGS]
+targets += [("zgeoflow.dynamics", "gradient_lists"), ("zgeoflow.brackets", "gradient")]
+# resolving binds every name, so the rebinding runs in a process of its own
+if sys.argv[3] == "resolve":
+    unresolved = [t for t in targets if not callable(getattr(importlib.import_module(t[0]), t[1]))]
+    print(json.dumps(unresolved))
+    sys.exit()
+
+from zgeoflow import dynamics, geometry
+calls = []
+
+def spying(label, fn):
+    def spy(*args, **kwargs):
+        calls.append(label)
+        return fn(*args, **kwargs)
+    return spy
+
+runs = {}
+for argv, name, fn in (
+    (["simulate", "--t-end=0.01", "--q=0.3,0.2,0.1", "--p=0.1,-0.2,0.3"],
+     "integrate", dynamics.integrate),
+    (["curvature", "--n=2", "--grid-points=2"], "curvature_summary", geometry.curvature_summary),
+):
+    for when in ("before", "after"):  # the command's first run, and a later one
+        setattr(cli, name, spying(when, fn))
+        calls.clear()
+        runs[f"{name} {when}"] = [cli.main([*argv, "--output=" + sys.argv[2]]), sorted(set(calls))]
+runs["others bound"] = cli.trajectory_table is dynamics.trajectory_table
+print(json.dumps(runs))
+"""
+
+
+def test_tracer_targets_resolve_and_rebinding_survives_the_first_run(tmp_path):
+    """Every (module, name) that perfbench/tracing.py rebinds resolves in a
+    fresh process, and a command calls the CLI name as rebound, whether it
+    was rebound (without a read) before or after the command first ran."""
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    out = str(tmp_path / "unit.out")
+    assert _fresh(_REBINDING, perfbench, out, "resolve") == []
+    assert _fresh(_REBINDING, perfbench, out, "rebind") == {
+        "integrate before": [0, ["before"]],
+        "integrate after": [0, ["after"]],
+        "curvature_summary before": [0, ["before"]],
+        "curvature_summary after": [0, ["after"]],
+        "others bound": True,
+    }
 
 
 def test_phase_point_holds_python_scalars():

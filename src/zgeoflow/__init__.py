@@ -2,7 +2,8 @@
 
 Subpackage map:
 
-* :mod:`zgeoflow.dual`      dual numbers, reverse passes, Taylor sweeps, generic scalar math
+* :mod:`zgeoflow.dual`      dual numbers, reverse passes, the compile rule, generic scalar math
+* :mod:`zgeoflow.taylor`    Taylor sweeps over reverse records and their compiled code
 * :mod:`zgeoflow.kernels`   sinhc and the sine/cosine kernels, one table entry each
 * :mod:`zgeoflow.phase`     phase points and phase functions, ``gradient_lists``
 * :mod:`zgeoflow.algebra`   deformed generators, Casimirs, Hamiltonians
@@ -16,10 +17,11 @@ Subpackage map:
 Importing the package loads none of these: each exported name imports its
 module on first access (PEP 562), so ``from zgeoflow import integrate``
 loads ``dynamics`` and what it imports, and no more.  The command line
-loads ``dual``, ``kernels``, ``phase``, ``algebra``, ``charts`` and
-``jsontext`` at import, and then the one module its command needs:
-``brackets`` (and numpy) for ``verify``, ``dynamics`` for ``simulate``,
-``geometry`` for ``curvature``, none for ``transform``.
+loads ``dual``, ``kernels``, ``phase``, ``algebra`` and ``jsontext`` at
+import, and then the one module its command needs: ``brackets`` (and
+numpy) for ``verify``, ``dynamics`` for ``simulate``, ``geometry`` for
+``curvature``, ``charts`` for ``transform``; a polar run loads ``charts``
+too.  ``taylor`` loads with ``charts`` or ``geometry``.
 """
 
 import importlib

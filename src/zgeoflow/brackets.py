@@ -102,7 +102,7 @@ def bracket_matrix(funcs, x: PhasePoint):
     With the gradients as rows of Dq, Dp: vals = Dq Dp^T - Dp Dq^T (exactly
     antisymmetric) and the roundoff scales |Dq| |Dp|^T + |Dp| |Dq|^T.  Huge
     finite gradients overflow to inf and nan here without a warning; the
-    non-finite entries fail every residual check that reads them.
+    residual checks scale each function's rows first (:func:`_scaled_rows`).
     """
     dq, dp = gradient_rows(funcs, [x])
     return gradient_brackets(dq[0], dp[0])
@@ -118,12 +118,28 @@ def gradient_brackets(dq, dp):
         return cross - cross.T, size + size.T
 
 
-def _scaled_residual(vals, scales, target=0.0):
-    """|vals - target| / max(1, |target|, scales), elementwise."""
+def _scaled_rows(dq, dp):
+    """(dq, dp, unit) with the rows of each f_a (axis -2) divided by 2^e_a,
+    e_a >= 0 the ``frexp`` exponent of their largest |entry|, which keeps
+    the products of rows up to 1e284 finite; unit[..., a, b] = 2^-(e_a +
+    e_b) is the factor that this scales {f_a, f_b} and its scale by."""
+    import numpy as np
+
+    top = np.maximum(np.abs(dq).max(axis=-1, initial=0.0), np.abs(dp).max(axis=-1, initial=0.0))
+    factor = np.ldexp(1.0, -np.maximum(np.frexp(top)[1], 0))[..., None]
+    return dq * factor, dp * factor, factor * np.swapaxes(factor, -1, -2)
+
+
+def _scaled_residual(vals, scales, unit, target=0.0):
+    """|{f_a, f_b} - target| / max(1, |target|, scale), elementwise, from
+    the brackets of rows scaled by :func:`_scaled_rows`, with 1 and the
+    target scaled by ``unit`` to match: exact, so a residual that does not
+    overflow keeps its bits."""
     import numpy as np
 
     with np.errstate(all="ignore"):
-        return np.abs(vals - target) / np.maximum(np.maximum(1.0, np.abs(target)), scales)
+        target = unit * target
+        return np.abs(vals - target) / np.maximum(np.maximum(unit, np.abs(target)), scales)
 
 
 def poisson_bracket(f: PhaseFunction, g: PhaseFunction, x: PhasePoint):
@@ -140,8 +156,9 @@ def bracket_residual(f: PhaseFunction, g: PhaseFunction, x: PhasePoint, target=0
     algebraically give residuals near machine epsilon in this measure
     regardless of how large the generator values grow on the sampling domain.
     """
-    vals, scales = bracket_matrix((f, g), x)
-    return float(_scaled_residual(vals[0, 1], scales[0, 1], target))
+    dq, dp, unit = _scaled_rows(*gradient_rows((f, g), [x]))
+    vals, scales = gradient_brackets(dq[0], dp[0])
+    return float(_scaled_residual(vals[0, 1], scales[0, 1], unit[0, 0, 1], target))
 
 
 def sample_points(n: int, samples: int, seed: int, scale: float = 2.0):
@@ -198,13 +215,14 @@ def check_algebra(z: float, values, dq, dp) -> AlgebraReport:
         raise ValueError("need at least one sample")
     pairs = ([2, 2, 0], [1, 0, 1])  # {J3, J+}, {J3, J-}, {J-, J+} in (J-, J+, J3)
     worst, first_nan = np.zeros(3), None
+    dq, dp, units = _scaled_rows(dq, dp)
     with np.errstate(all="ignore"):
-        for k, ((jm_v, jp_v, j3_v), q, p) in enumerate(zip(values, dq, dp)):
+        for k, ((jm_v, jp_v, j3_v), q, p, unit) in enumerate(zip(values, dq, dp, units)):
             target = np.array(
                 [2.0 * jp_v * np.cosh(z * jm_v), -2.0 * jm_v * sinhc(z * jm_v), 4.0 * j3_v]
             )
             vals, scales = gradient_brackets(q, p)
-            res = _scaled_residual(vals[pairs], scales[pairs], target)
+            res = _scaled_residual(vals[pairs], scales[pairs], unit[pairs], target)
             worst = np.maximum(worst, res)
             if first_nan is None and np.isnan(res).any():
                 r = int(np.argmax(np.isnan(res)))
@@ -245,8 +263,8 @@ def check_involution(dq, dp) -> InvolutionReport:
     import numpy as np
 
     samples = np.empty((len(dq), dq.shape[1], dq.shape[1]))
-    for k, (q, p) in enumerate(zip(dq, dp)):
-        samples[k] = _scaled_residual(*gradient_brackets(q, p))
+    for k, (q, p, unit) in enumerate(zip(*_scaled_rows(dq, dp))):
+        samples[k] = _scaled_residual(*gradient_brackets(q, p), unit)
     return InvolutionReport(samples.max(axis=0, initial=0.0), samples)
 
 

@@ -27,11 +27,13 @@ imaginary), under which every identity below still holds exactly.
 
 Momenta and canonicity at a polar point x read one :class:`ChartPass`: a
 single Taylor pass of the position map q(x) (one record, run by the compile
-rule of :mod:`zgeoflow.dual`) that gives J = dq/dx and, at order 2, the
-Hessians of the q_i.  The ``transform`` command shares it
+rule, :func:`zgeoflow.taylor.compiled_jet`) that gives J = dq/dx and, at
+order 2, the Hessians of the q_i.  The ``transform`` command shares it
 between the momentum map, the round trip and the canonicity check, and the
 3x3 algebra on it (J^T p, det J, the transposed solve, the bracket blocks)
-runs on Python scalars.
+runs on Python scalars.  Only ``transform`` and the polar ``simulate`` and
+``curvature`` load this module; :class:`OutOfChartError` is defined in
+:mod:`zgeoflow.phase`, so that a command can catch it without loading it.
 
 Momentum normalization: ``"canonical"`` momenta come from the transpose
 inverse Jacobian of the position map and satisfy the fundamental brackets
@@ -49,22 +51,13 @@ import functools
 import math
 from dataclasses import dataclass
 
-from . import dual
+from . import dual, taylor
 from .kernels import SERIES_CUTOFF, sin_kernel
 from .kernels import cos_kernel as _cos_kernel
-from .phase import EvaluationDomainError, PhaseFunction, PhasePoint, scalar_vector
+from .phase import EvaluationDomainError, OutOfChartError, PhaseFunction, PhasePoint, scalar_vector
 
 #: chart momenta are this multiple of canonical ones
 CHART_MOMENTUM_FACTOR = 2.0
-
-
-class OutOfChartError(ValueError):
-    """Input outside the chart domain; ``relation`` is the 1-based index of
-    the violated chart relation when applicable."""
-
-    def __init__(self, message, relation=None):
-        super().__init__(message)
-        self.relation = relation
 
 
 @dataclass(frozen=True)
@@ -282,11 +275,11 @@ _SINGULAR = "singular Jacobian (chart boundary)"
 
 
 def _chart_pass(f, args, order):
-    """``dual.compiled_jet`` of a chart map; a division by zero or an
+    """``taylor.compiled_jet`` of a chart map; a division by zero or an
     overflow in the derivative parts (sqrt(w)' at w = 0, say) is the chart
     boundary."""
     try:
-        return dual.compiled_jet(f, args, order)
+        return taylor.compiled_jet(f, args, order)
     except (ZeroDivisionError, OverflowError) as err:
         raise OutOfChartError(_SINGULAR) from err
 
@@ -325,7 +318,7 @@ def _solve_transposed(m, b):
 
 class ChartPass:
     """The chart pass at a polar point x: one Taylor pass of the position
-    map q(x) of :func:`polar_to_cart` (:func:`zgeoflow.dual.compiled_jet`),
+    map q(x) of :func:`polar_to_cart` (:func:`zgeoflow.taylor.compiled_jet`),
     run on first use and then read by every consumer of the point (momentum
     map, round trip, canonicity check).
 

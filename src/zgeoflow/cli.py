@@ -16,10 +16,11 @@ produces byte-identical output files; every output embeds the fully
 resolved configuration.
 
 A process loads only what its command runs.  Importing this module loads
-the algebra and the charts, with the dual numbers, kernels and phase
-functions they import; each command then loads, on its first run, the one
-module it needs: verify the brackets and numpy, simulate the dynamics,
-curvature the geometry, and transform nothing more.
+the algebra, with the dual numbers, kernels and phase functions it imports;
+each command then loads, on its first run, the one module it needs: verify
+the brackets and numpy, simulate the dynamics, curvature the geometry (and
+with it the Taylor passes), and transform the charts.  A polar simulate or
+curvature also loads the charts, when it builds its polar system.
 """
 
 from __future__ import annotations
@@ -46,21 +47,7 @@ from .algebra import (
     integral_extra_3,
     realize_generators,
 )
-from .charts import (
-    ChartPass,
-    OutOfChartError,
-    PolarPoint,
-    cart_to_polar,
-    chart_relation_residuals,
-    fundamental_bracket_residuals,
-    integrable_polar_system,
-    polar_to_cart,
-    rho_to_r,
-    superintegrable_polar_system,
-    transform_to_cartesian,
-    transform_to_polar,
-)
-from .phase import METHODS, EvaluationDomainError, PhasePoint, _worst
+from .phase import METHODS, EvaluationDomainError, OutOfChartError, PhasePoint, _worst
 
 #: the names the commands call in the modules that one command alone needs.
 #: ``_load`` binds a module's names here, as this module's globals, when its
@@ -74,6 +61,11 @@ _LAZY = {
         "independence_rank",
         "sample_points",
     ),
+    "charts": (
+        "ChartPass", "PolarPoint", "cart_to_polar", "chart_relation_residuals",
+        "fundamental_bracket_residuals", "integrable_polar_system", "polar_to_cart", "rho_to_r",
+        "superintegrable_polar_system", "transform_to_cartesian", "transform_to_polar",
+    ),
     "dynamics": ("IntegrationError", "conservation_report", "integrate", "trajectory_table"),
     "geometry": (
         "MetricDegenerateError",
@@ -86,14 +78,18 @@ _LAZY = {
     ),
 }
 #: the module of _LAZY that each command needs
-_NEEDS = {"verify": "brackets", "simulate": "dynamics", "curvature": "geometry"}
+_NEEDS = {"verify": "brackets", "simulate": "dynamics", "curvature": "geometry",
+          "transform": "charts"}
 #: the modules of _LAZY whose names are bound
 _LOADED = set()
 
 
 def _load(module):
-    """Bind the names of ``module`` in ``_LAZY`` here.  A name that is bound
-    already, rebound from outside before the module loaded, keeps its value."""
+    """Bind the names of ``module`` in ``_LAZY`` here, once.  A name that is
+    bound already, rebound from outside before the module loaded, keeps its
+    value."""
+    if module in _LOADED:
+        return
     source = importlib.import_module(f".{module}", __package__)
     scope = globals()
     for name in _LAZY[module]:
@@ -124,6 +120,13 @@ FAMILY_REGISTRY = {
     "exp": (dual.exp, "exp"),
     "one-plus": (lambda x: 1.0 + x, "1+x"),
 }
+
+
+#: what ``zgeoflow --help`` prints above the commands
+_DESCRIPTION = """Geodesic flows on curved spaces from a deformed sl(2) Poisson algebra:
+four commands, each with its own --help.  Write a value that starts with '-'
+as --name=value (--p=-0.05,0.04,0.06).  Exit codes: 0 success, 1
+configuration error, 2 numerical or verification failure."""
 
 
 class _Error(Exception):
@@ -443,6 +446,7 @@ def _hamiltonian(cfg, selector):
     if cfg["chart"] == "polar":
         if n != 3:
             raise _Error("polar charts are three-dimensional")
+        _load("charts")
         if selector == "integrable":
             system = integrable_polar_system(z, cfg["kappa2"])
         elif selector == "superintegrable":
@@ -692,7 +696,7 @@ def build_parser() -> _Parser:
     ``parser.subcommands`` is its subparsers Action, which ``_read_plain``
     reads with each subcommand's ``options`` table.
     """
-    parser = _Parser(prog="zgeoflow", description=__doc__)
+    parser = _Parser(prog="zgeoflow", description=_DESCRIPTION)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.subcommands = parser.add_subparsers(dest="command", required=True)
 
@@ -820,9 +824,7 @@ def main(argv=None) -> int:
         cfg = _resolve(args, build_parser().subcommands.choices[command])
         cfg.pop("command", None)
         cfg["command"] = command
-        module = _NEEDS.get(command)
-        if module is not None and module not in _LOADED:
-            _load(module)
+        _load(_NEEDS[command])
         return _COMMANDS[command](cfg)
     except _Error as err:
         print(f"error: {err}", file=sys.stderr)

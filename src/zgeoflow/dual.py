@@ -15,15 +15,9 @@ nodes records each operation's local partials on a tape, and one backward
 sweep over the tape accumulates the adjoints, at a cost independent of the
 number of inputs (Baur & Strassen 1983).
 
-Second order is a sweep over the same record.  A reverse pass also records
-each forward operation (its table entry or operator, its operands' value
-slots, and its plain-number operands lifted into a constants vector), and
-:func:`_taylor` runs that record forward on values as a truncated Taylor
-expansion over all n input directions at once: each operation's value,
-gradient and packed Hessian from its operands' (ibid., ch. 13).  It
-computes them by the forms of the compiled order-2 code, so the two agree
-bit for bit; a division x / y of two nodes is x / y there, not the
-record's x * (1 / y).  At order 1 it carries no Hessian.
+Second order is a forward Taylor sweep over the same record, in
+:mod:`zgeoflow.taylor`, which only the modules that ask for it import; its
+public functions also resolve here (PEP 562), on first access.
 
 Each elementary function is one table entry: its float and complex
 values and its f' and f'' as expressions in x, f(x) and f'(x).  One
@@ -33,18 +27,10 @@ the value, so complex points work too; the Taylor sweep and compiled code
 call the entry's f, f' and f''.  A new kernel plugs in once, in the
 builder; the kernels of :mod:`zgeoflow.kernels` are entries too.
 
-Compiled passes.  A record is emitted as straight-line Python and run on
-its constants (source transformation, ibid., ch. 6 and 13): a gradient as
-the forward values and then the adjoint sweep, a Taylor pass as the value,
-the gradient and (at order 2) the packed Hessian part by part, of one
-output or of each of a list of them.  Taylor code is value-numbered (ibid.,
-ch. 6): an operation that repeats an earlier one on the same operands and
-an equal constant is computed once, which is exact in forward mode, so the
-outputs of one record share what they have in common (all components of a
-metric share their site coefficients).  Every value, partial and part is
-computed as the interpreted pass computes it (:func:`_sweep`, or
-:func:`_taylor`), in the same order, so compiled code equals it bit for
-bit; the interpreted passes stay the per-call path and the oracles.
+Compiled passes.  A record is emitted as straight-line Python from one
+table of operator forms (``_FORMS``; source transformation, ibid., ch. 6),
+and computes each value and part as its interpreted pass (:func:`_sweep`,
+or the Taylor sweep) does, so the two agree bit for bit.
 
 The compile rule.  Every pass the package runs in production is one record
 of ``f`` and then one process-wide rule keyed by the record's operation
@@ -59,10 +45,8 @@ first call.  The rule is sound for every record, also for one whose
 function read a value through :func:`primal` and may branch on it: each
 call's own record fixes its operation sequence.  :class:`CompiledGradient`
 keeps the code of a function that read no value, so that its later float
-calls skip the record; :func:`compiled_jet` is the rule's Taylor pass.  A
-compiled call evaluates no number type and draws no tag.
-:func:`compiled_values` emits a record's forward values alone, for float
-formulas that are not differentiated.
+calls skip the record.  A compiled call evaluates no number type and draws
+no tag.
 
 Nesting rule.  Reverse passes, and so Taylor passes, are outermost: their
 inputs are plain floats or complex numbers.  Forward dual passes may run
@@ -72,13 +56,12 @@ stays the outer layer).  Nodes of two reverse passes do not mix: a reverse
 pass inside a reverse pass raises ``ValueError``.
 
 The helpers :func:`partial`, :func:`gradient`, :func:`second_partial`,
-:func:`jet`, :func:`taylor2`, :func:`hessian`, the one-variable
-:func:`derivative`, :class:`CompiledGradient` (gradients at order 1,
-value-gradient-Hessian triples at order 2), :func:`compiled_jet` and
-:func:`compiled_values` are the only code in the package that creates
-tags, seeds inputs and extracts derivative parts, and the builder is the
-only code outside the number types that reads their parts; every other
-module differentiates through them.  Each call of ``f`` is one pass and
+the one-variable :func:`derivative`, :class:`CompiledGradient` (gradients
+at order 1, value-gradient-Hessian triples at order 2) and the functions of
+:mod:`zgeoflow.taylor` are the only code in the package that creates tags,
+seeds inputs and extracts derivative parts, and the builder is the only
+code outside the number types that reads their parts; every other module
+differentiates through them.  Each call of ``f`` is one pass and
 draws its own tags: a first partial is one dual pass, a single second
 partial one nested dual pass, and a gradient or a value-gradient-Hessian
 triple one recorded pass.
@@ -87,7 +70,6 @@ triple one recorded pass.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from itertools import count
 
@@ -430,45 +412,6 @@ def second_partial(f, args, i, j):
     return dual_part(dual_part(out, tj), ti)
 
 
-def jet(f, args, order=2):
-    """Value, gradient and Hessian (symmetric list of rows) of ``f`` at
-    ``args`` from one recorded pass (one evaluation of ``f`` and one tag)
-    and the Taylor sweep over its record (:func:`_taylor`).
-
-    ``order=1`` carries no Hessian and returns ``None`` in its place.  A
-    list-valued ``f`` gives one (value, gradient, Hessian) triple per
-    component.  The parts keep their scalar type (float or complex).  It is
-    the per-call oracle of :func:`compiled_jet`.
-    """
-    return _taylor(*_record(f, args), args, order)
-
-
-def compiled_jet(f, args, order=2):
-    """What :func:`jet` returns, bit for bit, by the compile rule: one
-    recorded pass of ``f``, then the code cached for its skeleton, or the
-    Taylor sweep over the record (which compiles the skeleton on its second
-    sighting).  It raises what the record or the sweep raises."""
-    tape, out = _record(f, args)
-    return _run(tape, out, args, order)[0]
-
-
-def taylor2(f, args):
-    """Float value, gradient and symmetric Hessian (list of rows) of ``f``,
-    all from the one recorded pass of :func:`jet`; a list-valued ``f``
-    gives one such triple per component."""
-    out = jet(f, args)
-    return [_floats(*y) for y in out] if isinstance(out, list) else _floats(*out)
-
-
-def _floats(value, grad, hess):
-    return float(value), [float(v) for v in grad], [[float(v) for v in row] for row in hess]
-
-
-def hessian(f, args):
-    """Float parts of all second partials of ``f`` as a symmetric list of rows."""
-    return taylor2(f, args)[2]
-
-
 def derivative(f, x):
     """Exact derivative of a scalar function of one scalar."""
     tag = fresh_tag()
@@ -525,103 +468,11 @@ _ENTRY_FORM = (["{v} = R{e}({x})", "g{j} = D{e}({x}, {v})"], ["g{j}"], *_CHAIN,
 _WITH_CONST = frozenset((_ADDC, _SUBC, _RSUB, _MULC, _RDIV))
 
 
-def _hidx(n):
-    """(k, i, j) for each packed Hessian part k >= n of n inputs: the pairs
-    i <= j, row by row."""
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    return [(n + k, i, j) for k, (i, j) in enumerate(pairs)]
-
-
-def _step(form):
-    """The Taylor operation of ``form`` on values, as a function of its
-    operand values x and y, constant c, integer power p, table entry f,
-    operand parts a and b, input count n and the Hessian pairs hidx (see
-    :func:`_hidx`): it returns the value and the parts of the result, each
-    computed by the form that compiled code computes it by."""
-    names = {"v": "v", "x": "x", "y": "y", "c": "c", "p": "p", "j": "_", "e": "",
-             "a": "a[k]", "b": "b[k]", "ai": "a[i]", "aj": "a[m]", "bi": "b[i]",
-             "bj": "b[m]", "gi": "d[i]", "gj": "d[m]"}
-    lines = ["R, D, E = f, f.d1, f.d2"] if form is _ENTRY_FORM else []
-    lines += form[4] if len(form) > 4 else form[0]
-    if form[2] is None:
-        lines.append("return v, a")
-    else:
-        lines += [f"d = [{form[2]} for k in range(n)]",
-                  f"return v, d + [{form[3]} for k, i, m in hidx]"]
-    body = "\n    ".join(line.format(**names) for line in lines)
-    scope = {}
-    exec(compile(f"def step(x, y, c, p, f, a, b, n, hidx):\n    {body}\n", "<taylor step>",
-                 "exec"), scope)
-    return scope["step"]
-
-
-@functools.cache
-def _steps():
-    """The Taylor operation of each operator code, and of a table entry:
-    built on the first Taylor sweep in a process, so that a process that
-    runs none compiles none."""
-    return {code: _step(form) for code, form in _FORMS.items()}, _step(_ENTRY_FORM)
-
-
-def _taylor(tape, out, args, order):
-    """The (value, gradient, Hessian rows) of the pass output ``out`` of the
-    record ``tape`` at its inputs ``args``, or the list of those triples
-    for a list ``out``; at ``order=1`` the Hessian is None.
-
-    One forward sweep over the record's operations and constants, each
-    computed by :func:`_step` from its operands' values and parts, the
-    inputs' parts being the seeds 1.0 and 0.0: the Taylor pass that
-    compiled code (:func:`_emit2`) equals bit for bit.  No zero part is
-    dropped, since its sign and a 0 * inf reach the result.  An output that
-    is no node is a constant.
-    """
-    n = len(args)
-    hidx = _hidx(n) if order == 2 else []
-    width = n + len(hidx)
-    values = list(args)
-    parts = [[1.0 if k == i else 0.0 for k in range(width)] for i in range(n)]
-    consts = iter(tape.consts)
-    steps, entry_step = _steps()
-    for code, *slots in tape.ops[n:]:
-        p = slots.pop() if code == _POW else None
-        c = next(consts) if code in _WITH_CONST else None
-        step = steps.get(code, entry_step)
-        x, y, a, b = values[slots[0]], values[slots[-1]], parts[slots[0]], parts[slots[-1]]
-        v, d = step(x, y, c, p, code, a, b, n, hidx)
-        values.append(v)
-        parts.append(d)
-
-    def triple(y):
-        if type(y) is not Rev:
-            value, d = y, [0.0] * width
-        elif y.t is not tape:
-            _mixed_tapes()
-        else:
-            value, d = values[y.s], parts[y.s]
-        if order == 1:
-            return value, d[:n], None
-        hess = [[0.0] * n for _ in range(n)]
-        for k, i, j in hidx:
-            hess[i][j] = hess[j][i] = d[k]
-        return value, d[:n], hess
-
-    return [triple(y) for y in out] if isinstance(out, list) else triple(out)
-
-
-#: each operator's float operation as plain Python computes it, for
-#: forward-only code (a table entry's is R{e}({x}))
-_VALUES = {
-    _ADD: "{x} + {y}", _ADDC: "{x} + {c}", _SUB: "{x} - {y}", _SUBC: "{x} - {c}",
-    _RSUB: "{c} - {x}", _NEG: "-{x}", _MUL: "{x} * {y}", _MULC: "{x} * {c}",
-    _DIV: "{x} / {y}", _RDIV: "{c} / {x}", _POW: "{x} ** {p}",
-}
-
-
 def _operations(n, ops, entries, canon=None):
     """(operator code, operand slots, format names) of each operation past
     the n inputs of ``ops``; the lifted constants are c0, c1, ... in order
     and ``entries`` numbers the table entries.  ``canon`` (see
-    :func:`_value_numbers`) maps each operand to the slot that holds its
+    :func:`zgeoflow.taylor._value_numbers`) maps each operand to the slot that holds its
     value."""
     nc = 0
     for j in range(n, len(ops)):
@@ -649,24 +500,6 @@ def _classes(consts):
     if not any("nan" in key for key in first):
         return classes
     return tuple(k if c != c else m for k, (c, m) in enumerate(zip(consts, classes)))
-
-
-def _value_numbers(n, ops, classes):
-    """The slot whose value each value slot of ``ops`` takes: that of the
-    first operation with the same operator or table entry, the same operands
-    (as numbered), the same power and a lifted constant of the same class
-    (``classes``, see :func:`_classes`), or its own.  Such operations compute
-    the same bits in forward mode, so code that computes the first once
-    equals the pass (Griewank & Walther ch. 6)."""
-    canon, first, nc = list(range(n)), {}, 0
-    for j in range(n, len(ops)):
-        code, *slots = ops[j]
-        power = slots.pop() if code == _POW else None
-        const = classes[nc] if code in _WITH_CONST else None
-        nc += code in _WITH_CONST
-        key = (code, power, const, *[canon[s] for s in slots])
-        canon.append(first.setdefault(key, j))
-    return canon
 
 
 def _emit(n, ops, out, entries):
@@ -714,64 +547,18 @@ def _emit(n, ops, out, entries):
     return lines, f"[{', '.join(ret)}]"
 
 
-def _emit2(n, ops, out, entries, canon, order):
-    """Body lines and return value of the (value, gradient, Hessian rows)
-    of value slot ``out`` of the forward operations ``ops``, or the list of
-    those triples for a tuple of slots ``out``; at ``order=1`` the Hessian
-    is None.
-
-    Part k of slot j is d{j}_k, and the inputs' parts are the seeds 1.0
-    and 0.0.  Every value and part is computed by the forms that
-    :func:`_taylor` computes it by, in the same order, so the result equals
-    the Taylor pass bit for bit: no zero part is dropped.  An operation
-    that ``canon`` (see :func:`_value_numbers`) numbers as an earlier one
-    shares that one's variables, and so does a part whose expression was
-    computed already.
-    """
-    hidx = _hidx(n) if order == 2 else []
-    lines, seen = [], {}  # seen: expression -> the variable that holds it
-    parts = [["1.0" if k == i else "0.0" for k in range(n + len(hidx))] for i in range(n)]
-    for code, slots, names in _operations(n, ops, entries, canon):
-        j = names["j"]
-        if canon[j] != j:
-            parts.append(parts[canon[j]])
-            continue
-        form = _FORMS.get(code) or _ENTRY_FORM
-        lines += [line.format(**names) for line in (form[4] if len(form) > 4 else form[0])]
-        a = parts[slots[0]]
-        if form[2] is None:
-            parts.append(a)
-            continue
-        b, d = parts[slots[-1]], []  # b is a for a one-operand operator
-        for k in range(len(a)):
-            if k < n:
-                expr = form[2].format(a=a[k], b=b[k], **names)
-            else:
-                _, i, m = hidx[k - n]
-                pair = {"ai": a[i], "aj": a[m], "bi": b[i], "bj": b[m], "gi": d[i], "gj": d[m]}
-                expr = form[3].format(a=a[k], b=b[k], **pair, **names)
-            if expr not in seen:
-                seen[expr] = f"d{j}_{k}"
-                lines.append(f"{seen[expr]} = {expr}")
-            d.append(seen[expr])
-        parts.append(d)
-    at = {(i, m): k for k, i, m in hidx}
-
-    def triple(s):
-        d = parts[s]
-        if order == 1:
-            return f"v{canon[s]}, [{', '.join(d)}], None"
-        rows = [", ".join(d[at[min(i, m), max(i, m)]] for m in range(n)) for i in range(n)]
-        return f"v{canon[s]}, [{', '.join(d[:n])}], [[{'], ['.join(rows)}]]"
-
-    if type(out) is int:
-        return lines, triple(out)
-    return lines, f"[{', '.join(f'({triple(s)})' for s in out)}]"
-
-
 def _slots(out):
     """The value slot of a pass output, or the tuple of them of a list."""
     return tuple(y.s for y in out) if type(out) is list else out.s
+
+
+def _slot(tape, y):
+    """The value slot of the pass output ``y`` of ``tape``; None for a constant."""
+    if type(y) is not Rev:
+        return None
+    if y.t is not tape:
+        _mixed_tapes()
+    return y.s
 
 
 def _skeleton(tape, out, n, order):
@@ -811,6 +598,8 @@ def _compile(tape, out, n, order):
     if order is None:
         lines, ret = _emit(n, tape.ops, out.s, entries)
     else:
+        from .taylor import _emit2, _value_numbers
+
         canon = _value_numbers(n, tape.ops, _classes(tape.consts))
         lines, ret = _emit2(n, tape.ops, _slots(out), entries, canon, order)
     head = [f"{', '.join(f'v{i}' for i in range(n))}, = x"]
@@ -844,7 +633,7 @@ def _run(tape, out, args, order):
 
     A record whose skeleton (:func:`_skeleton`) has cached code runs that
     code on its own constants.  Any other is interpreted (:func:`_sweep`
-    or :func:`_taylor`); on the skeleton's second sighting its code is
+    or :func:`zgeoflow.taylor._taylor`); on the skeleton's second sighting its code is
     compiled, checked against that interpreted result and, if they agree
     bit for bit (:func:`_agrees`; a nan agrees with nothing), cached.  The
     rule holds for every record, also one whose function read a value and
@@ -857,7 +646,12 @@ def _run(tape, out, args, order):
     code = _SKELETONS.get(key)
     if code is not None:
         return code(args, consts), code
-    result = _sweep(tape, out, n) if order is None else _taylor(tape, out, args, order)
+    if order is None:
+        result = _sweep(tape, out, n)
+    else:
+        from .taylor import _taylor
+
+        result = _taylor(tape, out, args, order)
     if key is None:
         return result, None
     if _SIGHTED.pop(key, None) is None:  # its first sighting
@@ -877,7 +671,7 @@ def _run(tape, out, args, order):
 class CompiledGradient:
     """The derivatives of one function ``f`` of float arguments: the
     gradient of :func:`gradient` (``order=1``, a scalar ``f``) or the value,
-    gradient and Hessian of :func:`taylor2` (``order=2``; a list-valued
+    gradient and Hessian of :func:`zgeoflow.taylor.taylor2` (``order=2``; a list-valued
     ``f`` gives one triple per component, from one record and one code).
 
     Each call records ``f`` (one recorded pass) and runs the record by the
@@ -899,7 +693,11 @@ class CompiledGradient:
 
     def __call__(self, f, args):
         if not _FLOAT.issuperset(map(type, args)):
-            return gradient(f, args) if self.order == 1 else taylor2(f, args)
+            if self.order == 1:
+                return gradient(f, args)
+            from .taylor import taylor2
+
+            return taylor2(f, args)
         code = self.code
         if code is not None:
             return code(args, self.consts)
@@ -922,40 +720,6 @@ def _agrees(got, want):
     return got == want and not any("nan" in r for r in got)
 
 
-def compiled_values(f, args):
-    """Forward-only compiled code of a list-valued ``f``, called as
-    ``code(x)`` with x nested as ``args`` (lists and tuples of floats, read
-    by ``f`` in that nesting), or None where it cannot serve.
-
-    ``f`` is recorded once at ``args`` and the record's float operations are
-    emitted in their order, value-numbered, with its constants bound: each
-    operation as plain Python computes it, apart from a division of a value
-    by a plain number, which a record keeps as a product with the inverse.
-    The code is kept only if the record read no value and the code's
-    results equal those of ``f`` on the floats of ``args`` bit for bit
-    (:func:`_agrees`).
-    """
-    flat = list(_leaves(args))
-    tape, out = _record(lambda xs: f(_nested(args, iter(xs))), flat)
-    if tape.opaque or type(out) is not list or not _compiles(tape, out, 2):
-        return None
-    n, entries = len(flat), {}
-    canon = _value_numbers(n, tape.ops, _classes(tape.consts))
-    target = _nested(args, iter(f"v{i}" for i in range(n)), lambda t: f"[{', '.join(t)}]")
-    lines = [f"{target} = x"]
-    for op, _, names in _operations(n, tape.ops, entries, canon):
-        if canon[names["j"]] == names["j"]:
-            lines.append(f"{names['v']} = {_VALUES.get(op, 'R{e}({x})').format(**names)}")
-    ret = f"[{', '.join(f'v{canon[y.s]}' for y in out)}]"
-    consts = {f"c{k}": c for k, c in enumerate(tape.consts)}
-    code = _define("code(x)", lines, ret, entries, consts)
-    try:
-        agrees = _agrees(code(args), f(args))
-    except (ArithmeticError, TypeError, ValueError):
-        agrees = False
-    return code if agrees else None
-
-
 def _leaves(x):
     """The scalars of nested lists and tuples ``x``, in order."""
     if isinstance(x, (list, tuple)):
@@ -965,13 +729,14 @@ def _leaves(x):
         yield x
 
 
-def _nested(like, leaves, join=list):
-    """``leaves`` (an iterator) nested as ``like``, each list or tuple of
-    ``like`` made by ``join`` from its items (a list, or the text of an
-    assignment target that unpacks such a value)."""
-    if isinstance(like, (list, tuple)):
-        return join(_nested(y, leaves, join) for y in like)
-    return next(leaves)
+def __getattr__(name):
+    """The public functions of :mod:`zgeoflow.taylor` resolve here too."""
+    if name not in ("jet", "compiled_jet", "taylor2", "hessian", "compiled_values"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import taylor
+
+    value = globals()[name] = getattr(taylor, name)
+    return value
 
 
 # ---------------------------------------------------------------------------

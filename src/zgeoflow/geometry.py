@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import TYPE_CHECKING, Sequence
 
-from . import dual
+from . import dual, taylor
 from .phase import EvaluationDomainError, PhaseFunction, PhasePoint, _worst
 
 if TYPE_CHECKING:
@@ -112,7 +112,7 @@ def metric_from_hamiltonian(
         raise ValueError("Hamiltonian arity does not match requested dimension")
     for x in check_points:
         q, p = x.scalars()
-        _, _, hess = dual.compiled_jet(lambda ps: h.raw(q, ps), p)
+        _, _, hess = taylor.compiled_jet(lambda ps: h.raw(q, ps), p)
         diag = [hess[i][i] for i in range(n)]
         off = _worst([abs(v) for i, row in enumerate(hess) for j, v in enumerate(row) if i != j])
         off /= max(1.0, *map(abs, diag))
@@ -233,7 +233,7 @@ def curvature_summary(g: DiagonalMetric, q):
     n = g.dim
     code = _SUMMARIES.get(n)
     if code is None:
-        code = _SUMMARIES[n] = dual.compiled_values(_summary, _probe(n)) or _summary
+        code = _SUMMARIES[n] = taylor.compiled_values(_summary, _probe(n)) or _summary
     *sect, scal = _finite(code(triples), g, q)
     return dict(zip(((i, j) for i in range(n) for j in range(i + 1, n)), sect)), scal
 

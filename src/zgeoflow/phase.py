@@ -19,6 +19,16 @@ class EvaluationDomainError(ValueError):
     """A function was evaluated outside its domain (non-finite result)."""
 
 
+class OutOfChartError(ValueError):
+    """Input outside the chart domain; ``relation`` is the 1-based index of
+    the violated chart relation when applicable.  Raised by, and exported
+    from, :mod:`zgeoflow.charts`; catching it loads no chart code."""
+
+    def __init__(self, message, relation=None):
+        super().__init__(message)
+        self.relation = relation
+
+
 def _worst(values):
     """The largest of ``values`` (0.0 for none), or nan if one is nan:
     Python's max drops a nan that is not first."""

@@ -389,3 +389,37 @@ def test_reports_locate_their_first_nan():
     involution = check_involution(dq, dp)
     assert involution.first_nan(everything) == (1, 0, 2)  # row by row: {J-, J3}
     assert involution.first_nan(([0, 1], [0, 1]), ([2], [0, 1, 2])) == (1, 2, 0)
+
+
+def _unscaled_residual(vals, scales, target=0.0):
+    """The residual formula on the unscaled bracket table: |vals - target|
+    / max(1, |target|, scales)."""
+    with np.errstate(all="ignore"):
+        return np.abs(vals - target) / np.maximum(np.maximum(1.0, np.abs(target)), scales)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_row_scaling_keeps_every_residual_bit(n):
+    # each function's rows are scaled by a power of two before the products,
+    # which is exact: where nothing overflows, every residual of the checks
+    # has the bits of the unscaled formula
+    z = 0.3
+    pts = sample_points(n, 6, seed=11)
+    gens = realize_generators(n, z).as_tuple()
+    funcs = [*gens, *(casimir_m(m, n, z) for m in range(2, n + 1)), hamiltonian_integrable(n, z)]
+    dq, dp = gradient_rows(funcs, pts)
+    want = np.array([_unscaled_residual(*brackets.gradient_brackets(q, p)) for q, p in zip(dq, dp)])
+    assert check_involution(dq, dp).samples.tobytes() == want.tobytes()
+    f, g = funcs[3], funcs[1]
+    assert [bracket_residual(f, g, x) for x in pts] == [float(want[k, 3, 1]) for k in range(len(pts))]
+
+    pairs = ([2, 2, 0], [1, 0, 1])
+    values = [[float(f(x)) for f in gens] for x in pts]
+    worst = np.zeros(3)
+    for (jm, jp, j3), q, p in zip(values, dq[:, :3], dp[:, :3]):
+        target = np.array([2.0 * jp * np.cosh(z * jm), -2.0 * jm * brackets.sinhc(z * jm), 4.0 * j3])
+        vals, scales = brackets.gradient_brackets(q, p)
+        worst = np.maximum(worst, _unscaled_residual(vals[pairs], scales[pairs], target))
+    report = check_algebra(z, values, dq[:, :3], dp[:, :3])
+    got = [report.residual_j3_jplus, report.residual_j3_jminus, report.residual_jminus_jplus]
+    assert np.array(got).tobytes() == worst.tobytes()

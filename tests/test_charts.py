@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from zgeoflow import charts, dual
+from zgeoflow import charts, dual, taylor
 from zgeoflow import geometry as geo
 from zgeoflow.algebra import (
     casimir_m,
@@ -379,11 +379,11 @@ def test_cached_chart_code_equals_the_taylor_sweep(monkeypatch, z, kappa2):
     monkeypatch.setattr(dual, "_SKELETONS", {})
     monkeypatch.setattr(dual, "_SIGHTED", {})
     sweeps = []
-    taylor = dual._taylor
+    sweep = taylor._taylor
 
     def counted(*args):
         sweeps.append(None)
-        return taylor(*args)
+        return sweep(*args)
 
     forward = lambda xs: charts._polar_to_cart_generic(xs, z, kappa2)  # noqa: E731
     inverse = lambda qs: charts._cart_to_polar_generic(qs, z, kappa2)  # noqa: E731
@@ -397,7 +397,7 @@ def test_cached_chart_code_equals_the_taylor_sweep(monkeypatch, z, kappa2):
     for f, args in cases:
         for order in (1, 2):
             want = _leaf_bits(dual.jet(f, args, order))
-            monkeypatch.setattr(dual, "_taylor", counted)
+            monkeypatch.setattr(taylor, "_taylor", counted)
             for sighting in range(3):
                 sweeps.clear()
                 got = dual.compiled_jet(f, args, order)
@@ -407,7 +407,7 @@ def test_cached_chart_code_equals_the_taylor_sweep(monkeypatch, z, kappa2):
                     assert dual._skeleton(tape, out, 3, order) in dual._SKELETONS, (args, order)
                 if sighting == 2:
                     assert sweeps == [], (args, order)
-            monkeypatch.setattr(dual, "_taylor", taylor)
+            monkeypatch.setattr(taylor, "_taylor", sweep)
 
 
 @pytest.mark.parametrize("x", [(0.0, 0.0, 0.0), (0.5, 0.0, 0.6), (0.0, 0.5, 0.6)])

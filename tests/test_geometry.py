@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from zgeoflow import charts, cli, dual
+from zgeoflow import charts, cli, dual, taylor
 from zgeoflow import geometry as geo
 from zgeoflow.algebra import hamiltonian_integrable, hamiltonian_superintegrable
 from zgeoflow.phase import EvaluationDomainError, PhaseFunction, PhasePoint
@@ -161,7 +161,7 @@ def test_nan_mixed_momentum_entry_rejected(monkeypatch):
     # gate is fed its Hessian directly: only that gate can see this one
     h = PhaseFunction(2, lambda q, p: 0.5 * (p[0] * p[0] + p[1] * p[1]), "free")
     hess = [[1.0, math.nan], [math.nan, 1.0]]
-    monkeypatch.setattr(dual, "compiled_jet", lambda f, p: (f(p), [0.0, 0.0], hess))
+    monkeypatch.setattr(taylor, "compiled_jet", lambda f, p: (f(p), [0.0, 0.0], hess))
     with pytest.raises(geo.NonKineticHamiltonianError, match="mixed momentum"):
         geo.metric_from_hamiltonian(h, 2, check_points(2))
 

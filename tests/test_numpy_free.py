@@ -51,6 +51,18 @@ FAILING_UNITS = [
     ("curvature --z=1e300 --grid-points=2", 2),
     ("simulate --t-end=0.01 --z=1e300 --q=1,1,1 --p=1,1,1", 2),  # truncated trajectory
 ]
+#: what each of FAILING_UNITS writes on stderr
+FAILING_MESSAGES = [
+    "zgeoflow curvature: error: argument --grid-points: invalid int value: 'x'\n",
+    "error: grid-points must be >= 1\n",
+    "error: q and p must have identical length\n",
+    "error: z must be a finite number, got nan\n",
+    "error: out of chart (relation 3): sin^2(l2 theta)/kappa2 < 0 (wrong relativistic octant)\n",
+    "error: out of chart: polar coordinates not finite (overflow)\n",
+    "error: metric not usable on the grid: chart-boundary singularity: sinh(l1 rho)/l1 = 0\n",
+    "error: math range error\n",
+    "error: phase velocity of H_int(3) overflows at t = 0.001\n",
+]
 
 _SCRIPT = """
 import contextlib, io, json, sys
@@ -58,16 +70,20 @@ def loaded():
     return sorted(m for m in sys.modules if m.startswith("zgeoflow."))
 from zgeoflow.cli import main
 imported = loaded()
-codes = []
+codes, errors = [], []
 for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.redirect_stderr(io.StringIO()) as err:
         codes.append(main(argv))
-print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules,
+    errors.append(err.getvalue())
+print(json.dumps({"codes": codes, "errors": errors, "numpy": "numpy" in sys.modules,
                   "imported": imported, "loaded": loaded()}))
 """
 
-#: the modules that one command alone needs, which importing the CLI loads none of
-_COMMAND_MODULES = {"zgeoflow.brackets", "zgeoflow.dynamics", "zgeoflow.geometry"}
+#: the modules that only some runs need, which importing the CLI loads none of
+_COMMAND_MODULES = {
+    "zgeoflow.brackets", "zgeoflow.charts", "zgeoflow.dynamics", "zgeoflow.geometry",
+    "zgeoflow.taylor",
+}
 
 
 def _fresh(script, *args):
@@ -97,6 +113,7 @@ def test_simulate_curvature_and_transform_never_import_numpy(tmp_path):
     got = _run_fresh(units, tmp_path)
     want = [0] * (len(GEODESIC_UNITS) + len(CURVATURE_UNITS)) + [c for _, c in FAILING_UNITS]
     assert (got["codes"], got["numpy"]) == (want, False)
+    assert got["errors"][-len(FAILING_UNITS):] == FAILING_MESSAGES
     assert not _COMMAND_MODULES & set(got["imported"])
 
 
@@ -110,7 +127,7 @@ def test_verify_imports_numpy(tmp_path):
 _COMMAND_LOADS = {
     "simulate": ("zgeoflow.dynamics", {"zgeoflow.geometry", "zgeoflow.brackets"}),
     "curvature": ("zgeoflow.geometry", {"zgeoflow.dynamics", "zgeoflow.brackets"}),
-    "transform": (None, _COMMAND_MODULES),
+    "transform": ("zgeoflow.charts", _COMMAND_MODULES - {"zgeoflow.charts", "zgeoflow.taylor"}),
 }
 
 
@@ -126,7 +143,40 @@ def test_each_command_loads_only_its_own_module(command, tmp_path):
     assert not _COMMAND_MODULES & set(got["imported"])
     own, idle = _COMMAND_LOADS[command]
     assert not idle & set(got["loaded"])
-    assert own is None or own in got["loaded"]
+    assert own in got["loaded"]
+
+
+_CHARTS, _TAYLOR = "zgeoflow.charts", "zgeoflow.taylor"
+
+
+#: one run of each command and chart, the chart and Taylor modules it loads,
+#: and those it leaves unloaded
+@pytest.mark.parametrize("argv, loads, idle", [
+    ("verify --n=2 --samples=2", set(), {_CHARTS, _TAYLOR}),
+    (f"simulate {_CART}", set(), {_CHARTS, _TAYLOR}),
+    (f"simulate {_POLAR}", {_CHARTS}, set()),
+    ("curvature --n=2 --grid-points=2", {_TAYLOR}, {_CHARTS}),
+    ("curvature --chart=polar --grid-points=2", {_CHARTS, _TAYLOR}, set()),
+    (f"transform --q=0.5,0.4,0.6 --p=0.2,-0.3,0.45 {_FLAGS}", {_CHARTS, _TAYLOR}, set()),
+], ids=["verify", "simulate", "simulate-polar", "curvature", "curvature-polar", "transform"])
+def test_charts_and_taylor_load_only_where_a_run_reaches_them(argv, loads, idle, tmp_path):
+    got = _run_fresh([argv], tmp_path)
+    assert got["codes"] == [0]
+    assert not {_CHARTS, _TAYLOR} & set(got["imported"])
+    assert loads <= set(got["loaded"]) and not idle & set(got["loaded"])
+
+
+def test_dual_resolves_the_taylor_functions_as_their_own_objects():
+    got = _fresh("""
+import json, sys
+from zgeoflow import dual
+before = "zgeoflow.taylor" in sys.modules
+names = ("jet", "compiled_jet", "taylor2", "hessian", "compiled_values")
+from zgeoflow import taylor
+same = all(getattr(dual, name) is getattr(taylor, name) for name in names)
+print(json.dumps({"before": before, "same": same, "private": hasattr(dual, "_emit2")}))
+""")
+    assert got == {"before": False, "same": True, "private": False}
 
 
 def test_package_exports_resolve_on_first_access():
@@ -169,7 +219,7 @@ if sys.argv[3] == "resolve":
     print(json.dumps(unresolved))
     sys.exit()
 
-from zgeoflow import dynamics, geometry
+from zgeoflow import charts, dynamics, geometry
 calls = []
 
 def spying(label, fn):
@@ -183,6 +233,8 @@ for argv, name, fn in (
     (["simulate", "--t-end=0.01", "--q=0.3,0.2,0.1", "--p=0.1,-0.2,0.3"],
      "integrate", dynamics.integrate),
     (["curvature", "--n=2", "--grid-points=2"], "curvature_summary", geometry.curvature_summary),
+    (["transform", "--q=0.5,0.4,0.6", "--p=0.2,-0.3,0.45"],
+     "transform_to_polar", charts.transform_to_polar),
 ):
     for when in ("before", "after"):  # the command's first run, and a later one
         setattr(cli, name, spying(when, fn))
@@ -205,6 +257,8 @@ def test_tracer_targets_resolve_and_rebinding_survives_the_first_run(tmp_path):
         "integrate after": [0, ["after"]],
         "curvature_summary before": [0, ["before"]],
         "curvature_summary after": [0, ["after"]],
+        "transform_to_polar before": [0, ["before"]],
+        "transform_to_polar after": [0, ["after"]],
         "others bound": True,
     }
 
